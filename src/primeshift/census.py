@@ -1,10 +1,12 @@
 """Whole-range cycle censuses: every start up to a limit, one shift at a time.
 
 The fast path treats B_a restricted to [2, limit] as a functional graph
-held in one flat array and resolves every start's fate with vectorized
-pointer doubling, so a full 10^6-start census takes a fraction of a
-second.  A deliberately naive per-start iterator is kept alongside as a
-cross-check.
+held in one flat array.  Short scalar walks from a small prefix of starts
+find every cycle (see _find_cycles for the bound that makes this
+complete); one ascending pass over the blocks [lo, 2*lo) then gives every
+node its cycle and its distance to it, because a node's successor almost
+always lies in an earlier block.  A deliberately naive per-start iterator
+is kept alongside as a cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .arith import Shift, as_shift, shifted_B
 from .dynamics import Cycle, canonicalize, default_max_steps, iterate_orbit
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, NonterminationError
 from .sieve import SieveTable, build_sieve, is_prime
 from .tables import ValueTable, build_value_table, step_map
 
@@ -66,33 +68,80 @@ class CensusReport:
         return {c.members for c in self.nontrivial_cycles}
 
 
-def _patch_escapes(f, w, shift, table):
-    """Rewrite out-of-table edges as weighted shortcuts back into range."""
+def _patch_escapes(f, shift, table, budget):
+    """Rewrite out-of-table edges as weighted shortcuts back into range.
+
+    Returns the patched nodes and the number of steps each shortcut
+    stands for.  A walk still above the table after budget steps raises
+    NonterminationError naming the node it started from.
+    """
     limit = table.limit
-    esc = np.nonzero(f > limit)[0]
-    for n0 in esc.tolist():
+    esc = np.flatnonzero(f > limit)
+    steps = np.ones(esc.size, dtype=f.dtype)
+    for i, n0 in enumerate(esc.tolist()):
         v = int(f[n0])
-        steps = 1
+        k = 1
         while v > limit:
+            if k >= budget:
+                raise NonterminationError(n0, shift.a, budget)
             v = shifted_B(v, shift, table)
-            steps += 1
+            k += 1
         f[n0] = v
-        w[n0] = steps
-    return len(esc)
+        steps[i] = k
+    return esc, steps
 
 
-def _walk_cycle(f, start, max_steps):
-    """Scalar-walk the array map from start until the orbit closes."""
-    seen = {}
-    path = []
-    v = int(start)
-    while v not in seen:
-        if len(path) > max_steps:
-            raise ConsistencyError(f"no cycle within {max_steps} steps from {start}")
-        seen[v] = len(path)
-        path.append(v)
-        v = int(f[v])
-    return path[seen[v] :]
+def _find_cycles(f, margin, budget, a):
+    """Every cycle except the fixed points at primes, keyed by its minimum.
+
+    Lemma: for a >= 1 every cycle has its minimum x <= margin + 4, where
+    margin = climb_margin(a).  If x is composite then x <= 4, because
+    B(c) <= c/2 + 2 < c for composite c > 4.  If x is prime, it climbs to
+    a composite c <= x + margin, and x <= B(c) <= c/2 + 2 <= (x + margin)/2
+    + 2.  So walks from the starts 2..margin+4 meet every cycle.  For
+    a = 0 every cycle is a fixed point: n = 4, which the walks meet, or a
+    prime, which run_census labels from the prime mask.
+    """
+    seen: set[int] = set()
+    cycles: dict[int, list[int]] = {}
+    for start in range(2, margin + 5):
+        path: dict[int, int] = {}
+        v = start
+        while v not in seen and v not in path:
+            if len(path) > budget:
+                raise ConsistencyError(
+                    f"no cycle within {budget} steps from {start} under a={a}"
+                )
+            path[v] = len(path)
+            v = f.item(v)
+        if v in path:
+            members = list(path)[path[v] :]
+            cycles[min(members)] = members
+        seen.update(path)
+    return cycles
+
+
+def _settle(pending, f, w, label, dist, budget, a):
+    """Resolve pending nodes whose successor is resolved, until none moves.
+
+    Returns the nodes still pending.
+    """
+    rounds = 0
+    while pending.size:
+        tgt = f[pending]
+        lab = label[tgt]
+        ok = lab != 0
+        if not ok.any():
+            break
+        done = pending[ok]
+        label[done] = lab[ok]
+        if dist is not None:
+            dist[done] = dist[tgt[ok]] + w[done]
+        pending = pending[~ok]
+        rounds += 1
+        if rounds > budget:
+            raise ConsistencyError(f"census resolution under a={a} did not converge")
+    return pending
 
 
 def run_census(
@@ -106,79 +155,81 @@ def run_census(
 
     Deterministic: cycles are listed by (minimum member, length) and every
     reported cycle is re-verified against the scalar map on insertion.
+    Cycles reached only from starts above start_limit are not listed.
     """
     shift = as_shift(shift)
+    a = shift.a
     if start_limit < 2:
         raise DomainError(f"start_limit must be >= 2, got {start_limit}")
     if table.limit < start_limit:
         raise DomainError(
             f"sieve limit {table.limit} is below start_limit {start_limit}"
         )
+    margin = climb_margin(a)
+    # Every cycle member is <= 2*margin + 4: the maximum M is reached by a
+    # climb from a prime q <= M/2 + 2.  Below that, escape shortcuts could
+    # close into false cycles, so cover it with a table of our own.
+    if table.limit < 2 * margin + 4:
+        table = build_sieve(2 * margin + 4)
+        value_table = None
     vt = value_table if value_table is not None else build_value_table(table)
     limit = table.limit
-    budget = default_max_steps(limit, shift.a)
+    budget = default_max_steps(limit, a)
+    dtype = np.int32 if limit + margin < 2**31 else np.int64
 
-    f = step_map(vt, shift)
-    w = np.ones(limit + 1, dtype=np.int64)
-    _patch_escapes(f, w, shift, table)
+    f = step_map(vt, shift, dtype)
+    esc, esc_steps = _patch_escapes(f, shift, table, budget)
+    walked = _find_cycles(f, margin, budget, a)
 
-    # After T doublings F[n] = f^(2^T)(n); with 2^T >= any tail length every
-    # entry lands on its cycle.  Correctness does not depend on T (a short
-    # undershoot only produces extra representatives), T is purely a tuning.
-    doublings = max(8, int(np.ceil(np.log2(budget))) + 1)
-    F = f.copy()
-    for _ in range(doublings):
-        F = F[F]
+    # label[n] is the minimum of the cycle n reaches (0 while unresolved);
+    # dist[n] is the number of B_a steps to get there.
+    label = np.zeros(limit + 1, dtype=dtype)
+    if a == 0:
+        primes = np.flatnonzero(vt.prime_mask)
+        label[primes] = primes
+    for m, members in walked.items():
+        label[members] = m
+    w = dist = None
+    if compute_stopping:
+        w = np.ones(limit + 1, dtype=dtype)
+        w[esc] = esc_steps
+        dist = np.zeros(limit + 1, dtype=dtype)
+    pending = np.empty(0, dtype=np.intp)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        # First round over the window as slices: a node whose successor is
+        # already labelled takes that label; cycle nodes keep theirs.
+        tgt = f[lo:hi]
+        lab = label[tgt]
+        window = label[lo:hi]
+        new = window == 0
+        if dist is not None:
+            np.copyto(dist[lo:hi], dist[tgt] + w[lo:hi], where=new & (lab != 0))
+        np.copyto(window, lab, where=new)
+        pending = np.concatenate([pending, np.flatnonzero(window == 0) + lo])
+        pending = _settle(pending, f, w, label, dist, budget, a)
+        lo = hi
+    if pending.size:
+        raise ConsistencyError(
+            f"node {int(pending[0])} under a={a} reaches no cycle"
+        )
 
-    reps = np.unique(F[2:])
-    cycle_of_rep: dict[int, int] = {}
-    canon_index: dict[tuple[int, ...], int] = {}
-    cycles_raw: list[tuple[int, ...]] = []
-    for rep in reps.tolist():
-        members = _walk_cycle(f, rep, budget)
-        k = members.index(min(members))
-        canon = tuple(members[k:] + members[:k])
-        if canon not in canon_index:
-            canon_index[canon] = len(cycles_raw)
-            cycles_raw.append(canon)
-        cycle_of_rep[rep] = canon_index[canon]
-
-    rep_ids = np.array([cycle_of_rep[r] for r in reps.tolist()], dtype=np.int64)
-    fate = rep_ids[np.searchsorted(reps, F[2 : start_limit + 1])]
-    raw_basins = np.bincount(fate, minlength=len(cycles_raw))
+    basins = np.bincount(label[2 : start_limit + 1])
+    cycles = []
+    basin_counts = {}
+    for m in np.flatnonzero(basins).tolist():
+        cyc = canonicalize(walked.get(m, (m,)), shift, table)
+        cycles.append(cyc)
+        basin_counts[cyc] = int(basins[m])
 
     hist: dict[int, int] = {}
     max_tail = 0
     if compute_stopping:
-        on_cycle = np.zeros(limit + 1, dtype=bool)
-        for canon in cycles_raw:
-            for v in canon:
-                on_cycle[v] = True
-        dist = np.where(on_cycle, 0, -1)
-        dist[0] = dist[1] = 0
-        pending = np.nonzero(dist < 0)[0]
-        guard = 0
-        while pending.size:
-            tgt = f[pending]
-            ready = dist[tgt] >= 0
-            dist[pending[ready]] = dist[tgt[ready]] + w[pending[ready]]
-            pending = pending[~ready]
-            guard += 1
-            if guard > budget:
-                raise ConsistencyError("stopping-time resolution did not converge")
         tails = dist[2 : start_limit + 1]
         counts = np.bincount(tails)
         hist = {int(k): int(v) for k, v in enumerate(counts) if v}
-        max_tail = int(tails.max()) if tails.size else 0
-
-    # Re-verify and package, ordered by (minimum, length).
-    order = sorted(range(len(cycles_raw)), key=lambda i: (cycles_raw[i][0], len(cycles_raw[i])))
-    cycles = []
-    basin_counts = {}
-    for i in order:
-        cyc = canonicalize(cycles_raw[i], shift, table)
-        cycles.append(cyc)
-        basin_counts[cyc] = int(raw_basins[i])
+        max_tail = len(counts) - 1
     return CensusReport(
         shift=shift,
         start_limit=start_limit,

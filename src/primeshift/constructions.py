@@ -48,9 +48,10 @@ def build_amicable(
 
     Let q be the largest prime below p and d = p - q.  If d is prime the
     pair uses n = q*d; otherwise d = a'*b for a prime divisor a' of d and
-    n = q * a'**b.  By default a' is the largest prime divisor of d, which
-    yields the smallest composite preimage.  A different prime divisor of
-    d may be forced via prime_divisor for experimentation.
+    n = q * a'**b.  By default a' is the largest prime divisor of d.  This
+    is not always the smallest composite preimage of p: for 91 of the 166
+    primes 5 <= p <= 10^3 a smaller one exists.  A different prime divisor
+    of d may be forced via prime_divisor for experimentation.
     """
     if p <= 3 or not is_prime(p, table):
         raise DomainError(f"p must be a prime > 3, got {p}")

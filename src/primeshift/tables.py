@@ -1,8 +1,8 @@
 """Bulk value tables: vectorized B, beta and the orbit step map.
 
 The census and partial-sum modules never call the scalar functions in a
-loop; they work off flat numpy arrays built here in a handful of sieve
-passes.
+loop; they work off flat numpy arrays built here in one ascending pass
+over the sieve.
 """
 
 from __future__ import annotations
@@ -34,37 +34,44 @@ class ValueTable:
 
 
 def build_value_table(table: SieveTable) -> ValueTable:
-    """Accumulate B and beta over the whole sieve range.
+    """Fill B and beta over the whole sieve range in ascending blocks.
 
-    One slice-add per prime power for B, one per prime for beta; total
-    work is O(limit * log log limit) array element updates.
+    With p = spf(n) and m = n // p, B(n) = p + B(m), and beta(n) =
+    beta(m) + p unless p already divides m.  Since m <= n/2, every m in
+    the block [lo, 2*lo) lies in an earlier block, so each block is a few
+    vectorized gathers over values already computed.
     """
     limit = table.limit
+    spf = table.spf
     big_b = np.zeros(limit + 1, dtype=np.int64)
     beta = np.zeros(limit + 1, dtype=np.int64)
-    for p in table.primes().tolist():
-        beta[p::p] += p
-        q = p
-        while q <= limit:
-            big_b[q::q] += p
-            q *= p
-    prime_mask = table.spf == np.arange(limit + 1, dtype=table.spf.dtype)
-    prime_mask[:2] = False
+    prime_mask = np.zeros(limit + 1, dtype=bool)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.int64) // p
+        big_b[lo:hi] = big_b[m] + p
+        beta[lo:hi] = beta[m] + np.where(spf[m] == p, 0, p)
+        prime_mask[lo:hi] = m == 1
+        lo = hi
     for arr in (big_b, beta, prime_mask):
         arr.setflags(write=False)
     return ValueTable(limit, big_b, beta, prime_mask)
 
 
-def step_map(vt: ValueTable, shift: Shift | int) -> np.ndarray:
-    """f[n] = B_a(n) for 2 <= n <= limit, as a writable int64 array.
+def step_map(vt: ValueTable, shift: Shift | int, dtype=np.int64) -> np.ndarray:
+    """f[n] = B_a(n) for 2 <= n <= limit, as a writable array of dtype.
 
     f[0] = 0 and f[1] = 1 (self-loops, matching the domain extension).
     Entries at primes near the top of the table may exceed the limit;
-    callers that index with f must patch those first.
+    callers that index with f must patch those first.  A narrower dtype
+    is the caller's promise that limit + a fits in it.
     """
     a = as_shift(shift).a
-    n = np.arange(vt.limit + 1, dtype=np.int64)
-    f = np.where(vt.prime_mask, n + a, vt.big_b)
+    f = vt.big_b.astype(dtype)
+    primes = np.flatnonzero(vt.prime_mask)
+    f[primes] = primes + a
     f[0] = 0
     f[1] = 1
     return f

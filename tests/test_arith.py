@@ -112,9 +112,13 @@ def test_beta_le_b_exhaustive(vt):
 
 
 def test_value_table_matches_scalar(table, vt):
-    for n in (2, 4, 12, 97, 360, 999999, 6469693230 % 10**6):
-        assert int(vt.big_b[n]) == big_B(n, table)
-        assert int(vt.beta[n]) == small_beta(n, table)
+    # Fixed cases, every n <= 2*10^4, then seeded random n up to 10^6.
+    rng = np.random.default_rng(20240)
+    ns = [97, 360, 999999, 6469693230 % 10**6, *range(2, 2 * 10**4 + 1)]
+    ns += rng.integers(2, 10**6 + 1, 2000).tolist()
+    for n in ns:
+        assert int(vt.big_b[n]) == big_B(n, table), n
+        assert int(vt.beta[n]) == small_beta(n, table), n
 
 
 def test_composite_decrease(table):

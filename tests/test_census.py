@@ -5,7 +5,10 @@ import pytest
 
 from primeshift import (
     DomainError,
+    NonterminationError,
     Shift,
+    build_sieve,
+    build_value_table,
     census_to_csv,
     census_to_json,
     climb_margin,
@@ -14,7 +17,18 @@ from primeshift import (
     run_census,
     run_census_naive,
 )
+from primeshift.census import _patch_escapes
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
+from primeshift.tables import step_map
+
+
+def _summary(rep):
+    return (
+        [c.members for c in rep.cycles],
+        {c.members: n for c, n in rep.basin_counts.items()},
+        rep.stopping_time_histogram,
+        rep.max_total_stopping_time,
+    )
 
 
 def test_census_a1(table, vt):
@@ -49,6 +63,39 @@ def test_naive_agrees_with_memoized(table, vt):
         }
         assert fast.stopping_time_histogram == slow.stopping_time_histogram
         assert fast.max_total_stopping_time == slow.max_total_stopping_time
+
+
+def test_naive_agrees_on_reached_cycles(table, vt):
+    for a in [*range(41), 97, 150, 199, 200]:
+        fast = run_census(a, 3000, table, vt)
+        assert _summary(fast) == _summary(run_census_naive(a, 3000, table)), f"a={a}"
+
+
+def test_unreached_cycles_not_listed():
+    # (31, 58) for a=27 and (43, 82) for a=39 have minima below the walk
+    # bound but are not reached from starts <= 20.
+    small = build_sieve(10**4)
+    small_vt = build_value_table(small)
+    for a in (27, 39, 53, 57):
+        fast = run_census(a, 20, small, small_vt)
+        assert _summary(fast) == _summary(run_census_naive(a, 20, small)), f"a={a}"
+        listed = {c.members for c in fast.cycles}
+        assert (31, 58) not in listed and (43, 82) not in listed
+
+
+def test_census_on_table_below_cycle_bound():
+    tiny = build_sieve(20)
+    for a in range(61):
+        fast = run_census(a, 20, tiny)
+        assert _summary(fast) == _summary(run_census_naive(a, 20, tiny)), f"a={a}"
+
+
+def test_escape_walk_budget():
+    tiny = build_sieve(20)
+    f = step_map(build_value_table(tiny), 100)
+    with pytest.raises(NonterminationError, match="a=100") as exc:
+        _patch_escapes(f, Shift(100), tiny, budget=1)
+    assert (exc.value.start, exc.value.shift_a, exc.value.max_steps) == (2, 100, 1)
 
 
 def test_order_independence(table):
