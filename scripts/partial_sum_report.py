@@ -14,7 +14,6 @@ from primeshift import (
     build_value_table,
     parity_sum,
 )
-from primeshift.census import climb_margin
 
 
 def show(title, series):
@@ -38,7 +37,7 @@ def main():
         c *= 10
     cps.append(args.x)
 
-    table = build_sieve(args.x + climb_margin(args.a))
+    table = build_sieve(args.x)
     vt = build_value_table(table)
 
     show(f"sum B_{args.a}(n), reference pi^2 x^2 / (12 log x)",

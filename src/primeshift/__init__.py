@@ -10,12 +10,13 @@ counting, and empirical partial-sum diagnostics, plus a CLI front end.
 from .arith import Shift, big_B, shifted_B, shifted_beta, small_beta
 from .census import (
     CensusReport,
+    census_limit,
     census_to_csv,
     census_to_json,
     climb_margin,
     cycle_count_sweep,
+    reached_cycles,
     run_census,
-    run_census_naive,
 )
 from .constructions import (
     AmicablePair,
@@ -29,7 +30,6 @@ from .constructions import (
 from .dynamics import (
     Cycle,
     OrbitRecord,
-    brent_cycle,
     canonicalize,
     iterate_orbit,
     sign_patterns_of_length,

@@ -1,17 +1,17 @@
 """Whole-range cycle censuses: every start up to a limit, one shift at a time.
 
-The fast path treats B_a restricted to [2, limit] as a functional graph
-held in one flat array.  Short scalar walks from a small prefix of starts
-find every cycle (see _find_cycles for the bound that makes this
-complete); one ascending pass over the blocks [lo, 2*lo) then gives every
-node its cycle and its distance to it, because a node's successor almost
-always lies in an earlier block.  A deliberately naive per-start iterator
-is kept alongside as a cross-check.
+No B_a orbit is unbounded, and census_limit gives the bound: orbits from
+starts <= S never leave [2, census_limit(a, S)].  The census treats B_a
+on that range as a functional graph held in one flat array.  Short scalar
+walks from a small prefix of starts find every cycle (see _find_cycles);
+one ascending pass over the blocks [lo, 2*lo) then gives every node its
+cycle and its distance to it, because a node's successor almost always
+lies in an earlier block.  The same lemma makes a sweep over shifts cheap:
+starts <= climb_margin(a) + 4 already reach every cycle.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import Shift, as_shift, shifted_B
-from .dynamics import Cycle, canonicalize, default_max_steps, iterate_orbit
-from .errors import ConsistencyError, DomainError, NonterminationError
+from .arith import Shift, as_shift
+from .dynamics import Cycle, canonicalize, default_max_steps
+from .errors import ConsistencyError, DomainError
 from .sieve import SieveTable, build_sieve, is_prime
 from .tables import ValueTable, build_value_table, step_map
 
@@ -45,6 +45,20 @@ def climb_margin(a: int) -> int:
     return (s + 1) * a
 
 
+def census_limit(a: int, start_limit: int) -> int:
+    """Largest value an orbit from a start <= start_limit can reach.
+
+    With m = climb_margin(a) and X = max(start_limit, m + 4), [2, X] is
+    closed under one climb and its descent: a prime p <= X climbs to a
+    composite c <= p + m, and B(c) <= c/2 + 2 <= (X + m)/2 + 2 <= X once
+    X >= m + 4; a composite n <= X maps to B(n) <= n.  So orbits from
+    starts <= start_limit stay in [2, X + m], and no B_a orbit is
+    unbounded.
+    """
+    m = climb_margin(a)
+    return max(start_limit, m + 4) + m
+
+
 @dataclass
 class CensusReport:
     """Catalog of every cycle reachable from starts 2..start_limit."""
@@ -66,29 +80,6 @@ class CensusReport:
 
     def nontrivial_member_sets(self) -> set[tuple[int, ...]]:
         return {c.members for c in self.nontrivial_cycles}
-
-
-def _patch_escapes(f, shift, table, budget):
-    """Rewrite out-of-table edges as weighted shortcuts back into range.
-
-    Returns the patched nodes and the number of steps each shortcut
-    stands for.  A walk still above the table after budget steps raises
-    NonterminationError naming the node it started from.
-    """
-    limit = table.limit
-    esc = np.flatnonzero(f > limit)
-    steps = np.ones(esc.size, dtype=f.dtype)
-    for i, n0 in enumerate(esc.tolist()):
-        v = int(f[n0])
-        k = 1
-        while v > limit:
-            if k >= budget:
-                raise NonterminationError(n0, shift.a, budget)
-            v = shifted_B(v, shift, table)
-            k += 1
-        f[n0] = v
-        steps[i] = k
-    return esc, steps
 
 
 def _find_cycles(f, margin, budget, a):
@@ -121,7 +112,7 @@ def _find_cycles(f, margin, budget, a):
     return cycles
 
 
-def _settle(pending, f, w, label, dist, budget, a):
+def _settle(pending, f, label, dist, budget, a):
     """Resolve pending nodes whose successor is resolved, until none moves.
 
     Returns the nodes still pending.
@@ -135,8 +126,7 @@ def _settle(pending, f, w, label, dist, budget, a):
             break
         done = pending[ok]
         label[done] = lab[ok]
-        if dist is not None:
-            dist[done] = dist[tgt[ok]] + w[done]
+        dist[done] = dist[tgt[ok]] + 1
         pending = pending[~ok]
         rounds += 1
         if rounds > budget:
@@ -147,12 +137,13 @@ def _settle(pending, f, w, label, dist, budget, a):
 def run_census(
     shift: Shift | int,
     start_limit: int,
-    table: SieveTable,
+    table: SieveTable | None = None,
     value_table: ValueTable | None = None,
-    compute_stopping: bool = True,
 ) -> CensusReport:
     """Enumerate all cycles reached from starts 2..start_limit, with basins.
 
+    Works on [2, census_limit(a, start_limit)]: on a prefix of the given
+    table when it covers that range, else on a sieve of its own.
     Deterministic: cycles are listed by (minimum member, length) and every
     reported cycle is re-verified against the scalar map on insertion.
     Cycles reached only from starts above start_limit are not listed.
@@ -161,24 +152,28 @@ def run_census(
     a = shift.a
     if start_limit < 2:
         raise DomainError(f"start_limit must be >= 2, got {start_limit}")
-    if table.limit < start_limit:
+    if table is not None and table.limit < start_limit:
         raise DomainError(
             f"sieve limit {table.limit} is below start_limit {start_limit}"
         )
     margin = climb_margin(a)
-    # Every cycle member is <= 2*margin + 4: the maximum M is reached by a
-    # climb from a prime q <= M/2 + 2.  Below that, escape shortcuts could
-    # close into false cycles, so cover it with a table of our own.
-    if table.limit < 2 * margin + 4:
-        table = build_sieve(2 * margin + 4)
-        value_table = None
-    vt = value_table if value_table is not None else build_value_table(table)
-    limit = table.limit
+    limit = census_limit(a, start_limit)
+    if table is None or table.limit < limit:
+        table = build_sieve(limit)
+        vt = build_value_table(table)
+    else:
+        vt = value_table if value_table is not None else build_value_table(table)
+        end = limit + 1
+        vt = ValueTable(limit, vt.big_b[:end], vt.beta[:end], vt.prime_mask[:end])
     budget = default_max_steps(limit, a)
-    dtype = np.int32 if limit + margin < 2**31 else np.int64
+    dtype = np.int32 if limit + a < 2**31 else np.int64
 
     f = step_map(vt, shift, dtype)
-    esc, esc_steps = _patch_escapes(f, shift, table, budget)
+    # Only primes p > limit - a step past the table, and no start reaches
+    # them; index 0 is never labelled, so they and their preimages stay
+    # pending.
+    top = f[max(limit - a, 0) + 1 :]
+    top[top > limit] = 0
     walked = _find_cycles(f, margin, budget, a)
 
     # label[n] is the minimum of the cycle n reaches (0 while unresolved);
@@ -189,11 +184,7 @@ def run_census(
         label[primes] = primes
     for m, members in walked.items():
         label[members] = m
-    w = dist = None
-    if compute_stopping:
-        w = np.ones(limit + 1, dtype=dtype)
-        w[esc] = esc_steps
-        dist = np.zeros(limit + 1, dtype=dtype)
+    dist = np.zeros(limit + 1, dtype=dtype)
     pending = np.empty(0, dtype=np.intp)
     lo = 2
     while lo <= limit:
@@ -204,16 +195,14 @@ def run_census(
         lab = label[tgt]
         window = label[lo:hi]
         new = window == 0
-        if dist is not None:
-            np.copyto(dist[lo:hi], dist[tgt] + w[lo:hi], where=new & (lab != 0))
+        np.copyto(dist[lo:hi], dist[tgt] + 1, where=new & (lab != 0))
         np.copyto(window, lab, where=new)
         pending = np.concatenate([pending, np.flatnonzero(window == 0) + lo])
-        pending = _settle(pending, f, w, label, dist, budget, a)
+        pending = _settle(pending, f, label, dist, budget, a)
         lo = hi
-    if pending.size:
-        raise ConsistencyError(
-            f"node {int(pending[0])} under a={a} reaches no cycle"
-        )
+    stuck = pending[pending <= start_limit]
+    if stuck.size:
+        raise ConsistencyError(f"node {int(stuck[0])} under a={a} reaches no cycle")
 
     basins = np.bincount(label[2 : start_limit + 1])
     cycles = []
@@ -223,60 +212,14 @@ def run_census(
         cycles.append(cyc)
         basin_counts[cyc] = int(basins[m])
 
-    hist: dict[int, int] = {}
-    max_tail = 0
-    if compute_stopping:
-        tails = dist[2 : start_limit + 1]
-        counts = np.bincount(tails)
-        hist = {int(k): int(v) for k, v in enumerate(counts) if v}
-        max_tail = len(counts) - 1
+    counts = np.bincount(dist[2 : start_limit + 1])
     return CensusReport(
         shift=shift,
         start_limit=start_limit,
         cycles=tuple(cycles),
         basin_counts=basin_counts,
-        stopping_time_histogram=hist,
-        max_total_stopping_time=max_tail,
-    )
-
-
-def run_census_naive(
-    shift: Shift | int,
-    start_limit: int,
-    table: SieveTable,
-    order=None,
-) -> CensusReport:
-    """Per-start reference census: no memoization, no vectorization.
-
-    Slow by design; used to cross-check run_census on small ranges.  An
-    explicit processing order may be supplied to confirm order-independence.
-    """
-    shift = as_shift(shift)
-    starts = list(order) if order is not None else list(range(2, start_limit + 1))
-    canon_cycles: dict[tuple[int, ...], Cycle] = {}
-    basin_counts: dict[Cycle, int] = {}
-    hist: dict[int, int] = {}
-    max_tail = 0
-    for n in starts:
-        rec = iterate_orbit(n, shift, table)
-        cyc = canonicalize(rec.cycle, shift, table)
-        if cyc.members not in canon_cycles:
-            canon_cycles[cyc.members] = cyc
-            basin_counts[cyc] = 0
-        basin_counts[canon_cycles[cyc.members]] += 1
-        tail = rec.total_stopping_time
-        hist[tail] = hist.get(tail, 0) + 1
-        max_tail = max(max_tail, tail)
-    cycles = tuple(
-        sorted(canon_cycles.values(), key=lambda c: (c.members[0], len(c)))
-    )
-    return CensusReport(
-        shift=shift,
-        start_limit=start_limit,
-        cycles=cycles,
-        basin_counts=basin_counts,
-        stopping_time_histogram=dict(sorted(hist.items())),
-        max_total_stopping_time=max_tail,
+        stopping_time_histogram={int(k): int(v) for k, v in enumerate(counts) if v},
+        max_total_stopping_time=len(counts) - 1,
     )
 
 
@@ -284,57 +227,26 @@ def run_census_naive(
 # Sweeps over many shifts
 
 
-_WORKER_STATE: dict = {}
+def reached_cycles(shift: Shift | int, start_limit: int) -> tuple[Cycle, ...]:
+    """The nontrivial cycles reached from starts 2..start_limit.
+
+    By the _find_cycles lemma every cycle has its minimum, itself a start,
+    at most climb_margin(a) + 4, so a census over that many starts lists
+    the same cycles as any larger one.
+    """
+    a = as_shift(shift).a
+    starts = min(start_limit, climb_margin(a) + 4)
+    return run_census(shift, starts).nontrivial_cycles
 
 
-def _sweep_init(limit):
-    table = build_sieve(limit)
-    _WORKER_STATE["table"] = table
-    _WORKER_STATE["vt"] = build_value_table(table)
-
-
-def _sweep_one(args):
-    a, start_limit = args
-    rep = run_census(
-        Shift(a),
-        start_limit,
-        _WORKER_STATE["table"],
-        _WORKER_STATE["vt"],
-        compute_stopping=False,
-    )
-    return a, len(rep.nontrivial_cycles)
-
-
-def cycle_count_sweep(
-    a_max: int,
-    start_limit: int,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-    threads: int = 1,
-) -> tuple[dict[int, int], set[int]]:
+def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set[int]]:
     """Count distinct nontrivial cycles for each a in 1..a_max.
 
-    Returns (counts, argmax_set).  With threads > 1 the shifts are farmed
-    out to worker processes; the merge is by shift so output is identical
-    either way.
+    Returns (counts, argmax_set).
     """
     if a_max < 1:
         raise DomainError(f"a_max must be >= 1, got {a_max}")
-    counts: dict[int, int] = {}
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=threads, initializer=_sweep_init, initargs=(table.limit,)
-        ) as pool:
-            for a, c in pool.map(
-                _sweep_one, [(a, start_limit) for a in range(1, a_max + 1)],
-                chunksize=4,
-            ):
-                counts[a] = c
-    else:
-        vt = value_table if value_table is not None else build_value_table(table)
-        for a in range(1, a_max + 1):
-            rep = run_census(Shift(a), start_limit, table, vt, compute_stopping=False)
-            counts[a] = len(rep.nontrivial_cycles)
+    counts = {a: len(reached_cycles(a, start_limit)) for a in range(1, a_max + 1)}
     best = max(counts.values())
     argmax = {a for a, c in counts.items() if c == best}
     return counts, argmax

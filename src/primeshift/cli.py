@@ -20,8 +20,8 @@ from .census import (
     SCHEMA_VERSION,
     census_to_csv,
     census_to_json,
-    climb_margin,
     cycle_count_sweep,
+    reached_cycles,
     run_census,
 )
 from .constructions import build_amicable, find_ascending_chain
@@ -48,7 +48,6 @@ class RunConfig:
     sieve_limit: int
     fmt: str
     out: str | None
-    threads: int
     extend_domain: bool
     seed: int
 
@@ -71,11 +70,11 @@ def _build_parser() -> _Parser:
         type=int,
         default=None,
         help="smallest-prime-factor table size (default: env DD_SIEVE_LIMIT "
-        f"or {DEFAULT_SIEVE_LIMIT})",
+        f"or {DEFAULT_SIEVE_LIMIT}); census, sweep and table1 size their own",
     )
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for sweeps")
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.add_argument(
         "--extend-domain",
         action="store_true",
@@ -175,7 +174,7 @@ def _make_table(cfg: RunConfig, needed: int):
 
 
 def _cmd_orbit(cfg, args):
-    table = _make_table(cfg, max(args.n, 2) + climb_margin(args.a))
+    table = _make_table(cfg, 100)
     rec = iterate_orbit(
         args.n, Shift(args.a), table,
         max_steps=args.max_steps, extend_domain=cfg.extend_domain,
@@ -200,15 +199,8 @@ def _cmd_orbit(cfg, args):
     return 0
 
 
-def _census_table(cfg, args):
-    needed = args.limit + climb_margin(args.a if hasattr(args, "a") else 200)
-    table = build_sieve(max(cfg.sieve_limit, needed))
-    return table, build_value_table(table)
-
-
 def _cmd_census(cfg, args):
-    table, vt = _census_table(cfg, args)
-    rep = run_census(Shift(args.a), args.limit, table, vt)
+    rep = run_census(Shift(args.a), args.limit)
     if cfg.fmt == "json":
         _emit(cfg, census_to_json(rep))
     else:
@@ -217,12 +209,7 @@ def _cmd_census(cfg, args):
 
 
 def _cmd_sweep(cfg, args):
-    needed = args.limit + climb_margin_max(args.a_max)
-    table = build_sieve(max(cfg.sieve_limit, needed))
-    vt = build_value_table(table) if cfg.threads <= 1 else None
-    counts, argmax = cycle_count_sweep(
-        args.a_max, args.limit, table, vt, threads=cfg.threads
-    )
+    counts, argmax = cycle_count_sweep(args.a_max, args.limit)
     if cfg.fmt == "json":
         _emit(cfg, json.dumps({
             "schema_version": SCHEMA_VERSION,
@@ -236,19 +223,11 @@ def _cmd_sweep(cfg, args):
     return 0
 
 
-def climb_margin_max(a_max: int) -> int:
-    return max(climb_margin(a) for a in range(1, a_max + 1))
-
-
 def _cmd_table1(cfg, args):
-    needed = args.limit + climb_margin_max(20)
-    table = build_sieve(max(cfg.sieve_limit, needed))
-    vt = build_value_table(table)
     lines = []
     matches = 0
     for a in sorted(golden.CYCLE_TABLE):
-        rep = run_census(Shift(a), args.limit, table, vt, compute_stopping=False)
-        got = rep.nontrivial_member_sets()
+        got = {c.members for c in reached_cycles(a, args.limit)}
         want = golden.canonical_set(golden.CYCLE_TABLE[a])
         if got == want:
             matches += 1
@@ -263,7 +242,7 @@ def _cmd_table1(cfg, args):
 
 
 def _cmd_amicable(cfg, args):
-    table = _make_table(cfg, max(args.p + 10, 100))
+    table = _make_table(cfg, 100)
     pair = build_amicable(args.p, table)
     if cfg.fmt == "json":
         _emit(cfg, json.dumps({
@@ -364,7 +343,7 @@ def _cmd_density(cfg, args):
 
 
 def _cmd_stats(cfg, args):
-    table = _make_table(cfg, args.x + climb_margin(args.a))
+    table = _make_table(cfg, args.x)
     vt = build_value_table(table)
     cps = _checkpoints(args.x)
     if args.mode == "avg":
@@ -417,7 +396,6 @@ def run(argv=None) -> int:
         sieve_limit=sieve_limit,
         fmt=fmt,
         out=args.out,
-        threads=max(1, args.threads),
         extend_domain=args.extend_domain,
         seed=args.seed,
     )

@@ -1,9 +1,7 @@
 """Orbits of the shifted map: iteration, cycle detection, stopping times.
 
-Default cycle detection keeps a hash map of visited values, which gives
-the exact cycle-entry index in one pass.  A memory-capped mode based on
-Brent's algorithm is available for bulk work where retaining the visited
-set per orbit is too expensive.
+Cycle detection keeps a hash map of visited values, which gives the
+exact cycle-entry index in one pass.
 """
 
 from __future__ import annotations
@@ -74,44 +72,11 @@ def _step_fn(shift, table, use_beta, extend_domain):
     return lambda v: fn(v, shift, table, extend_domain=extend_domain)
 
 
-def brent_cycle(step, x0: int, max_steps: int) -> tuple[int, int]:
-    """Brent's algorithm: return (cycle_length, entry_index) for x0 under step.
-
-    Uses O(1) memory; values are recomputed rather than stored.
-    """
-    power = lam = 1
-    tortoise = x0
-    hare = step(x0)
-    steps = 1
-    while tortoise != hare:
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        hare = step(hare)
-        lam += 1
-        steps += 1
-        if steps > max_steps:
-            raise NonterminationError(x0, "?", max_steps)
-    tortoise = hare = x0
-    for _ in range(lam):
-        hare = step(hare)
-    mu = 0
-    while tortoise != hare:
-        tortoise = step(tortoise)
-        hare = step(hare)
-        mu += 1
-        if mu > max_steps:
-            raise NonterminationError(x0, "?", max_steps)
-    return lam, mu
-
-
 def iterate_orbit(
     n: int,
     shift: Shift | int,
     table: SieveTable,
     max_steps: int | None = None,
-    memory_capped: bool = False,
     use_beta: bool = False,
     extend_domain: bool = False,
 ) -> OrbitRecord:
@@ -120,15 +85,6 @@ def iterate_orbit(
     if max_steps is None:
         max_steps = default_max_steps(n, shift.a)
     step = _step_fn(shift, table, use_beta, extend_domain)
-
-    if memory_capped:
-        lam, mu = brent_cycle(step, n, max_steps)
-        traj = [n]
-        v = n
-        for _ in range(mu + lam):
-            v = step(v)
-            traj.append(v)
-        return OrbitRecord(n, shift, tuple(traj), mu)
 
     seen: dict[int, int] = {}
     traj = [n]

@@ -55,7 +55,7 @@ def report(capsys, cid, label, ok, detail=""):
 def test_criterion_01_cycle_catalog(table, vt, capsys):
     mismatches = []
     for a in sorted(CYCLE_TABLE):
-        rep = run_census(a, LIMIT, table, vt, compute_stopping=False)
+        rep = run_census(a, LIMIT, table, vt)
         got = rep.nontrivial_member_sets()
         want = canonical_set(CYCLE_TABLE[a])
         if got != want:
@@ -82,13 +82,13 @@ def test_criterion_01_cycle_catalog(table, vt, capsys):
 
 
 def test_criterion_02_a39_census(table, vt, capsys):
-    rep = run_census(39, LIMIT, table, vt, compute_stopping=False)
+    rep = run_census(39, LIMIT, table, vt)
     ok = rep.nontrivial_member_sets() == canonical_set(A39_CYCLES)
     report(capsys, 2, "a=39 has exactly four nontrivial cycles", ok)
 
 
 def test_criterion_03_sweep_max_four(table, vt, capsys):
-    counts, argmax = cycle_count_sweep(200, LIMIT, table, vt)
+    counts, argmax = cycle_count_sweep(200, LIMIT)
     ok = max(counts.values()) == 4
     report(capsys, 3, "sweep a<=200: max nontrivial cycles is 4", ok,
            f"argmax a={sorted(argmax)}")
@@ -106,7 +106,7 @@ def test_criterion_04_a1_dynamics(table, vt, capsys):
     ok = bool(np.all(f[: LIMIT + 1][comp] < n[comp]))  # sigma = 1 on composites
     p = n[7:][prime[7:]]
     ok = ok and bool(np.all(f[f[p]] < p))  # sigma = 2 on primes > 6
-    rep = run_census(1, LIMIT, table, vt, compute_stopping=False)
+    rep = run_census(1, LIMIT, table, vt)
     ok = ok and {c.members for c in rep.cycles} == {(4,), (5, 6)}
     report(capsys, 4, "a=1 orbits end in (4) or (5,6), sigma exact", ok)
 

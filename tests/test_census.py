@@ -1,23 +1,23 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+from census_oracle import run_census_naive
 from primeshift import (
     DomainError,
-    NonterminationError,
-    Shift,
     build_sieve,
     build_value_table,
+    census_limit,
     census_to_csv,
     census_to_json,
     climb_margin,
     cycle_count_sweep,
     iterate_orbit,
     run_census,
-    run_census_naive,
 )
-from primeshift.census import _patch_escapes
+from primeshift.dynamics import default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
 from primeshift.tables import step_map
 
@@ -38,12 +38,12 @@ def test_census_a1(table, vt):
 
 
 def test_census_a12(table, vt):
-    rep = run_census(12, 10**6, table, vt, compute_stopping=False)
+    rep = run_census(12, 10**6, table, vt)
     assert rep.nontrivial_member_sets() == {(5, 17, 29, 41, 53, 65, 18, 8, 6)}
 
 
 def test_census_a39(table, vt):
-    rep = run_census(39, 10**6, table, vt, compute_stopping=False)
+    rep = run_census(39, 10**6, table, vt)
     assert rep.nontrivial_member_sets() == canonical_set(A39_CYCLES)
 
 
@@ -68,7 +68,9 @@ def test_naive_agrees_with_memoized(table, vt):
 def test_naive_agrees_on_reached_cycles(table, vt):
     for a in [*range(41), 97, 150, 199, 200]:
         fast = run_census(a, 3000, table, vt)
-        assert _summary(fast) == _summary(run_census_naive(a, 3000, table)), f"a={a}"
+        slow = _summary(run_census_naive(a, 3000, table))
+        assert _summary(fast) == slow, f"a={a}"
+        assert _summary(run_census(a, 3000)) == slow, f"a={a}, own table"
 
 
 def test_unreached_cycles_not_listed():
@@ -90,12 +92,18 @@ def test_census_on_table_below_cycle_bound():
         assert _summary(fast) == _summary(run_census_naive(a, 20, tiny)), f"a={a}"
 
 
-def test_escape_walk_budget():
-    tiny = build_sieve(20)
-    f = step_map(build_value_table(tiny), 100)
-    with pytest.raises(NonterminationError, match="a=100") as exc:
-        _patch_escapes(f, Shift(100), tiny, budget=1)
-    assert (exc.value.start, exc.value.shift_a, exc.value.max_steps) == (2, 100, 1)
+def test_census_limit_bounds_orbits(vt):
+    starts = np.arange(2, 3001)
+    for a in range(201):
+        m = climb_margin(a)
+        f = step_map(vt, a)
+        x = starts
+        top = starts.copy()
+        for _ in range(default_max_steps(3000, a)):
+            x = f[x]
+            np.maximum(top, x, out=top)
+        for s in (20, m + 4, 3000):
+            assert top[: s - 1].max() <= census_limit(a, s), f"a={a}, S={s}"
 
 
 def test_order_independence(table):
@@ -137,12 +145,12 @@ def test_table1_rows_match_catalog(table, vt):
     for a, rows in CYCLE_TABLE.items():
         if a in (9, 11, 13):
             continue
-        rep = run_census(a, 10**6, table, vt, compute_stopping=False)
+        rep = run_census(a, 10**6, table, vt)
         assert rep.nontrivial_member_sets() == canonical_set(rows), f"a={a}"
 
 
 def test_sweep_counts(table, vt):
-    counts, argmax = cycle_count_sweep(20, 10**6, table, vt)
+    counts, argmax = cycle_count_sweep(20, 10**6)
     assert counts[1] == 1
     assert counts[17] == 2
     for a, rows in CYCLE_TABLE.items():
@@ -151,11 +159,11 @@ def test_sweep_counts(table, vt):
         assert counts[a] == len(rows), f"a={a}"
 
 
-def test_sweep_parallel_matches_serial(table, vt):
-    serial, argmax_s = cycle_count_sweep(8, 10**5, table, vt)
-    parallel, argmax_p = cycle_count_sweep(8, 10**5, table, threads=2)
-    assert serial == parallel
-    assert argmax_s == argmax_p
+def test_sweep_matches_full_census(table, vt):
+    counts, _ = cycle_count_sweep(200, 10**6)
+    for a in range(1, 201):
+        full = run_census(a, 10**6, table, vt)
+        assert counts[a] == len(full.nontrivial_cycles), f"a={a}"
 
 
 def test_csv_output(table, vt):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from primeshift import AmicablePair, Shift, build_sieve, shifted_B, verify_amicable
 from primeshift.cli import run
 
 
@@ -38,6 +39,27 @@ def test_orbit_extend_domain(capsys):
     )
     assert code == 0
     assert out == "1 [cycle]\n"
+
+
+def test_orbit_above_sieve_limit(capsys):
+    # The table stays at the sieve limit; larger values factor exactly.
+    code, out, _ = invoke(capsys, "orbit", "--n", "1000000007", "--a", "3")
+    assert code == 0
+    assert out.startswith("1000000007 1000000010 5882377 ")
+    values = [int(v) for v in out.split()[:-1]]
+    small = build_sieve(100)
+    for v, nxt in zip(values, values[1:]):
+        assert shifted_B(v, 3, small) == nxt
+    assert shifted_B(values[-1], 3, small) in values
+
+
+def test_amicable_above_sieve_limit(capsys):
+    code, out, _ = invoke(capsys, "amicable", "--p", "1000000007")
+    assert code == 0
+    assert out == "p=1000000007 n=282475231204059313 a=282475230204059306\n"
+    fields = dict(kv.split("=") for kv in out.split())
+    pair = AmicablePair(int(fields["p"]), int(fields["n"]), Shift(int(fields["a"])))
+    assert verify_amicable(pair, build_sieve(100))
 
 
 def test_census_csv(capsys):

@@ -3,7 +3,6 @@ import pytest
 from primeshift import (
     ConsistencyError,
     Shift,
-    brent_cycle,
     canonicalize,
     iterate_orbit,
     run_census,
@@ -38,25 +37,6 @@ def test_orbit_extended_domain(table):
     assert rec.cycle == (1,)
 
 
-def test_memory_capped_matches_default(table):
-    for n in (5, 100, 9973, 720720 % 10**5):
-        a = 17
-        rec = iterate_orbit(n, a, table)
-        capped = iterate_orbit(n, a, table, memory_capped=True)
-        assert capped.trajectory == rec.trajectory
-        assert capped.entry_index == rec.entry_index
-
-
-def test_brent_direct():
-    # x -> x+1 mod 10 starting from 3: pure cycle of length 10
-    lam, mu = brent_cycle(lambda x: (x + 1) % 10, 3, 100)
-    assert (lam, mu) == (10, 0)
-    # tail of length 3 into a 2-cycle
-    f = {0: 1, 1: 2, 2: 3, 3: 4, 4: 3}
-    lam, mu = brent_cycle(lambda x: f[x], 0, 100)
-    assert (lam, mu) == (2, 3)
-
-
 def test_stopping_times(table):
     assert stopping_time(7, 1, table) == 2
     assert stopping_time(9, 1, table) == 1
@@ -89,7 +69,7 @@ def test_canonicalize_rejects_non_cycle(table):
 
 def test_sign_patterns(table, vt):
     reports = [
-        run_census(a, 10**5, table, vt, compute_stopping=False)
+        run_census(a, 10**5, table, vt)
         for a in range(1, 41)
     ]
     # only the fixed point (4) has length 1, and it is composite
@@ -97,7 +77,7 @@ def test_sign_patterns(table, vt):
     # k = 3: small shifts only realize one interior sign choice; the other
     # first appears at a = 194 with the cycle (17, 211, 405)
     assert sign_patterns_of_length(3, reports) == {"+--"}
-    far = run_census(194, 10**5, table, vt, compute_stopping=False)
+    far = run_census(194, 10**5, table, vt)
     assert "++-" in sign_patterns_of_length(3, [far])
     # a = 39 contributes the 2-cycle (43, 82)
     assert "+-" in sign_patterns_of_length(2, reports[38:39])
@@ -111,6 +91,6 @@ def test_sign_patterns(table, vt):
 
 def test_nontrivial_cycle_minimum_is_prime(table, vt):
     for a in range(1, 31):
-        rep = run_census(a, 10**5, table, vt, compute_stopping=False)
+        rep = run_census(a, 10**5, table, vt)
         for cyc in rep.nontrivial_cycles:
             assert cyc.sign_pattern[0] == "+"
