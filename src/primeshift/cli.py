@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import golden, sieve as sieve_mod
 from .arith import Shift
@@ -28,7 +31,7 @@ from .constructions import build_amicable, find_ascending_chain
 from .dynamics import iterate_orbit
 from .errors import DomainError, NonterminationError, RangeOverflowError
 from .fibres import build_kappa, enumerate_fibre, preimage_density
-from .sieve import build_sieve, is_prime
+from .sieve import build_sieve
 from .stats import (
     average_order_series,
     b_minus_beta_series,
@@ -295,9 +298,8 @@ def _cmd_kappa(cfg, args):
 
 
 def _cmd_fibre(cfg, args):
-    table = _make_table(cfg, max(args.bound, args.m))
-    vt = build_value_table(table)
-    hits = enumerate_fibre(args.m, Shift(args.a), args.bound, table, vt)
+    table = _make_table(cfg, min(args.m, args.bound // 2))
+    hits = enumerate_fibre(args.m, Shift(args.a), args.bound, table)
     if cfg.fmt == "json":
         _emit(cfg, json.dumps({
             "schema_version": SCHEMA_VERSION,
@@ -310,25 +312,34 @@ def _cmd_fibre(cfg, args):
     return 0
 
 
-def _target_predicate(spec: str):
-    if spec == "squares":
-        import math
-
-        return lambda v: v >= 0 and math.isqrt(v) ** 2 == v
-    if spec == "primes":
-        return lambda v: is_prime(v)
-    if spec.startswith("file:"):
-        path = spec[len("file:") :]
+def _read_members(path: str) -> set[int]:
+    try:
         with open(path, encoding="utf-8") as fh:
-            members = {int(line) for line in fh if line.strip()}
-        return lambda v: v in members
-    raise DomainError(f"unknown target set {spec!r}")
+            return {int(line) for line in fh if line.strip()}
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read target set file {path!r}: {exc}") from None
+
+
+def _target_predicate(spec: str, vt):
+    """Vectorised membership test for B-values, which lie in [2, vt.limit]."""
+    if spec == "primes":
+        mask = vt.prime_mask
+    else:
+        if spec == "squares":
+            members = np.arange(math.isqrt(vt.limit) + 1) ** 2
+        elif spec.startswith("file:"):
+            members = [m for m in _read_members(spec[len("file:") :]) if 0 <= m <= vt.limit]
+        else:
+            raise DomainError(f"unknown target set {spec!r}")
+        mask = np.zeros(vt.limit + 1, dtype=bool)
+        mask[members] = True
+    return lambda v: mask[v]
 
 
 def _cmd_density(cfg, args):
     table = _make_table(cfg, args.x)
     vt = build_value_table(table)
-    count, density = preimage_density(_target_predicate(args.target), args.x, table, vt)
+    count, density = preimage_density(_target_predicate(args.target, vt), args.x, table, vt)
     if cfg.fmt == "json":
         _emit(cfg, json.dumps({
             "schema_version": SCHEMA_VERSION,

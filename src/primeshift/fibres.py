@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Shift, as_shift, shifted_B
+from .arith import Shift, as_shift
 from .errors import ConsistencyError, DomainError
 from .sieve import SieveTable, is_prime
-from .tables import ValueTable, build_value_table, step_map
+from .tables import ValueTable, build_value_table
 
 
 @dataclass(frozen=True)
@@ -89,21 +90,55 @@ def enumerate_fibre(
     shift: Shift | int,
     x_bound: int,
     table: SieveTable,
-    value_table: ValueTable | None = None,
 ) -> list[int]:
-    """All n <= x_bound with B_a(n) = m, ascending."""
+    """All n <= x_bound with B_a(n) = m, ascending, built from the inverse of B_a.
+
+    B_a agrees with B on composites, so the composite solutions are the
+    products of the prime partitions of m with at least two parts (distinct
+    by unique factorization).  Partitions are generated depth first with
+    non-increasing parts, and a branch is dropped once no completion can
+    stay <= x_bound: parts >= 2 multiply to at least their sum, and k parts
+    in [2, cap] summing to rest, with k >= ceil(rest / cap), multiply to at
+    least 2^(k-1) * (rest - 2(k-1)).  Every part is at most
+    min(m - 2, x_bound // 2), which the sieve must cover.  The one prime
+    solution is m - a, when it is a prime in [2, x_bound].
+    """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
-    shift = as_shift(shift)
-    if value_table is not None and x_bound <= value_table.limit:
-        f = step_map(value_table, shift)
-        hits = np.nonzero(f[2 : x_bound + 1] == m)[0] + 2
-        return [int(v) for v in hits]
-    return [
-        n
-        for n in range(2, x_bound + 1)
-        if shifted_B(n, shift, table) == m
-    ]
+    a = as_shift(shift).a
+    top = min(m - 2, x_bound // 2)
+    if top > table.limit:
+        raise DomainError(f"fibre of m={m} at bound {x_bound} needs primes up to {top}, "
+                          f"sieve limit is {table.limit}")
+    idx = np.arange(2, top + 1)
+    primes = idx[table.spf[2 : top + 1] == idx].tolist()
+    out = []
+
+    def rec(rest, prod, cap):
+        # parts so far multiply to prod; the next part is at most cap
+        k = -(-rest // cap)
+        if prod * ((rest - 2 * k + 2) << (k - 1)) > x_bound:
+            return
+        if rest <= cap and table.spf[rest] == rest:
+            out.append(prod * rest)  # the part p = rest closes the partition
+        q = x_bound // prod
+        hi = bisect_right(primes, min(cap, rest - 2))
+        # other parts leave rest - p >= 2, so prod * p * (rest - p) <= x_bound;
+        # p * (rest - p) rises up to p = rest / 2 and falls after it, so the
+        # admissible p are a prefix and a suffix of the primes below hi
+        lo = 0
+        while lo < hi and primes[lo] * (rest - primes[lo]) <= q:
+            rec(rest - primes[lo], prod * primes[lo], primes[lo])
+            lo += 1
+        while hi > lo and primes[hi - 1] * (rest - primes[hi - 1]) <= q:
+            hi -= 1
+            rec(rest - primes[hi], prod * primes[hi], primes[hi])
+
+    if top >= 2:
+        rec(m, 1, top)
+    if 2 <= m - a <= x_bound and is_prime(m - a, table):
+        out.append(m - a)
+    return sorted(out)
 
 
 def enumerate_fibre_exact(m: int, table: SieveTable) -> list[int]:
@@ -139,18 +174,16 @@ def preimage_density(
     table: SieveTable,
     value_table: ValueTable | None = None,
 ) -> tuple[int, float]:
-    """(count, density) of {n <= x : B(n) in target_set}.
+    """(count, density) of {2 <= n <= x : B(n) in target_set}; density is count / x.
 
-    target_set is a predicate over positive integers; it is evaluated once
-    per distinct B-value (B(n) <= n <= x), then counts are vectorized.
+    target_set is a vectorised predicate, called exactly once, on the
+    read-only int64 array of B(n) for 2 <= n <= x (every entry lies in
+    [2, x]).  It returns a bool array of that shape, or a scalar, which
+    broadcasts.
     """
     vt = value_table if value_table is not None else build_value_table(table)
-    if x > vt.limit:
-        raise DomainError(f"x={x} exceeds table limit {vt.limit}")
+    vt.check_x(x)
     values = vt.big_b[2 : x + 1]
-    top = int(values.max()) if values.size else 0
-    member = np.zeros(top + 1, dtype=bool)
-    for v in range(top + 1):
-        member[v] = bool(target_set(v))
-    count = int(np.count_nonzero(member[values]))
+    hit = np.broadcast_to(np.asarray(target_set(values), dtype=bool), values.shape)
+    count = int(np.count_nonzero(hit))
     return count, count / x

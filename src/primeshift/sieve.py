@@ -77,14 +77,19 @@ def build_sieve(limit: int) -> SieveTable:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > WORD_MAX:
         raise DomainError(f"sieve limit {limit} exceeds the 64-bit range")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            block = spf[i * i :: i]
-            block[block == 0] = i
-    # Remaining zeros at n >= 2 are primes (no factor <= sqrt(limit)).
-    unmarked = np.nonzero(spf == 0)[0]
-    spf[unmarked] = unmarked
+    # A composite n with smallest prime factor p has n >= p * p, so the
+    # slice spf[p * p :: p] reaches it.  Writing the primes p <= sqrt(limit)
+    # in descending order leaves the smallest one last at every composite;
+    # entries never written (primes) keep spf[n] = n.
+    root = math.isqrt(limit)
+    is_small_prime = np.ones(root + 1, dtype=bool)
+    is_small_prime[:2] = False
+    for i in range(2, math.isqrt(root) + 1):
+        if is_small_prime[i]:
+            is_small_prime[i * i :: i] = False
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for p in np.flatnonzero(is_small_prime)[::-1].tolist():
+        spf[p * p :: p] = p
     spf[0] = 0
     spf[1] = 0
     spf.setflags(write=False)

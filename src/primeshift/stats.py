@@ -40,9 +40,12 @@ def _require_vt(table, value_table):
     return value_table if value_table is not None else build_value_table(table)
 
 
-def _check_x(x, vt):
-    if x > vt.limit:
-        raise DomainError(f"x={x} exceeds table limit {vt.limit}")
+def _checked_cps(checkpoints, vt):
+    """Checkpoints ascending, each in [2, vt.limit]."""
+    cps = sorted(int(c) for c in checkpoints)
+    vt.check_x(cps[0])
+    vt.check_x(cps[-1])
+    return cps
 
 
 def _exact_partial_sums(values, cps):
@@ -87,8 +90,7 @@ def average_order_series(
     """Partial sums of B_a against the main term pi^2 x^2 / (12 log x)."""
     shift = as_shift(shift)
     vt = _require_vt(table, value_table)
-    cps = sorted(int(c) for c in checkpoints)
-    _check_x(max(cps), vt)
+    cps = _checked_cps(checkpoints, vt)
     f = step_map(vt, shift)  # exact B_a values; escapes above limit are irrelevant to sums
     return _series(
         cps,
@@ -110,8 +112,7 @@ def b_minus_beta_series(
     """
     as_shift(shift)  # validated; the difference does not depend on a
     vt = _require_vt(table, value_table)
-    cps = sorted(int(c) for c in checkpoints)
-    _check_x(max(cps), vt)
+    cps = _checked_cps(checkpoints, vt)
     diff = vt.big_b[2 : max(cps) + 1] - vt.beta[2 : max(cps) + 1]
     return _series(
         cps,
@@ -131,7 +132,7 @@ def estimate_local_density(
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
     vt = _require_vt(table, value_table)
-    _check_x(x, vt)
+    vt.check_x(x)
     diff = vt.big_b[2 : x + 1] - vt.beta[2 : x + 1]
     return int(np.count_nonzero(diff == N)) / x
 
@@ -144,7 +145,7 @@ def excess_tail_count(
 ) -> int:
     """#{n <= x : B(n) - beta(n) > K}, the tail mass beyond K."""
     vt = _require_vt(table, value_table)
-    _check_x(x, vt)
+    vt.check_x(x)
     diff = vt.big_b[2 : x + 1] - vt.beta[2 : x + 1]
     return int(np.count_nonzero(diff > K))
 
@@ -163,8 +164,7 @@ def parity_sum(
     """
     shift = as_shift(shift)
     vt = _require_vt(table, value_table)
-    cps = sorted(int(c) for c in checkpoints)
-    _check_x(max(cps), vt)
+    cps = _checked_cps(checkpoints, vt)
     f = step_map(vt, shift)
     signs = 1 - 2 * (f[2 : max(cps) + 1] & 1)
     if shift.a % 2 == 0:
@@ -186,7 +186,7 @@ def residue_distribution(
         raise DomainError(f"q must be > 2, got {q}")
     shift = as_shift(shift)
     vt = _require_vt(table, value_table)
-    _check_x(x, vt)
+    vt.check_x(x)
     f = step_map(vt, shift)
     counts = np.bincount(f[2 : x + 1] % q, minlength=q)
     return {h: int(counts[h]) for h in range(q)}

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import Shift, as_shift
+from .errors import DomainError
 from .sieve import SieveTable
 
 
@@ -31,6 +32,13 @@ class ValueTable:
     def prime_count(self, x: int) -> int:
         """pi(x) for x <= limit."""
         return int(np.count_nonzero(self.prime_mask[: x + 1]))
+
+    def check_x(self, x: int) -> None:
+        """Raise DomainError unless 2 <= x <= limit, the range of n <= x sums."""
+        if x < 2:
+            raise DomainError(f"x must be >= 2, got x={x}")
+        if x > self.limit:
+            raise DomainError(f"x={x} exceeds table limit {self.limit}")
 
 
 def build_value_table(table: SieveTable) -> ValueTable:

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from primeshift import AmicablePair, Shift, build_sieve, shifted_B, verify_amicable
+from primeshift import AmicablePair, Shift, big_B, build_sieve, is_prime, shifted_B, verify_amicable
 from primeshift.cli import run
 
 
@@ -163,6 +164,62 @@ def test_density_file_target(capsys, tmp_path):
     )
     assert code == 0
     assert out.splitlines()[1].split(",")[2] == "3"
+
+
+def test_density_matches_scalar_oracle(capsys, tmp_path):
+    x = 2 * 10**4
+    members = {-7, 0, 1, 2, 5, 17, 17, 144, 997, 9973, x + 1, 10**9}
+    target = tmp_path / "members.txt"
+    target.write_text("".join(f"{v}\n" for v in [*members, 17, 144, 0, -7]))
+    table = build_sieve(x)
+    values = [big_B(n, table) for n in range(2, x + 1)]
+    oracles = {
+        "primes": lambda v: is_prime(v),
+        "squares": lambda v: math.isqrt(v) ** 2 == v,
+        f"file:{target}": lambda v: v in members,
+    }
+    for spec, member in oracles.items():
+        count = sum(1 for v in values if member(v))
+        code, out, _ = invoke(
+            capsys, "--sieve-limit", "1000", "--format", "json",
+            "density", "--set", spec, "--x", str(x),
+        )
+        assert code == 0
+        row = json.loads(out)
+        assert (row["count"], row["density"]) == (count, count / x), spec
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--set", "primes", "--x", "-5"],
+    ["density", "--set", "squares", "--x", "0"],
+    ["density", "--set", "primes", "--x", "1"],
+    ["stats", "avg", "--x", "1"],
+    ["stats", "avg", "--x", "-3"],
+    ["stats", "bmb", "--x", "0"],
+    ["stats", "parity", "--x", "1"],
+    ["stats", "residue", "--x", "1"],
+    ["stats", "density", "--x", "0"],
+])
+def test_x_below_two_is_domain_error(capsys, argv):
+    code, out, err = invoke(capsys, "--sieve-limit", "1000", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("domain error:") and f"x={argv[-1]}" in err
+
+
+@pytest.mark.parametrize("content", [None, "7\nseven\n", "7\n1.5\n", b"\xff\xfe\n"])
+def test_density_bad_file_is_domain_error(capsys, tmp_path, content):
+    target = tmp_path / "members.txt"
+    if isinstance(content, str):
+        target.write_text(content)
+    elif content is not None:
+        target.write_bytes(content)
+    code, out, err = invoke(
+        capsys, "--sieve-limit", "1000", "density", "--set", f"file:{target}", "--x", "500",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("domain error:") and str(target) in err
 
 
 def test_stats_avg(capsys):

@@ -1,9 +1,14 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from primeshift import (
     DomainError,
     build_kappa,
+    build_sieve,
+    build_value_table,
     enumerate_fibre,
     enumerate_fibre_exact,
     is_prime,
@@ -11,6 +16,7 @@ from primeshift import (
     preimage_density,
     prime_partitions,
     shifted_B,
+    step_map,
 )
 
 
@@ -54,42 +60,65 @@ def test_kappa_domain(table):
         kt[6]
 
 
-def test_fibre_examples(table, vt):
-    assert enumerate_fibre(7, 0, 10**3, table, vt) == [7, 10, 12]
-    assert enumerate_fibre(4, 0, 10**2, table, vt) == [4]
+def test_fibre_examples(table):
+    assert enumerate_fibre(7, 0, 10**3, table) == [7, 10, 12]
+    assert enumerate_fibre(4, 0, 10**2, table) == [4]
     # shifting only moves the prime preimage: 7 - 3 = 4 is composite, so
     # the solution set at a=3 is just the composite part {10, 12}
-    assert enumerate_fibre(7, 3, 10**3, table, vt) == [10, 12]
+    assert enumerate_fibre(7, 3, 10**3, table) == [10, 12]
+    # the bound is inclusive: twenty parts of 2 give 2^20
+    assert enumerate_fibre(40, 0, 2**20, table)[-1] == 2**20
 
 
-def test_fibre_scalar_path_matches_vectorized(table, vt):
+def test_fibre_scalar_path_matches_vectorized(table):
     for m, a in ((7, 0), (12, 5), (30, 2)):
-        fast = enumerate_fibre(m, a, 500, table, vt)
+        fast = enumerate_fibre(m, a, 500, table)
         slow = [n for n in range(2, 501) if shifted_B(n, a, table) == m]
         assert fast == slow
 
 
-def test_fibre_partition_bijection(table, vt, kappa60):
+def test_fibre_matches_step_map_scan(table):
+    rng = random.Random(20)
+    cases = [(rng.randint(2, 10**4), rng.randint(0, 50)) for _ in range(20)]
+    cases += [(m, a) for m in range(2, 60) for a in (0, 3, 17)]
+    small_vt = build_value_table(build_sieve(10**5))
+    maps = {a: step_map(small_vt, a) for _, a in cases}
+    for m, a in cases:
+        scan = (np.flatnonzero(maps[a][2:] == m) + 2).tolist()
+        assert enumerate_fibre(m, a, 10**5, table) == scan, (m, a)
+
+
+def test_fibre_needs_sieve_below_half_bound(table):
+    # parts of a composite solution are <= min(m - 2, bound // 2)
+    small = build_sieve(100)
+    assert enumerate_fibre(102, 0, 10**4, small) == enumerate_fibre(102, 0, 10**4, table)
+    assert enumerate_fibre(400, 0, 201, small) == []
+    for m, bound in ((103, 10**4), (400, 202)):
+        with pytest.raises(DomainError):
+            enumerate_fibre(m, 0, bound, small)
+
+
+def test_fibre_partition_bijection(table, kappa60):
     # products of prime partitions enumerate the whole fibre of B over m
     for m in range(2, 41):
         exact = enumerate_fibre_exact(m, table)
         assert len(exact) == kappa60[m]
-        bounded = enumerate_fibre(m, 0, max(exact), table, vt)
+        bounded = enumerate_fibre(m, 0, max(exact), table)
         assert bounded == exact
 
 
 def test_fibre_has_composite_solution(table, vt):
     for m in range(5, 1001):
-        fibre = enumerate_fibre(m, 0, vt.limit, table, vt)
+        fibre = enumerate_fibre(m, 0, vt.limit, table)
         assert any(not is_prime(n, table) for n in fibre), f"m={m}"
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=2, max_value=300), st.integers(min_value=0, max_value=20))
-def test_fibre_shift_independence(table, vt, m, a):
+def test_fibre_shift_independence(table, m, a):
     # fibres at shift a and shift 0 differ at most at {m - a, m}
-    base = set(enumerate_fibre(m, 0, 10**4, table, vt))
-    shifted = set(enumerate_fibre(m, a, 10**4, table, vt))
+    base = set(enumerate_fibre(m, 0, 10**4, table))
+    shifted = set(enumerate_fibre(m, a, 10**4, table))
     assert base.symmetric_difference(shifted) <= {m - a, m}
 
 
@@ -106,5 +135,24 @@ def test_kappa_ratio_trend(table, vt):
 def test_preimage_density(table, vt):
     count, density = preimage_density(lambda v: v == 7, 10**3, table, vt)
     assert count == 3 and density == 3 / 10**3
+    # a scalar result broadcasts over the whole array
     count, density = preimage_density(lambda v: False, 10**3, table, vt)
     assert (count, density) == (0, 0.0)
+
+
+def test_preimage_density_calls_predicate_once(table, vt):
+    seen = []
+
+    def counted(v):
+        seen.append(v.shape)
+        return v % 2 == 0
+
+    count, _ = preimage_density(counted, 5000, table, vt)
+    assert seen == [(4999,)]
+    assert count == int(np.count_nonzero(vt.big_b[2:5001] % 2 == 0))
+
+
+@pytest.mark.parametrize("x", [1, 0, -5])
+def test_preimage_density_rejects_x_below_two(table, vt, x):
+    with pytest.raises(DomainError, match=f"x={x}"):
+        preimage_density(lambda v: True, x, table, vt)

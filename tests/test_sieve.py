@@ -18,6 +18,26 @@ def trial_division_is_prime(n):
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def masked_sieve_oracle(limit):
+    """Smallest prime factors by the masked ascending sieve (fill zeros only)."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == 0:
+            block = spf[i * i :: i]
+            block[block == 0] = i
+    unmarked = np.flatnonzero(spf == 0)
+    spf[unmarked] = unmarked
+    spf[:2] = 0
+    return spf
+
+
+def test_spf_matches_masked_sieve():
+    for limit in [*range(2, 201), 10**6]:
+        spf = build_sieve(limit).spf
+        assert spf.dtype == np.int64
+        assert np.array_equal(spf, masked_sieve_oracle(limit)), limit
+
+
 def test_spf_small():
     t = build_sieve(10)
     assert t.spf.tolist()[2:] == [2, 3, 2, 5, 2, 7, 2, 3, 2]
