@@ -4,10 +4,11 @@ No B_a orbit is unbounded, and census_limit gives the bound: orbits from
 starts <= S never leave [2, census_limit(a, S)].  The census treats B_a
 on that range as a functional graph held in one flat array.  Short scalar
 walks from a small prefix of starts find every cycle (see _find_cycles);
-one ascending pass over the blocks [lo, 2*lo) then gives every node its
-cycle and its distance to it, because a node's successor almost always
-lies in an earlier block.  The same lemma makes a sweep over shifts cheap:
-starts <= climb_margin(a) + 4 already reach every cycle.
+one ascending pass over the blocks [lo, 2*lo), each at most CHUNK long,
+then gives every node its cycle and its distance to it, because a node's
+successor almost always lies in an earlier block.  The same lemma makes a
+sweep over shifts cheap: starts <= climb_margin(a) + 4 already reach every
+cycle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .arith import Shift, as_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError
 from .sieve import SieveTable, build_sieve, is_prime
-from .tables import ValueTable, build_value_table, step_map
+from .tables import CHUNK, ValueTable, build_value_table, step_map
 
 SCHEMA_VERSION = 1
 
@@ -112,6 +113,21 @@ def _find_cycles(f, margin, budget, a):
     return cycles
 
 
+def label_dtype(cycles: int, a: int, index) -> type:
+    """dtype of the census labels, given the number of walked cycles.
+
+    A label is a 1-based index into the sorted cycle minima, 0 while
+    unresolved, so one byte holds fewer than 255 cycles.  For a = 0 every
+    prime is a fixed point, and a label is its cycle's minimum.
+    """
+    return np.uint8 if a != 0 and cycles < 255 else index
+
+
+def dist_dtype(budget: int) -> type:
+    """dtype of the census distances, which lie in [0, budget]."""
+    return np.uint16 if budget < 2**16 else np.int32
+
+
 def _settle(pending, f, label, dist, budget, a):
     """Resolve pending nodes whose successor is resolved, until none moves.
 
@@ -132,6 +148,15 @@ def _settle(pending, f, label, dist, budget, a):
         if rounds > budget:
             raise ConsistencyError(f"census resolution under a={a} did not converge")
     return pending
+
+
+def _counts(values):
+    """np.bincount(values) in chunks, without its full-length intp copy."""
+    out = np.zeros(int(values.max()) + 1, dtype=np.intp)
+    for lo in range(0, values.size, CHUNK):
+        part = np.bincount(values[lo : lo + CHUNK])
+        out[: part.size] += part
+    return out
 
 
 def run_census(
@@ -164,34 +189,36 @@ def run_census(
     else:
         vt = value_table if value_table is not None else build_value_table(table)
         end = limit + 1
-        vt = ValueTable(limit, vt.big_b[:end], vt.beta[:end], vt.prime_mask[:end])
+        vt = ValueTable(limit, vt.spf[:end], vt.big_b[:end], vt.prime_mask[:end])
     budget = default_max_steps(limit, a)
-    dtype = np.int32 if limit + a < 2**31 else np.int64
 
-    f = step_map(vt, shift, dtype)
+    f = step_map(vt, shift)
     # Only primes p > limit - a step past the table, and no start reaches
     # them; index 0 is never labelled, so they and their preimages stay
     # pending.
     top = f[max(limit - a, 0) + 1 :]
     top[top > limit] = 0
     walked = _find_cycles(f, margin, budget, a)
+    minima = sorted(walked)
 
-    # label[n] is the minimum of the cycle n reaches (0 while unresolved);
-    # dist[n] is the number of B_a steps to get there.
-    label = np.zeros(limit + 1, dtype=dtype)
+    # label[n] names the cycle n reaches (see label_dtype); dist[n] is
+    # the number of B_a steps to get there.
+    label = np.zeros(limit + 1, dtype=label_dtype(len(minima), a, f.dtype))
     if a == 0:
         primes = np.flatnonzero(vt.prime_mask)
         label[primes] = primes
-    for m, members in walked.items():
-        label[members] = m
-    dist = np.zeros(limit + 1, dtype=dtype)
+    for i, m in enumerate(minima):
+        label[walked[m]] = m if a == 0 else i + 1
+    del vt  # frees B and the prime mask when this census built them
+    dist = np.zeros(limit + 1, dtype=dist_dtype(budget))
+    cap = min(budget, int(np.iinfo(dist.dtype).max) - 1)
     pending = np.empty(0, dtype=np.intp)
     lo = 2
     while lo <= limit:
-        hi = min(2 * lo, limit + 1)
+        hi = min(2 * lo, lo + CHUNK, limit + 1)
         # First round over the window as slices: a node whose successor is
         # already labelled takes that label; cycle nodes keep theirs.
-        tgt = f[lo:hi]
+        tgt = f[lo:hi].astype(np.intp)
         lab = label[tgt]
         window = label[lo:hi]
         new = window == 0
@@ -203,16 +230,24 @@ def run_census(
     stuck = pending[pending <= start_limit]
     if stuck.size:
         raise ConsistencyError(f"node {int(stuck[0])} under a={a} reaches no cycle")
+    # Each dist is written once, from its successor's final one, so a node
+    # past cap leaves one at exactly cap + 1 < 2^bits: no value wraps unseen.
+    if dist.max() > cap:
+        node = int(np.argmax(dist > cap))
+        raise ConsistencyError(
+            f"node {node} under a={a} is more than {cap} steps from its cycle"
+        )
 
-    basins = np.bincount(label[2 : start_limit + 1])
+    basins = _counts(label[2 : start_limit + 1])
     cycles = []
     basin_counts = {}
-    for m in np.flatnonzero(basins).tolist():
+    for v in np.flatnonzero(basins).tolist():
+        m = v if a == 0 else minima[v - 1]
         cyc = canonicalize(walked.get(m, (m,)), shift, table)
         cycles.append(cyc)
-        basin_counts[cyc] = int(basins[m])
+        basin_counts[cyc] = int(basins[v])
 
-    counts = np.bincount(dist[2 : start_limit + 1])
+    counts = _counts(dist[2 : start_limit + 1])
     return CensusReport(
         shift=shift,
         start_limit=start_limit,

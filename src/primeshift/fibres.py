@@ -177,9 +177,9 @@ def preimage_density(
     """(count, density) of {2 <= n <= x : B(n) in target_set}; density is count / x.
 
     target_set is a vectorised predicate, called exactly once, on the
-    read-only int64 array of B(n) for 2 <= n <= x (every entry lies in
-    [2, x]).  It returns a bool array of that shape, or a scalar, which
-    broadcasts.
+    read-only array of B(n) for 2 <= n <= x, in the table's dtype (int32
+    below 2^31; every entry lies in [2, x]).  It returns a bool array of
+    that shape, or a scalar, which broadcasts.
     """
     vt = value_table if value_table is not None else build_value_table(table)
     vt.check_x(x)

@@ -49,6 +49,7 @@ class SieveTable:
     """Immutable smallest-prime-factor table for 2 <= n <= limit.
 
     spf[n] is the least prime dividing n; spf[p] == p exactly for primes.
+    spf is int32 when limit < 2^31, else int64 (see index_dtype).
     The backing array is marked read-only, so instances are safe to share
     across threads and processes.
     """
@@ -63,12 +64,19 @@ class SieveTable:
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending (computed once, then cached)."""
         if self._primes is None:
-            idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
-            primes = np.nonzero(self.spf == idx)[0]
-            primes = primes[primes >= 2]
+            # A composite n has spf[n] <= isqrt(n), so above r = isqrt(limit)
+            # the primes are the n with spf[n] > r; only [0, r] needs an index.
+            r = math.isqrt(self.limit)
+            small = np.flatnonzero(self.spf[: r + 1] == np.arange(r + 1))[1:]
+            primes = np.concatenate([small, np.flatnonzero(self.spf > r)])
             primes.setflags(write=False)
             self._primes = primes
         return self._primes
+
+
+def index_dtype(top: int) -> type:
+    """int32 when every value in [0, top] fits it, else int64."""
+    return np.int32 if top < 2**31 else np.int64
 
 
 def build_sieve(limit: int) -> SieveTable:
@@ -87,7 +95,7 @@ def build_sieve(limit: int) -> SieveTable:
     for i in range(2, math.isqrt(root) + 1):
         if is_small_prime[i]:
             is_small_prime[i * i :: i] = False
-    spf = np.arange(limit + 1, dtype=np.int64)
+    spf = np.arange(limit + 1, dtype=index_dtype(limit))
     for p in np.flatnonzero(is_small_prime)[::-1].tolist():
         spf[p * p :: p] = p
     spf[0] = 0

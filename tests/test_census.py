@@ -1,11 +1,13 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from census_oracle import run_census_naive
 from primeshift import (
+    ConsistencyError,
     DomainError,
     build_sieve,
     build_value_table,
@@ -15,10 +17,14 @@ from primeshift import (
     climb_margin,
     cycle_count_sweep,
     iterate_orbit,
+    reached_cycles,
     run_census,
 )
+from primeshift import census as census_mod
+from primeshift.census import dist_dtype, label_dtype
 from primeshift.dynamics import default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
+from primeshift.sieve import index_dtype
 from primeshift.tables import step_map
 
 
@@ -186,3 +192,62 @@ def test_json_output(table, vt):
     cycles = {tuple(c["members"]) for c in payload["cycles"]}
     assert (5, 8, 6) in cycles and (7, 10) in cycles
     assert sum(c["basin_count"] for c in payload["cycles"]) == 10**4 - 1
+
+
+def test_census_dtype_rules():
+    # The rules themselves: tables of these sizes would not fit in memory.
+    limit, a = 2**31 - 40, 39
+    assert index_dtype(limit + a) is np.int32  # limit + a = 2^31 - 1
+    assert index_dtype(limit + a + 1) is np.int64
+    assert label_dtype(254, a, np.int32) is np.uint8
+    assert label_dtype(255, a, np.int32) is np.int32
+    assert label_dtype(3, 0, np.int64) is np.int64  # a = 0: label is the cycle minimum
+    assert dist_dtype(2**16 - 1) is np.uint16
+    assert dist_dtype(2**16) is np.int32
+
+
+def test_dist_past_budget_raises(monkeypatch):
+    # Under a = 0 the starts <= 100 are at most 5 steps from their fixed points.
+    assert run_census(0, 100).max_total_stopping_time == 5
+    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 5)
+    assert run_census(0, 100).max_total_stopping_time == 5
+    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 4)
+    with pytest.raises(ConsistencyError, match=r"node \d+ under a=0 is more than 4 steps"):
+        run_census(0, 100)
+
+
+def test_census_peak_memory():
+    # Bytes per table entry at the census's own peak, numpy buffers included.
+    tracemalloc.start()
+    try:
+        run_census(39, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * census_limit(39, 10**6)
+
+
+def _trial_division_factors(n):
+    """Prime factors of n with multiplicity, by trial division (no sieve)."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_a951_cycles_close_under_trial_division():
+    # cycle_count_sweep(1000, 10**6) peaks at 5 cycles, only at a = 951.
+    cycles = reached_cycles(951, 10**6)
+    assert len(cycles) == 5
+    for cyc in cycles:
+        members = cyc.members
+        assert len(set(members)) == len(members)
+        assert members[0] == min(members)
+        primes = [_trial_division_factors(v) == [v] for v in members]
+        for v, prime, nxt in zip(members, primes, members[1:] + members[:1]):
+            step = v + 951 if prime else sum(_trial_division_factors(v))
+            assert step == nxt, cyc
+        assert "".join("+" if p else "-" for p in primes) == cyc.sign_pattern

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from primeshift import (
     DomainError,
     build_sieve,
+    build_value_table,
     factorize,
     is_prime,
 )
@@ -34,8 +35,21 @@ def masked_sieve_oracle(limit):
 def test_spf_matches_masked_sieve():
     for limit in [*range(2, 201), 10**6]:
         spf = build_sieve(limit).spf
-        assert spf.dtype == np.int64
+        assert spf.dtype == np.int32
         assert np.array_equal(spf, masked_sieve_oracle(limit)), limit
+
+
+def test_primes_match_full_index_scan():
+    # primes() and the value table's prime mask make no full-length index,
+    # and must agree with the scan that did.
+    for limit in [*range(2, 201), 10**6]:
+        table = build_sieve(limit)
+        full = np.nonzero(table.spf == np.arange(limit + 1, dtype=table.spf.dtype))[0]
+        expected = full[full >= 2]
+        got = table.primes()
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected), limit
+        assert np.array_equal(np.flatnonzero(build_value_table(table).prime_mask), expected)
 
 
 def test_spf_small():
