@@ -1,8 +1,8 @@
-"""The additive functions B, beta and their shifted variants.
+"""The additive functions B, beta and the shifted map B_a.
 
 B(n) sums the prime divisors of n with multiplicity, beta(n) sums the
 distinct prime divisors.  The shifted variant B_a agrees with B on
-composites but sends a prime p to p + a (and likewise beta_a).
+composites but sends a prime p to p + a.
 """
 
 from __future__ import annotations
@@ -37,20 +37,14 @@ def _check_domain(n: int, extend_domain: bool) -> int | None:
     raise DomainError(f"n must be >= 2 (got {n}); pass extend_domain=True for 0, 1")
 
 
-def big_B(n: int, table: SieveTable, extend_domain: bool = False) -> int:
-    """Sum of prime divisors of n with multiplicity."""
-    ext = _check_domain(n, extend_domain)
-    if ext is not None:
-        return ext
-    return sum(p * r for p, r in factorize(n, table).factors)
+def big_B(n: int, table: SieveTable) -> int:
+    """Sum of prime divisors of n >= 2 with multiplicity."""
+    return sum(p * r for p, r in factorize(n, table))
 
 
-def small_beta(n: int, table: SieveTable, extend_domain: bool = False) -> int:
-    """Sum of the distinct prime divisors of n."""
-    ext = _check_domain(n, extend_domain)
-    if ext is not None:
-        return ext
-    return sum(p for p, _ in factorize(n, table).factors)
+def small_beta(n: int, table: SieveTable) -> int:
+    """Sum of the distinct prime divisors of n >= 2."""
+    return sum(p for p, _ in factorize(n, table))
 
 
 def shifted_B(
@@ -69,21 +63,3 @@ def shifted_B(
             raise RangeOverflowError(f"{n} + {a} exceeds the 64-bit range")
         return n + a
     return big_B(n, table)
-
-
-def shifted_beta(
-    n: int,
-    shift: Shift | int,
-    table: SieveTable,
-    extend_domain: bool = False,
-) -> int:
-    """beta_a(n): n + a when n is prime, otherwise beta(n)."""
-    a = as_shift(shift).a
-    ext = _check_domain(n, extend_domain)
-    if ext is not None:
-        return ext
-    if is_prime(n, table):
-        if n + a > WORD_MAX:
-            raise RangeOverflowError(f"{n} + {a} exceeds the 64-bit range")
-        return n + a
-    return small_beta(n, table)

@@ -13,9 +13,6 @@ cycle.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +20,8 @@ import numpy as np
 from .arith import Shift, as_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError
-from .sieve import SieveTable, build_sieve, is_prime
-from .tables import CHUNK, ValueTable, build_value_table, step_map
-
-SCHEMA_VERSION = 1
+from .sieve import build_sieve, is_prime
+from .tables import CHUNK, build_value_table, step_map
 
 
 def climb_margin(a: int) -> int:
@@ -72,15 +67,8 @@ class CensusReport:
     max_total_stopping_time: int
 
     @property
-    def trivial_cycles(self) -> tuple[Cycle, ...]:
-        return tuple(c for c in self.cycles if len(c) == 1)
-
-    @property
     def nontrivial_cycles(self) -> tuple[Cycle, ...]:
         return tuple(c for c in self.cycles if len(c) > 1)
-
-    def nontrivial_member_sets(self) -> set[tuple[int, ...]]:
-        return {c.members for c in self.nontrivial_cycles}
 
 
 def _find_cycles(f, margin, budget, a):
@@ -159,16 +147,10 @@ def _counts(values):
     return out
 
 
-def run_census(
-    shift: Shift | int,
-    start_limit: int,
-    table: SieveTable | None = None,
-    value_table: ValueTable | None = None,
-) -> CensusReport:
+def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     """Enumerate all cycles reached from starts 2..start_limit, with basins.
 
-    Works on [2, census_limit(a, start_limit)]: on a prefix of the given
-    table when it covers that range, else on a sieve of its own.
+    Works on [2, census_limit(a, start_limit)], on a sieve of its own.
     Deterministic: cycles are listed by (minimum member, length) and every
     reported cycle is re-verified against the scalar map on insertion.
     Cycles reached only from starts above start_limit are not listed.
@@ -177,19 +159,10 @@ def run_census(
     a = shift.a
     if start_limit < 2:
         raise DomainError(f"start_limit must be >= 2, got {start_limit}")
-    if table is not None and table.limit < start_limit:
-        raise DomainError(
-            f"sieve limit {table.limit} is below start_limit {start_limit}"
-        )
     margin = climb_margin(a)
     limit = census_limit(a, start_limit)
-    if table is None or table.limit < limit:
-        table = build_sieve(limit)
-        vt = build_value_table(table)
-    else:
-        vt = value_table if value_table is not None else build_value_table(table)
-        end = limit + 1
-        vt = ValueTable(limit, vt.spf[:end], vt.big_b[:end], vt.prime_mask[:end])
+    table = build_sieve(limit)
+    vt = build_value_table(table)
     budget = default_max_steps(limit, a)
 
     f = step_map(vt, shift)
@@ -209,7 +182,7 @@ def run_census(
         label[primes] = primes
     for i, m in enumerate(minima):
         label[walked[m]] = m if a == 0 else i + 1
-    del vt  # frees B and the prime mask when this census built them
+    del vt  # frees B and the prime mask
     dist = np.zeros(limit + 1, dtype=dist_dtype(budget))
     cap = min(budget, int(np.iinfo(dist.dtype).max) - 1)
     pending = np.empty(0, dtype=np.intp)
@@ -285,59 +258,3 @@ def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set
     best = max(counts.values())
     argmax = {a for a, c in counts.items() if c == best}
     return counts, argmax
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def census_rows(report: CensusReport) -> list[dict]:
-    rows = []
-    for i, cyc in enumerate(report.cycles):
-        rows.append(
-            {
-                "a": report.shift.a,
-                "cycle_id": i,
-                "length": len(cyc),
-                "members": ";".join(str(v) for v in cyc.members),
-                "sign_pattern": cyc.sign_pattern,
-                "basin_count": report.basin_counts[cyc],
-            }
-        )
-    return rows
-
-
-CSV_COLUMNS = ["a", "cycle_id", "length", "members", "sign_pattern", "basin_count"]
-
-
-def census_to_csv(reports) -> str:
-    """CSV with one row per cycle; accepts one report or an iterable."""
-    if isinstance(reports, CensusReport):
-        reports = [reports]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for rep in reports:
-        writer.writerows(census_rows(rep))
-    return buf.getvalue()
-
-
-def census_to_json(report: CensusReport) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "a": report.shift.a,
-        "start_limit": report.start_limit,
-        "cycles": [
-            {
-                "members": list(cyc.members),
-                "sign_pattern": cyc.sign_pattern,
-                "basin_count": report.basin_counts[cyc],
-            }
-            for cyc in report.cycles
-        ],
-        "stopping_time_histogram": {
-            str(k): v for k, v in sorted(report.stopping_time_histogram.items())
-        },
-        "max_total_stopping_time": report.max_total_stopping_time,
-    }
-    return json.dumps(payload, indent=2, sort_keys=False)

@@ -1,32 +1,28 @@
 """Command-line front end.
 
 Every subcommand is a thin wrapper over the library with reproducible
-output: CSV (comma separated, header row, LF endings) or JSON with a
-schema_version field.  Exit codes: 0 success, 1 domain error (including a
-failed reference-table diff), 2 resource or arithmetic error, 64 usage.
+output: CSV (comma separated, header row, LF endings), JSON with a
+schema_version field, or one text line for the commands that have one
+(the others print CSV under --format text).  Exit codes: 0 success,
+1 domain error (including a failed reference-table diff), 2 resource or
+arithmetic error, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import golden, sieve as sieve_mod
+from . import golden
 from .arith import Shift
-from .census import (
-    SCHEMA_VERSION,
-    census_to_csv,
-    census_to_json,
-    cycle_count_sweep,
-    reached_cycles,
-    run_census,
-)
+from .census import cycle_count_sweep, reached_cycles, run_census
 from .constructions import build_amicable, find_ascending_chain
 from .dynamics import iterate_orbit
 from .errors import DomainError, NonterminationError, RangeOverflowError
@@ -42,17 +38,7 @@ from .stats import (
 from .tables import build_value_table
 
 DEFAULT_SIEVE_LIMIT = 10**6
-
-
-@dataclass
-class RunConfig:
-    """Resolved execution parameters shared by all subcommands."""
-
-    sieve_limit: int
-    fmt: str
-    out: str | None
-    extend_domain: bool
-    seed: int
+SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +57,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--sieve-limit",
         type=int,
-        default=None,
+        default=os.environ.get("DD_SIEVE_LIMIT", DEFAULT_SIEVE_LIMIT),
         help="smallest-prime-factor table size (default: env DD_SIEVE_LIMIT "
         f"or {DEFAULT_SIEVE_LIMIT}); census, sweep and table1 size their own",
     )
@@ -83,7 +69,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="define B(0)=0 and B(1)=1 so orbits may start at 0 or 1",
     )
-    p.add_argument("--seed", type=int, default=0x5EED, help="seed for the factorization fallback")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("orbit", help="orbit of n under B_a, e.g. --n 5 --a 2 -> 5 7 9 6 [cycle]")
@@ -143,90 +128,102 @@ def _checkpoints(x: int) -> list[int]:
     return cps
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _write(args, text: str) -> int:
+    """Write text, newline-terminated, to --out or stdout; 2 if --out fails."""
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"arithmetic/resource error: cannot write {args.out!r}: {exc.strerror}\n")
+        return 2
+    return 0
 
 
-def _csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _emit(args, payload: dict, columns: list[str], rows, text: str | None = None) -> int:
+    """Write one command's result in the chosen --format.
+
+    json writes payload under schema_version, csv writes the rows under
+    the header columns, and text writes the text line, or the CSV for a
+    command that has none.
+    """
+    if args.format == "json":
+        return _write(args, json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
+    if args.format == "text" and text is not None:
+        return _write(args, text)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return _write(args, buf.getvalue())
 
 
-def _series_output(cfg: RunConfig, series) -> str:
-    rows = [
-        {"x": x, "sum": s, "reference": r, "ratio": t}
-        for x, s, r, t in zip(
-            series.checkpoints, series.sums, series.reference, series.ratios
-        )
-    ]
-    if cfg.fmt == "json":
-        return json.dumps({"schema_version": SCHEMA_VERSION, "rows": rows}, indent=2)
-    return _csv(rows, ["x", "sum", "reference", "ratio"])
+def _make_table(args, needed: int):
+    return build_sieve(max(args.sieve_limit, needed))
 
 
-def _make_table(cfg: RunConfig, needed: int):
-    return build_sieve(max(cfg.sieve_limit, needed))
-
-
-def _cmd_orbit(cfg, args):
-    table = _make_table(cfg, 100)
+def _cmd_orbit(args):
+    table = _make_table(args, 100)
     rec = iterate_orbit(
         args.n, Shift(args.a), table,
-        max_steps=args.max_steps, extend_domain=cfg.extend_domain,
+        max_steps=args.max_steps, extend_domain=args.extend_domain,
     )
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "start": rec.start,
-            "a": rec.shift.a,
-            "trajectory": list(rec.trajectory),
-            "entry_index": rec.entry_index,
-            "cycle": list(rec.cycle),
-            "stopping_time": rec.stopping_time,
-            "total_stopping_time": rec.total_stopping_time,
-        }, indent=2))
-    elif cfg.fmt == "csv":
-        rows = [{"step": i, "value": v} for i, v in enumerate(rec.trajectory)]
-        _emit(cfg, _csv(rows, ["step", "value"]))
-    else:
-        body = " ".join(str(v) for v in rec.trajectory[:-1])
-        _emit(cfg, f"{body} [cycle]")
-    return 0
+    payload = {
+        "start": rec.start,
+        "a": rec.shift.a,
+        "trajectory": list(rec.trajectory),
+        "entry_index": rec.entry_index,
+        "cycle": list(rec.cycle),
+        "stopping_time": rec.stopping_time,
+        "total_stopping_time": rec.total_stopping_time,
+    }
+    body = " ".join(str(v) for v in rec.trajectory[:-1])
+    return _emit(args, payload, ["step", "value"], enumerate(rec.trajectory), f"{body} [cycle]")
 
 
-def _cmd_census(cfg, args):
+def _cmd_census(args):
     rep = run_census(Shift(args.a), args.limit)
-    if cfg.fmt == "json":
-        _emit(cfg, census_to_json(rep))
-    else:
-        _emit(cfg, census_to_csv(rep))
-    return 0
+    payload = {
+        "a": rep.shift.a,
+        "start_limit": rep.start_limit,
+        "cycles": [
+            {
+                "members": list(cyc.members),
+                "sign_pattern": cyc.sign_pattern,
+                "basin_count": rep.basin_counts[cyc],
+            }
+            for cyc in rep.cycles
+        ],
+        "stopping_time_histogram": {
+            str(k): v for k, v in sorted(rep.stopping_time_histogram.items())
+        },
+        "max_total_stopping_time": rep.max_total_stopping_time,
+    }
+    rows = [
+        (rep.shift.a, i, len(cyc), ";".join(str(v) for v in cyc.members),
+         cyc.sign_pattern, rep.basin_counts[cyc])
+        for i, cyc in enumerate(rep.cycles)
+    ]
+    columns = ["a", "cycle_id", "length", "members", "sign_pattern", "basin_count"]
+    return _emit(args, payload, columns, rows)
 
 
-def _cmd_sweep(cfg, args):
+def _cmd_sweep(args):
     counts, argmax = cycle_count_sweep(args.a_max, args.limit)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "counts": {str(a): c for a, c in sorted(counts.items())},
-            "max": max(counts.values()),
-            "argmax": sorted(argmax),
-        }, indent=2))
-    else:
-        rows = [{"a": a, "nontrivial_cycles": c} for a, c in sorted(counts.items())]
-        _emit(cfg, _csv(rows, ["a", "nontrivial_cycles"]))
-    return 0
+    payload = {
+        "counts": {str(a): c for a, c in sorted(counts.items())},
+        "max": max(counts.values()),
+        "argmax": sorted(argmax),
+    }
+    return _emit(args, payload, ["a", "nontrivial_cycles"], sorted(counts.items()))
 
 
-def _cmd_table1(cfg, args):
+def _cmd_table1(args):
+    """The catalog diff, as text in every format; exit 1 unless every row matches."""
     lines = []
     matches = 0
     for a in sorted(golden.CYCLE_TABLE):
@@ -240,76 +237,39 @@ def _cmd_table1(cfg, args):
                 note = " (catalog row is not closed under the map; known inconsistency)"
             lines.append(f"a={a}: computed {sorted(got)} != catalog {sorted(want)}{note}")
     lines.insert(0, f"MATCH: {matches}/{len(golden.CYCLE_TABLE)} rows")
-    _emit(cfg, "\n".join(lines))
-    return 0 if matches == len(golden.CYCLE_TABLE) else 1
+    return _write(args, "\n".join(lines)) or int(matches != len(golden.CYCLE_TABLE))
 
 
-def _cmd_amicable(cfg, args):
-    table = _make_table(cfg, 100)
-    pair = build_amicable(args.p, table)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "p": pair.p, "n": pair.n, "a": pair.shift.a,
-        }, indent=2))
-    elif cfg.fmt == "csv":
-        _emit(cfg, _csv([{"p": pair.p, "n": pair.n, "a": pair.shift.a}], ["p", "n", "a"]))
-    else:
-        _emit(cfg, f"p={pair.p} n={pair.n} a={pair.shift.a}")
-    return 0
+def _cmd_amicable(args):
+    pair = build_amicable(args.p, _make_table(args, 100))
+    p, n, a = pair.p, pair.n, pair.shift.a
+    return _emit(args, {"p": p, "n": n, "a": a}, ["p", "n", "a"], [(p, n, a)], f"p={p} n={n} a={a}")
 
 
-def _cmd_chain(cfg, args):
-    table = _make_table(cfg, 100)
-    witness = find_ascending_chain(args.k, args.bound, table)
-    if witness is None:
-        _emit(cfg, "none")
-        return 0
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "k": witness.k, "n": witness.n, "a": witness.shift.a,
-            "chain": list(witness.chain),
-        }, indent=2))
-    elif cfg.fmt == "csv":
-        row = {
-            "k": witness.k, "n": witness.n, "a": witness.shift.a,
-            "chain": ";".join(str(v) for v in witness.chain),
-        }
-        _emit(cfg, _csv([row], ["k", "n", "a", "chain"]))
-    else:
-        _emit(cfg, f"k={witness.k} n={witness.n} a={witness.shift.a} "
-                   f"chain={' '.join(str(v) for v in witness.chain)}")
-    return 0
+def _cmd_chain(args):
+    w = find_ascending_chain(args.k, args.bound, _make_table(args, 100))
+    if w is None:
+        payload = {"k": args.k, "n": None, "a": None, "chain": None}
+        return _emit(args, payload, ["k", "n", "a", "chain"], [], "none")
+    payload = {"k": w.k, "n": w.n, "a": w.shift.a, "chain": list(w.chain)}
+    row = (w.k, w.n, w.shift.a, ";".join(str(v) for v in w.chain))
+    text = f"k={w.k} n={w.n} a={w.shift.a} chain={' '.join(str(v) for v in w.chain)}"
+    return _emit(args, payload, ["k", "n", "a", "chain"], [row], text)
 
 
-def _cmd_kappa(cfg, args):
-    table = _make_table(cfg, args.limit)
-    kt = build_kappa(args.limit, table)
-    rows = [{"m": m, "kappa": kt[m]} for m in range(1, args.limit + 1)]
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "kappa": {str(r["m"]): str(r["kappa"]) for r in rows},
-        }, indent=2))
-    else:
-        _emit(cfg, _csv(rows, ["m", "kappa"]))
-    return 0
+def _cmd_kappa(args):
+    kt = build_kappa(args.limit, _make_table(args, args.limit))
+    rows = [(m, kt[m]) for m in range(1, args.limit + 1)]
+    payload = {"kappa": {str(m): str(k) for m, k in rows}}
+    return _emit(args, payload, ["m", "kappa"], rows)
 
 
-def _cmd_fibre(cfg, args):
-    table = _make_table(cfg, min(args.m, args.bound // 2))
+def _cmd_fibre(args):
+    table = _make_table(args, min(args.m, args.bound // 2))
     hits = enumerate_fibre(args.m, Shift(args.a), args.bound, table)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "m": args.m, "a": args.a, "bound": args.bound, "solutions": hits,
-        }, indent=2))
-    elif cfg.fmt == "csv":
-        _emit(cfg, _csv([{"n": n} for n in hits], ["n"]))
-    else:
-        _emit(cfg, " ".join(str(n) for n in hits) if hits else "none")
-    return 0
+    payload = {"m": args.m, "a": args.a, "bound": args.bound, "solutions": hits}
+    text = " ".join(str(n) for n in hits) if hits else "none"
+    return _emit(args, payload, ["n"], [(n,) for n in hits], text)
 
 
 def _read_members(path: str) -> set[int]:
@@ -336,48 +296,30 @@ def _target_predicate(spec: str, vt):
     return lambda v: mask[v]
 
 
-def _cmd_density(cfg, args):
-    table = _make_table(cfg, args.x)
-    vt = build_value_table(table)
-    count, density = preimage_density(_target_predicate(args.target, vt), args.x, table, vt)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "set": args.target, "x": args.x, "count": count, "density": density,
-        }, indent=2))
-    else:
-        _emit(cfg, _csv(
-            [{"set": args.target, "x": args.x, "count": count, "density": density}],
-            ["set", "x", "count", "density"],
-        ))
-    return 0
+def _cmd_density(args):
+    vt = build_value_table(_make_table(args, args.x))
+    count, density = preimage_density(_target_predicate(args.target, vt), args.x, vt)
+    payload = {"set": args.target, "x": args.x, "count": count, "density": density}
+    return _emit(args, payload, list(payload), [payload.values()])
 
 
-def _cmd_stats(cfg, args):
-    table = _make_table(cfg, args.x)
-    vt = build_value_table(table)
-    cps = _checkpoints(args.x)
-    if args.mode == "avg":
-        _emit(cfg, _series_output(cfg, average_order_series(Shift(args.a), cps, table, vt)))
-    elif args.mode == "bmb":
-        _emit(cfg, _series_output(cfg, b_minus_beta_series(Shift(args.a), cps, table, vt)))
-    elif args.mode == "parity":
-        _emit(cfg, _series_output(cfg, parity_sum(Shift(args.a), cps, table, vt)))
-    elif args.mode == "density":
-        d = estimate_local_density(args.N, args.x, table, vt)
-        _emit(cfg, _csv([{"N": args.N, "x": args.x, "density": d}], ["N", "x", "density"]))
-    else:  # residue
-        counts = residue_distribution(Shift(args.a), args.q, args.x, table, vt)
-        rows = [{"h": h, "count": c} for h, c in sorted(counts.items())]
-        if cfg.fmt == "json":
-            _emit(cfg, json.dumps({
-                "schema_version": SCHEMA_VERSION,
-                "a": args.a, "q": args.q, "x": args.x,
-                "counts": {str(h): c for h, c in sorted(counts.items())},
-            }, indent=2))
-        else:
-            _emit(cfg, _csv(rows, ["h", "count"]))
-    return 0
+_SERIES = {"avg": average_order_series, "bmb": b_minus_beta_series, "parity": parity_sum}
+
+
+def _cmd_stats(args):
+    vt = build_value_table(_make_table(args, args.x))
+    if args.mode == "density":
+        payload = {"N": args.N, "x": args.x, "density": estimate_local_density(args.N, args.x, vt)}
+        return _emit(args, payload, list(payload), [payload.values()])
+    if args.mode == "residue":
+        counts = residue_distribution(Shift(args.a), args.q, args.x, vt)
+        payload = {"a": args.a, "q": args.q, "x": args.x,
+                   "counts": {str(h): c for h, c in sorted(counts.items())}}
+        return _emit(args, payload, ["h", "count"], sorted(counts.items()))
+    s = _SERIES[args.mode](Shift(args.a), _checkpoints(args.x), vt)
+    rows = list(zip(s.checkpoints, s.sums, s.reference, s.ratios))
+    columns = ["x", "sum", "reference", "ratio"]
+    return _emit(args, {"rows": [dict(zip(columns, row)) for row in rows]}, columns, rows)
 
 
 _COMMANDS = {
@@ -395,24 +337,9 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    sieve_limit = args.sieve_limit
-    if sieve_limit is None:
-        sieve_limit = int(os.environ.get("DD_SIEVE_LIMIT", DEFAULT_SIEVE_LIMIT))
-    fmt = args.format
-    if fmt == "text" and args.command in ("census", "sweep", "kappa", "density"):
-        fmt = "csv"  # these have no natural one-line text form
-    cfg = RunConfig(
-        sieve_limit=sieve_limit,
-        fmt=fmt,
-        out=args.out,
-        extend_domain=args.extend_domain,
-        seed=args.seed,
-    )
-    sieve_mod.set_default_seed(cfg.seed)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](args)
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return 1

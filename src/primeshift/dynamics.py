@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Shift, as_shift, shifted_B, shifted_beta
+from .arith import Shift, as_shift, shifted_B
 from .errors import ConsistencyError, NonterminationError
 from .sieve import SieveTable, is_prime
 
@@ -67,25 +67,17 @@ def default_max_steps(n: int, a: int) -> int:
     return 10 * (int(math.log2(max(n, 2))) + 1) + 4 * a + 100
 
 
-def _step_fn(shift, table, use_beta, extend_domain):
-    fn = shifted_beta if use_beta else shifted_B
-    return lambda v: fn(v, shift, table, extend_domain=extend_domain)
-
-
 def iterate_orbit(
     n: int,
     shift: Shift | int,
     table: SieveTable,
     max_steps: int | None = None,
-    use_beta: bool = False,
     extend_domain: bool = False,
 ) -> OrbitRecord:
     """Follow n under the shifted map until the orbit closes."""
     shift = as_shift(shift)
     if max_steps is None:
         max_steps = default_max_steps(n, shift.a)
-    step = _step_fn(shift, table, use_beta, extend_domain)
-
     seen: dict[int, int] = {}
     traj = [n]
     v = n
@@ -93,76 +85,30 @@ def iterate_orbit(
         seen[v] = len(traj) - 1
         if len(traj) - 1 >= max_steps:
             raise NonterminationError(n, shift.a, max_steps)
-        v = step(v)
+        v = shifted_B(v, shift, table, extend_domain=extend_domain)
         traj.append(v)
     return OrbitRecord(n, shift, tuple(traj), seen[v])
 
 
-def stopping_time(
-    n: int,
-    shift: Shift | int,
-    table: SieveTable,
-    max_steps: int | None = None,
-    use_beta: bool = False,
-) -> int | None:
-    """Least k with B_a^k(n) < n, or None if the orbit cycles above n.
-
-    None is a legitimate outcome (infimum over an empty set), e.g. for
-    cycle minima and for every n < 5.
-    """
-    shift = as_shift(shift)
-    if max_steps is None:
-        max_steps = default_max_steps(n, shift.a)
-    step = _step_fn(shift, table, use_beta, False)
-    seen = {n}
-    v = n
-    for k in range(1, max_steps + 1):
-        v = step(v)
-        if v < n:
-            return k
-        if v in seen:
-            return None
-        seen.add(v)
-    raise NonterminationError(n, shift.a, max_steps)
+def min_first(members) -> tuple[int, ...]:
+    """Rotate a cycle so its minimum comes first (no verification)."""
+    members = tuple(int(v) for v in members)
+    k = members.index(min(members))
+    return members[k:] + members[:k]
 
 
-def total_stopping_time(
-    n: int, shift: Shift | int, table: SieveTable, **kwargs
-) -> int:
-    """Number of iterations before the orbit of n enters its cycle."""
-    return iterate_orbit(n, shift, table, **kwargs).total_stopping_time
-
-
-def canonicalize(
-    raw_cycle, shift: Shift | int, table: SieveTable, use_beta: bool = False
-) -> Cycle:
+def canonicalize(raw_cycle, shift: Shift | int, table: SieveTable) -> Cycle:
     """Rotate a verified cycle so its minimum is first and attach signs."""
     shift = as_shift(shift)
     members = [int(v) for v in raw_cycle]
     if not members:
         raise ConsistencyError("empty cycle")
-    step = _step_fn(shift, table, use_beta, False)
     for v, nxt in zip(members, members[1:] + members[:1]):
-        got = step(v)
+        got = shifted_B(v, shift, table)
         if got != nxt:
             raise ConsistencyError(
                 f"not a cycle under a={shift.a}: {v} -> {got}, expected {nxt}"
             )
-    k = members.index(min(members))
-    rotated = tuple(members[k:] + members[:k])
+    rotated = min_first(members)
     pattern = "".join("+" if is_prime(v, table) else "-" for v in rotated)
     return Cycle(rotated, shift, pattern)
-
-
-def sign_patterns_of_length(k: int, census) -> set[str]:
-    """Distinct sign patterns among the length-k cycles of a census report.
-
-    Accepts a single CensusReport or an iterable of them.
-    """
-    reports = [census] if hasattr(census, "cycles") else list(census)
-    out = set()
-    for rep in reports:
-        for cyc in rep.cycles:
-            if len(cyc) == k:
-                out.add(cyc.sign_pattern)
-    return out

@@ -7,7 +7,6 @@ to n = product of its parts), which is what makes kappa the fibre size.
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ import numpy as np
 from .arith import Shift, as_shift
 from .errors import ConsistencyError, DomainError
 from .sieve import SieveTable, is_prime
-from .tables import ValueTable, build_value_table
+from .tables import ValueTable
 
 
 @dataclass(frozen=True)
@@ -25,12 +24,10 @@ class KappaTable:
     """kappa[m] = number of partitions of m into primes, for 1 <= m <= limit.
 
     Values are exact Python integers (they grow superpolynomially).
-    beta_partial holds the beta(i) values feeding the recursion.
     """
 
     limit: int
     kappa: tuple[int, ...]
-    beta_partial: tuple[int, ...]
 
     def __getitem__(self, m: int) -> int:
         if not 1 <= m <= self.limit:
@@ -64,25 +61,7 @@ def build_kappa(limit: int, table: SieveTable, value_table: ValueTable | None = 
         if r:
             raise ConsistencyError(f"kappa recursion not divisible at n={n}")
         kappa.append(q)
-    return KappaTable(limit, tuple(kappa), tuple(beta))
-
-
-def prime_partitions(m: int, table: SieveTable):
-    """Yield all multisets of primes summing to m, parts non-increasing."""
-    primes = [p for p in range(2, m + 1) if is_prime(p, table)]
-
-    def rec(remaining, max_idx, acc):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for i in range(max_idx, -1, -1):
-            p = primes[i]
-            if p <= remaining:
-                acc.append(p)
-                yield from rec(remaining - p, i, acc)
-                acc.pop()
-
-    yield from rec(m, len(primes) - 1, [])
+    return KappaTable(limit, tuple(kappa))
 
 
 def enumerate_fibre(
@@ -141,39 +120,7 @@ def enumerate_fibre(
     return sorted(out)
 
 
-def enumerate_fibre_exact(m: int, table: SieveTable) -> list[int]:
-    """All solutions of B(n) = m (unshifted), with no bound on n.
-
-    Generates n as the product of each prime partition of m; products are
-    pairwise distinct by unique factorization, which is asserted.
-    """
-    if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
-    out = []
-    for parts in prime_partitions(m, table):
-        n = 1
-        for p in parts:
-            n *= p
-        out.append(n)
-    if len(set(out)) != len(out):
-        raise ConsistencyError("partition products collided")
-    return sorted(out)
-
-
-def kappa_asymptotic_ratio(m: int, ktable: KappaTable) -> float:
-    """log kappa(m) normalized by its limiting growth 2*pi*sqrt(m / (3 log m))."""
-    if m < 3:
-        raise DomainError(f"m must be >= 3, got {m}")
-    value = ktable[m]
-    return math.log(value) / (2 * math.pi * math.sqrt(m / (3 * math.log(m))))
-
-
-def preimage_density(
-    target_set,
-    x: int,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-) -> tuple[int, float]:
+def preimage_density(target_set, x: int, vt: ValueTable) -> tuple[int, float]:
     """(count, density) of {2 <= n <= x : B(n) in target_set}; density is count / x.
 
     target_set is a vectorised predicate, called exactly once, on the
@@ -181,7 +128,6 @@ def preimage_density(
     below 2^31; every entry lies in [2, x]).  It returns a bool array of
     that shape, or a scalar, which broadcasts.
     """
-    vt = value_table if value_table is not None else build_value_table(table)
     vt.check_x(x)
     values = vt.big_b[2 : x + 1]
     hit = np.broadcast_to(np.asarray(target_set(values), dtype=bool), values.shape)

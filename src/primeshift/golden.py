@@ -10,6 +10,8 @@ Tuples are stored as printed; compare after canonical (min-first)
 rotation, since some rows are written starting from a non-minimal member.
 """
 
+from .dynamics import min_first
+
 CYCLE_TABLE = {
     1: ((5, 6),),
     2: ((5, 7, 9, 6),),
@@ -52,16 +54,7 @@ A39_CYCLES = (
     (5, 44, 15, 8, 6),
 )
 
-#: Maximum number of distinct nontrivial cycles per shift over a <= 200.
-SWEEP_MAX_NONTRIVIAL = 4
-
-
-def canonical(members) -> tuple[int, ...]:
-    """Rotate a cycle tuple so its minimum comes first (no verification)."""
-    members = tuple(int(v) for v in members)
-    k = members.index(min(members))
-    return members[k:] + members[:k]
-
 
 def canonical_set(rows) -> set[tuple[int, ...]]:
-    return {canonical(row) for row in rows}
+    """The rows rotated min-first, as the census reports its cycles."""
+    return {min_first(row) for row in rows}

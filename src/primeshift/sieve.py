@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,28 +20,6 @@ WORD_MAX = 2**63 - 1
 
 # Complete deterministic witness set for n < 3.3 * 10^24, covers WORD_MAX.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_DEFAULT_RNG = random.Random(0x5EED)
-
-
-def set_default_seed(seed: int) -> None:
-    """Reseed the fallback rng used by the rho splitter (reproducibility)."""
-    global _DEFAULT_RNG
-    _DEFAULT_RNG = random.Random(seed)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of n as an ordered tuple of (prime, exponent)."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def product(self) -> int:
-        out = 1
-        for p, r in self.factors:
-            out *= p**r
-        return out
 
 
 class SieveTable:
@@ -139,10 +116,15 @@ def is_prime(n: int, table: SieveTable | None = None) -> bool:
     return _miller_rabin(n)
 
 
-def _pollard_brent(n: int, rng: random.Random) -> int:
-    """Return a nontrivial factor of composite, odd, non-prime-power n."""
+def _pollard_brent(n: int) -> int:
+    """Return a nontrivial factor of composite, odd, non-prime-power n.
+
+    The random walks are seeded by n, so each n splits the same way every
+    run; any split serves, because the factors are verified and sorted.
+    """
     if n % 2 == 0:
         return 2
+    rng = random.Random(n)
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -171,7 +153,7 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
             return g
 
 
-def _factor_hard(n: int, rng: random.Random, out: dict[int, int]) -> None:
+def _factor_hard(n: int, out: dict[int, int]) -> None:
     """Factor n (no prime factor found by the trial-division stage)."""
     if n == 1:
         return
@@ -181,23 +163,21 @@ def _factor_hard(n: int, rng: random.Random, out: dict[int, int]) -> None:
     root = math.isqrt(n)
     if root * root == n:
         # rho is unreliable on perfect squares; split exactly instead
-        _factor_hard(root, rng, out)
-        _factor_hard(root, rng, out)
+        _factor_hard(root, out)
+        _factor_hard(root, out)
         return
-    d = _pollard_brent(n, rng)
-    _factor_hard(d, rng, out)
-    _factor_hard(n // d, rng, out)
+    d = _pollard_brent(n)
+    _factor_hard(d, out)
+    _factor_hard(n // d, out)
 
 
-def factorize(
-    n: int, table: SieveTable, rng: random.Random | None = None
-) -> Factorization:
-    """Full prime factorization of n.
+def factorize(n: int, table: SieveTable) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n as (prime, exponent) pairs, primes ascending.
 
     Below the sieve limit this is a pure spf-chain walk. Above it, trial
     division by sieve primes strips small factors, then Miller-Rabin plus
-    rho splitting finishes the cofactor. The rho stage is randomized but
-    every reported prime is verified, so results are always exact.
+    rho splitting finishes the cofactor. Every reported prime is verified,
+    so results are always exact.
     """
     if n < 2:
         raise DomainError(f"factorize requires n >= 2, got {n}")
@@ -229,6 +209,5 @@ def factorize(
                 found[p] = r
                 bound = math.isqrt(m)
         if m > 1:
-            _factor_hard(m, rng or _DEFAULT_RNG, found)
-    factors = tuple(sorted(found.items()))
-    return Factorization(n, factors)
+            _factor_hard(m, found)
+    return tuple(sorted(found.items()))

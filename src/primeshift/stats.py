@@ -14,8 +14,7 @@ import numpy as np
 
 from .arith import Shift, as_shift
 from .errors import DomainError
-from .sieve import SieveTable
-from .tables import ValueTable, build_value_table, step_map
+from .tables import ValueTable, step_map
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,6 @@ class PartialSumSeries:
             len(self.checkpoints) == len(self.sums) == len(self.reference) == len(self.ratios)
         ):
             raise DomainError("series fields must have equal lengths")
-
-
-def _require_vt(table, value_table):
-    return value_table if value_table is not None else build_value_table(table)
 
 
 def _checked_cps(checkpoints, vt):
@@ -81,15 +76,9 @@ def _series(checkpoints, values, ref_fn, ratio_fn=None):
     return PartialSumSeries(cps, sums, refs, ratios)
 
 
-def average_order_series(
-    shift: Shift | int,
-    checkpoints,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-) -> PartialSumSeries:
+def average_order_series(shift: Shift | int, checkpoints, vt: ValueTable) -> PartialSumSeries:
     """Partial sums of B_a against the main term pi^2 x^2 / (12 log x)."""
     shift = as_shift(shift)
-    vt = _require_vt(table, value_table)
     cps = _checked_cps(checkpoints, vt)
     f = step_map(vt, shift)  # exact B_a values; escapes above limit are irrelevant to sums
     return _series(
@@ -99,19 +88,13 @@ def average_order_series(
     )
 
 
-def b_minus_beta_series(
-    shift: Shift | int,
-    checkpoints,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-) -> PartialSumSeries:
+def b_minus_beta_series(shift: Shift | int, checkpoints, vt: ValueTable) -> PartialSumSeries:
     """Partial sums of B_a - beta_a (= B - beta, shift-independent).
 
     Reference is x log log x; the ratio reported is (sum - ref) / x, the
     bounded quantity in the expansion x log log x + O(x).
     """
     as_shift(shift)  # validated; the difference does not depend on a
-    vt = _require_vt(table, value_table)
     cps = _checked_cps(checkpoints, vt)
     diff = vt.big_b[2 : max(cps) + 1] - vt.beta[2 : max(cps) + 1]
     return _series(
@@ -122,40 +105,16 @@ def b_minus_beta_series(
     )
 
 
-def estimate_local_density(
-    N: int,
-    x: int,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-) -> float:
+def estimate_local_density(N: int, x: int, vt: ValueTable) -> float:
     """Fraction of n <= x with B(n) - beta(n) = N."""
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
-    vt = _require_vt(table, value_table)
     vt.check_x(x)
     diff = vt.big_b[2 : x + 1] - vt.beta[2 : x + 1]
     return int(np.count_nonzero(diff == N)) / x
 
 
-def excess_tail_count(
-    K: int,
-    x: int,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-) -> int:
-    """#{n <= x : B(n) - beta(n) > K}, the tail mass beyond K."""
-    vt = _require_vt(table, value_table)
-    vt.check_x(x)
-    diff = vt.big_b[2 : x + 1] - vt.beta[2 : x + 1]
-    return int(np.count_nonzero(diff > K))
-
-
-def parity_sum(
-    shift: Shift | int,
-    checkpoints,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-) -> PartialSumSeries:
+def parity_sum(shift: Shift | int, checkpoints, vt: ValueTable) -> PartialSumSeries:
     """S(x) = sum over 2 <= n <= x of (-1)^{B_a(n)}.
 
     For even a the sum is o(x): reference is 0 and the ratio reported is
@@ -163,7 +122,6 @@ def parity_sum(
     tracks 2 pi(x); reference is 2x / log x with ratio S / reference.
     """
     shift = as_shift(shift)
-    vt = _require_vt(table, value_table)
     cps = _checked_cps(checkpoints, vt)
     f = step_map(vt, shift)
     signs = 1 - 2 * (f[2 : max(cps) + 1] & 1)
@@ -174,18 +132,11 @@ def parity_sum(
     return _series(cps, signs, lambda x: 2 * x / math.log(x))
 
 
-def residue_distribution(
-    shift: Shift | int,
-    q: int,
-    x: int,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-) -> dict[int, int]:
+def residue_distribution(shift: Shift | int, q: int, x: int, vt: ValueTable) -> dict[int, int]:
     """Counts of n <= x (n >= 2) with B_a(n) = h mod q, for each residue h."""
     if q <= 2:
         raise DomainError(f"q must be > 2, got {q}")
     shift = as_shift(shift)
-    vt = _require_vt(table, value_table)
     vt.check_x(x)
     f = step_map(vt, shift)
     counts = np.bincount(f[2 : x + 1] % q, minlength=q)

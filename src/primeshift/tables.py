@@ -39,10 +39,6 @@ class ValueTable:
         """beta(n) = beta(m) + p with p = spf(n) and m = n // p, unless p | m."""
         return _block_sum(self.spf, lambda p, m: np.where(self.spf[m] == p, 0, p))
 
-    def prime_count(self, x: int) -> int:
-        """pi(x) for x <= limit."""
-        return int(np.count_nonzero(self.prime_mask[: x + 1]))
-
     def check_x(self, x: int) -> None:
         """Raise DomainError unless 2 <= x <= limit, the range of n <= x sums."""
         if x < 2:

@@ -1,0 +1,194 @@
+"""Slow reference implementations the fast library paths are checked against.
+
+None of these is reached from the CLI: each recomputes a result by a
+plainer route (per-start iteration, scalar evaluation, full enumeration
+or a direct scan) so the tests can compare.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from primeshift.arith import Shift, as_shift, shifted_B, small_beta
+from primeshift.census import CensusReport
+from primeshift.constructions import AmicablePair, ChainWitness
+from primeshift.dynamics import Cycle, canonicalize, iterate_orbit
+from primeshift.errors import ConsistencyError, DomainError, RangeOverflowError
+from primeshift.fibres import KappaTable
+from primeshift.sieve import WORD_MAX, SieveTable, is_prime
+from primeshift.tables import ValueTable, build_value_table
+
+
+def run_census_naive(
+    shift: Shift | int,
+    start_limit: int,
+    table: SieveTable,
+    order=None,
+) -> CensusReport:
+    """Per-start reference census: no memoization, no vectorization.
+
+    Slow by design; used to cross-check run_census on small ranges.  An
+    explicit processing order may be supplied to confirm order-independence.
+    """
+    shift = as_shift(shift)
+    starts = list(order) if order is not None else list(range(2, start_limit + 1))
+    canon_cycles: dict[tuple[int, ...], Cycle] = {}
+    basin_counts: dict[Cycle, int] = {}
+    hist: dict[int, int] = {}
+    max_tail = 0
+    for n in starts:
+        rec = iterate_orbit(n, shift, table)
+        cyc = canonicalize(rec.cycle, shift, table)
+        if cyc.members not in canon_cycles:
+            canon_cycles[cyc.members] = cyc
+            basin_counts[cyc] = 0
+        basin_counts[canon_cycles[cyc.members]] += 1
+        tail = rec.total_stopping_time
+        hist[tail] = hist.get(tail, 0) + 1
+        max_tail = max(max_tail, tail)
+    cycles = tuple(
+        sorted(canon_cycles.values(), key=lambda c: (c.members[0], len(c)))
+    )
+    return CensusReport(
+        shift=shift,
+        start_limit=start_limit,
+        cycles=cycles,
+        basin_counts=basin_counts,
+        stopping_time_histogram=dict(sorted(hist.items())),
+        max_total_stopping_time=max_tail,
+    )
+
+
+def sign_patterns_of_length(k: int, census) -> set[str]:
+    """Distinct sign patterns among the length-k cycles of a census report.
+
+    Accepts a single CensusReport or an iterable of them.
+    """
+    reports = [census] if hasattr(census, "cycles") else list(census)
+    out = set()
+    for rep in reports:
+        for cyc in rep.cycles:
+            if len(cyc) == k:
+                out.add(cyc.sign_pattern)
+    return out
+
+
+def shifted_beta(n: int, shift: Shift | int, table: SieveTable) -> int:
+    """beta_a(n): n + a when n is prime, otherwise beta(n)."""
+    a = as_shift(shift).a
+    if is_prime(n, table):
+        if n + a > WORD_MAX:
+            raise RangeOverflowError(f"{n} + {a} exceeds the 64-bit range")
+        return n + a
+    return small_beta(n, table)
+
+
+def prime_count(vt: ValueTable, x: int) -> int:
+    """pi(x) for x <= vt.limit."""
+    return int(np.count_nonzero(vt.prime_mask[: x + 1]))
+
+
+def prime_partitions(m: int, table: SieveTable):
+    """Yield all multisets of primes summing to m, parts non-increasing."""
+    primes = [p for p in range(2, m + 1) if is_prime(p, table)]
+
+    def rec(remaining, max_idx, acc):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        for i in range(max_idx, -1, -1):
+            p = primes[i]
+            if p <= remaining:
+                acc.append(p)
+                yield from rec(remaining - p, i, acc)
+                acc.pop()
+
+    yield from rec(m, len(primes) - 1, [])
+
+
+def enumerate_fibre_exact(m: int, table: SieveTable) -> list[int]:
+    """All solutions of B(n) = m (unshifted), with no bound on n.
+
+    Generates n as the product of each prime partition of m; products are
+    pairwise distinct by unique factorization, which is asserted.
+    """
+    if m < 2:
+        raise DomainError(f"m must be >= 2, got {m}")
+    out = []
+    for parts in prime_partitions(m, table):
+        n = 1
+        for p in parts:
+            n *= p
+        out.append(n)
+    if len(set(out)) != len(out):
+        raise ConsistencyError("partition products collided")
+    return sorted(out)
+
+
+def kappa_asymptotic_ratio(m: int, ktable: KappaTable) -> float:
+    """log kappa(m) normalized by its limiting growth 2*pi*sqrt(m / (3 log m))."""
+    if m < 3:
+        raise DomainError(f"m must be >= 3, got {m}")
+    value = ktable[m]
+    return math.log(value) / (2 * math.pi * math.sqrt(m / (3 * math.log(m))))
+
+
+def verify_amicable(pair: AmicablePair, table: SieveTable) -> bool:
+    """Confirm the pair is a genuine 2-cycle under its shift."""
+    return (
+        shifted_B(pair.p, pair.shift, table) == pair.n
+        and shifted_B(pair.n, pair.shift, table) == pair.p
+    )
+
+
+def min_composite_preimage(
+    p: int,
+    table: SieveTable,
+    value_table: ValueTable | None = None,
+) -> int:
+    """Least composite n with B(n) = p, by direct scan of B-values.
+
+    Independent of build_amicable; used as the oracle for its minimality
+    claim.  Scans the whole sieve range, so it requires the answer to lie
+    below table.limit.
+    """
+    if p < 5:
+        raise DomainError(f"p must be >= 5, got {p}")
+    vt = value_table if value_table is not None else build_value_table(table)
+    hits = np.nonzero((vt.big_b == p) & ~vt.prime_mask)[0]
+    hits = hits[hits >= 4]
+    if hits.size == 0:
+        raise DomainError(
+            f"no composite preimage of {p} within sieve limit {table.limit}"
+        )
+    return int(hits[0])
+
+
+def validate_chain(witness: ChainWitness, table: SieveTable) -> bool:
+    """Recompute each step; all terms but the last must be prime to climb."""
+    c = witness.chain
+    if len(c) != witness.k + 1 or c[0] != witness.n:
+        return False
+    for i in range(witness.k):
+        if not is_prime(c[i], table):
+            return False
+        if shifted_B(c[i], witness.shift, table) != c[i + 1]:
+            return False
+        if c[i + 1] <= c[i]:
+            return False
+    return True
+
+
+def excess_tail_count(
+    K: int,
+    x: int,
+    table: SieveTable,
+    value_table: ValueTable | None = None,
+) -> int:
+    """#{n <= x : B(n) - beta(n) > K}, the tail mass beyond K."""
+    vt = value_table if value_table is not None else build_value_table(table)
+    vt.check_x(x)
+    diff = vt.big_b[2 : x + 1] - vt.beta[2 : x + 1]
+    return int(np.count_nonzero(diff > K))

@@ -13,25 +13,28 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    excess_tail_count,
+    kappa_asymptotic_ratio,
+    min_composite_preimage,
+    prime_count,
+    validate_chain,
+    verify_amicable,
+)
 from primeshift import (
     build_amicable,
     build_kappa,
     estimate_local_density,
-    excess_tail_count,
     average_order_series,
     find_ascending_chain,
-    is_prime,
-    kappa_asymptotic_ratio,
-    min_composite_preimage,
     parity_sum,
     preimage_density,
     run_census,
-    shifted_B,
-    step_map,
-    validate_chain,
-    verify_amicable,
     cycle_count_sweep,
 )
+from primeshift.arith import shifted_B
+from primeshift.sieve import is_prime
+from primeshift.tables import step_map
 from primeshift.golden import (
     A39_CYCLES,
     COMPUTED_CORRECTIONS,
@@ -52,11 +55,11 @@ def report(capsys, cid, label, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_01_cycle_catalog(table, vt, capsys):
+def test_criterion_01_cycle_catalog(table, capsys):
     mismatches = []
     for a in sorted(CYCLE_TABLE):
-        rep = run_census(a, LIMIT, table, vt)
-        got = rep.nontrivial_member_sets()
+        rep = run_census(a, LIMIT)
+        got = {c.members for c in rep.nontrivial_cycles}
         want = canonical_set(CYCLE_TABLE[a])
         if got != want:
             mismatches.append((a, sorted(got), sorted(want)))
@@ -81,9 +84,9 @@ def test_criterion_01_cycle_catalog(table, vt, capsys):
     report(capsys, 1, "cycle catalog a=1..20 at 10^6", not mismatches, detail)
 
 
-def test_criterion_02_a39_census(table, vt, capsys):
-    rep = run_census(39, LIMIT, table, vt)
-    ok = rep.nontrivial_member_sets() == canonical_set(A39_CYCLES)
+def test_criterion_02_a39_census(capsys):
+    rep = run_census(39, LIMIT)
+    ok = {c.members for c in rep.nontrivial_cycles} == canonical_set(A39_CYCLES)
     report(capsys, 2, "a=39 has exactly four nontrivial cycles", ok)
 
 
@@ -94,7 +97,7 @@ def test_criterion_03_sweep_max_four(table, vt, capsys):
            f"argmax a={sorted(argmax)}")
 
 
-def test_criterion_04_a1_dynamics(table, vt, capsys):
+def test_criterion_04_a1_dynamics(vt, capsys):
     f = step_map(vt, 1)
     n = np.arange(LIMIT + 1)
     prime = vt.prime_mask[: LIMIT + 1].copy()
@@ -106,7 +109,7 @@ def test_criterion_04_a1_dynamics(table, vt, capsys):
     ok = bool(np.all(f[: LIMIT + 1][comp] < n[comp]))  # sigma = 1 on composites
     p = n[7:][prime[7:]]
     ok = ok and bool(np.all(f[f[p]] < p))  # sigma = 2 on primes > 6
-    rep = run_census(1, LIMIT, table, vt)
+    rep = run_census(1, LIMIT)
     ok = ok and {c.members for c in rep.cycles} == {(4,), (5, 6)}
     report(capsys, 4, "a=1 orbits end in (4) or (5,6), sigma exact", ok)
 
@@ -195,29 +198,29 @@ def test_criterion_10_kappa_trend(table, vt, capsys):
            "ratios " + ", ".join(f"{v:.3f}" for v in r))
 
 
-def test_criterion_11_average_order(table, vt, capsys):
-    s = average_order_series(0, [10**4, 10**5, 10**6], table, vt)
+def test_criterion_11_average_order(vt, capsys):
+    s = average_order_series(0, [10**4, 10**5, 10**6], vt)
     ok = all(0.9 < r < 1.4 for r in s.ratios)
     ok = ok and abs(s.ratios[0] - 1) > abs(s.ratios[1] - 1) > abs(s.ratios[2] - 1)
-    pi_x = vt.prime_count(10**6)
+    pi_x = prime_count(vt, 10**6)
     for a in (1, 10):
-        sa = average_order_series(a, [10**6], table, vt)
+        sa = average_order_series(a, [10**6], vt)
         ok = ok and sa.sums[0] - s.sums[2] == a * pi_x
     report(capsys, 11, "average order band and exact shift decomposition", ok,
            "ratios " + ", ".join(f"{v:.3f}" for v in s.ratios))
 
 
-def test_criterion_12_parity(table, vt, capsys):
-    s0 = parity_sum(0, [10**6], table, vt)
-    s1 = parity_sum(1, [10**6], table, vt)
-    r = s1.sums[0] / (2 * vt.prime_count(10**6))
+def test_criterion_12_parity(vt, capsys):
+    s0 = parity_sum(0, [10**6], vt)
+    s1 = parity_sum(1, [10**6], vt)
+    r = s1.sums[0] / (2 * prime_count(vt, 10**6))
     ok = abs(s0.sums[0]) / 10**6 < 0.02 and 0.7 < r < 1.3
     report(capsys, 12, "parity sums: even-shift cancellation, odd-shift drift",
            ok, f"|S0|/x={abs(s0.sums[0])/10**6:.4f}, odd ratio={r:.3f}")
 
 
 def test_criterion_13_local_density(table, vt, capsys):
-    d0 = estimate_local_density(0, 10**6, table, vt)
+    d0 = estimate_local_density(0, 10**6, vt)
     ok = abs(d0 - 6 / math.pi**2) < 0.01
     # fit the tail constant on the 10^5 data, verify it at 10^6
     ks = (4, 8, 16)
@@ -229,10 +232,10 @@ def test_criterion_13_local_density(table, vt, capsys):
            f"d0={d0:.6f}, C={C:.3f}")
 
 
-def test_criterion_14_square_value_density(table, vt, capsys):
+def test_criterion_14_square_value_density(vt, capsys):
     squares = np.arange(1001) ** 2  # every B-value here is <= 10^6 = 1000^2
     sq = lambda v: np.isin(v, squares)
-    d = [preimage_density(sq, x, table, vt)[1] for x in (10**4, 10**5, 10**6)]
+    d = [preimage_density(sq, x, vt)[1] for x in (10**4, 10**5, 10**6)]
     ok = d[0] > d[1] > d[2] > 0
     report(capsys, 14, "density of square B-values strictly decreasing", ok,
            "densities " + ", ".join(f"{v:.5f}" for v in d))

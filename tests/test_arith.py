@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeshift import (
-    DomainError,
-    RangeOverflowError,
-    Shift,
-    WORD_MAX,
-    big_B,
-    is_prime,
-    shifted_B,
-    shifted_beta,
-    small_beta,
-)
+from oracles import shifted_beta
+from primeshift import DomainError, RangeOverflowError, Shift
+from primeshift.arith import big_B, shifted_B, small_beta
+from primeshift.sieve import WORD_MAX, is_prime
 
 
 def test_big_b_examples(table):
@@ -51,12 +44,12 @@ def test_domain_floor(table):
 
 def test_extended_domain(table):
     # B(0) = 0 and B(1) = 1; neither is prime so the shift never applies
-    assert big_B(0, table, extend_domain=True) == 0
-    assert big_B(1, table, extend_domain=True) == 1
+    assert shifted_B(0, 0, table, extend_domain=True) == 0
+    assert shifted_B(1, 0, table, extend_domain=True) == 1
     assert shifted_B(1, 50, table, extend_domain=True) == 1
     assert shifted_B(0, 50, table, extend_domain=True) == 0
     with pytest.raises(DomainError):
-        big_B(-1, table, extend_domain=True)
+        shifted_B(-1, 0, table, extend_domain=True)
 
 
 def test_shift_validation():

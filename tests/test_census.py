@@ -5,23 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from census_oracle import run_census_naive
+from oracles import run_census_naive
 from primeshift import (
     ConsistencyError,
-    DomainError,
     build_sieve,
-    build_value_table,
-    census_limit,
-    census_to_csv,
-    census_to_json,
-    climb_margin,
     cycle_count_sweep,
     iterate_orbit,
     reached_cycles,
     run_census,
 )
 from primeshift import census as census_mod
-from primeshift.census import dist_dtype, label_dtype
+from primeshift.census import census_limit, climb_margin, dist_dtype, label_dtype
+from primeshift.cli import run
 from primeshift.dynamics import default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
 from primeshift.sieve import index_dtype
@@ -37,31 +32,31 @@ def _summary(rep):
     )
 
 
-def test_census_a1(table, vt):
-    rep = run_census(1, 10**6, table, vt)
-    assert rep.nontrivial_member_sets() == {(5, 6)}
-    assert [c.members for c in rep.trivial_cycles] == [(4,)]
+def test_census_a1():
+    rep = run_census(1, 10**6)
+    assert {c.members for c in rep.nontrivial_cycles} == {(5, 6)}
+    assert [c.members for c in rep.cycles if len(c) == 1] == [(4,)]
 
 
-def test_census_a12(table, vt):
-    rep = run_census(12, 10**6, table, vt)
-    assert rep.nontrivial_member_sets() == {(5, 17, 29, 41, 53, 65, 18, 8, 6)}
+def test_census_a12():
+    rep = run_census(12, 10**6)
+    assert {c.members for c in rep.nontrivial_cycles} == {(5, 17, 29, 41, 53, 65, 18, 8, 6)}
 
 
-def test_census_a39(table, vt):
-    rep = run_census(39, 10**6, table, vt)
-    assert rep.nontrivial_member_sets() == canonical_set(A39_CYCLES)
+def test_census_a39():
+    rep = run_census(39, 10**6)
+    assert {c.members for c in rep.nontrivial_cycles} == canonical_set(A39_CYCLES)
 
 
-def test_basin_counts_sum(table, vt):
-    rep = run_census(3, 10**4, table, vt)
+def test_basin_counts_sum():
+    rep = run_census(3, 10**4)
     assert sum(rep.basin_counts.values()) == 10**4 - 1
     assert sum(rep.stopping_time_histogram.values()) == 10**4 - 1
 
 
-def test_naive_agrees_with_memoized(table, vt):
+def test_naive_agrees_with_memoized(table):
     for a in range(1, 6):
-        fast = run_census(a, 10**4, table, vt)
+        fast = run_census(a, 10**4)
         slow = run_census_naive(a, 10**4, table)
         assert {c.members for c in fast.cycles} == {c.members for c in slow.cycles}
         assert {c.members: n for c, n in fast.basin_counts.items()} == {
@@ -71,21 +66,18 @@ def test_naive_agrees_with_memoized(table, vt):
         assert fast.max_total_stopping_time == slow.max_total_stopping_time
 
 
-def test_naive_agrees_on_reached_cycles(table, vt):
+def test_naive_agrees_on_reached_cycles(table):
     for a in [*range(41), 97, 150, 199, 200]:
-        fast = run_census(a, 3000, table, vt)
         slow = _summary(run_census_naive(a, 3000, table))
-        assert _summary(fast) == slow, f"a={a}"
-        assert _summary(run_census(a, 3000)) == slow, f"a={a}, own table"
+        assert _summary(run_census(a, 3000)) == slow, f"a={a}"
 
 
 def test_unreached_cycles_not_listed():
     # (31, 58) for a=27 and (43, 82) for a=39 have minima below the walk
     # bound but are not reached from starts <= 20.
     small = build_sieve(10**4)
-    small_vt = build_value_table(small)
     for a in (27, 39, 53, 57):
-        fast = run_census(a, 20, small, small_vt)
+        fast = run_census(a, 20)
         assert _summary(fast) == _summary(run_census_naive(a, 20, small)), f"a={a}"
         listed = {c.members for c in fast.cycles}
         assert (31, 58) not in listed and (43, 82) not in listed
@@ -94,7 +86,7 @@ def test_unreached_cycles_not_listed():
 def test_census_on_table_below_cycle_bound():
     tiny = build_sieve(20)
     for a in range(61):
-        fast = run_census(a, 20, tiny)
+        fast = run_census(a, 20)
         assert _summary(fast) == _summary(run_census_naive(a, 20, tiny)), f"a={a}"
 
 
@@ -124,18 +116,13 @@ def test_order_independence(table):
     }
 
 
-def test_fate_matches_orbit_tail(table, vt):
-    rep = run_census(5, 10**4, table, vt)
+def test_fate_matches_orbit_tail(table):
+    rep = run_census(5, 10**4)
     member_sets = {c.members: set(c.members) for c in rep.cycles}
     for n in (2, 17, 100, 5040, 9973):
         rec = iterate_orbit(n, 5, table)
         landing = rec.trajectory[rec.total_stopping_time]
         assert any(landing in s for s in member_sets.values())
-
-
-def test_census_requires_covering_table(table):
-    with pytest.raises(DomainError):
-        run_census(1, table.limit + 1, table)
 
 
 def test_climb_margin():
@@ -146,13 +133,13 @@ def test_climb_margin():
     assert climb_margin(6) == 36
 
 
-def test_table1_rows_match_catalog(table, vt):
+def test_table1_rows_match_catalog():
     # The 17 internally consistent catalog rows reproduce exactly at 10^6.
     for a, rows in CYCLE_TABLE.items():
         if a in (9, 11, 13):
             continue
-        rep = run_census(a, 10**6, table, vt)
-        assert rep.nontrivial_member_sets() == canonical_set(rows), f"a={a}"
+        rep = run_census(a, 10**6)
+        assert {c.members for c in rep.nontrivial_cycles} == canonical_set(rows), f"a={a}"
 
 
 def test_sweep_counts(table, vt):
@@ -165,17 +152,17 @@ def test_sweep_counts(table, vt):
         assert counts[a] == len(rows), f"a={a}"
 
 
-def test_sweep_matches_full_census(table, vt):
+def test_sweep_matches_full_census():
     counts, _ = cycle_count_sweep(200, 10**6)
     for a in range(1, 201):
-        full = run_census(a, 10**6, table, vt)
+        full = run_census(a, 10**6)
         assert counts[a] == len(full.nontrivial_cycles), f"a={a}"
 
 
-def test_csv_output(table, vt):
-    rep = run_census(3, 10**4, table, vt)
-    text = census_to_csv(rep)
-    lines = text.splitlines()
+def test_csv_output(capsys):
+    rep = run_census(3, 10**4)
+    assert run(["--format", "csv", "census", "--a", "3", "--limit", "10000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "a,cycle_id,length,members,sign_pattern,basin_count"
     assert len(lines) == 1 + len(rep.cycles)
     row = dict(zip(lines[0].split(","), lines[2].split(",")))
@@ -184,9 +171,9 @@ def test_csv_output(table, vt):
     assert members in {c.members for c in rep.cycles}
 
 
-def test_json_output(table, vt):
-    rep = run_census(3, 10**4, table, vt)
-    payload = json.loads(census_to_json(rep))
+def test_json_output(capsys):
+    assert run(["--format", "json", "census", "--a", "3", "--limit", "10000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["schema_version"] == 1
     assert payload["a"] == 3
     cycles = {tuple(c["members"]) for c in payload["cycles"]}

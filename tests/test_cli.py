@@ -3,8 +3,11 @@ import math
 
 import pytest
 
-from primeshift import AmicablePair, Shift, big_B, build_sieve, is_prime, shifted_B, verify_amicable
+from oracles import verify_amicable
+from primeshift import AmicablePair, Shift, build_sieve
+from primeshift.arith import big_B, shifted_B
 from primeshift.cli import run
+from primeshift.sieve import is_prime
 
 
 def invoke(capsys, *argv):
@@ -127,6 +130,11 @@ def test_chain_none(capsys):
     code, out, _ = invoke(capsys, "chain", "--k", "9", "--bound", "30")
     assert code == 0
     assert out == "none\n"
+    code, out, _ = invoke(capsys, "--format", "csv", "chain", "--k", "9", "--bound", "30")
+    assert (code, out) == (0, "k,n,a,chain\n")
+    code, out, _ = invoke(capsys, "--format", "json", "chain", "--k", "9", "--bound", "30")
+    assert code == 0
+    assert json.loads(out) == {"schema_version": 1, "k": 9, "n": None, "a": None, "chain": None}
 
 
 def test_kappa_csv(capsys):
@@ -250,6 +258,33 @@ def test_out_file(capsys, tmp_path):
     assert dest.read_text() == "5 7 9 6 [cycle]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--n", "100", "--a", "1"],
+    ["census", "--a", "3", "--limit", "1000"],
+    ["sweep", "--a-max", "3", "--limit", "1000"],
+    ["amicable", "--p", "11"],
+    ["chain", "--k", "4"],
+    ["chain", "--k", "9", "--bound", "30"],
+    ["kappa", "--limit", "7"],
+    ["fibre", "--m", "7"],
+    ["fibre", "--m", "3", "--a", "2"],
+    ["density", "--set", "primes", "--x", "1000"],
+    *(["stats", mode, "--x", "1000"] for mode in ("avg", "bmb", "density", "parity", "residue")),
+])
+def test_json_format_prints_json(capsys, argv):
+    code, out, _ = invoke(capsys, "--sieve-limit", "2000", "--format", "json", *argv)
+    assert code == 0
+    assert json.loads(out)["schema_version"] == 1
+
+
+def test_out_to_missing_directory(capsys, tmp_path):
+    dest = tmp_path / "missing" / "x"
+    code, out, err = invoke(capsys, "--out", str(dest), "orbit", "--n", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"arithmetic/resource error: cannot write '{dest}': ")
+    assert not dest.parent.exists()
+
+
 def test_usage_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["orbit"])  # missing required --n
@@ -264,6 +299,15 @@ def test_env_sieve_limit(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "orbit", "--n", "5", "--a", "2")
     assert code == 0
     assert out == "5 7 9 6 [cycle]\n"
+
+
+def test_env_sieve_limit_not_an_int(capsys, monkeypatch):
+    monkeypatch.setenv("DD_SIEVE_LIMIT", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["orbit", "--n", "5"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: primeshift") and "invalid int value: 'abc'" in err
 
 
 def test_deterministic_output(capsys):

@@ -1,0 +1,63 @@
+"""Exact stdout of cheap commands in every format, pinned by value or by sha256."""
+
+import hashlib
+
+import pytest
+
+from primeshift.cli import run
+
+# "<format> <argv>": the stdout itself when it is short, else its sha256.
+GOLDEN = {
+    'text orbit --n 100 --a 1': '100 14 9 6 5 [cycle]\n',
+    'csv orbit --n 100 --a 1': 'step,value\n0,100\n1,14\n2,9\n3,6\n4,5\n5,6\n',
+    'json orbit --n 100 --a 1': 'edc76898cd4b45ad5f67f8d64fbeb3a78c968a9255c052f11680fdbaf78e9b0e',
+    'text amicable --p 11': 'p=11 n=28 a=17\n',
+    'csv amicable --p 11': 'p,n,a\n11,28,17\n',
+    'json amicable --p 11': '{\n  "schema_version": 1,\n  "p": 11,\n  "n": 28,\n  "a": 17\n}\n',
+    'text chain --k 4': 'k=4 n=5 a=6 chain=5 11 17 23 29\n',
+    'csv chain --k 4': 'k,n,a,chain\n4,5,6,5;11;17;23;29\n',
+    'json chain --k 4': 'ba90220ad0e8bdedaadb3ec622d4ce04627ce2313e3da5d76d803faeaba5791d',
+    'text kappa --limit 60': 'bdbb565aea6e644de397c5ab5e37d302f0360df60fd81ff039cbb5e5b73910e2',
+    'csv kappa --limit 60': 'bdbb565aea6e644de397c5ab5e37d302f0360df60fd81ff039cbb5e5b73910e2',
+    'json kappa --limit 60': '7b82e9bafca61ca13365d21a937a064a15fd7885ab516e5deaadca723d9e4592',
+    'text fibre --m 40': '111 319 391 434 620 722 744 812 837\n',
+    'csv fibre --m 40': 'n\n111\n319\n391\n434\n620\n722\n744\n812\n837\n',
+    'json fibre --m 40': 'd85144596ac72f4c58a1b1e7796590a1d87a1e43fab8b15d6e56bb25ea7341d0',
+    'text census --a 39 --limit 10000': '54054088d362173a67d4bbea59e0c11338f065935757deb29601f0820bc37f34',
+    'csv census --a 39 --limit 10000': '54054088d362173a67d4bbea59e0c11338f065935757deb29601f0820bc37f34',
+    'json census --a 39 --limit 10000': '045e267bf71a58e563b58b922d31f2812e35ed0545753748e7e06e5861361261',
+    'text sweep --a-max 20 --limit 10000': '5ed474a5cac557fdaec34193122ebe87b09561a7112a658d54fd162a7df379b1',
+    'csv sweep --a-max 20 --limit 10000': '5ed474a5cac557fdaec34193122ebe87b09561a7112a658d54fd162a7df379b1',
+    'json sweep --a-max 20 --limit 10000': '43fb671e6ecafae57952a31ee2949d3274ae43a9cc27ecb6d37efb3b3a0f7ac2',
+    'text table1 --limit 10000': 'ad1651f52071bc395e9fd30b0d4a6114100610f20ddc19f3cbf9dca39c58d5d9',
+    'csv table1 --limit 10000': 'ad1651f52071bc395e9fd30b0d4a6114100610f20ddc19f3cbf9dca39c58d5d9',
+    'json table1 --limit 10000': 'ad1651f52071bc395e9fd30b0d4a6114100610f20ddc19f3cbf9dca39c58d5d9',
+    'text density --set primes --x 10000': 'set,x,count,density\nprimes,10000,2617,0.2617\n',
+    'csv density --set primes --x 10000': 'set,x,count,density\nprimes,10000,2617,0.2617\n',
+    'json density --set primes --x 10000': 'f4920a9782ae3c40c666d0ff3c4531a0e6787ce12d50817d32bf34517d60dc1e',
+    'text density --set squares --x 10000': 'set,x,count,density\nsquares,10000,409,0.0409\n',
+    'csv density --set squares --x 10000': 'set,x,count,density\nsquares,10000,409,0.0409\n',
+    'json density --set squares --x 10000': 'c995475f128139e5a875fbd5a2b0421a689aa63a378091ddef06853b79f04209',
+    'text stats avg --x 10000': 'c706165b7506c47e4ab41e510ecba8882bac0b9e89c51bf8620a9c9d6edcc92a',
+    'csv stats avg --x 10000': 'c706165b7506c47e4ab41e510ecba8882bac0b9e89c51bf8620a9c9d6edcc92a',
+    'json stats avg --x 10000': 'ee27d2ca829d07e3ce2de2b7bd50e2fec871b2272c6725cfc32dd15771d162f7',
+    'text stats bmb --x 10000': '6af22739bc947249888fcf2d65d8b47052df1a46c336ab9f50acd63009838c21',
+    'csv stats bmb --x 10000': '6af22739bc947249888fcf2d65d8b47052df1a46c336ab9f50acd63009838c21',
+    'json stats bmb --x 10000': '5d1d79dfa4a2f12ca943204e145d731fb98a33b73e5105c01141bea7b472b4c1',
+    'text stats parity --x 10000': 'c672ffeccb9960ab5d6f99f7cc80d39c99f1f125b52cf85d1b179195d2cc3194',
+    'csv stats parity --x 10000': 'c672ffeccb9960ab5d6f99f7cc80d39c99f1f125b52cf85d1b179195d2cc3194',
+    'json stats parity --x 10000': 'c6b986cedfedaf790ec99bfc933149580c0c999f4dd6a160d4c089eb9952526c',
+    'text stats residue --x 10000': 'h,count\n0,3131\n1,3546\n2,3322\n',
+    'csv stats residue --x 10000': 'h,count\n0,3131\n1,3546\n2,3322\n',
+    'json stats residue --x 10000': 'ad2b292924eceec129954caa262e14018e3be7e5e6b13573defce29f24811e00',
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_cli_golden(capsys, case):
+    fmt, *argv = case.split()
+    code = run(["--sieve-limit", "20000", "--format", fmt, *argv])
+    out = capsys.readouterr().out
+    assert code == (1 if argv[0] == "table1" else 0)
+    want = GOLDEN[case]
+    assert (out if "\n" in want else hashlib.sha256(out.encode()).hexdigest()) == want

@@ -1,16 +1,9 @@
 import pytest
 
-from primeshift import (
-    DomainError,
-    big_B,
-    build_amicable,
-    find_ascending_chain,
-    is_prime,
-    min_composite_preimage,
-    shifted_B,
-    validate_chain,
-    verify_amicable,
-)
+from oracles import min_composite_preimage, validate_chain, verify_amicable
+from primeshift import DomainError, build_amicable, find_ascending_chain
+from primeshift.arith import big_B, shifted_B
+from primeshift.sieve import is_prime
 
 
 def test_amicable_examples(table):
@@ -34,15 +27,6 @@ def test_amicable_domain(table):
     for bad in (2, 3, 4, 9):
         with pytest.raises(DomainError):
             build_amicable(bad, table)
-
-
-def test_amicable_alternate_divisor(table):
-    # p = 29: q = 23, gap 6 = 2*3; forcing the divisor 2 gives 23*2^3 = 184
-    pair = build_amicable(29, table, prime_divisor=2)
-    assert pair.n == 184
-    assert big_B(pair.n, table) == 29
-    with pytest.raises(DomainError):
-        build_amicable(29, table, prime_divisor=5)
 
 
 def test_min_composite_preimage(table, vt):

@@ -1,16 +1,9 @@
 import pytest
 
-from primeshift import (
-    ConsistencyError,
-    Shift,
-    canonicalize,
-    iterate_orbit,
-    run_census,
-    shifted_B,
-    sign_patterns_of_length,
-    stopping_time,
-    total_stopping_time,
-)
+from oracles import sign_patterns_of_length
+from primeshift import ConsistencyError, Shift, iterate_orbit, run_census
+from primeshift.arith import shifted_B
+from primeshift.dynamics import canonicalize
 
 
 def test_orbit_cycle_examples(table):
@@ -38,12 +31,12 @@ def test_orbit_extended_domain(table):
 
 
 def test_stopping_times(table):
-    assert stopping_time(7, 1, table) == 2
-    assert stopping_time(9, 1, table) == 1
-    assert stopping_time(5, 1, table) is None  # cycle minimum never drops
-    assert stopping_time(4, 9, table) is None
-    assert total_stopping_time(5, 2, table) == 0
-    assert total_stopping_time(100, 1, table) == len(
+    assert iterate_orbit(7, 1, table).stopping_time == 2
+    assert iterate_orbit(9, 1, table).stopping_time == 1
+    assert iterate_orbit(5, 1, table).stopping_time is None  # cycle minimum never drops
+    assert iterate_orbit(4, 9, table).stopping_time is None
+    assert iterate_orbit(5, 2, table).total_stopping_time == 0
+    assert iterate_orbit(100, 1, table).total_stopping_time == len(
         iterate_orbit(100, 1, table).trajectory
     ) - 1 - 2  # tail length: cycle (5,6) occupies the last two steps
 
@@ -67,9 +60,9 @@ def test_canonicalize_rejects_non_cycle(table):
         canonicalize((5, 6), Shift(2), table)
 
 
-def test_sign_patterns(table, vt):
+def test_sign_patterns():
     reports = [
-        run_census(a, 10**5, table, vt)
+        run_census(a, 10**5)
         for a in range(1, 41)
     ]
     # only the fixed point (4) has length 1, and it is composite
@@ -77,7 +70,7 @@ def test_sign_patterns(table, vt):
     # k = 3: small shifts only realize one interior sign choice; the other
     # first appears at a = 194 with the cycle (17, 211, 405)
     assert sign_patterns_of_length(3, reports) == {"+--"}
-    far = run_census(194, 10**5, table, vt)
+    far = run_census(194, 10**5)
     assert "++-" in sign_patterns_of_length(3, [far])
     # a = 39 contributes the 2-cycle (43, 82)
     assert "+-" in sign_patterns_of_length(2, reports[38:39])
@@ -89,8 +82,8 @@ def test_sign_patterns(table, vt):
                 assert cyc.sign_pattern[-1] == "-"
 
 
-def test_nontrivial_cycle_minimum_is_prime(table, vt):
+def test_nontrivial_cycle_minimum_is_prime():
     for a in range(1, 31):
-        rep = run_census(a, 10**5, table, vt)
+        rep = run_census(a, 10**5)
         for cyc in rep.nontrivial_cycles:
             assert cyc.sign_pattern[0] == "+"

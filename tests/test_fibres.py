@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import enumerate_fibre_exact, kappa_asymptotic_ratio, prime_partitions
 from primeshift import (
     DomainError,
     build_kappa,
     build_sieve,
     build_value_table,
     enumerate_fibre,
-    enumerate_fibre_exact,
-    is_prime,
-    kappa_asymptotic_ratio,
     preimage_density,
-    prime_partitions,
-    shifted_B,
-    step_map,
 )
+from primeshift.arith import shifted_B
+from primeshift.sieve import is_prime
+from primeshift.tables import step_map
 
 
 def partition_count_oracle(limit, table):
@@ -132,27 +130,27 @@ def test_kappa_ratio_trend(table, vt):
     assert kappa_asymptotic_ratio(3, kt) == 0.0
 
 
-def test_preimage_density(table, vt):
-    count, density = preimage_density(lambda v: v == 7, 10**3, table, vt)
+def test_preimage_density(vt):
+    count, density = preimage_density(lambda v: v == 7, 10**3, vt)
     assert count == 3 and density == 3 / 10**3
     # a scalar result broadcasts over the whole array
-    count, density = preimage_density(lambda v: False, 10**3, table, vt)
+    count, density = preimage_density(lambda v: False, 10**3, vt)
     assert (count, density) == (0, 0.0)
 
 
-def test_preimage_density_calls_predicate_once(table, vt):
+def test_preimage_density_calls_predicate_once(vt):
     seen = []
 
     def counted(v):
         seen.append(v.shape)
         return v % 2 == 0
 
-    count, _ = preimage_density(counted, 5000, table, vt)
+    count, _ = preimage_density(counted, 5000, vt)
     assert seen == [(4999,)]
     assert count == int(np.count_nonzero(vt.big_b[2:5001] % 2 == 0))
 
 
 @pytest.mark.parametrize("x", [1, 0, -5])
-def test_preimage_density_rejects_x_below_two(table, vt, x):
+def test_preimage_density_rejects_x_below_two(vt, x):
     with pytest.raises(DomainError, match=f"x={x}"):
-        preimage_density(lambda v: True, x, table, vt)
+        preimage_density(lambda v: True, x, vt)

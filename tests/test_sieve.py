@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeshift import (
-    DomainError,
-    build_sieve,
-    build_value_table,
-    factorize,
-    is_prime,
-)
+from primeshift import DomainError, build_sieve, build_value_table
+from primeshift.sieve import factorize, is_prime
 
 
 def trial_division_is_prime(n):
@@ -88,9 +83,9 @@ def test_sieve_domain():
 
 
 def test_factorize_examples(table):
-    assert factorize(12, table).factors == ((2, 2), (3, 1))
-    assert factorize(97, table).factors == ((97, 1),)
-    assert factorize(999999, table).factors == (
+    assert factorize(12, table) == ((2, 2), (3, 1))
+    assert factorize(97, table) == ((97, 1),)
+    assert factorize(999999, table) == (
         (3, 3), (7, 1), (11, 1), (13, 1), (37, 1),
     )
 
@@ -105,22 +100,22 @@ def test_factorize_domain(table):
 def test_factorize_above_limit():
     small = build_sieve(1000)
     # prime, semiprime and prime power beyond the sieve range
-    assert factorize(10**6 + 3, small).factors == ((10**6 + 3, 1),)
+    assert factorize(10**6 + 3, small) == ((10**6 + 3, 1),)
     f = factorize(999983 * 999979, small)
-    assert f.factors == ((999979, 1), (999983, 1))
+    assert f == ((999979, 1), (999983, 1))
     f = factorize(999983**2, small)
-    assert f.factors == ((999983, 2),)
+    assert f == ((999983, 2),)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=2, max_value=10**6))
 def test_factorize_roundtrip(table, n):
     f = factorize(n, table)
-    assert f.product() == n
-    ps = [p for p, _ in f.factors]
+    assert math.prod(p**r for p, r in f) == n
+    ps = [p for p, _ in f]
     assert ps == sorted(set(ps))
     assert all(is_prime(p, table) for p in ps)
-    assert all(r >= 1 for _, r in f.factors)
+    assert all(r >= 1 for _, r in f)
 
 
 @settings(max_examples=150, deadline=None)

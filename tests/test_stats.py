@@ -2,48 +2,45 @@ import math
 
 import pytest
 
+from oracles import excess_tail_count, prime_count, shifted_beta
 from primeshift import (
     DomainError,
     average_order_series,
     b_minus_beta_series,
-    big_B,
     estimate_local_density,
-    excess_tail_count,
     parity_sum,
     residue_distribution,
-    shifted_B,
-    shifted_beta,
-    small_beta,
 )
+from primeshift.arith import big_B, shifted_B, small_beta
 
 
-def test_average_order_hand_sum(table, vt):
+def test_average_order_hand_sum(vt):
     # B(2..10) = 2,3,4,5,5,7,6,6,7 summing to 45; a shifts add a*pi(10) = 4a
-    s = average_order_series(0, [10], table, vt)
+    s = average_order_series(0, [10], vt)
     assert s.sums == (45,)
     for a in (1, 4, 9):
-        sa = average_order_series(a, [10], table, vt)
+        sa = average_order_series(a, [10], vt)
         assert sa.sums[0] == 45 + 4 * a
 
 
-def test_shift_decomposition_exact(table, vt):
+def test_shift_decomposition_exact(vt):
     # sum B_a - sum B = a * pi(x), exactly
     for a, x in ((1, 10**5), (10, 10**6), (7, 12345)):
-        base = average_order_series(0, [x], table, vt).sums[0]
-        shifted = average_order_series(a, [x], table, vt).sums[0]
-        assert shifted - base == a * vt.prime_count(x)
+        base = average_order_series(0, [x], vt).sums[0]
+        shifted = average_order_series(a, [x], vt).sums[0]
+        assert shifted - base == a * prime_count(vt, x)
 
 
-def test_average_order_ratio_band(table, vt):
-    s = average_order_series(0, [10**4, 10**5, 10**6], table, vt)
+def test_average_order_ratio_band(vt):
+    s = average_order_series(0, [10**4, 10**5, 10**6], vt)
     for r in s.ratios:
         assert 0.9 < r < 1.4
     assert abs(s.ratios[0] - 1) > abs(s.ratios[1] - 1) > abs(s.ratios[2] - 1)
 
 
-def test_bmb_hand_sum(table, vt):
+def test_bmb_hand_sum(vt):
     # non-squarefree n <= 16 contribute 4:2, 8:4, 9:3, 12:2, 16:6 -> 17
-    s = b_minus_beta_series(0, [16], table, vt)
+    s = b_minus_beta_series(0, [16], vt)
     assert s.sums == (17,)
 
 
@@ -54,31 +51,31 @@ def test_bmb_shift_invariant(table, vt):
             assert shifted_B(n, a, table) - shifted_beta(n, a, table) == big_B(
                 n, table
             ) - small_beta(n, table)
-    s0 = b_minus_beta_series(0, [10**5], table, vt)
+    s0 = b_minus_beta_series(0, [10**5], vt)
     for a in (1, 2, 33):
-        assert b_minus_beta_series(a, [10**5], table, vt).sums == s0.sums
+        assert b_minus_beta_series(a, [10**5], vt).sums == s0.sums
 
 
-def test_bmb_bounded_error(table, vt):
-    s = b_minus_beta_series(0, [10**4, 10**5, 10**6], table, vt)
+def test_bmb_bounded_error(vt):
+    s = b_minus_beta_series(0, [10**4, 10**5, 10**6], vt)
     # (sum - x log log x) / x stays bounded
     assert all(abs(r) < 1.0 for r in s.ratios)
 
 
-def test_local_density_squarefree(table, vt):
-    d = estimate_local_density(0, 10**6, table, vt)
+def test_local_density_squarefree(vt):
+    d = estimate_local_density(0, 10**6, vt)
     assert abs(d - 6 / math.pi**2) < 0.01
 
 
-def test_local_density_one_is_empty(table, vt):
+def test_local_density_one_is_empty(vt):
     # B - beta = 1 is impossible: any excess comes from p(r-1) >= 2
     for x in (10**4, 10**6):
-        assert estimate_local_density(1, x, table, vt) == 0.0
+        assert estimate_local_density(1, x, vt) == 0.0
 
 
-def test_local_density_two_stable(table, vt):
-    d5 = estimate_local_density(2, 10**5, table, vt)
-    d6 = estimate_local_density(2, 10**6, table, vt)
+def test_local_density_two_stable(vt):
+    d5 = estimate_local_density(2, 10**5, vt)
+    d6 = estimate_local_density(2, 10**6, vt)
     assert d6 > 0
     assert abs(d5 - d6) < 5e-4  # stable to three decimal places
 
@@ -88,41 +85,41 @@ def test_excess_tail_counts_monotone(table, vt):
     assert counts[0] > counts[1] > counts[2] > 0
 
 
-def test_parity_even_shift_matches_unshifted(table, vt):
+def test_parity_even_shift_matches_unshifted(vt):
     # (-1)^(p + 2) = (-1)^p, so even shifts do not move the parity sum
-    s0 = parity_sum(0, [10**5], table, vt)
-    s2 = parity_sum(2, [10**5], table, vt)
+    s0 = parity_sum(0, [10**5], vt)
+    s2 = parity_sum(2, [10**5], vt)
     assert s0.sums == s2.sums
 
 
-def test_parity_even_small(table, vt):
-    s = parity_sum(0, [10**6], table, vt)
+def test_parity_even_small(vt):
+    s = parity_sum(0, [10**6], vt)
     assert abs(s.sums[0]) / 10**6 < 0.02
 
 
-def test_parity_odd_tracks_primes(table, vt):
-    s = parity_sum(1, [10**6], table, vt)
-    assert 0.7 < s.sums[0] / (2 * vt.prime_count(10**6)) < 1.3
+def test_parity_odd_tracks_primes(vt):
+    s = parity_sum(1, [10**6], vt)
+    assert 0.7 < s.sums[0] / (2 * prime_count(vt, 10**6)) < 1.3
 
 
-def test_residue_distribution(table, vt):
-    counts = residue_distribution(0, 3, 10**6, table, vt)
+def test_residue_distribution(vt):
+    counts = residue_distribution(0, 3, 10**6, vt)
     assert sum(counts.values()) == 10**6 - 1
     for h in range(3):
         assert abs(counts[h] - 10**6 / 3) < 0.05 * 10**6 / 3
     with pytest.raises(DomainError):
-        residue_distribution(0, 2, 100, table, vt)
+        residue_distribution(0, 2, 100, vt)
 
 
-def test_residue_shifted_comparison(table, vt):
-    base = residue_distribution(0, 3, 10**6, table, vt)
-    shifted = residue_distribution(1, 3, 10**6, table, vt)
+def test_residue_shifted_comparison(vt):
+    base = residue_distribution(0, 3, 10**6, vt)
+    shifted = residue_distribution(1, 3, 10**6, vt)
     dev = lambda c: max(abs(v - 10**6 / 3) for v in c.values())
     # recorded for comparison; both stay within a few percent of uniform
     assert dev(shifted) < 0.05 * 10**6
     assert dev(base) < 0.05 * 10**6
 
 
-def test_checkpoint_validation(table, vt):
+def test_checkpoint_validation(vt):
     with pytest.raises(DomainError):
-        average_order_series(0, [10**7], table, vt)
+        average_order_series(0, [10**7], vt)
