@@ -1,8 +1,8 @@
-"""The additive functions B, beta and the shifted map B_a.
+"""The additive function B and the shifted map B_a.
 
-B(n) sums the prime divisors of n with multiplicity, beta(n) sums the
-distinct prime divisors.  The shifted variant B_a agrees with B on
-composites but sends a prime p to p + a.
+B(n) sums the prime divisors of n with multiplicity (beta(n), the sum of
+the distinct ones, is tabulated in tables.py).  The shifted variant B_a
+agrees with B on composites but sends a prime p to p + a.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def _check_domain(n: int, extend_domain: bool) -> int | None:
 def big_B(n: int, table: SieveTable) -> int:
     """Sum of prime divisors of n >= 2 with multiplicity."""
     return sum(p * r for p, r in factorize(n, table))
-
-
-def small_beta(n: int, table: SieveTable) -> int:
-    """Sum of the distinct prime divisors of n >= 2."""
-    return sum(p for p, _ in factorize(n, table))
 
 
 def shifted_B(

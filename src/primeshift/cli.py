@@ -37,8 +37,12 @@ from .stats import (
 )
 from .tables import build_value_table
 
-DEFAULT_SIEVE_LIMIT = 10**6
+DEFAULT_LIMIT = 10**6
 SCHEMA_VERSION = 1
+#: Table for the commands whose input is a few numbers: with primes up to
+#: 2^16, trial division settles every n < 2^32, and Miller-Rabin plus rho
+#: stay exact above that.
+SMALL_TABLE = 2**16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,9 +61,9 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--sieve-limit",
         type=int,
-        default=os.environ.get("DD_SIEVE_LIMIT", DEFAULT_SIEVE_LIMIT),
-        help="smallest-prime-factor table size (default: env DD_SIEVE_LIMIT "
-        f"or {DEFAULT_SIEVE_LIMIT}); census, sweep and table1 size their own",
+        default=os.environ.get("DD_SIEVE_LIMIT"),
+        help="lower bound on the smallest-prime-factor table size (default: env "
+        "DD_SIEVE_LIMIT, else none); every command sizes its own table",
     )
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -78,17 +82,17 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("census", help="all cycles for one shift over starts <= limit, with basins")
     sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
 
     sp = sub.add_parser("sweep", help="nontrivial-cycle counts for a = 1..a-max (max is 4, at a=39)")
     sp.add_argument("--a-max", type=int, required=True)
-    sp.add_argument("--limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
 
     sp = sub.add_parser(
         "table1",
         help="run the a=1..20 census and diff it against the bundled cycle catalog",
     )
-    sp.add_argument("--limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
 
     sp = sub.add_parser("amicable", help="2-cycle through a prime, e.g. --p 11 -> p=11 n=28 a=17")
     sp.add_argument("--p", type=int, required=True)
@@ -112,7 +116,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("stats", help="partial-sum diagnostics (sum B_a ~ pi^2 x^2 / 12 log x etc.)")
     sp.add_argument("mode", choices=["avg", "bmb", "density", "parity", "residue"])
     sp.add_argument("--a", type=int, default=0)
-    sp.add_argument("--x", type=int, default=DEFAULT_SIEVE_LIMIT)
+    sp.add_argument("--x", type=int, default=DEFAULT_LIMIT)
     sp.add_argument("--q", type=int, default=3)
     sp.add_argument("--N", type=int, default=0)
     return p
@@ -162,12 +166,13 @@ def _emit(args, payload: dict, columns: list[str], rows, text: str | None = None
     return _write(args, buf.getvalue())
 
 
-def _make_table(args, needed: int):
-    return build_sieve(max(args.sieve_limit, needed))
+def _table(args, need: int):
+    """The sieve a command needs, raised to the --sieve-limit floor if one is set."""
+    return build_sieve(max(need, args.sieve_limit or 0, 2))
 
 
 def _cmd_orbit(args):
-    table = _make_table(args, 100)
+    table = _table(args, SMALL_TABLE)
     rec = iterate_orbit(
         args.n, Shift(args.a), table,
         max_steps=args.max_steps, extend_domain=args.extend_domain,
@@ -241,13 +246,13 @@ def _cmd_table1(args):
 
 
 def _cmd_amicable(args):
-    pair = build_amicable(args.p, _make_table(args, 100))
+    pair = build_amicable(args.p, _table(args, SMALL_TABLE))
     p, n, a = pair.p, pair.n, pair.shift.a
     return _emit(args, {"p": p, "n": n, "a": a}, ["p", "n", "a"], [(p, n, a)], f"p={p} n={n} a={a}")
 
 
 def _cmd_chain(args):
-    w = find_ascending_chain(args.k, args.bound, _make_table(args, 100))
+    w = find_ascending_chain(args.k, args.bound, _table(args, SMALL_TABLE))
     if w is None:
         payload = {"k": args.k, "n": None, "a": None, "chain": None}
         return _emit(args, payload, ["k", "n", "a", "chain"], [], "none")
@@ -258,14 +263,14 @@ def _cmd_chain(args):
 
 
 def _cmd_kappa(args):
-    kt = build_kappa(args.limit, _make_table(args, args.limit))
+    kt = build_kappa(args.limit, _table(args, args.limit))
     rows = [(m, kt[m]) for m in range(1, args.limit + 1)]
     payload = {"kappa": {str(m): str(k) for m, k in rows}}
     return _emit(args, payload, ["m", "kappa"], rows)
 
 
 def _cmd_fibre(args):
-    table = _make_table(args, min(args.m, args.bound // 2))
+    table = _table(args, min(args.m, args.bound // 2))
     hits = enumerate_fibre(args.m, Shift(args.a), args.bound, table)
     payload = {"m": args.m, "a": args.a, "bound": args.bound, "solutions": hits}
     text = " ".join(str(n) for n in hits) if hits else "none"
@@ -297,7 +302,7 @@ def _target_predicate(spec: str, vt):
 
 
 def _cmd_density(args):
-    vt = build_value_table(_make_table(args, args.x))
+    vt = build_value_table(_table(args, args.x))
     count, density = preimage_density(_target_predicate(args.target, vt), args.x, vt)
     payload = {"set": args.target, "x": args.x, "count": count, "density": density}
     return _emit(args, payload, list(payload), [payload.values()])
@@ -307,7 +312,7 @@ _SERIES = {"avg": average_order_series, "bmb": b_minus_beta_series, "parity": pa
 
 
 def _cmd_stats(args):
-    vt = build_value_table(_make_table(args, args.x))
+    vt = build_value_table(_table(args, args.x))
     if args.mode == "density":
         payload = {"N": args.N, "x": args.x, "density": estimate_local_density(args.N, args.x, vt)}
         return _emit(args, payload, list(payload), [payload.values()])

@@ -64,10 +64,6 @@ def build_amicable(p: int, table: SieveTable) -> AmicablePair:
     return AmicablePair(p, n, Shift(n - p))
 
 
-def _primes_upto(k: int) -> list[int]:
-    return [s for s in range(2, k + 1) if is_prime(s)]
-
-
 def find_ascending_chain(
     k: int, search_bound: int, table: SieveTable
 ) -> ChainWitness | None:
@@ -80,16 +76,20 @@ def find_ascending_chain(
 
     For every prime s <= k, s must divide a (otherwise some term in the
     first s steps is divisible by s), so the search strides by the product
-    of those primes, which prunes large k to almost nothing.
+    of those primes, which prunes large k to almost nothing.  The product
+    is built in ascending order and the search gives up as soon as it
+    passes the bound, so large k costs a few primality tests.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     stride = 1
-    small = _primes_upto(k)
-    for s in small:
-        stride *= s
-    if stride > search_bound:
-        return None
+    small = []
+    for s in range(2, k + 1):
+        if is_prime(s, table):
+            stride *= s
+            if stride > search_bound:
+                return None
+            small.append(s)
     p = 3
     while p <= search_bound:
         if is_prime(p, table) and p not in small:

@@ -7,15 +7,14 @@ to n = product of its parts), which is what makes kappa the fibre size.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import Shift, as_shift
-from .errors import ConsistencyError, DomainError
-from .sieve import SieveTable, is_prime
+from .errors import DomainError, RangeOverflowError
+from .sieve import WORD_MAX, SieveTable, is_prime
 from .tables import ValueTable
 
 
@@ -35,33 +34,26 @@ class KappaTable:
         return self.kappa[m]
 
 
-def build_kappa(limit: int, table: SieveTable, value_table: ValueTable | None = None) -> KappaTable:
-    """Fill the kappa table from the beta-weighted recursion.
+def build_kappa(limit: int, table: SieveTable) -> KappaTable:
+    """Count prime partitions with the coin DP for prod_p 1 / (1 - x^p).
 
-    n * kappa(n) = beta(n) + sum_{i=1}^{n-1} kappa(n - i) * beta(i), with
-    kappa(1) = 0.  All arithmetic is exact; the division by n is asserted
-    to be exact, a nonzero remainder would mean an implementation bug.
+    Adding the prime p sends k[j] to k[j] + k[j - p] for j ascending; the
+    j in one block [j0, j0 + p) read only the block before it, which is
+    already final, so each block is one vectorized add of exact Python
+    integers.  kappa(0) is stored as 0 (it is never consulted).
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    if value_table is not None and value_table.limit >= limit:
-        beta = [int(v) for v in value_table.beta[: limit + 1]]
-    else:
-        if table.limit < limit:
-            raise DomainError("sieve must cover the kappa limit")
-        from .arith import small_beta
-
-        beta = [0, 0] + [small_beta(i, table) for i in range(2, limit + 1)]
-    kappa: list[int] = [0, 0]  # kappa[0] unused, kappa[1] = 0
-    for n in range(2, limit + 1):
-        # pairs kappa[j] with beta[n - j]; map/operator keeps the inner
-        # loop in C, which matters at limit ~ 10^4
-        conv = sum(map(operator.mul, kappa[1:n], beta[n - 1 : 0 : -1]))
-        q, r = divmod(beta[n] + conv, n)
-        if r:
-            raise ConsistencyError(f"kappa recursion not divisible at n={n}")
-        kappa.append(q)
-    return KappaTable(limit, tuple(kappa))
+    if table.limit < limit:
+        raise DomainError("sieve must cover the kappa limit")
+    k = np.zeros(limit + 1, dtype=object)
+    k[0] = 1
+    primes = table.primes()
+    for p in primes[: np.searchsorted(primes, limit, side="right")].tolist():
+        for j in range(p, limit + 1, p):
+            k[j : j + p] += k[j - p : min(j, limit + 1 - p)]
+    k[0] = 0
+    return KappaTable(limit, tuple(k.tolist()))
 
 
 def enumerate_fibre(
@@ -80,12 +72,15 @@ def enumerate_fibre(
     in [2, cap] summing to rest, with k >= ceil(rest / cap), multiply to at
     least 2^(k-1) * (rest - 2(k-1)).  Every part is at most
     min(m - 2, x_bound // 2), which the sieve must cover.  The one prime
-    solution is m - a, when it is a prime in [2, x_bound].
+    solution is m - a, when it is a prime in [2, x_bound].  A bound above
+    2^63 - 1 raises RangeOverflowError.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
+    if x_bound > WORD_MAX:
+        raise RangeOverflowError(f"fibre bound {x_bound} exceeds the 64-bit range")
     a = as_shift(shift).a
-    top = min(m - 2, x_bound // 2)
+    top = max(min(m - 2, x_bound // 2), 0)  # a negative top would wrap the slice below
     if top > table.limit:
         raise DomainError(f"fibre of m={m} at bound {x_bound} needs primes up to {top}, "
                           f"sieve limit is {table.limit}")

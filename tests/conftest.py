@@ -19,5 +19,5 @@ def vt(table):
 
 
 @pytest.fixture(scope="session")
-def kappa60(table, vt):
-    return build_kappa(60, table, vt)
+def kappa60(table):
+    return build_kappa(60, table)

@@ -8,16 +8,17 @@ or a direct scan) so the tests can compare.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from primeshift.arith import Shift, as_shift, shifted_B, small_beta
+from primeshift.arith import Shift, as_shift, shifted_B
 from primeshift.census import CensusReport
 from primeshift.constructions import AmicablePair, ChainWitness
 from primeshift.dynamics import Cycle, canonicalize, iterate_orbit
 from primeshift.errors import ConsistencyError, DomainError, RangeOverflowError
 from primeshift.fibres import KappaTable
-from primeshift.sieve import WORD_MAX, SieveTable, is_prime
+from primeshift.sieve import WORD_MAX, SieveTable, factorize, is_prime
 from primeshift.tables import ValueTable, build_value_table
 
 
@@ -75,6 +76,11 @@ def sign_patterns_of_length(k: int, census) -> set[str]:
     return out
 
 
+def small_beta(n: int, table: SieveTable) -> int:
+    """Sum of the distinct prime divisors of n >= 2, by scalar factorization."""
+    return sum(p for p, _ in factorize(n, table))
+
+
 def shifted_beta(n: int, shift: Shift | int, table: SieveTable) -> int:
     """beta_a(n): n + a when n is prime, otherwise beta(n)."""
     a = as_shift(shift).a
@@ -125,6 +131,25 @@ def enumerate_fibre_exact(m: int, table: SieveTable) -> list[int]:
     if len(set(out)) != len(out):
         raise ConsistencyError("partition products collided")
     return sorted(out)
+
+
+def kappa_recursion(limit: int, table: SieveTable) -> list[int]:
+    """kappa[m] for 0 <= m <= limit from the paper's beta-weighted recursion.
+
+    n * kappa(n) = beta(n) + sum_{i=1}^{n-1} kappa(n - i) * beta(i), with
+    kappa(0) stored as 0 and kappa(1) = 0.  All arithmetic is exact; a
+    nonzero remainder of the division by n raises ConsistencyError.
+    """
+    beta = [0, 0] + [small_beta(i, table) for i in range(2, limit + 1)]
+    kappa = [0, 0]
+    for n in range(2, limit + 1):
+        # pairs kappa[j] with beta[n - j]; map/operator keeps the loop in C
+        conv = sum(map(operator.mul, kappa[1:n], beta[n - 1 : 0 : -1]))
+        q, r = divmod(beta[n] + conv, n)
+        if r:
+            raise ConsistencyError(f"kappa recursion not divisible at n={n}")
+        kappa.append(q)
+    return kappa[: limit + 1]
 
 
 def kappa_asymptotic_ratio(m: int, ktable: KappaTable) -> float:

@@ -190,8 +190,8 @@ def test_criterion_09_kappa_oracle(table, kappa60, capsys):
     report(capsys, 9, "kappa recursion matches enumeration to 60", ok)
 
 
-def test_criterion_10_kappa_trend(table, vt, capsys):
-    kt = build_kappa(10**4, table, vt)
+def test_criterion_10_kappa_trend(table, capsys):
+    kt = build_kappa(10**4, table)
     r = [kappa_asymptotic_ratio(m, kt) for m in (10**2, 10**3, 10**4)]
     ok = r[0] < r[1] < r[2] and 0.5 < r[1] < 1.1
     report(capsys, 10, "kappa growth ratio increasing, in band at 10^3", ok,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import shifted_beta
+from oracles import shifted_beta, small_beta
 from primeshift import DomainError, RangeOverflowError, Shift
-from primeshift.arith import big_B, shifted_B, small_beta
+from primeshift.arith import big_B, shifted_B
 from primeshift.sieve import WORD_MAX, is_prime
 
 

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import verify_amicable
-from primeshift import AmicablePair, Shift, build_sieve
+from primeshift import AmicablePair, Shift, build_sieve, constructions
 from primeshift.arith import big_B, shifted_B
 from primeshift.cli import run
 from primeshift.sieve import is_prime
@@ -137,6 +140,21 @@ def test_chain_none(capsys):
     assert json.loads(out) == {"schema_version": 1, "k": 9, "n": None, "a": None, "chain": None}
 
 
+def test_chain_large_k_gives_up_early(capsys, monkeypatch):
+    # the stride, the product of the primes <= k, passes the bound at 11
+    calls = []
+
+    def counted(n, table=None):
+        calls.append(n)
+        assert len(calls) <= 100, "chain tests every s <= k before comparing the stride"
+        return is_prime(n, table)
+
+    monkeypatch.setattr(constructions, "is_prime", counted)
+    code, out, _ = invoke(capsys, "chain", "--k", str(10**9))
+    assert (code, out) == (0, "none\n")
+    assert len(calls) <= 20
+
+
 def test_kappa_csv(capsys):
     code, out, _ = invoke(capsys, "--sieve-limit", "100", "kappa", "--limit", "7")
     assert code == 0
@@ -151,6 +169,20 @@ def test_fibre_text(capsys):
     assert out == "7 10 12\n"
     code, out, _ = invoke(capsys, "--sieve-limit", "2000", "fibre", "--m", "7", "--a", "3")
     assert out == "10 12\n"
+
+
+def test_fibre_bound_above_64_bits(capsys):
+    bound = 10**39
+    code, out, err = invoke(capsys, "--format", "csv", "fibre", "--m", "150", "--bound", str(bound))
+    assert (code, out) == (2, "")
+    assert err.startswith("arithmetic/resource error:") and str(bound) in err
+    code, out, _ = invoke(capsys, "fibre", "--m", "7", "--bound", str(2**63 - 1))
+    assert (code, out) == (0, "7 10 12\n")
+
+
+def test_fibre_negative_bound(capsys):
+    code, out, _ = invoke(capsys, "--sieve-limit", "1000", "fibre", "--m", "2", "--bound", "-3")
+    assert (code, out) == (0, "none\n")
 
 
 def test_density(capsys):
@@ -319,3 +351,45 @@ def test_deterministic_output(capsys):
         )
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+@st.composite
+def small_queries(draw):
+    """argv of a cheap query command; none of them needs a large table."""
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    cmd = draw(st.sampled_from(["orbit", "amicable", "chain", "fibre", "kappa", "density", "stats"]))
+    if cmd == "orbit":
+        argv = ["orbit", "--n", num(2, 10**7), "--a", num(0, 200)]
+    elif cmd == "amicable":
+        p = draw(st.integers(2, 10**6))
+        while not is_prime(p):
+            p += 1
+        argv = ["amicable", "--p", str(p)]
+    elif cmd == "chain":
+        argv = ["chain", "--k", num(1, 6), "--bound", num(0, 2000)]
+    elif cmd == "fibre":
+        argv = ["fibre", "--m", num(-2, 3000), "--a", num(0, 50), "--bound", num(-5, 10**5)]
+    elif cmd == "kappa":
+        argv = ["kappa", "--limit", num(-1, 300)]
+    elif cmd == "density":
+        argv = ["density", "--set", draw(st.sampled_from(["primes", "squares"])), "--x", num(-2, 5 * 10**4)]
+    else:
+        argv = ["stats", draw(st.sampled_from(["avg", "residue"])),
+                "--a", num(0, 200), "--x", num(-2, 5 * 10**4), "--q", num(1, 12)]
+    return ["--format", draw(st.sampled_from(["text", "csv", "json"])), *argv]
+
+
+def _captured_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_queries())
+def test_table_size_never_changes_output(argv):
+    # each command's own sizing against a 10^6 table, the old default
+    assert _captured_run(argv) == _captured_run(["--sieve-limit", "1000000", *argv])

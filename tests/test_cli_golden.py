@@ -20,6 +20,9 @@ GOLDEN = {
     'text kappa --limit 60': 'bdbb565aea6e644de397c5ab5e37d302f0360df60fd81ff039cbb5e5b73910e2',
     'csv kappa --limit 60': 'bdbb565aea6e644de397c5ab5e37d302f0360df60fd81ff039cbb5e5b73910e2',
     'json kappa --limit 60': '7b82e9bafca61ca13365d21a937a064a15fd7885ab516e5deaadca723d9e4592',
+    'text kappa --limit 3000': '9a17753bad2889cf53d4c6a43f7c0b443600b23ae2f498ee747f5bf1cd0613ec',
+    'csv kappa --limit 3000': '9a17753bad2889cf53d4c6a43f7c0b443600b23ae2f498ee747f5bf1cd0613ec',
+    'json kappa --limit 3000': '1ae6b62551fc9e808e530f8229e2da8a4e87e4270860ea718ceb604296f5a06d',
     'text fibre --m 40': '111 319 391 434 620 722 744 812 837\n',
     'csv fibre --m 40': 'n\n111\n319\n391\n434\n620\n722\n744\n812\n837\n',
     'json fibre --m 40': 'd85144596ac72f4c58a1b1e7796590a1d87a1e43fab8b15d6e56bb25ea7341d0',

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import enumerate_fibre_exact, kappa_asymptotic_ratio, prime_partitions
+from oracles import enumerate_fibre_exact, kappa_asymptotic_ratio, kappa_recursion, prime_partitions
 from primeshift import (
     DomainError,
     build_kappa,
@@ -44,6 +44,11 @@ def test_kappa_vs_oracle(table, kappa60):
 def test_kappa_vs_enumeration(table, kappa60):
     for m in range(2, 31):
         assert kappa60[m] == sum(1 for _ in prime_partitions(m, table))
+
+
+def test_kappa_matches_recursion_oracle(table):
+    # the paper's beta-weighted recursion, with its exact-division check
+    assert list(build_kappa(1000, table).kappa) == kappa_recursion(1000, table)
 
 
 def test_kappa_positive_from_two(kappa60):
@@ -120,8 +125,8 @@ def test_fibre_shift_independence(table, m, a):
     assert base.symmetric_difference(shifted) <= {m - a, m}
 
 
-def test_kappa_ratio_trend(table, vt):
-    kt = build_kappa(1000, table, vt)
+def test_kappa_ratio_trend(table):
+    kt = build_kappa(1000, table)
     r100 = kappa_asymptotic_ratio(100, kt)
     r1000 = kappa_asymptotic_ratio(1000, kt)
     assert 0 < r100 < r1000 < 1.1

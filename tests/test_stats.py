@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import excess_tail_count, prime_count, shifted_beta
+from oracles import excess_tail_count, prime_count, shifted_beta, small_beta
 from primeshift import (
     DomainError,
     average_order_series,
@@ -11,7 +11,7 @@ from primeshift import (
     parity_sum,
     residue_distribution,
 )
-from primeshift.arith import big_B, shifted_B, small_beta
+from primeshift.arith import big_B, shifted_B
 
 
 def test_average_order_hand_sum(vt):
