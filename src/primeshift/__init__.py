@@ -24,7 +24,6 @@ from .stats import (
     parity_sum,
     residue_distribution,
 )
-from .tables import ValueTable, build_value_table
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .arith import Shift, as_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError
 from .sieve import build_sieve, is_prime
-from .tables import CHUNK, build_value_table, step_map
+from .tables import CHUNK, step_map
 
 
 def climb_margin(a: int) -> int:
@@ -80,7 +80,7 @@ def _find_cycles(f, margin, budget, a):
     a composite c <= x + margin, and x <= B(c) <= c/2 + 2 <= (x + margin)/2
     + 2.  So walks from the starts 2..margin+4 meet every cycle.  For
     a = 0 every cycle is a fixed point: n = 4, which the walks meet, or a
-    prime, which run_census labels from the prime mask.
+    prime, which run_census labels from the sieve's primes.
     """
     seen: set[int] = set()
     cycles: dict[int, list[int]] = {}
@@ -162,10 +162,9 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     margin = climb_margin(a)
     limit = census_limit(a, start_limit)
     table = build_sieve(limit)
-    vt = build_value_table(table)
     budget = default_max_steps(limit, a)
 
-    f = step_map(vt, shift)
+    f = step_map(table, shift)
     # Only primes p > limit - a step past the table, and no start reaches
     # them; index 0 is never labelled, so they and their preimages stay
     # pending.
@@ -178,11 +177,10 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     # the number of B_a steps to get there.
     label = np.zeros(limit + 1, dtype=label_dtype(len(minima), a, f.dtype))
     if a == 0:
-        primes = np.flatnonzero(vt.prime_mask)
+        primes = table.primes()
         label[primes] = primes
     for i, m in enumerate(minima):
         label[walked[m]] = m if a == 0 else i + 1
-    del vt  # frees B and the prime mask
     dist = np.zeros(limit + 1, dtype=dist_dtype(budget))
     cap = min(budget, int(np.iinfo(dist.dtype).max) - 1)
     pending = np.empty(0, dtype=np.intp)

@@ -35,7 +35,6 @@ from .stats import (
     parity_sum,
     residue_distribution,
 )
-from .tables import build_value_table
 
 DEFAULT_LIMIT = 10**6
 SCHEMA_VERSION = 1
@@ -285,25 +284,24 @@ def _read_members(path: str) -> set[int]:
         raise DomainError(f"cannot read target set file {path!r}: {exc}") from None
 
 
-def _target_predicate(spec: str, vt):
-    """Vectorised membership test for B-values, which lie in [2, vt.limit]."""
+def _target_predicate(spec: str, table):
+    """Vectorised membership test for B-values, which lie in [2, table.limit]."""
     if spec == "primes":
-        mask = vt.prime_mask
+        members = table.primes()
+    elif spec == "squares":
+        members = np.arange(math.isqrt(table.limit) + 1) ** 2
+    elif spec.startswith("file:"):
+        members = [m for m in _read_members(spec[len("file:") :]) if 0 <= m <= table.limit]
     else:
-        if spec == "squares":
-            members = np.arange(math.isqrt(vt.limit) + 1) ** 2
-        elif spec.startswith("file:"):
-            members = [m for m in _read_members(spec[len("file:") :]) if 0 <= m <= vt.limit]
-        else:
-            raise DomainError(f"unknown target set {spec!r}")
-        mask = np.zeros(vt.limit + 1, dtype=bool)
-        mask[members] = True
+        raise DomainError(f"unknown target set {spec!r}")
+    mask = np.zeros(table.limit + 1, dtype=bool)
+    mask[members] = True
     return lambda v: mask[v]
 
 
 def _cmd_density(args):
-    vt = build_value_table(_table(args, args.x))
-    count, density = preimage_density(_target_predicate(args.target, vt), args.x, vt)
+    table = _table(args, args.x)
+    count, density = preimage_density(_target_predicate(args.target, table), args.x, table)
     payload = {"set": args.target, "x": args.x, "count": count, "density": density}
     return _emit(args, payload, list(payload), [payload.values()])
 
@@ -312,16 +310,16 @@ _SERIES = {"avg": average_order_series, "bmb": b_minus_beta_series, "parity": pa
 
 
 def _cmd_stats(args):
-    vt = build_value_table(_table(args, args.x))
+    table = _table(args, args.x)
     if args.mode == "density":
-        payload = {"N": args.N, "x": args.x, "density": estimate_local_density(args.N, args.x, vt)}
+        payload = {"N": args.N, "x": args.x, "density": estimate_local_density(args.N, args.x, table)}
         return _emit(args, payload, list(payload), [payload.values()])
     if args.mode == "residue":
-        counts = residue_distribution(Shift(args.a), args.q, args.x, vt)
+        counts = residue_distribution(Shift(args.a), args.q, args.x, table)
         payload = {"a": args.a, "q": args.q, "x": args.x,
                    "counts": {str(h): c for h, c in sorted(counts.items())}}
         return _emit(args, payload, ["h", "count"], sorted(counts.items()))
-    s = _SERIES[args.mode](Shift(args.a), _checkpoints(args.x), vt)
+    s = _SERIES[args.mode](Shift(args.a), _checkpoints(args.x), table)
     rows = list(zip(s.checkpoints, s.sums, s.reference, s.ratios))
     columns = ["x", "sum", "reference", "ratio"]
     return _emit(args, {"rows": [dict(zip(columns, row)) for row in rows]}, columns, rows)

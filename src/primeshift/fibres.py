@@ -15,7 +15,7 @@ import numpy as np
 from .arith import Shift, as_shift
 from .errors import DomainError, RangeOverflowError
 from .sieve import WORD_MAX, SieveTable, is_prime
-from .tables import ValueTable
+from .tables import big_b
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ def enumerate_fibre(
     if top > table.limit:
         raise DomainError(f"fibre of m={m} at bound {x_bound} needs primes up to {top}, "
                           f"sieve limit is {table.limit}")
-    idx = np.arange(2, top + 1)
-    primes = idx[table.spf[2 : top + 1] == idx].tolist()
+    primes = table.primes()
+    primes = primes[: np.searchsorted(primes, top, side="right")].tolist()
     out = []
 
     def rec(rest, prod, cap):
@@ -115,16 +115,16 @@ def enumerate_fibre(
     return sorted(out)
 
 
-def preimage_density(target_set, x: int, vt: ValueTable) -> tuple[int, float]:
+def preimage_density(target_set, x: int, table: SieveTable) -> tuple[int, float]:
     """(count, density) of {2 <= n <= x : B(n) in target_set}; density is count / x.
 
     target_set is a vectorised predicate, called exactly once, on the
-    read-only array of B(n) for 2 <= n <= x, in the table's dtype (int32
+    array of B(n) for 2 <= n <= x, in the sieve's dtype (int32
     below 2^31; every entry lies in [2, x]).  It returns a bool array of
     that shape, or a scalar, which broadcasts.
     """
-    vt.check_x(x)
-    values = vt.big_b[2 : x + 1]
+    table.check_x(x)
+    values = big_b(table)[2 : x + 1]
     hit = np.broadcast_to(np.asarray(target_set(values), dtype=bool), values.shape)
     count = int(np.count_nonzero(hit))
     return count, count / x

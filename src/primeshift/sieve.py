@@ -50,6 +50,13 @@ class SieveTable:
             self._primes = primes
         return self._primes
 
+    def check_x(self, x: int) -> None:
+        """Raise DomainError unless 2 <= x <= limit, the range of n <= x sums."""
+        if x < 2:
+            raise DomainError(f"x must be >= 2, got x={x}")
+        if x > self.limit:
+            raise DomainError(f"x={x} exceeds table limit {self.limit}")
+
 
 def index_dtype(top: int) -> type:
     """int32 when every value in [0, top] fits it, else int64."""

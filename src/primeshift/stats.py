@@ -1,6 +1,6 @@
 """Empirical distribution checks: partial sums, local densities, residues.
 
-Partial sums are exact int64 accumulations over the value tables; the
+Partial sums are exact integer accumulations over the bulk tables; the
 analytic reference terms (pi^2 x^2 / (12 log x) and friends) are double
 precision, which is all the ratio diagnostics need.
 """
@@ -14,7 +14,8 @@ import numpy as np
 
 from .arith import Shift, as_shift
 from .errors import DomainError
-from .tables import ValueTable, step_map
+from .sieve import SieveTable
+from .tables import beta, big_b, step_map
 
 
 @dataclass(frozen=True)
@@ -35,25 +36,21 @@ class PartialSumSeries:
             raise DomainError("series fields must have equal lengths")
 
 
-def _checked_cps(checkpoints, vt):
-    """Checkpoints ascending, each in [2, vt.limit]."""
+def _checked_cps(checkpoints, table):
+    """Checkpoints ascending, each in [2, table.limit]."""
     cps = sorted(int(c) for c in checkpoints)
-    vt.check_x(cps[0])
-    vt.check_x(cps[-1])
+    table.check_x(cps[0])
+    table.check_x(cps[-1])
     return cps
 
 
 def _exact_partial_sums(values, cps):
     """Exact sums of values[: c - 1] for each checkpoint c (values start at n=2).
 
-    Uses an int64 cumsum when provably overflow-free, otherwise chunked
-    accumulation into arbitrary-precision Python integers.
+    Each chunk's int64 sum stays within 2^61 by the choice of its length,
+    and the chunk sums add up in Python integers, so every sum is exact.
     """
-    n = values.size
-    peak = int(np.abs(values).max()) if n else 0
-    if n * peak < 2**62:
-        csum = np.cumsum(values, dtype=np.int64)
-        return [int(csum[c - 2]) for c in cps]
+    peak = int(np.abs(values).max())
     chunk = max(1, 2**61 // max(peak, 1))
     out, total, prev = [], 0, 0
     for c in cps:
@@ -76,11 +73,11 @@ def _series(checkpoints, values, ref_fn, ratio_fn=None):
     return PartialSumSeries(cps, sums, refs, ratios)
 
 
-def average_order_series(shift: Shift | int, checkpoints, vt: ValueTable) -> PartialSumSeries:
+def average_order_series(shift: Shift | int, checkpoints, table: SieveTable) -> PartialSumSeries:
     """Partial sums of B_a against the main term pi^2 x^2 / (12 log x)."""
     shift = as_shift(shift)
-    cps = _checked_cps(checkpoints, vt)
-    f = step_map(vt, shift)  # exact B_a values; escapes above limit are irrelevant to sums
+    cps = _checked_cps(checkpoints, table)
+    f = step_map(table, shift)  # exact B_a values; escapes above limit are irrelevant to sums
     return _series(
         cps,
         f[2 : max(cps) + 1],
@@ -88,15 +85,15 @@ def average_order_series(shift: Shift | int, checkpoints, vt: ValueTable) -> Par
     )
 
 
-def b_minus_beta_series(shift: Shift | int, checkpoints, vt: ValueTable) -> PartialSumSeries:
+def b_minus_beta_series(shift: Shift | int, checkpoints, table: SieveTable) -> PartialSumSeries:
     """Partial sums of B_a - beta_a (= B - beta, shift-independent).
 
     Reference is x log log x; the ratio reported is (sum - ref) / x, the
     bounded quantity in the expansion x log log x + O(x).
     """
     as_shift(shift)  # validated; the difference does not depend on a
-    cps = _checked_cps(checkpoints, vt)
-    diff = vt.big_b[2 : max(cps) + 1] - vt.beta[2 : max(cps) + 1]
+    cps = _checked_cps(checkpoints, table)
+    diff = big_b(table)[2 : max(cps) + 1] - beta(table)[2 : max(cps) + 1]
     return _series(
         cps,
         diff,
@@ -105,16 +102,16 @@ def b_minus_beta_series(shift: Shift | int, checkpoints, vt: ValueTable) -> Part
     )
 
 
-def estimate_local_density(N: int, x: int, vt: ValueTable) -> float:
+def estimate_local_density(N: int, x: int, table: SieveTable) -> float:
     """Fraction of n <= x with B(n) - beta(n) = N."""
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
-    vt.check_x(x)
-    diff = vt.big_b[2 : x + 1] - vt.beta[2 : x + 1]
+    table.check_x(x)
+    diff = big_b(table)[2 : x + 1] - beta(table)[2 : x + 1]
     return int(np.count_nonzero(diff == N)) / x
 
 
-def parity_sum(shift: Shift | int, checkpoints, vt: ValueTable) -> PartialSumSeries:
+def parity_sum(shift: Shift | int, checkpoints, table: SieveTable) -> PartialSumSeries:
     """S(x) = sum over 2 <= n <= x of (-1)^{B_a(n)}.
 
     For even a the sum is o(x): reference is 0 and the ratio reported is
@@ -122,8 +119,8 @@ def parity_sum(shift: Shift | int, checkpoints, vt: ValueTable) -> PartialSumSer
     tracks 2 pi(x); reference is 2x / log x with ratio S / reference.
     """
     shift = as_shift(shift)
-    cps = _checked_cps(checkpoints, vt)
-    f = step_map(vt, shift)
+    cps = _checked_cps(checkpoints, table)
+    f = step_map(table, shift)
     signs = 1 - 2 * (f[2 : max(cps) + 1] & 1)
     if shift.a % 2 == 0:
         return _series(
@@ -132,12 +129,12 @@ def parity_sum(shift: Shift | int, checkpoints, vt: ValueTable) -> PartialSumSer
     return _series(cps, signs, lambda x: 2 * x / math.log(x))
 
 
-def residue_distribution(shift: Shift | int, q: int, x: int, vt: ValueTable) -> dict[int, int]:
+def residue_distribution(shift: Shift | int, q: int, x: int, table: SieveTable) -> dict[int, int]:
     """Counts of n <= x (n >= 2) with B_a(n) = h mod q, for each residue h."""
     if q <= 2:
         raise DomainError(f"q must be > 2, got {q}")
     shift = as_shift(shift)
-    vt.check_x(x)
-    f = step_map(vt, shift)
+    table.check_x(x)
+    f = step_map(table, shift)
     counts = np.bincount(f[2 : x + 1] % q, minlength=q)
     return {h: int(counts[h]) for h in range(q)}

@@ -19,7 +19,7 @@ from primeshift.dynamics import Cycle, canonicalize, iterate_orbit
 from primeshift.errors import ConsistencyError, DomainError, RangeOverflowError
 from primeshift.fibres import KappaTable
 from primeshift.sieve import WORD_MAX, SieveTable, factorize, is_prime
-from primeshift.tables import ValueTable, build_value_table
+from primeshift.tables import beta, big_b
 
 
 def run_census_naive(
@@ -91,9 +91,9 @@ def shifted_beta(n: int, shift: Shift | int, table: SieveTable) -> int:
     return small_beta(n, table)
 
 
-def prime_count(vt: ValueTable, x: int) -> int:
-    """pi(x) for x <= vt.limit."""
-    return int(np.count_nonzero(vt.prime_mask[: x + 1]))
+def prime_count(table: SieveTable, x: int) -> int:
+    """pi(x) for x <= table.limit, by a scan for spf[n] == n."""
+    return int(np.count_nonzero(table.spf[2 : x + 1] == np.arange(2, x + 1)))
 
 
 def prime_partitions(m: int, table: SieveTable):
@@ -168,27 +168,24 @@ def verify_amicable(pair: AmicablePair, table: SieveTable) -> bool:
     )
 
 
-def min_composite_preimage(
-    p: int,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-) -> int:
+def min_composite_preimage(p: int, table: SieveTable) -> int:
     """Least composite n with B(n) = p, by direct scan of B-values.
 
     Independent of build_amicable; used as the oracle for its minimality
-    claim.  Scans the whole sieve range, so it requires the answer to lie
-    below table.limit.
+    claim.  Scans ever longer prefixes of the sieve, doubling up to the
+    whole range, so it requires the answer to lie below table.limit.
     """
     if p < 5:
         raise DomainError(f"p must be >= 5, got {p}")
-    vt = value_table if value_table is not None else build_value_table(table)
-    hits = np.nonzero((vt.big_b == p) & ~vt.prime_mask)[0]
-    hits = hits[hits >= 4]
-    if hits.size == 0:
-        raise DomainError(
-            f"no composite preimage of {p} within sieve limit {table.limit}"
-        )
-    return int(hits[0])
+    k = p
+    while k < table.limit:
+        k = min(2 * k, table.limit)
+        spf = table.spf[: k + 1]
+        # B(0) = B(1) = 0 < p, so every hit is some n >= 2 with spf[n] != n
+        hits = np.flatnonzero((big_b(SieveTable(k, spf)) == p) & (spf != np.arange(k + 1)))
+        if hits.size:
+            return int(hits[0])
+    raise DomainError(f"no composite preimage of {p} within sieve limit {table.limit}")
 
 
 def validate_chain(witness: ChainWitness, table: SieveTable) -> bool:
@@ -206,14 +203,8 @@ def validate_chain(witness: ChainWitness, table: SieveTable) -> bool:
     return True
 
 
-def excess_tail_count(
-    K: int,
-    x: int,
-    table: SieveTable,
-    value_table: ValueTable | None = None,
-) -> int:
+def excess_tail_count(K: int, x: int, table: SieveTable) -> int:
     """#{n <= x : B(n) - beta(n) > K}, the tail mass beyond K."""
-    vt = value_table if value_table is not None else build_value_table(table)
-    vt.check_x(x)
-    diff = vt.big_b[2 : x + 1] - vt.beta[2 : x + 1]
+    table.check_x(x)
+    diff = big_b(table)[2 : x + 1] - beta(table)[2 : x + 1]
     return int(np.count_nonzero(diff > K))

@@ -90,17 +90,17 @@ def test_criterion_02_a39_census(capsys):
     report(capsys, 2, "a=39 has exactly four nontrivial cycles", ok)
 
 
-def test_criterion_03_sweep_max_four(table, vt, capsys):
+def test_criterion_03_sweep_max_four(capsys):
     counts, argmax = cycle_count_sweep(200, LIMIT)
     ok = max(counts.values()) == 4
     report(capsys, 3, "sweep a<=200: max nontrivial cycles is 4", ok,
            f"argmax a={sorted(argmax)}")
 
 
-def test_criterion_04_a1_dynamics(vt, capsys):
-    f = step_map(vt, 1)
+def test_criterion_04_a1_dynamics(table, capsys):
+    f = step_map(table, 1)
     n = np.arange(LIMIT + 1)
-    prime = vt.prime_mask[: LIMIT + 1].copy()
+    prime = table.spf[: LIMIT + 1] == n  # also True at n = 0, excluded below
     comp = ~prime
     comp[:4] = False
     comp[6] = False  # exclude cycle members 4..6 handled below
@@ -114,12 +114,12 @@ def test_criterion_04_a1_dynamics(vt, capsys):
     report(capsys, 4, "a=1 orbits end in (4) or (5,6), sigma exact", ok)
 
 
-def test_criterion_05_unique_fixed_point(table, vt, capsys):
+def test_criterion_05_unique_fixed_point(table, capsys):
     bound = 10**5
     n = np.arange(bound + 1)
     bad = []
     for a in range(1, 101):
-        f = step_map(vt, a)[: bound + 1]
+        f = step_map(table, a)[: bound + 1]
         fixed = n[2:][f[2:] == n[2:]]
         if list(fixed) != [4]:
             bad.append((a, list(fixed)))
@@ -127,21 +127,21 @@ def test_criterion_05_unique_fixed_point(table, vt, capsys):
            str(bad) if bad else "")
 
 
-def test_criterion_06_composite_bound(table, vt, capsys):
+def test_criterion_06_composite_bound(table, b_values, capsys):
     n = np.arange(LIMIT + 1)
-    comp = ~vt.prime_mask[: LIMIT + 1]
+    comp = table.spf[: LIMIT + 1] != n
     comp[:4] = False
-    ok = bool(np.all(2 * vt.big_b[: LIMIT + 1][comp] <= 4 + n[comp]))
+    ok = bool(np.all(2 * b_values[: LIMIT + 1][comp] <= 4 + n[comp]))
     report(capsys, 6, "B(n) <= 2 + n/2 on composites to 10^6", ok)
 
 
-def test_criterion_07_descent_bound(table, vt, capsys):
+def test_criterion_07_descent_bound(table, capsys):
     bound = 10**5
     n = np.arange(bound + 1)
-    prime = vt.prime_mask[: bound + 1]
+    prime = table.spf[: bound + 1] == n  # also True at n = 0, below every floor
     failures = []
     for a in range(1, 51):
-        f = step_map(vt, a)
+        f = step_map(table, a)
         floor = 2 * a * a + 10
         p = n[prime & (n > floor)]
         x = p.copy()
@@ -155,7 +155,7 @@ def test_criterion_07_descent_bound(table, vt, capsys):
            not failures, str(failures) if failures else "")
 
 
-def test_criterion_08_amicable(table, vt, capsys):
+def test_criterion_08_amicable(table, capsys):
     valid = True
     for p in range(5, 10**4 + 1):
         if is_prime(p, table):
@@ -165,7 +165,7 @@ def test_criterion_08_amicable(table, vt, capsys):
     for p in range(5, 10**3 + 1):
         if is_prime(p, table):
             pair = build_amicable(p, table)
-            mn = min_composite_preimage(p, table, vt)
+            mn = min_composite_preimage(p, table)
             if pair.n != mn:
                 findings.append((p, pair.n, mn))
     detail = (
@@ -198,44 +198,44 @@ def test_criterion_10_kappa_trend(table, capsys):
            "ratios " + ", ".join(f"{v:.3f}" for v in r))
 
 
-def test_criterion_11_average_order(vt, capsys):
-    s = average_order_series(0, [10**4, 10**5, 10**6], vt)
+def test_criterion_11_average_order(table, capsys):
+    s = average_order_series(0, [10**4, 10**5, 10**6], table)
     ok = all(0.9 < r < 1.4 for r in s.ratios)
     ok = ok and abs(s.ratios[0] - 1) > abs(s.ratios[1] - 1) > abs(s.ratios[2] - 1)
-    pi_x = prime_count(vt, 10**6)
+    pi_x = prime_count(table, 10**6)
     for a in (1, 10):
-        sa = average_order_series(a, [10**6], vt)
+        sa = average_order_series(a, [10**6], table)
         ok = ok and sa.sums[0] - s.sums[2] == a * pi_x
     report(capsys, 11, "average order band and exact shift decomposition", ok,
            "ratios " + ", ".join(f"{v:.3f}" for v in s.ratios))
 
 
-def test_criterion_12_parity(vt, capsys):
-    s0 = parity_sum(0, [10**6], vt)
-    s1 = parity_sum(1, [10**6], vt)
-    r = s1.sums[0] / (2 * prime_count(vt, 10**6))
+def test_criterion_12_parity(table, capsys):
+    s0 = parity_sum(0, [10**6], table)
+    s1 = parity_sum(1, [10**6], table)
+    r = s1.sums[0] / (2 * prime_count(table, 10**6))
     ok = abs(s0.sums[0]) / 10**6 < 0.02 and 0.7 < r < 1.3
     report(capsys, 12, "parity sums: even-shift cancellation, odd-shift drift",
            ok, f"|S0|/x={abs(s0.sums[0])/10**6:.4f}, odd ratio={r:.3f}")
 
 
-def test_criterion_13_local_density(table, vt, capsys):
-    d0 = estimate_local_density(0, 10**6, vt)
+def test_criterion_13_local_density(table, capsys):
+    d0 = estimate_local_density(0, 10**6, table)
     ok = abs(d0 - 6 / math.pi**2) < 0.01
     # fit the tail constant on the 10^5 data, verify it at 10^6
     ks = (4, 8, 16)
     fit_x = 10**5
-    C = 1.1 * max(K * excess_tail_count(K, fit_x, table, vt) / fit_x for K in ks)
+    C = 1.1 * max(K * excess_tail_count(K, fit_x, table) / fit_x for K in ks)
     for K in ks:
-        ok = ok and excess_tail_count(K, 10**6, table, vt) <= C * 10**6 / K
+        ok = ok and excess_tail_count(K, 10**6, table) <= C * 10**6 / K
     report(capsys, 13, "density at N=0 and fitted tail bound", ok,
            f"d0={d0:.6f}, C={C:.3f}")
 
 
-def test_criterion_14_square_value_density(vt, capsys):
+def test_criterion_14_square_value_density(table, capsys):
     squares = np.arange(1001) ** 2  # every B-value here is <= 10^6 = 1000^2
     sq = lambda v: np.isin(v, squares)
-    d = [preimage_density(sq, x, vt)[1] for x in (10**4, 10**5, 10**6)]
+    d = [preimage_density(sq, x, table)[1] for x in (10**4, 10**5, 10**6)]
     ok = d[0] > d[1] > d[2] > 0
     report(capsys, 14, "density of square B-values strictly decreasing", ok,
            "densities " + ", ".join(f"{v:.5f}" for v in d))

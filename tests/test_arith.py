@@ -8,6 +8,7 @@ from oracles import shifted_beta, small_beta
 from primeshift import DomainError, RangeOverflowError, Shift
 from primeshift.arith import big_B, shifted_B
 from primeshift.sieve import WORD_MAX, is_prime
+from primeshift.tables import CHUNK, step_map
 
 
 def test_big_b_examples(table):
@@ -91,11 +92,11 @@ def test_power_rule(table):
             assert shifted_B(n**k, 7, table) == k * bn
 
 
-def test_beta_le_b_exhaustive(vt):
+def test_beta_le_b_exhaustive(b_values, beta_values):
     # beta <= B with equality exactly on squarefree n, for all n <= 10^6
     n = np.arange(2, 10**6 + 1)
-    b = vt.big_b[2 : 10**6 + 1]
-    beta = vt.beta[2 : 10**6 + 1]
+    b = b_values[2 : 10**6 + 1]
+    beta = beta_values[2 : 10**6 + 1]
     assert np.all(beta <= b)
     spf_squarefree = np.ones(10**6 + 1, dtype=bool)
     for p in range(2, 1001):
@@ -104,14 +105,21 @@ def test_beta_le_b_exhaustive(vt):
     assert np.array_equal(beta == b, spf_squarefree[n])
 
 
-def test_value_table_matches_scalar(table, vt):
-    # Fixed cases, every n <= 2*10^4, then seeded random n up to 10^6.
+def test_value_table_matches_scalar(table, b_values, beta_values):
+    # Fixed cases, every n <= 2*10^4, then seeded random n up to 10^6, and
+    # every n within 50 of a multiple of CHUNK, where step_map's shift
+    # changes blocks.
     rng = np.random.default_rng(20240)
     ns = [97, 360, 999999, 6469693230 % 10**6, *range(2, 2 * 10**4 + 1)]
     ns += rng.integers(2, 10**6 + 1, 2000).tolist()
     for n in ns:
-        assert int(vt.big_b[n]) == big_B(n, table), n
-        assert int(vt.beta[n]) == small_beta(n, table), n
+        assert int(b_values[n]) == big_B(n, table), n
+        assert int(beta_values[n]) == small_beta(n, table), n
+    ns += [n for c in range(CHUNK, 10**6 + 1, CHUNK) for n in range(c - 50, c + 51)]
+    for a in (0, 1, 39):
+        f = step_map(table, a)
+        for n in ns:
+            assert int(f[n]) == shifted_B(n, a, table), (n, a)
 
 
 def test_composite_decrease(table):

@@ -90,11 +90,11 @@ def test_census_on_table_below_cycle_bound():
         assert _summary(fast) == _summary(run_census_naive(a, 20, tiny)), f"a={a}"
 
 
-def test_census_limit_bounds_orbits(vt):
+def test_census_limit_bounds_orbits(table):
     starts = np.arange(2, 3001)
     for a in range(201):
         m = climb_margin(a)
-        f = step_map(vt, a)
+        f = step_map(table, a)
         x = starts
         top = starts.copy()
         for _ in range(default_max_steps(3000, a)):
@@ -142,7 +142,7 @@ def test_table1_rows_match_catalog():
         assert {c.members for c in rep.nontrivial_cycles} == canonical_set(rows), f"a={a}"
 
 
-def test_sweep_counts(table, vt):
+def test_sweep_counts():
     counts, argmax = cycle_count_sweep(20, 10**6)
     assert counts[1] == 1
     assert counts[17] == 2
@@ -205,13 +205,16 @@ def test_dist_past_budget_raises(monkeypatch):
 
 def test_census_peak_memory():
     # Bytes per table entry at the census's own peak, numpy buffers included.
-    tracemalloc.start()
-    try:
-        run_census(39, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 28 * census_limit(39, 10**6)
+    # The window pass's CHUNK-sized temporaries weigh most at 10^6; at
+    # 4*10^6 the bound tracks the whole-length arrays alive together.
+    for start_limit, per_entry in ((10**6, 28), (4 * 10**6, 13)):
+        tracemalloc.start()
+        try:
+            run_census(39, start_limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_entry * census_limit(39, start_limit), start_limit
 
 
 def _trial_division_factors(n):

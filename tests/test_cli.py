@@ -280,6 +280,24 @@ def test_stats_residue(capsys):
     assert sum(counts) == 10000 - 1
 
 
+def test_stats_shift_past_64_bits(capsys):
+    # The largest prime <= 5 is 5 itself, and 5 + a leaves the 64-bit range.
+    for argv in (
+        ["residue", "--x", "5", "--a", str(2**63 - 1), "--q", "3"],
+        ["avg", "--x", "5", "--a", "99999999999999999999"],
+    ):
+        code, out, err = invoke(capsys, "--format", "json", "stats", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"arithmetic/resource error: 5 + {argv[4]} exceeds the 64-bit range\n"
+    # The largest prime <= 1000 is 997, and 997 + a still fits.
+    code, out, _ = invoke(
+        capsys, "--format", "json", "stats", "avg", "--x", "1000", "--a", "9223372036854774000"
+    )
+    assert code == 0
+    last = json.loads(out)["rows"][-1]
+    assert (last["x"], last["sum"]) == (1000, 1549526502191602174707)
+
+
 def test_out_file(capsys, tmp_path):
     dest = tmp_path / "orbit.txt"
     code, out, _ = invoke(

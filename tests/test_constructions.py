@@ -29,24 +29,24 @@ def test_amicable_domain(table):
             build_amicable(bad, table)
 
 
-def test_min_composite_preimage(table, vt):
-    assert min_composite_preimage(7, table, vt) == 10
-    assert min_composite_preimage(11, table, vt) == 28
-    assert min_composite_preimage(5, table, vt) == 6
+def test_min_composite_preimage(table):
+    assert min_composite_preimage(7, table) == 10
+    assert min_composite_preimage(11, table) == 28
+    assert min_composite_preimage(5, table) == 6
     # brute-force cross-check against scalar evaluation
     for p in (13, 29):
-        mn = min_composite_preimage(p, table, vt)
+        mn = min_composite_preimage(p, table)
         assert not is_prime(mn, table) and big_B(mn, table) == p
         for n in range(4, mn):
             assert is_prime(n, table) or big_B(n, table) != p
 
 
-def test_minimality_counterexample(table, vt):
+def test_minimality_counterexample(table):
     # the largest-divisor construction does NOT always give the minimum:
     # p = 29 builds 23*3^2 = 207 but 23*2^3 = 184 is a smaller preimage
     pair = build_amicable(29, table)
     assert pair.n == 207
-    assert min_composite_preimage(29, table, vt) == 184
+    assert min_composite_preimage(29, table) == 184
 
 
 def test_chain_k1(table):

@@ -9,7 +9,6 @@ from primeshift import (
     DomainError,
     build_kappa,
     build_sieve,
-    build_value_table,
     enumerate_fibre,
     preimage_density,
 )
@@ -84,8 +83,8 @@ def test_fibre_matches_step_map_scan(table):
     rng = random.Random(20)
     cases = [(rng.randint(2, 10**4), rng.randint(0, 50)) for _ in range(20)]
     cases += [(m, a) for m in range(2, 60) for a in (0, 3, 17)]
-    small_vt = build_value_table(build_sieve(10**5))
-    maps = {a: step_map(small_vt, a) for _, a in cases}
+    small = build_sieve(10**5)
+    maps = {a: step_map(small, a) for _, a in cases}
     for m, a in cases:
         scan = (np.flatnonzero(maps[a][2:] == m) + 2).tolist()
         assert enumerate_fibre(m, a, 10**5, table) == scan, (m, a)
@@ -110,9 +109,9 @@ def test_fibre_partition_bijection(table, kappa60):
         assert bounded == exact
 
 
-def test_fibre_has_composite_solution(table, vt):
+def test_fibre_has_composite_solution(table):
     for m in range(5, 1001):
-        fibre = enumerate_fibre(m, 0, vt.limit, table)
+        fibre = enumerate_fibre(m, 0, table.limit, table)
         assert any(not is_prime(n, table) for n in fibre), f"m={m}"
 
 
@@ -135,27 +134,27 @@ def test_kappa_ratio_trend(table):
     assert kappa_asymptotic_ratio(3, kt) == 0.0
 
 
-def test_preimage_density(vt):
-    count, density = preimage_density(lambda v: v == 7, 10**3, vt)
+def test_preimage_density(table):
+    count, density = preimage_density(lambda v: v == 7, 10**3, table)
     assert count == 3 and density == 3 / 10**3
     # a scalar result broadcasts over the whole array
-    count, density = preimage_density(lambda v: False, 10**3, vt)
+    count, density = preimage_density(lambda v: False, 10**3, table)
     assert (count, density) == (0, 0.0)
 
 
-def test_preimage_density_calls_predicate_once(vt):
+def test_preimage_density_calls_predicate_once(table, b_values):
     seen = []
 
     def counted(v):
         seen.append(v.shape)
         return v % 2 == 0
 
-    count, _ = preimage_density(counted, 5000, vt)
+    count, _ = preimage_density(counted, 5000, table)
     assert seen == [(4999,)]
-    assert count == int(np.count_nonzero(vt.big_b[2:5001] % 2 == 0))
+    assert count == int(np.count_nonzero(b_values[2:5001] % 2 == 0))
 
 
 @pytest.mark.parametrize("x", [1, 0, -5])
-def test_preimage_density_rejects_x_below_two(vt, x):
+def test_preimage_density_rejects_x_below_two(table, x):
     with pytest.raises(DomainError, match=f"x={x}"):
-        preimage_density(lambda v: True, x, vt)
+        preimage_density(lambda v: True, x, table)

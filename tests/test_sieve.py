@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeshift import DomainError, build_sieve, build_value_table
+from primeshift import DomainError, build_sieve
 from primeshift.sieve import factorize, is_prime
 
 
@@ -35,8 +35,8 @@ def test_spf_matches_masked_sieve():
 
 
 def test_primes_match_full_index_scan():
-    # primes() and the value table's prime mask make no full-length index,
-    # and must agree with the scan that did.
+    # primes() makes no full-length index, and must agree with the scan
+    # that did.
     for limit in [*range(2, 201), 10**6]:
         table = build_sieve(limit)
         full = np.nonzero(table.spf == np.arange(limit + 1, dtype=table.spf.dtype))[0]
@@ -44,7 +44,6 @@ def test_primes_match_full_index_scan():
         got = table.primes()
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected), limit
-        assert np.array_equal(np.flatnonzero(build_value_table(table).prime_mask), expected)
 
 
 def test_spf_small():

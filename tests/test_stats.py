@@ -14,112 +14,112 @@ from primeshift import (
 from primeshift.arith import big_B, shifted_B
 
 
-def test_average_order_hand_sum(vt):
+def test_average_order_hand_sum(table):
     # B(2..10) = 2,3,4,5,5,7,6,6,7 summing to 45; a shifts add a*pi(10) = 4a
-    s = average_order_series(0, [10], vt)
+    s = average_order_series(0, [10], table)
     assert s.sums == (45,)
     for a in (1, 4, 9):
-        sa = average_order_series(a, [10], vt)
+        sa = average_order_series(a, [10], table)
         assert sa.sums[0] == 45 + 4 * a
 
 
-def test_shift_decomposition_exact(vt):
+def test_shift_decomposition_exact(table):
     # sum B_a - sum B = a * pi(x), exactly
     for a, x in ((1, 10**5), (10, 10**6), (7, 12345)):
-        base = average_order_series(0, [x], vt).sums[0]
-        shifted = average_order_series(a, [x], vt).sums[0]
-        assert shifted - base == a * prime_count(vt, x)
+        base = average_order_series(0, [x], table).sums[0]
+        shifted = average_order_series(a, [x], table).sums[0]
+        assert shifted - base == a * prime_count(table, x)
 
 
-def test_average_order_ratio_band(vt):
-    s = average_order_series(0, [10**4, 10**5, 10**6], vt)
+def test_average_order_ratio_band(table):
+    s = average_order_series(0, [10**4, 10**5, 10**6], table)
     for r in s.ratios:
         assert 0.9 < r < 1.4
     assert abs(s.ratios[0] - 1) > abs(s.ratios[1] - 1) > abs(s.ratios[2] - 1)
 
 
-def test_bmb_hand_sum(vt):
+def test_bmb_hand_sum(table):
     # non-squarefree n <= 16 contribute 4:2, 8:4, 9:3, 12:2, 16:6 -> 17
-    s = b_minus_beta_series(0, [16], vt)
+    s = b_minus_beta_series(0, [16], table)
     assert s.sums == (17,)
 
 
-def test_bmb_shift_invariant(table, vt):
+def test_bmb_shift_invariant(table):
     # B_a - beta_a = B - beta pointwise, hence identical partial sums
     for n in (9, 10, 97, 360, 1024):
         for a in (0, 1, 12):
             assert shifted_B(n, a, table) - shifted_beta(n, a, table) == big_B(
                 n, table
             ) - small_beta(n, table)
-    s0 = b_minus_beta_series(0, [10**5], vt)
+    s0 = b_minus_beta_series(0, [10**5], table)
     for a in (1, 2, 33):
-        assert b_minus_beta_series(a, [10**5], vt).sums == s0.sums
+        assert b_minus_beta_series(a, [10**5], table).sums == s0.sums
 
 
-def test_bmb_bounded_error(vt):
-    s = b_minus_beta_series(0, [10**4, 10**5, 10**6], vt)
+def test_bmb_bounded_error(table):
+    s = b_minus_beta_series(0, [10**4, 10**5, 10**6], table)
     # (sum - x log log x) / x stays bounded
     assert all(abs(r) < 1.0 for r in s.ratios)
 
 
-def test_local_density_squarefree(vt):
-    d = estimate_local_density(0, 10**6, vt)
+def test_local_density_squarefree(table):
+    d = estimate_local_density(0, 10**6, table)
     assert abs(d - 6 / math.pi**2) < 0.01
 
 
-def test_local_density_one_is_empty(vt):
+def test_local_density_one_is_empty(table):
     # B - beta = 1 is impossible: any excess comes from p(r-1) >= 2
     for x in (10**4, 10**6):
-        assert estimate_local_density(1, x, vt) == 0.0
+        assert estimate_local_density(1, x, table) == 0.0
 
 
-def test_local_density_two_stable(vt):
-    d5 = estimate_local_density(2, 10**5, vt)
-    d6 = estimate_local_density(2, 10**6, vt)
+def test_local_density_two_stable(table):
+    d5 = estimate_local_density(2, 10**5, table)
+    d6 = estimate_local_density(2, 10**6, table)
     assert d6 > 0
     assert abs(d5 - d6) < 5e-4  # stable to three decimal places
 
 
-def test_excess_tail_counts_monotone(table, vt):
-    counts = [excess_tail_count(K, 10**6, table, vt) for K in (4, 8, 16)]
+def test_excess_tail_counts_monotone(table):
+    counts = [excess_tail_count(K, 10**6, table) for K in (4, 8, 16)]
     assert counts[0] > counts[1] > counts[2] > 0
 
 
-def test_parity_even_shift_matches_unshifted(vt):
+def test_parity_even_shift_matches_unshifted(table):
     # (-1)^(p + 2) = (-1)^p, so even shifts do not move the parity sum
-    s0 = parity_sum(0, [10**5], vt)
-    s2 = parity_sum(2, [10**5], vt)
+    s0 = parity_sum(0, [10**5], table)
+    s2 = parity_sum(2, [10**5], table)
     assert s0.sums == s2.sums
 
 
-def test_parity_even_small(vt):
-    s = parity_sum(0, [10**6], vt)
+def test_parity_even_small(table):
+    s = parity_sum(0, [10**6], table)
     assert abs(s.sums[0]) / 10**6 < 0.02
 
 
-def test_parity_odd_tracks_primes(vt):
-    s = parity_sum(1, [10**6], vt)
-    assert 0.7 < s.sums[0] / (2 * prime_count(vt, 10**6)) < 1.3
+def test_parity_odd_tracks_primes(table):
+    s = parity_sum(1, [10**6], table)
+    assert 0.7 < s.sums[0] / (2 * prime_count(table, 10**6)) < 1.3
 
 
-def test_residue_distribution(vt):
-    counts = residue_distribution(0, 3, 10**6, vt)
+def test_residue_distribution(table):
+    counts = residue_distribution(0, 3, 10**6, table)
     assert sum(counts.values()) == 10**6 - 1
     for h in range(3):
         assert abs(counts[h] - 10**6 / 3) < 0.05 * 10**6 / 3
     with pytest.raises(DomainError):
-        residue_distribution(0, 2, 100, vt)
+        residue_distribution(0, 2, 100, table)
 
 
-def test_residue_shifted_comparison(vt):
-    base = residue_distribution(0, 3, 10**6, vt)
-    shifted = residue_distribution(1, 3, 10**6, vt)
+def test_residue_shifted_comparison(table):
+    base = residue_distribution(0, 3, 10**6, table)
+    shifted = residue_distribution(1, 3, 10**6, table)
     dev = lambda c: max(abs(v - 10**6 / 3) for v in c.values())
     # recorded for comparison; both stay within a few percent of uniform
     assert dev(shifted) < 0.05 * 10**6
     assert dev(base) < 0.05 * 10**6
 
 
-def test_checkpoint_validation(vt):
+def test_checkpoint_validation(table):
     with pytest.raises(DomainError):
-        average_order_series(0, [10**7], vt)
+        average_order_series(0, [10**7], table)
