@@ -6,9 +6,11 @@ on that range as a functional graph held in one flat array.  Short scalar
 walks from a small prefix of starts find every cycle (see _find_cycles);
 one ascending pass over the blocks [lo, 2*lo), each at most CHUNK long,
 then gives every node its cycle and its distance to it, because a node's
-successor almost always lies in an earlier block.  The same lemma makes a
-sweep over shifts cheap: starts <= climb_margin(a) + 4 already reach every
-cycle.
+successor almost always lies in an earlier block.  Both live in one packed
+state per node (see state_dtype), so a node resolves with one gather; a
+census holds 10 B per entry at a <= 200: the sieve (4 B), the step map
+(4 B) and the state (2 B).  The same lemma makes a sweep over shifts
+cheap: starts <= climb_margin(a) + 4 already reach every cycle.
 """
 
 from __future__ import annotations
@@ -101,36 +103,28 @@ def _find_cycles(f, margin, budget, a):
     return cycles
 
 
-def label_dtype(cycles: int, a: int, index) -> type:
-    """dtype of the census labels, given the number of walked cycles.
+def state_dtype(bits: int, budget: int) -> type:
+    """dtype of the packed census state dist << bits | label.
 
-    A label is a 1-based index into the sorted cycle minima, 0 while
-    unresolved, so one byte holds fewer than 255 cycles.  For a = 0 every
-    prime is a fixed point, and a label is its cycle's minimum.
+    The narrowest unsigned type that holds a dist of budget + 1 beside
+    every bits-bit label, so a dist past the budget stays visible.
     """
-    return np.uint8 if a != 0 and cycles < 255 else index
+    top = ((budget + 2) << bits) - 1
+    return np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
 
 
-def dist_dtype(budget: int) -> type:
-    """dtype of the census distances, which lie in [0, budget]."""
-    return np.uint16 if budget < 2**16 else np.int32
-
-
-def _settle(pending, f, label, dist, budget, a):
+def _settle(pending, f, state, step, budget, a):
     """Resolve pending nodes whose successor is resolved, until none moves.
 
     Returns the nodes still pending.
     """
     rounds = 0
     while pending.size:
-        tgt = f[pending]
-        lab = label[tgt]
-        ok = lab != 0
+        succ = state[f[pending]]
+        ok = succ != 0
         if not ok.any():
             break
-        done = pending[ok]
-        label[done] = lab[ok]
-        dist[done] = dist[tgt[ok]] + 1
+        state[pending[ok]] = succ[ok] + step
         pending = pending[~ok]
         rounds += 1
         if rounds > budget:
@@ -138,11 +132,15 @@ def _settle(pending, f, label, dist, budget, a):
     return pending
 
 
-def _counts(values):
-    """np.bincount(values) in chunks, without its full-length intp copy."""
-    out = np.zeros(int(values.max()) + 1, dtype=np.intp)
+def _counts(values, width=1):
+    """np.bincount(values) in chunks, without its full-length intp copy.
+
+    The length is rounded up to a multiple of width.  Each chunk is cast
+    to intp here, because bincount will not cast a uint64 state itself.
+    """
+    out = np.zeros((int(values.max()) // width + 1) * width, dtype=np.intp)
     for lo in range(0, values.size, CHUNK):
-        part = np.bincount(values[lo : lo + CHUNK])
+        part = np.bincount(values[lo : lo + CHUNK].astype(np.intp))
         out[: part.size] += part
     return out
 
@@ -173,43 +171,54 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     walked = _find_cycles(f, margin, budget, a)
     minima = sorted(walked)
 
-    # label[n] names the cycle n reaches (see label_dtype); dist[n] is
-    # the number of B_a steps to get there.
-    label = np.zeros(limit + 1, dtype=label_dtype(len(minima), a, f.dtype))
+    # state[n] = dist[n] << bits | label[n], 0 while unresolved.  label[n]
+    # names the cycle n reaches: a 1-based index into the sorted minima,
+    # or for a = 0, where every prime is a fixed point, the cycle's
+    # minimum.  dist[n] is the number of B_a steps to get there.
+    largest = max(int(table.primes()[-1]), minima[-1]) if a == 0 else len(minima)
+    bits = largest.bit_length()
+    state = np.zeros(limit + 1, dtype=state_dtype(bits, budget))
     if a == 0:
         primes = table.primes()
-        label[primes] = primes
+        state[primes] = primes
     for i, m in enumerate(minima):
-        label[walked[m]] = m if a == 0 else i + 1
-    dist = np.zeros(limit + 1, dtype=dist_dtype(budget))
-    cap = min(budget, int(np.iinfo(dist.dtype).max) - 1)
+        state[walked[m]] = m if a == 0 else i + 1
+    step = 1 << bits
     pending = np.empty(0, dtype=np.intp)
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + CHUNK, limit + 1)
         # First round over the window as slices: a node whose successor is
-        # already labelled takes that label; cycle nodes keep theirs.
-        tgt = f[lo:hi].astype(np.intp)
-        lab = label[tgt]
-        window = label[lo:hi]
-        new = window == 0
-        np.copyto(dist[lo:hi], dist[tgt] + 1, where=new & (lab != 0))
-        np.copyto(window, lab, where=new)
+        # already resolved takes its state, one step further; cycle nodes
+        # keep theirs.
+        succ = state[f[lo:hi]]
+        np.add(succ, step, out=succ, where=succ != 0)
+        window = state[lo:hi]
+        np.copyto(window, succ, where=window == 0)
         pending = np.concatenate([pending, np.flatnonzero(window == 0) + lo])
-        pending = _settle(pending, f, label, dist, budget, a)
+        pending = _settle(pending, f, state, step, budget, a)
         lo = hi
     stuck = pending[pending <= start_limit]
     if stuck.size:
         raise ConsistencyError(f"node {int(stuck[0])} under a={a} reaches no cycle")
-    # Each dist is written once, from its successor's final one, so a node
-    # past cap leaves one at exactly cap + 1 < 2^bits: no value wraps unseen.
-    if dist.max() > cap:
-        node = int(np.argmax(dist > cap))
+    # Each state is written once, from its successor's final one, so a node
+    # past the budget leaves one at exactly dist = budget + 1, which
+    # state_dtype makes room for: no dist wraps unseen.  A state orders
+    # nodes by dist first, so the largest one holds the largest dist.
+    past = (budget + 1) << bits
+    if state.max() >= past:
+        node = int(np.argmax(state >= past))
         raise ConsistencyError(
-            f"node {node} under a={a} is more than {cap} steps from its cycle"
+            f"node {node} under a={a} is more than {budget} steps from its cycle"
         )
 
-    basins = _counts(label[2 : start_limit + 1])
+    starts = state[2 : start_limit + 1]
+    if a == 0:
+        # The labels are primes, so a (dist, label) grid would be huge.
+        basins, counts = _counts(starts & (step - 1)), _counts(starts >> bits)
+    else:
+        grid = _counts(starts, step).reshape(-1, step)
+        basins, counts = grid.sum(axis=0), grid.sum(axis=1)
     cycles = []
     basin_counts = {}
     for v in np.flatnonzero(basins).tolist():
@@ -217,8 +226,6 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
         cyc = canonicalize(walked.get(m, (m,)), shift, table)
         cycles.append(cyc)
         basin_counts[cyc] = int(basins[v])
-
-    counts = _counts(dist[2 : start_limit + 1])
     return CensusReport(
         shift=shift,
         start_limit=start_limit,

@@ -18,6 +18,10 @@ from .errors import DomainError, RangeOverflowError
 #: Largest integer the package commits to handling exactly (signed 64-bit).
 WORD_MAX = 2**63 - 1
 
+#: Entries per pass of the chunked loops, which bounds their temporaries
+#: and keeps the sieve's segments in cache.
+CHUNK = 1 << 18
+
 # Complete deterministic witness set for n < 3.3 * 10^24, covers WORD_MAX.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -70,18 +74,28 @@ def build_sieve(limit: int) -> SieveTable:
     if limit > WORD_MAX:
         raise DomainError(f"sieve limit {limit} exceeds the 64-bit range")
     # A composite n with smallest prime factor p has n >= p * p, so the
-    # slice spf[p * p :: p] reaches it.  Writing the primes p <= sqrt(limit)
-    # in descending order leaves the smallest one last at every composite;
-    # entries never written (primes) keep spf[n] = n.
+    # multiples of p from p * p on reach it.  Writing the primes p <=
+    # sqrt(limit) in descending order leaves the smallest one last at every
+    # composite; entries never written (primes) keep spf[n] = n.  Segments
+    # of CHUNK entries stay in cache while the primes stride over them: in
+    # [lo, hi) only the p <= sqrt(hi - 1) write, from max(p * p, the first
+    # multiple of p >= lo), which is p * p in the first segment.
     root = math.isqrt(limit)
     is_small_prime = np.ones(root + 1, dtype=bool)
     is_small_prime[:2] = False
     for i in range(2, math.isqrt(root) + 1):
         if is_small_prime[i]:
             is_small_prime[i * i :: i] = False
+    descending = np.flatnonzero(is_small_prime)[::-1].tolist()
     spf = np.arange(limit + 1, dtype=index_dtype(limit))
-    for p in np.flatnonzero(is_small_prime)[::-1].tolist():
-        spf[p * p :: p] = p
+    for p in descending:
+        spf[p * p : CHUNK : p] = p
+    for lo in range(CHUNK, limit + 1, CHUNK):
+        hi = min(lo + CHUNK, limit + 1)
+        r = math.isqrt(hi - 1)
+        for p in descending:
+            if p <= r:
+                spf[max(p * p, lo + -lo % p) : hi : p] = p
     spf[0] = 0
     spf[1] = 0
     spf.setflags(write=False)

@@ -12,10 +12,7 @@ import numpy as np
 
 from .arith import Shift, as_shift
 from .errors import RangeOverflowError
-from .sieve import WORD_MAX, SieveTable, index_dtype
-
-#: Entries per pass of the chunked loops, which bounds their temporaries.
-CHUNK = 1 << 18
+from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype
 
 
 def _block_sum(spf, term, dtype=None):

@@ -15,7 +15,7 @@ from primeshift import (
     run_census,
 )
 from primeshift import census as census_mod
-from primeshift.census import census_limit, climb_margin, dist_dtype, label_dtype
+from primeshift.census import census_limit, climb_margin, state_dtype
 from primeshift.cli import run
 from primeshift.dynamics import default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
@@ -55,7 +55,9 @@ def test_basin_counts_sum():
 
 
 def test_naive_agrees_with_memoized(table):
-    for a in range(1, 6):
+    # a = 0 packs 14-bit prime labels beside each dist: a 16-bit state
+    # would wrap from dist 4 on.
+    for a in range(6):
         fast = run_census(a, 10**4)
         slow = run_census_naive(a, 10**4, table)
         assert {c.members for c in fast.cycles} == {c.members for c in slow.cycles}
@@ -67,7 +69,7 @@ def test_naive_agrees_with_memoized(table):
 
 
 def test_naive_agrees_on_reached_cycles(table):
-    for a in [*range(41), 97, 150, 199, 200]:
+    for a in [*range(41), 97, 150, 199, 200, 15000]:
         slow = _summary(run_census_naive(a, 3000, table))
         assert _summary(run_census(a, 3000)) == slow, f"a={a}"
 
@@ -90,11 +92,14 @@ def test_census_on_table_below_cycle_bound():
         assert _summary(fast) == _summary(run_census_naive(a, 20, tiny)), f"a={a}"
 
 
-def test_census_limit_bounds_orbits(table):
+def test_census_limit_bounds_orbits():
+    # Twice the largest bound tested: an orbit that leaves this table
+    # fails the test with an IndexError.
+    small = build_sieve(2 * census_limit(200, 3000))
     starts = np.arange(2, 3001)
     for a in range(201):
         m = climb_margin(a)
-        f = step_map(table, a)
+        f = step_map(small, a)
         x = starts
         top = starts.copy()
         for _ in range(default_max_steps(3000, a)):
@@ -186,11 +191,24 @@ def test_census_dtype_rules():
     limit, a = 2**31 - 40, 39
     assert index_dtype(limit + a) is np.int32  # limit + a = 2^31 - 1
     assert index_dtype(limit + a + 1) is np.int64
-    assert label_dtype(254, a, np.int32) is np.uint8
-    assert label_dtype(255, a, np.int32) is np.int32
-    assert label_dtype(3, 0, np.int64) is np.int64  # a = 0: label is the cycle minimum
-    assert dist_dtype(2**16 - 1) is np.uint16
-    assert dist_dtype(2**16) is np.int32
+    # The state (dist << bits | label) must hold dist = budget + 1 beside
+    # the largest label: ((budget + 2) << bits) - 1.
+    assert state_dtype(2, 2**14 - 2) is np.uint16  # 2^16 - 1
+    assert state_dtype(2, 2**14 - 1) is np.uint32  # 2^16 + 3
+    assert state_dtype(2, 2**30 - 2) is np.uint32  # 2^32 - 1
+    assert state_dtype(2, 2**30 - 1) is np.uint64
+    # A 10^7 census at a <= 200 has at most 5 cycles: 3 label bits.
+    assert state_dtype(3, default_max_steps(census_limit(200, 10**7), 200)) is np.uint16
+    # a = 0: a label is the cycle minimum, a prime up to the limit.
+    assert state_dtype((999983).bit_length(), default_max_steps(10**6, 0)) is np.uint32
+    assert state_dtype((2**31 - 1).bit_length(), default_max_steps(2**31, 0)) is np.uint64
+    # test_naive_agrees_on_reached_cycles runs both wide states at 3000
+    # starts: a = 15000 (2 cycles) through its step budget, and a = 0
+    # through its labels up to the prime 2999.
+    budget = default_max_steps(census_limit(15000, 3000), 15000)
+    assert state_dtype(2, budget) is np.uint32
+    assert state_dtype((2999).bit_length(), default_max_steps(3000, 0)) is np.uint32
+
 
 
 def test_dist_past_budget_raises(monkeypatch):
@@ -205,9 +223,10 @@ def test_dist_past_budget_raises(monkeypatch):
 
 def test_census_peak_memory():
     # Bytes per table entry at the census's own peak, numpy buffers included.
-    # The window pass's CHUNK-sized temporaries weigh most at 10^6; at
-    # 4*10^6 the bound tracks the whole-length arrays alive together.
-    for start_limit, per_entry in ((10**6, 28), (4 * 10**6, 13)):
+    # The sieve, the step map and the state hold 10 B per entry; the
+    # CHUNK-sized temporaries of the window pass and the counts weigh most
+    # at 10^6.  Measured: 12.53 and 10.56 B, bounded with 10% headroom.
+    for start_limit, per_entry in ((10**6, 13.8), (4 * 10**6, 11.6)):
         tracemalloc.start()
         try:
             run_census(39, start_limit)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from primeshift import DomainError, build_sieve
-from primeshift.sieve import factorize, is_prime
+from primeshift.sieve import CHUNK, factorize, is_prime
 
 
 def trial_division_is_prime(n):
@@ -27,8 +27,21 @@ def masked_sieve_oracle(limit):
     return spf
 
 
+# build_sieve writes CHUNK-entry segments.  Besides every small limit, test
+# the limits at and around segment ends, and around p^2 for the primes p
+# just above sqrt(CHUNK) and sqrt(2 * CHUNK), where the set of primes that
+# sieve a segment changes inside it.
+LIMITS = [
+    *range(2, 1001),
+    *(CHUNK + d for d in (-1, 0, 1)),
+    2 * CHUNK + 1,
+    *(p * p + d for p in (521, 523, 727, 733) for d in (-1, 0, 1)),
+    10**6,
+]
+
+
 def test_spf_matches_masked_sieve():
-    for limit in [*range(2, 201), 10**6]:
+    for limit in LIMITS:
         spf = build_sieve(limit).spf
         assert spf.dtype == np.int32
         assert np.array_equal(spf, masked_sieve_oracle(limit)), limit
@@ -36,12 +49,11 @@ def test_spf_matches_masked_sieve():
 
 def test_primes_match_full_index_scan():
     # primes() makes no full-length index, and must agree with the scan
-    # that did.
-    for limit in [*range(2, 201), 10**6]:
-        table = build_sieve(limit)
-        full = np.nonzero(table.spf == np.arange(limit + 1, dtype=table.spf.dtype))[0]
+    # that did, here over the oracle's table.
+    for limit in LIMITS:
+        full = np.nonzero(masked_sieve_oracle(limit) == np.arange(limit + 1))[0]
         expected = full[full >= 2]
-        got = table.primes()
+        got = build_sieve(limit).primes()
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected), limit
 
