@@ -3,14 +3,15 @@
 No B_a orbit is unbounded, and census_limit gives the bound: orbits from
 starts <= S never leave [2, census_limit(a, S)].  The census treats B_a
 on that range as a functional graph held in one flat array.  Short scalar
-walks from a small prefix of starts find every cycle (see _find_cycles);
-one ascending pass over the blocks [lo, 2*lo), each at most CHUNK long,
-then gives every node its cycle and its distance to it, because a node's
-successor almost always lies in an earlier block.  Both live in one packed
-state per node (see state_dtype), so a node resolves with one gather; a
-census holds 10 B per entry at a <= 200: the sieve (4 B), the step map
-(4 B) and the state (2 B).  The same lemma makes a sweep over shifts
-cheap: starts <= climb_margin(a) + 4 already reach every cycle.
+walks from a few starts find every cycle but the prime fixed points of
+a = 0 (see _find_cycles); a label is the 1-based index of a cycle's
+minimum among all minima.  One ascending pass over the blocks [lo, 2*lo),
+each at most CHUNK long, then gives every node its label and distance,
+because a node's successor almost always lies in an earlier block.  Both
+live in one packed state per node (see state_dtype); a census holds 10 B
+per entry at a <= 200: the sieve (4 B), the step map (4 B) and the state
+(2 B).  The same lemma makes a sweep over shifts cheap: starts <=
+climb_margin(a) + 4 already reach every cycle.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .arith import Shift, as_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
-from .errors import ConsistencyError, DomainError
-from .sieve import build_sieve, is_prime
+from .errors import ConsistencyError, DomainError, RangeOverflowError
+from .sieve import WORD_MAX, build_sieve, is_prime
 from .tables import CHUNK, step_map
 
 
@@ -51,20 +52,23 @@ def census_limit(a: int, start_limit: int) -> int:
     composite c <= p + m, and B(c) <= c/2 + 2 <= (X + m)/2 + 2 <= X once
     X >= m + 4; a composite n <= X maps to B(n) <= n.  So orbits from
     starts <= start_limit stay in [2, X + m], and no B_a orbit is
-    unbounded.
+    unbounded.  A range past 2^63 - 1 raises RangeOverflowError.
     """
     m = climb_margin(a)
-    return max(start_limit, m + 4) + m
+    top = max(start_limit, m + 4) + m
+    if top > WORD_MAX:
+        raise RangeOverflowError(f"census of a={a} with --limit {start_limit} passes 2^63 - 1")
+    return top
 
 
 @dataclass
 class CensusReport:
-    """Catalog of every cycle reachable from starts 2..start_limit."""
+    """The cycles reached from starts 2..start_limit, each with its basin count."""
 
     shift: Shift
     start_limit: int
     cycles: tuple[Cycle, ...]
-    basin_counts: dict[Cycle, int] = field(repr=False)
+    basin_counts: tuple[int, ...] = field(repr=False)
     stopping_time_histogram: dict[int, int] = field(repr=False)
     max_total_stopping_time: int
 
@@ -149,9 +153,10 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     """Enumerate all cycles reached from starts 2..start_limit, with basins.
 
     Works on [2, census_limit(a, start_limit)], on a sieve of its own.
-    Deterministic: cycles are listed by (minimum member, length) and every
-    reported cycle is re-verified against the scalar map on insertion.
-    Cycles reached only from starts above start_limit are not listed.
+    Deterministic: cycles are listed by their minimum member.  Every
+    walked cycle is checked against the scalar map (canonicalize); the
+    prime fixed points of a = 0 come straight from the sieve.  Cycles
+    reached only from starts above start_limit are not listed.
     """
     shift = as_shift(shift)
     a = shift.a
@@ -169,20 +174,19 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     top = f[max(limit - a, 0) + 1 :]
     top[top > limit] = 0
     walked = _find_cycles(f, margin, budget, a)
-    minima = sorted(walked)
+    minima = np.array(sorted(walked))
+    if a == 0:
+        # Every prime is a fixed point as well; the walks met (2), (3) and (4).
+        minima = np.insert(table.primes(), 2, 4)
 
     # state[n] = dist[n] << bits | label[n], 0 while unresolved.  label[n]
-    # names the cycle n reaches: a 1-based index into the sorted minima,
-    # or for a = 0, where every prime is a fixed point, the cycle's
-    # minimum.  dist[n] is the number of B_a steps to get there.
-    largest = max(int(table.primes()[-1]), minima[-1]) if a == 0 else len(minima)
-    bits = largest.bit_length()
+    # is the 1-based index in minima of the cycle n reaches, and dist[n]
+    # the number of B_a steps to get there.
+    bits = minima.size.bit_length()
     state = np.zeros(limit + 1, dtype=state_dtype(bits, budget))
-    if a == 0:
-        primes = table.primes()
-        state[primes] = primes
-    for i, m in enumerate(minima):
-        state[walked[m]] = m if a == 0 else i + 1
+    state[minima] = np.arange(1, minima.size + 1, dtype=state.dtype)
+    for m, members in walked.items():
+        state[members] = state[m]
     step = 1 << bits
     pending = np.empty(0, dtype=np.intp)
     lo = 2
@@ -214,23 +218,21 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
 
     starts = state[2 : start_limit + 1]
     if a == 0:
-        # The labels are primes, so a (dist, label) grid would be huge.
+        # A (dist, label) grid over the labels of every prime would be huge.
         basins, counts = _counts(starts & (step - 1)), _counts(starts >> bits)
     else:
         grid = _counts(starts, step).reshape(-1, step)
         basins, counts = grid.sum(axis=0), grid.sum(axis=1)
-    cycles = []
-    basin_counts = {}
-    for v in np.flatnonzero(basins).tolist():
-        m = v if a == 0 else minima[v - 1]
-        cyc = canonicalize(walked.get(m, (m,)), shift, table)
-        cycles.append(cyc)
-        basin_counts[cyc] = int(basins[v])
+    labels = np.flatnonzero(basins)
+    cycles = tuple(
+        canonicalize(walked[m], shift, table) if m in walked else Cycle((m,), "+")
+        for m in minima[labels - 1].tolist()
+    )
     return CensusReport(
         shift=shift,
         start_limit=start_limit,
-        cycles=tuple(cycles),
-        basin_counts=basin_counts,
+        cycles=cycles,
+        basin_counts=tuple(basins[labels].tolist()),
         stopping_time_histogram={int(k): int(v) for k, v in enumerate(counts) if v},
         max_total_stopping_time=len(counts) - 1,
     )

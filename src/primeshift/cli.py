@@ -191,29 +191,23 @@ def _cmd_orbit(args):
 
 def _cmd_census(args):
     rep = run_census(Shift(args.a), args.limit)
+    cycles = zip(rep.cycles, rep.basin_counts)
+    if args.format != "json":
+        columns = ["a", "cycle_id", "length", "members", "sign_pattern", "basin_count"]
+        rows = ((args.a, i, len(c), ";".join(map(str, c.members)), c.sign_pattern, n)
+                for i, (c, n) in enumerate(cycles))
+        return _emit(args, {}, columns, rows)
     payload = {
-        "a": rep.shift.a,
+        "a": args.a,
         "start_limit": rep.start_limit,
-        "cycles": [
-            {
-                "members": list(cyc.members),
-                "sign_pattern": cyc.sign_pattern,
-                "basin_count": rep.basin_counts[cyc],
-            }
-            for cyc in rep.cycles
-        ],
+        "cycles": [{"members": list(c.members), "sign_pattern": c.sign_pattern, "basin_count": n}
+                   for c, n in cycles],
         "stopping_time_histogram": {
             str(k): v for k, v in sorted(rep.stopping_time_histogram.items())
         },
         "max_total_stopping_time": rep.max_total_stopping_time,
     }
-    rows = [
-        (rep.shift.a, i, len(cyc), ";".join(str(v) for v in cyc.members),
-         cyc.sign_pattern, rep.basin_counts[cyc])
-        for i, cyc in enumerate(rep.cycles)
-    ]
-    columns = ["a", "cycle_id", "length", "members", "sign_pattern", "basin_count"]
-    return _emit(args, payload, columns, rows)
+    return _emit(args, payload, [], [])
 
 
 def _cmd_sweep(args):

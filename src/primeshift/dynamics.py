@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import Shift, as_shift, shifted_B
-from .errors import ConsistencyError, NonterminationError
+from .errors import ConsistencyError, DomainError, NonterminationError
 from .sieve import SieveTable, is_prime
 
 
@@ -47,7 +47,7 @@ class OrbitRecord:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
     """A periodic orbit rotated so its minimum comes first.
 
@@ -55,7 +55,6 @@ class Cycle:
     """
 
     members: tuple[int, ...]
-    shift: Shift
     sign_pattern: str
 
     def __len__(self) -> int:
@@ -74,10 +73,12 @@ def iterate_orbit(
     max_steps: int | None = None,
     extend_domain: bool = False,
 ) -> OrbitRecord:
-    """Follow n under the shifted map until the orbit closes."""
+    """Follow n under the shifted map until the orbit closes, within max_steps >= 0 steps."""
     shift = as_shift(shift)
     if max_steps is None:
         max_steps = default_max_steps(n, shift.a)
+    if max_steps < 0:
+        raise DomainError(f"--max-steps {max_steps} is negative for the orbit of {n}, a={shift.a}")
     seen: dict[int, int] = {}
     traj = [n]
     v = n
@@ -111,4 +112,4 @@ def canonicalize(raw_cycle, shift: Shift | int, table: SieveTable) -> Cycle:
             )
     rotated = min_first(members)
     pattern = "".join("+" if is_prime(v, table) else "-" for v in rotated)
-    return Cycle(rotated, shift, pattern)
+    return Cycle(rotated, pattern)

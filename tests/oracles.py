@@ -15,7 +15,7 @@ import numpy as np
 from primeshift.arith import Shift, as_shift, shifted_B
 from primeshift.census import CensusReport
 from primeshift.constructions import AmicablePair, ChainWitness
-from primeshift.dynamics import Cycle, canonicalize, iterate_orbit
+from primeshift.dynamics import canonicalize, iterate_orbit
 from primeshift.errors import ConsistencyError, DomainError, RangeOverflowError
 from primeshift.fibres import KappaTable
 from primeshift.sieve import WORD_MAX, SieveTable, factorize, is_prime
@@ -35,28 +35,22 @@ def run_census_naive(
     """
     shift = as_shift(shift)
     starts = list(order) if order is not None else list(range(2, start_limit + 1))
-    canon_cycles: dict[tuple[int, ...], Cycle] = {}
-    basin_counts: dict[Cycle, int] = {}
+    basins: dict[tuple[int, ...], list] = {}
     hist: dict[int, int] = {}
     max_tail = 0
     for n in starts:
         rec = iterate_orbit(n, shift, table)
         cyc = canonicalize(rec.cycle, shift, table)
-        if cyc.members not in canon_cycles:
-            canon_cycles[cyc.members] = cyc
-            basin_counts[cyc] = 0
-        basin_counts[canon_cycles[cyc.members]] += 1
+        basins.setdefault(cyc.members, [cyc, 0])[1] += 1
         tail = rec.total_stopping_time
         hist[tail] = hist.get(tail, 0) + 1
         max_tail = max(max_tail, tail)
-    cycles = tuple(
-        sorted(canon_cycles.values(), key=lambda c: (c.members[0], len(c)))
-    )
+    cycles, counts = zip(*(basins[m] for m in sorted(basins)))
     return CensusReport(
         shift=shift,
         start_limit=start_limit,
         cycles=cycles,
-        basin_counts=basin_counts,
+        basin_counts=counts,
         stopping_time_histogram=dict(sorted(hist.items())),
         max_total_stopping_time=max_tail,
     )

@@ -17,7 +17,7 @@ from primeshift import (
 from primeshift import census as census_mod
 from primeshift.census import census_limit, climb_margin, state_dtype
 from primeshift.cli import run
-from primeshift.dynamics import default_max_steps
+from primeshift.dynamics import canonicalize, default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
 from primeshift.sieve import index_dtype
 from primeshift.tables import step_map
@@ -26,7 +26,7 @@ from primeshift.tables import step_map
 def _summary(rep):
     return (
         [c.members for c in rep.cycles],
-        {c.members: n for c, n in rep.basin_counts.items()},
+        {c.members: n for c, n in zip(rep.cycles, rep.basin_counts)},
         rep.stopping_time_histogram,
         rep.max_total_stopping_time,
     )
@@ -50,19 +50,19 @@ def test_census_a39():
 
 def test_basin_counts_sum():
     rep = run_census(3, 10**4)
-    assert sum(rep.basin_counts.values()) == 10**4 - 1
+    assert sum(rep.basin_counts) == 10**4 - 1
     assert sum(rep.stopping_time_histogram.values()) == 10**4 - 1
 
 
 def test_naive_agrees_with_memoized(table):
-    # a = 0 packs 14-bit prime labels beside each dist: a 16-bit state
-    # would wrap from dist 4 on.
+    # a = 0 packs 11-bit labels (1,229 primes and 4) beside each dist: a
+    # 16-bit state would wrap from dist 32 on.
     for a in range(6):
         fast = run_census(a, 10**4)
         slow = run_census_naive(a, 10**4, table)
         assert {c.members for c in fast.cycles} == {c.members for c in slow.cycles}
-        assert {c.members: n for c, n in fast.basin_counts.items()} == {
-            c.members: n for c, n in slow.basin_counts.items()
+        assert {c.members: n for c, n in zip(fast.cycles, fast.basin_counts)} == {
+            c.members: n for c, n in zip(slow.cycles, slow.basin_counts)
         }
         assert fast.stopping_time_histogram == slow.stopping_time_histogram
         assert fast.max_total_stopping_time == slow.max_total_stopping_time
@@ -116,8 +116,8 @@ def test_order_independence(table):
     a_order = run_census_naive(7, 2000, table, order=starts)
     b_order = run_census_naive(7, 2000, table, order=shuffled)
     assert {c.members for c in a_order.cycles} == {c.members for c in b_order.cycles}
-    assert {c.members: n for c, n in a_order.basin_counts.items()} == {
-        c.members: n for c, n in b_order.basin_counts.items()
+    assert {c.members: n for c, n in zip(a_order.cycles, a_order.basin_counts)} == {
+        c.members: n for c, n in zip(b_order.cycles, b_order.basin_counts)
     }
 
 
@@ -199,15 +199,19 @@ def test_census_dtype_rules():
     assert state_dtype(2, 2**30 - 1) is np.uint64
     # A 10^7 census at a <= 200 has at most 5 cycles: 3 label bits.
     assert state_dtype(3, default_max_steps(census_limit(200, 10**7), 200)) is np.uint16
-    # a = 0: a label is the cycle minimum, a prime up to the limit.
+    # a = 0: every prime and 4 take a label, pi(10^7) + 1 = 664,580 of
+    # them at 10^7: 20 bits and a 32-bit state, where labelling each
+    # cycle by its minimum, a prime up to the limit, would take 64 bits.
+    assert state_dtype((664_580).bit_length(), default_max_steps(10**7, 0)) is np.uint32
+    assert state_dtype((9_999_991).bit_length(), default_max_steps(10**7, 0)) is np.uint64
     assert state_dtype((999983).bit_length(), default_max_steps(10**6, 0)) is np.uint32
     assert state_dtype((2**31 - 1).bit_length(), default_max_steps(2**31, 0)) is np.uint64
     # test_naive_agrees_on_reached_cycles runs both wide states at 3000
     # starts: a = 15000 (2 cycles) through its step budget, and a = 0
-    # through its labels up to the prime 2999.
+    # through its 431 labels.
     budget = default_max_steps(census_limit(15000, 3000), 15000)
     assert state_dtype(2, budget) is np.uint32
-    assert state_dtype((2999).bit_length(), default_max_steps(3000, 0)) is np.uint32
+    assert state_dtype((431).bit_length(), default_max_steps(3000, 0)) is np.uint32
 
 
 
@@ -225,15 +229,33 @@ def test_census_peak_memory():
     # Bytes per table entry at the census's own peak, numpy buffers included.
     # The sieve, the step map and the state hold 10 B per entry; the
     # CHUNK-sized temporaries of the window pass and the counts weigh most
-    # at 10^6.  Measured: 12.53 and 10.56 B, bounded with 10% headroom.
-    for start_limit, per_entry in ((10**6, 13.8), (4 * 10**6, 11.6)):
+    # at 10^6.  At a = 0 the state takes 4 B and the 78,499 cycles, one
+    # per prime and 4, peak as Python objects.  Measured: 12.53, 10.56 and
+    # 27.3 B, bounded with 10% headroom.
+    for a, start_limit, per_entry in ((39, 10**6, 13.8), (39, 4 * 10**6, 11.6), (0, 10**6, 30)):
         tracemalloc.start()
         try:
-            run_census(39, start_limit)
+            run_census(a, start_limit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= per_entry * census_limit(39, start_limit), start_limit
+        assert peak <= per_entry * census_limit(a, start_limit), (a, start_limit)
+
+
+def test_prime_fixed_points_skip_the_scalar_check(monkeypatch):
+    # At a = 0 only the walked cycles (2), (3) and (4) go through
+    # canonicalize; the other 1,227 prime fixed points come from the sieve.
+    calls = []
+
+    def counted(raw_cycle, shift, table):
+        calls.append(tuple(raw_cycle))
+        return canonicalize(raw_cycle, shift, table)
+
+    monkeypatch.setattr(census_mod, "canonicalize", counted)
+    rep = run_census(0, 10**4)
+    assert sorted(calls) == [(2,), (3,), (4,)]
+    assert len(rep.cycles) == 1230
+    assert all(c.sign_pattern == "+" for c in rep.cycles if c.members != (4,))
 
 
 def _trial_division_factors(n):

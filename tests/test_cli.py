@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import verify_amicable
-from primeshift import AmicablePair, Shift, build_sieve, constructions
+from primeshift import AmicablePair, Shift, build_sieve, census, constructions
 from primeshift.arith import big_B, shifted_B
 from primeshift.cli import run
 from primeshift.sieve import is_prime
@@ -178,6 +178,29 @@ def test_fibre_bound_above_64_bits(capsys):
     assert err.startswith("arithmetic/resource error:") and str(bound) in err
     code, out, _ = invoke(capsys, "fibre", "--m", "7", "--bound", str(2**63 - 1))
     assert (code, out) == (0, "7 10 12\n")
+
+
+def test_census_range_past_64_bits(capsys, monkeypatch):
+    # a = 2^62 climbs (3 + 1) * a above each start: past 2^63 - 1 before
+    # any table is built.
+    def no_sieve(limit):
+        raise AssertionError(f"census asked for a sieve of {limit} entries")
+
+    monkeypatch.setattr(census, "build_sieve", no_sieve)
+    a = 2**62
+    code, out, err = invoke(capsys, "census", "--a", str(a), "--limit", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("arithmetic/resource error:")
+    assert f"a={a}" in err and "--limit 10" in err
+
+
+def test_orbit_negative_max_steps(capsys):
+    code, out, err = invoke(capsys, "orbit", "--n", "5", "--a", "2", "--max-steps", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("domain error:")
+    assert "--max-steps -1" in err and "orbit of 5," in err and "a=2" in err
+    code, out, _ = invoke(capsys, "orbit", "--n", "5", "--a", "2", "--max-steps", "0")
+    assert (code, out) == (2, "")
 
 
 def test_fibre_negative_bound(capsys):

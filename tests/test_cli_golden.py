@@ -29,6 +29,8 @@ GOLDEN = {
     'text census --a 39 --limit 10000': '54054088d362173a67d4bbea59e0c11338f065935757deb29601f0820bc37f34',
     'csv census --a 39 --limit 10000': '54054088d362173a67d4bbea59e0c11338f065935757deb29601f0820bc37f34',
     'json census --a 39 --limit 10000': '045e267bf71a58e563b58b922d31f2812e35ed0545753748e7e06e5861361261',
+    'csv census --a 0 --limit 10000': 'd73bc0b701a47d1bc8401cad8f943c9a196dc4f940649a13be32df551db9636f',
+    'json census --a 0 --limit 10000': 'b5375e3284157e4b1a1cd1c96c2a8cfe31c19ff99d5b2afb51bd7d365158c70e',
     'text sweep --a-max 20 --limit 10000': '5ed474a5cac557fdaec34193122ebe87b09561a7112a658d54fd162a7df379b1',
     'csv sweep --a-max 20 --limit 10000': '5ed474a5cac557fdaec34193122ebe87b09561a7112a658d54fd162a7df379b1',
     'json sweep --a-max 20 --limit 10000': '43fb671e6ecafae57952a31ee2949d3274ae43a9cc27ecb6d37efb3b3a0f7ac2',
