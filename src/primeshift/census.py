@@ -2,20 +2,28 @@
 
 No B_a orbit is unbounded, and census_limit gives the bound: orbits from
 starts <= S never leave [2, census_limit(a, S)].  The census treats B_a
-on that range as a functional graph held in one flat array.  Short scalar
-walks from a few starts find every cycle but the prime fixed points of
-a = 0 (see _find_cycles); a label is the 1-based index of a cycle's
-minimum among all minima.  One ascending pass over the blocks [lo, 2*lo),
-each at most CHUNK long, then gives every node its label and distance,
-because a node's successor almost always lies in an earlier block.  Both
-live in one packed state per node (see state_dtype); a census holds 10 B
-per entry at a <= 200: the sieve (4 B), the step map (4 B) and the state
-(2 B).  The same lemma makes a sweep over shifts cheap: starts <=
-climb_margin(a) + 4 already reach every cycle.
+on that range as a functional graph.  Short scalar walks from a few
+starts find every cycle but the prime fixed points of a = 0 (see
+_find_cycles); a label is the 1-based index of a cycle's minimum among
+all minima.  One ascending pass then gives every node its label and
+distance, because a node's successor almost always lies below it.  Both
+live in one packed state per node (see state_dtype).
+
+The pass streams the range.  A head [0, H], with every walk in it and H
+>= CHUNK - 1, gets a sieve and step map of its own and is resolved in
+blocks [lo, 2*lo) of at most CHUNK entries.  Above it, each window [lo,
+lo + CHUNK) is sieved on its own and takes B(n) = spf(n) + B(n // spf(n))
+from B over [0, limit // 2], since n // spf(n) <= n/2 < lo.  A node whose
+successor is unresolved waits with that successor beside it.  So only
+the state (2 B per entry at a <= 200) and that half-range B (int32, 2 B
+per entry of the range) are whole: 4 B per entry.  The same lemma
+makes a sweep over shifts cheap: starts <= climb_margin(a) + 4 already
+reach every cycle, and the census of those lies wholly in the head.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +31,8 @@ import numpy as np
 from .arith import Shift, as_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import WORD_MAX, build_sieve, is_prime
-from .tables import CHUNK, step_map
+from .sieve import WORD_MAX, build_sieve, index_dtype, is_prime, spf_windows
+from .tables import CHUNK, big_b, big_b_window
 
 
 def climb_margin(a: int) -> int:
@@ -117,23 +125,42 @@ def state_dtype(bits: int, budget: int) -> type:
     return np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
 
 
-def _settle(pending, f, state, step, budget, a):
+def _settle(nodes, succ, state, step, budget, a, start_limit):
     """Resolve pending nodes whose successor is resolved, until none moves.
 
-    Returns the nodes still pending.
+    Each pending node carries its successor in succ.  Returns the nodes
+    still pending and their successors.
     """
     rounds = 0
-    while pending.size:
-        succ = state[f[pending]]
-        ok = succ != 0
-        if not ok.any():
+    while nodes.size:
+        known = state[succ]
+        ok = known != 0
+        if not np.count_nonzero(ok):
             break
-        state[pending[ok]] = succ[ok] + step
-        pending = pending[~ok]
+        if rounds == budget:
+            raise ConsistencyError(
+                f"node {int(nodes[0])} under a={a} with --limit {start_limit} "
+                f"is unresolved after {budget} rounds"
+            )
+        state[nodes[ok]] = known[ok] + step
+        nodes, succ = nodes[~ok], succ[~ok]
         rounds += 1
-        if rounds > budget:
-            raise ConsistencyError(f"census resolution under a={a} did not converge")
-    return pending
+    return nodes, succ
+
+
+def _shifted(b, spf, lo, a, limit):
+    """B_a over [lo, lo + b.size) from B there, in b when its dtype fits.
+
+    a is added where B(n) = spf(n), which holds exactly at the primes.
+    Only primes p > limit - a step past the range, and no start reaches
+    them: their B_a becomes 0, an index never labelled, so they and their
+    preimages stay pending.
+    """
+    f = b.astype(index_dtype(limit + a), copy=False)
+    np.add(f, a, out=f, where=f == spf)
+    top = f[max(limit - a + 1 - lo, 0) :]
+    top[top > limit] = 0
+    return f
 
 
 def _counts(values, width=1):
@@ -152,11 +179,12 @@ def _counts(values, width=1):
 def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     """Enumerate all cycles reached from starts 2..start_limit, with basins.
 
-    Works on [2, census_limit(a, start_limit)], on a sieve of its own.
-    Deterministic: cycles are listed by their minimum member.  Every
-    walked cycle is checked against the scalar map (canonicalize); the
-    prime fixed points of a = 0 come straight from the sieve.  Cycles
-    reached only from starts above start_limit are not listed.
+    Works on [2, census_limit(a, start_limit)], streamed through sieve
+    windows of its own.  Deterministic: cycles are listed by their
+    minimum member.  Every walked cycle is checked against the scalar map
+    (canonicalize); the prime fixed points of a = 0 come straight from
+    the sieve.  Cycles reached only from starts above start_limit are not
+    listed.
     """
     shift = as_shift(shift)
     a = shift.a
@@ -164,45 +192,71 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
         raise DomainError(f"start_limit must be >= 2, got {start_limit}")
     margin = climb_margin(a)
     limit = census_limit(a, start_limit)
-    table = build_sieve(limit)
     budget = default_max_steps(limit, a)
+    # The head holds every walk, and so every cycle member but the primes
+    # of a = 0; windows above it start at CHUNK or later.
+    head = build_sieve(min(limit, max(CHUNK - 1, census_limit(a, margin + 4))))
 
-    f = step_map(table, shift)
-    # Only primes p > limit - a step past the table, and no start reaches
-    # them; index 0 is never labelled, so they and their preimages stay
-    # pending.
-    top = f[max(limit - a, 0) + 1 :]
-    top[top > limit] = 0
+    # b holds B up to limit // 2, which is as far down as n // spf(n)
+    # reaches from n <= limit.
+    half = limit // 2
+    b = np.zeros(half + 1, dtype=index_dtype(half))
+    f = big_b(head)
+    b[: head.limit + 1] = f[: half + 1]
+    f = _shifted(f, head.spf, 0, a, limit)
     walked = _find_cycles(f, margin, budget, a)
-    minima = np.array(sorted(walked))
+    minima = [np.array(sorted(walked))]
+    bits = minima[0].size.bit_length()
     if a == 0:
-        # Every prime is a fixed point as well; the walks met (2), (3) and (4).
-        minima = np.insert(table.primes(), 2, 4)
+        # Every prime is a fixed point as well; the walks met (2), (3) and
+        # (4).  The primes above the head take their labels window by
+        # window, so the label count is bounded before the state exists:
+        # pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), plus 4.
+        minima = [np.insert(head.primes(), 2, 4)]
+        bits = (int(1.25506 * limit / math.log(limit)) + 1).bit_length()
 
     # state[n] = dist[n] << bits | label[n], 0 while unresolved.  label[n]
     # is the 1-based index in minima of the cycle n reaches, and dist[n]
     # the number of B_a steps to get there.
-    bits = minima.size.bit_length()
     state = np.zeros(limit + 1, dtype=state_dtype(bits, budget))
-    state[minima] = np.arange(1, minima.size + 1, dtype=state.dtype)
+    state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
     for m, members in walked.items():
         state[members] = state[m]
     step = 1 << bits
-    pending = np.empty(0, dtype=np.intp)
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, lo + CHUNK, limit + 1)
-        # First round over the window as slices: a node whose successor is
-        # already resolved takes its state, one step further; cycle nodes
-        # keep theirs.
-        succ = state[f[lo:hi]]
+
+    def resolve(lo, f, pending):
+        # First round over [lo, lo + f.size) as slices: a node whose
+        # successor is already resolved takes its state, one step further;
+        # cycle nodes keep theirs.  The rest wait with their successors.
+        succ = state[f]
         np.add(succ, step, out=succ, where=succ != 0)
-        window = state[lo:hi]
+        window = state[lo : lo + f.size]
         np.copyto(window, succ, where=window == 0)
-        pending = np.concatenate([pending, np.flatnonzero(window == 0) + lo])
-        pending = _settle(pending, f, state, step, budget, a)
+        new = (window == 0).nonzero()[0]
+        if new.size:
+            pending = (np.concatenate([pending[0], new + lo]), np.concatenate([pending[1], f[new]]))
+        return _settle(*pending, state, step, budget, a, start_limit)
+
+    pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=f.dtype))
+    lo = 2
+    while lo <= head.limit:
+        hi = min(2 * lo, lo + CHUNK, head.limit + 1)
+        pending = resolve(lo, f[lo:hi], pending)
         lo = hi
-    stuck = pending[pending <= start_limit]
+    ranked = minima[0].size
+    for lo, spf in spf_windows(head.limit + 1, limit):
+        f = big_b_window(b, spf, lo)
+        b[lo : lo + f.size] = f[: max(half + 1 - lo, 0)]
+        f = _shifted(f, spf, lo, a, limit)
+        if a == 0:
+            primes = np.flatnonzero(f == spf) + lo
+            state[primes] = np.arange(ranked + 1, ranked + primes.size + 1, dtype=state.dtype)
+            ranked += primes.size
+            minima.append(primes)
+        pending = resolve(lo, f, pending)
+    del b  # before the a = 0 cycles, one Python object per prime
+    nodes = pending[0]
+    stuck = nodes[nodes <= start_limit]
     if stuck.size:
         raise ConsistencyError(f"node {int(stuck[0])} under a={a} reaches no cycle")
     # Each state is written once, from its successor's final one, so a node
@@ -225,8 +279,8 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
         basins, counts = grid.sum(axis=0), grid.sum(axis=1)
     labels = np.flatnonzero(basins)
     cycles = tuple(
-        canonicalize(walked[m], shift, table) if m in walked else Cycle((m,), "+")
-        for m in minima[labels - 1].tolist()
+        canonicalize(walked[m], shift, head) if m in walked else Cycle((m,), "+")
+        for m in np.concatenate(minima)[labels - 1].tolist()
     )
     return CensusReport(
         shift=shift,

@@ -1,14 +1,18 @@
 """Smallest-prime-factor sieve, primality testing, and integer factorization.
 
-The sieve covers a fixed range [2, limit]; everything above the limit is
-handled by trial division against the sieve primes, a deterministic
-Miller-Rabin test (complete witness set for the 64-bit range), and a
-Brent-variant rho splitter for the rare composites that survive both.
+The sieve covers a fixed range [2, limit], or streams it window by
+window (spf_windows) for a caller that cannot hold it whole; everything
+above the limit is handled by trial division against the sieve primes, a
+deterministic Miller-Rabin test (complete witness set for the 64-bit
+range), and a Brent-variant rho splitter for the rare composites that
+survive both.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import random
 
 import numpy as np
@@ -67,39 +71,67 @@ def index_dtype(top: int) -> type:
     return np.int32 if top < 2**31 else np.int64
 
 
-def build_sieve(limit: int) -> SieveTable:
-    """Build the smallest-prime-factor table up to limit (inclusive)."""
-    if limit < 2:
-        raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > WORD_MAX:
-        raise DomainError(f"sieve limit {limit} exceeds the 64-bit range")
-    # A composite n with smallest prime factor p has n >= p * p, so the
-    # multiples of p from p * p on reach it.  Writing the primes p <=
-    # sqrt(limit) in descending order leaves the smallest one last at every
-    # composite; entries never written (primes) keep spf[n] = n.  Segments
-    # of CHUNK entries stay in cache while the primes stride over them: in
-    # [lo, hi) only the p <= sqrt(hi - 1) write, from max(p * p, the first
-    # multiple of p >= lo), which is p * p in the first segment.
+def _sieving_primes(limit: int) -> list[int]:
+    """The primes p <= sqrt(limit), largest first, as Python ints."""
     root = math.isqrt(limit)
     is_small_prime = np.ones(root + 1, dtype=bool)
     is_small_prime[:2] = False
     for i in range(2, math.isqrt(root) + 1):
         if is_small_prime[i]:
             is_small_prime[i * i :: i] = False
-    descending = np.flatnonzero(is_small_prime)[::-1].tolist()
+    return np.flatnonzero(is_small_prime)[::-1].tolist()
+
+
+def _sieve_segment(seg: np.ndarray, lo: int, descending: list[int]) -> None:
+    """Turn seg, which holds n at n for n in [lo, lo + seg.size), into spf.
+
+    A composite n with smallest prime factor p has n >= p * p, so the
+    multiples of p from p * p on reach it.  Writing the primes p <=
+    sqrt(hi - 1) in descending order leaves the smallest one last at
+    every composite; entries never written (primes) keep n.  Each prime
+    starts at max(p * p, the first multiple of p >= lo).  descending
+    holds the primes up to at least sqrt(hi - 1), largest first; it is
+    cut once, by bisection, to the primes that write.
+    """
+    hi = lo + seg.size
+    first = bisect.bisect_left(descending, -math.isqrt(hi - 1), key=operator.neg)
+    for p in descending[first:]:
+        seg[max(p * p, lo + -lo % p) - lo :: p] = p
+
+
+def build_sieve(limit: int) -> SieveTable:
+    """Build the smallest-prime-factor table up to limit (inclusive)."""
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > WORD_MAX:
+        raise DomainError(f"sieve limit {limit} exceeds the 64-bit range")
+    # Segments of CHUNK entries stay in cache while the primes stride over
+    # them.
+    descending = _sieving_primes(limit)
     spf = np.arange(limit + 1, dtype=index_dtype(limit))
-    for p in descending:
-        spf[p * p : CHUNK : p] = p
-    for lo in range(CHUNK, limit + 1, CHUNK):
-        hi = min(lo + CHUNK, limit + 1)
-        r = math.isqrt(hi - 1)
-        for p in descending:
-            if p <= r:
-                spf[max(p * p, lo + -lo % p) : hi : p] = p
+    for lo in range(0, limit + 1, CHUNK):
+        _sieve_segment(spf[lo : lo + CHUNK], lo, descending)
     spf[0] = 0
     spf[1] = 0
     spf.setflags(write=False)
     return SieveTable(limit, spf)
+
+
+def spf_windows(lo: int, limit: int):
+    """Yield (w, spf[w : w + CHUNK]) for the windows w = lo, lo + CHUNK, ...
+    up to limit, each sieved on its own, so no whole-range table exists.
+
+    The windows are fresh writable arrays in index_dtype(limit).  With
+    lo > limit there are none, and no sieving primes are made.
+    """
+    if lo > limit:
+        return
+    descending = _sieving_primes(limit)
+    dtype = index_dtype(limit)
+    for w in range(lo, limit + 1, CHUNK):
+        seg = np.arange(w, min(w + CHUNK, limit + 1), dtype=dtype)
+        _sieve_segment(seg, w, descending)
+        yield w, seg
 
 
 def _miller_rabin(n: int) -> bool:

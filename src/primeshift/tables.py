@@ -15,6 +15,17 @@ from .errors import RangeOverflowError
 from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype
 
 
+def _block(out, p, lo, term):
+    """out[m] + term(p, m) over the block [lo, lo + p.size), where p = spf[lo:]
+    and m = n // p.  Every out[m] must already hold its value."""
+    m = np.arange(lo, lo + p.size, dtype=p.dtype) // p
+    return out[m] + term(p, m)
+
+
+def _b_term(p, m):
+    return p
+
+
 def _block_sum(spf, term, dtype=None):
     """out[n] = out[m] + term(p, m) with p = spf[n] and m = n // p, for n >= 2.
 
@@ -27,16 +38,23 @@ def _block_sum(spf, term, dtype=None):
     lo = 2
     while lo < spf.size:
         hi = min(2 * lo, lo + CHUNK, spf.size)
-        p = spf[lo:hi]
-        m = np.arange(lo, hi, dtype=spf.dtype) // p
-        out[lo:hi] = out[m] + term(p, m)
+        out[lo:hi] = _block(out, spf[lo:hi], lo, term)
         lo = hi
     return out
 
 
 def big_b(table: SieveTable) -> np.ndarray:
     """B(n) = p + B(m) with p = spf(n) and m = n // p, in the sieve's dtype."""
-    return _block_sum(table.spf, lambda p, m: p)
+    return _block_sum(table.spf, _b_term)
+
+
+def big_b_window(b: np.ndarray, spf: np.ndarray, lo: int) -> np.ndarray:
+    """B over the window [lo, lo + spf.size) from its spf, by big_b's recurrence.
+
+    b must hold B below lo, and the window must end by 2*lo, so that every
+    n // spf(n) lies below lo.
+    """
+    return _block(b, spf, lo, _b_term)
 
 
 def beta(table: SieveTable) -> np.ndarray:
@@ -62,7 +80,7 @@ def step_map(table: SieveTable, shift: Shift | int) -> np.ndarray:
         p -= 1
     if p + a > WORD_MAX:
         raise RangeOverflowError(f"{p} + {a} exceeds the 64-bit range")
-    f = _block_sum(spf, lambda p, m: p, index_dtype(table.limit + a))
+    f = _block_sum(spf, _b_term, index_dtype(table.limit + a))
     for lo in range(2, f.size, CHUNK):
         seg = f[lo : lo + CHUNK]
         np.add(seg, a, out=seg, where=seg == spf[lo : lo + CHUNK])

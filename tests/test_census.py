@@ -15,6 +15,8 @@ from primeshift import (
     run_census,
 )
 from primeshift import census as census_mod
+from primeshift import sieve as sieve_mod
+from primeshift import tables as tables_mod
 from primeshift.census import census_limit, climb_margin, state_dtype
 from primeshift.cli import run
 from primeshift.dynamics import canonicalize, default_max_steps
@@ -66,6 +68,20 @@ def test_naive_agrees_with_memoized(table):
         }
         assert fast.stopping_time_histogram == slow.stopping_time_histogram
         assert fast.max_total_stopping_time == slow.max_total_stopping_time
+
+
+def test_naive_agrees_across_windows(table, monkeypatch):
+    # With 64-entry windows a 10^4 census resolves a head [0, max(63,
+    # census_limit(a, climb_margin(a) + 4))] and then 144 to 156 windows:
+    # successors carried from window to window, the primes near the top
+    # whose successor passes the limit, and at a = 0 the primes ranked
+    # window by window.
+    for mod in (sieve_mod, tables_mod, census_mod):
+        monkeypatch.setattr(mod, "CHUNK", 2**6)
+    for a in (0, 1, 2, 3, 39, 137, 200):
+        assert census_limit(a, climb_margin(a) + 4) < 10**4 // 2
+        fast = run_census(a, 10**4)
+        assert _summary(fast) == _summary(run_census_naive(a, 10**4, table)), f"a={a}"
 
 
 def test_naive_agrees_on_reached_cycles(table):
@@ -225,14 +241,26 @@ def test_dist_past_budget_raises(monkeypatch):
         run_census(0, 100)
 
 
+def test_unsettled_node_names_its_input(monkeypatch):
+    # Under a = 0, 14 -> 9 -> 6 -> 5 with 9 and 14 in one block [8, 16):
+    # 14 is pending until a settle round after 9 resolves, and a budget of
+    # 0 rounds allows none.
+    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 0)
+    with pytest.raises(
+        ConsistencyError, match=r"node 14 under a=0 with --limit 100 is unresolved after 0 rounds"
+    ):
+        run_census(0, 100)
+
+
 def test_census_peak_memory():
     # Bytes per table entry at the census's own peak, numpy buffers included.
-    # The sieve, the step map and the state hold 10 B per entry; the
-    # CHUNK-sized temporaries of the window pass and the counts weigh most
+    # Only the state (2 B per entry) and B up to limit // 2 (2 B per entry)
+    # span the range; the head's sieve and step map (2^18 entries each),
+    # the CHUNK-sized temporaries of each window and the counts weigh most
     # at 10^6.  At a = 0 the state takes 4 B and the 78,499 cycles, one
-    # per prime and 4, peak as Python objects.  Measured: 12.53, 10.56 and
-    # 27.3 B, bounded with 10% headroom.
-    for a, start_limit, per_entry in ((39, 10**6, 13.8), (39, 4 * 10**6, 11.6), (0, 10**6, 30)):
+    # per prime and 4, peak as Python objects.  Measured: 9.32, 5.33 and
+    # 20.77 B, bounded with 10% headroom.
+    for a, start_limit, per_entry in ((39, 10**6, 10.3), (39, 4 * 10**6, 5.9), (0, 10**6, 22.8)):
         tracemalloc.start()
         try:
             run_census(a, start_limit)

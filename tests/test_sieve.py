@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from primeshift import DomainError, build_sieve
-from primeshift.sieve import CHUNK, factorize, is_prime
+from primeshift.sieve import CHUNK, factorize, is_prime, spf_windows
 
 
 def trial_division_is_prime(n):
@@ -45,6 +45,16 @@ def test_spf_matches_masked_sieve():
         spf = build_sieve(limit).spf
         assert spf.dtype == np.int32
         assert np.array_equal(spf, masked_sieve_oracle(limit)), limit
+
+
+def test_windows_match_whole_sieve():
+    # spf_windows streams, from any start, the table build_sieve holds whole.
+    limit = 3 * CHUNK + 5
+    whole = build_sieve(limit).spf
+    for lo in (2, CHUNK - 1, CHUNK, 2 * CHUNK + 7):
+        windows = list(spf_windows(lo, limit))
+        assert [w for w, _ in windows] == list(range(lo, limit + 1, CHUNK))
+        assert np.array_equal(np.concatenate([seg for _, seg in windows]), whole[lo:]), lo
 
 
 def test_primes_match_full_index_scan():
