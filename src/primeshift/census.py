@@ -9,20 +9,20 @@ all minima.  One ascending pass then gives every node its label and
 distance, because a node's successor almost always lies below it.  Both
 live in one packed state per node (see state_dtype).
 
-The pass streams the range.  A head [0, H], with every walk in it and H
->= CHUNK - 1, gets a sieve and step map of its own and is resolved in
-blocks [lo, 2*lo) of at most CHUNK entries.  Above it, each window [lo,
-lo + CHUNK) is sieved on its own and takes B(n) = spf(n) + B(n // spf(n))
-from B over [0, limit // 2], since n // spf(n) <= n/2 < lo.  A node whose
-successor is unresolved waits with that successor beside it.  So only
-the state (2 B per entry at a <= 200) and that half-range B (int32, 2 B
-per entry of the range) are whole: 4 B per entry.  The same lemma
-makes a sweep over shifts cheap: starts <= climb_margin(a) + 4 already
-reach every cycle, and the census of those lies wholly in the head.
+B_a comes from the segment stream of tables.segments, shifted at the
+primes.  The segments that hold the walks wait until the walks have fixed
+the labels; then every segment is resolved in the blocks [lo, 2*lo) of
+tables.blocks.  A node whose successor is unresolved waits with that
+successor beside it.  So only the state (2 B per entry at a <= 200) and
+the stream's half-range B (int32, 2 B per entry of the range) are whole:
+4 B per entry.  The same lemma makes a sweep over shifts cheap: starts
+<= climb_margin(a) + 4 already reach every cycle, and the census of those
+is one short segment.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,8 +31,8 @@ import numpy as np
 from .arith import Shift, as_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import WORD_MAX, build_sieve, index_dtype, is_prime, spf_windows
-from .tables import CHUNK, big_b, big_b_window
+from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype, is_prime
+from .tables import b_term, blocks, segments, shift_primes
 
 
 def climb_margin(a: int) -> int:
@@ -148,21 +148,6 @@ def _settle(nodes, succ, state, step, budget, a, start_limit):
     return nodes, succ
 
 
-def _shifted(b, spf, lo, a, limit):
-    """B_a over [lo, lo + b.size) from B there, in b when its dtype fits.
-
-    a is added where B(n) = spf(n), which holds exactly at the primes.
-    Only primes p > limit - a step past the range, and no start reaches
-    them: their B_a becomes 0, an index never labelled, so they and their
-    preimages stay pending.
-    """
-    f = b.astype(index_dtype(limit + a), copy=False)
-    np.add(f, a, out=f, where=f == spf)
-    top = f[max(limit - a + 1 - lo, 0) :]
-    top[top > limit] = 0
-    return f
-
-
 def _counts(values, width=1):
     """np.bincount(values) in chunks, without its full-length intp copy.
 
@@ -179,12 +164,11 @@ def _counts(values, width=1):
 def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     """Enumerate all cycles reached from starts 2..start_limit, with basins.
 
-    Works on [2, census_limit(a, start_limit)], streamed through sieve
-    windows of its own.  Deterministic: cycles are listed by their
-    minimum member.  Every walked cycle is checked against the scalar map
-    (canonicalize); the prime fixed points of a = 0 come straight from
-    the sieve.  Cycles reached only from starts above start_limit are not
-    listed.
+    Works on [2, census_limit(a, start_limit)], streamed segment by
+    segment.  Deterministic: cycles are listed by their minimum member.
+    Every walked cycle is checked against the scalar map (canonicalize);
+    the prime fixed points of a = 0 come straight from the stream.  Cycles
+    reached only from starts above start_limit are not listed.
     """
     shift = as_shift(shift)
     a = shift.a
@@ -193,26 +177,36 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     margin = climb_margin(a)
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
-    # The head holds every walk, and so every cycle member but the primes
-    # of a = 0; windows above it start at CHUNK or later.
-    head = build_sieve(min(limit, max(CHUNK - 1, census_limit(a, margin + 4))))
+    # Every walk stays in [0, reach], and so does every cycle member but
+    # the primes of a = 0.
+    reach = min(limit, census_limit(a, margin + 4))
 
-    # b holds B up to limit // 2, which is as far down as n // spf(n)
-    # reaches from n <= limit.
-    half = limit // 2
-    b = np.zeros(half + 1, dtype=index_dtype(half))
-    f = big_b(head)
-    b[: head.limit + 1] = f[: half + 1]
-    f = _shifted(f, head.spf, 0, a, limit)
-    walked = _find_cycles(f, margin, budget, a)
+    def shifted():
+        for s, spf, v in segments(limit, b_term):
+            f = shift_primes(v, spf, a, limit)
+            # Only primes p > limit - a step past the range, and no start
+            # reaches them: their B_a becomes 0, an index never labelled,
+            # so they and their preimages stay pending.
+            top = f[max(limit - a + 1 - s, 0) :]
+            top[top > limit] = 0
+            yield s, spf, f
+            del spf, v, f, top  # before the next segment is built
+
+    # The segments up to reach wait for the walks, which fix the labels.
+    stream = shifted()
+    held = [next(stream)]
+    while held[-1][0] + held[-1][1].size <= reach:
+        held.append(next(stream))
+    walk_table = SieveTable(reach, np.concatenate([spf[: reach + 1 - s] for s, spf, _ in held]))
+    walk = np.concatenate([f[: reach + 1 - s] for s, _, f in held])
+    walked = _find_cycles(walk, margin, budget, a)
     minima = [np.array(sorted(walked))]
     bits = minima[0].size.bit_length()
     if a == 0:
         # Every prime is a fixed point as well; the walks met (2), (3) and
-        # (4).  The primes above the head take their labels window by
-        # window, so the label count is bounded before the state exists:
+        # (4), and the primes from 5 on take their labels segment by
+        # segment, so the label count is bounded before the state exists:
         # pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), plus 4.
-        minima = [np.insert(head.primes(), 2, 4)]
         bits = (int(1.25506 * limit / math.log(limit)) + 1).bit_length()
 
     # state[n] = dist[n] << bits | label[n], 0 while unresolved.  label[n]
@@ -237,24 +231,19 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
             pending = (np.concatenate([pending[0], new + lo]), np.concatenate([pending[1], f[new]]))
         return _settle(*pending, state, step, budget, a, start_limit)
 
-    pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=f.dtype))
-    lo = 2
-    while lo <= head.limit:
-        hi = min(2 * lo, lo + CHUNK, head.limit + 1)
-        pending = resolve(lo, f[lo:hi], pending)
-        lo = hi
+    pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=index_dtype(limit + a)))
     ranked = minima[0].size
-    for lo, spf in spf_windows(head.limit + 1, limit):
-        f = big_b_window(b, spf, lo)
-        b[lo : lo + f.size] = f[: max(half + 1 - lo, 0)]
-        f = _shifted(f, spf, lo, a, limit)
+    # The held segments go first, each dropped from held as the loop takes it.
+    for s, spf, f in itertools.chain((held.pop(0) for _ in range(len(held))), stream):
         if a == 0:
-            primes = np.flatnonzero(f == spf) + lo
+            lo = max(s, 5)
+            primes = np.flatnonzero(f[lo - s :] == spf[lo - s :]) + lo
             state[primes] = np.arange(ranked + 1, ranked + primes.size + 1, dtype=state.dtype)
             ranked += primes.size
             minima.append(primes)
-        pending = resolve(lo, f, pending)
-    del b  # before the a = 0 cycles, one Python object per prime
+        for lo, hi in blocks(s, s + f.size):
+            pending = resolve(lo, f[lo - s : hi - s], pending)
+        del spf, f  # before the next segment is built
     nodes = pending[0]
     stuck = nodes[nodes <= start_limit]
     if stuck.size:
@@ -279,7 +268,7 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
         basins, counts = grid.sum(axis=0), grid.sum(axis=1)
     labels = np.flatnonzero(basins)
     cycles = tuple(
-        canonicalize(walked[m], shift, head) if m in walked else Cycle((m,), "+")
+        canonicalize(walked[m], shift, walk_table) if m in walked else Cycle((m,), "+")
         for m in np.concatenate(minima)[labels - 1].tolist()
     )
     return CensusReport(

@@ -27,7 +27,7 @@ from .constructions import build_amicable, find_ascending_chain
 from .dynamics import iterate_orbit
 from .errors import DomainError, NonterminationError, RangeOverflowError
 from .fibres import build_kappa, enumerate_fibre, preimage_density
-from .sieve import build_sieve
+from .sieve import CHUNK, build_sieve
 from .stats import (
     average_order_series,
     b_minus_beta_series,
@@ -61,8 +61,8 @@ def _build_parser() -> _Parser:
         "--sieve-limit",
         type=int,
         default=os.environ.get("DD_SIEVE_LIMIT"),
-        help="lower bound on the smallest-prime-factor table size (default: env "
-        "DD_SIEVE_LIMIT, else none); every command sizes its own table",
+        help="lower bound on the smallest-prime-factor table of orbit, amicable, "
+        "chain, kappa and fibre (default: env DD_SIEVE_LIMIT, else none)",
     )
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -278,24 +278,35 @@ def _read_members(path: str) -> set[int]:
         raise DomainError(f"cannot read target set file {path!r}: {exc}") from None
 
 
-def _target_predicate(spec: str, table):
-    """Vectorised membership test for B-values, which lie in [2, table.limit]."""
-    if spec == "primes":
-        members = table.primes()
-    elif spec == "squares":
-        members = np.arange(math.isqrt(table.limit) + 1) ** 2
+def _target_predicate(spec: str):
+    """Vectorised membership test for v = B over [2, x], whose values lie in
+    [2, x]; the set is read here, its mask over [0, x] built at the call."""
+    if spec == "squares":
+        members = lambda x: np.arange(math.isqrt(x) + 1) ** 2
     elif spec.startswith("file:"):
-        members = [m for m in _read_members(spec[len("file:") :]) if 0 <= m <= table.limit]
-    else:
+        found = _read_members(spec[len("file:") :])
+        members = lambda x: [m for m in found if 0 <= m <= x]
+    elif spec != "primes":
         raise DomainError(f"unknown target set {spec!r}")
-    mask = np.zeros(table.limit + 1, dtype=bool)
-    mask[members] = True
-    return lambda v: mask[v]
+
+    def predicate(v):
+        mask = np.zeros(v.size + 2, dtype=bool)
+        if spec != "primes":
+            mask[members(v.size + 1)] = True
+            return mask[v]
+        # B(k) = k exactly when k is prime or k = 4: v marks the primes
+        # itself, chunk by chunk, with no temporary as long as v.
+        for lo in range(0, v.size, CHUNK):
+            part = v[lo : lo + CHUNK]
+            mask[lo + 2 : lo + 2 + part.size] = part == np.arange(lo + 2, lo + 2 + part.size)
+        mask[4:5] = False
+        return mask[v]
+
+    return predicate
 
 
 def _cmd_density(args):
-    table = _table(args, args.x)
-    count, density = preimage_density(_target_predicate(args.target, table), args.x, table)
+    count, density = preimage_density(_target_predicate(args.target), args.x)
     payload = {"set": args.target, "x": args.x, "count": count, "density": density}
     return _emit(args, payload, list(payload), [payload.values()])
 
@@ -304,16 +315,15 @@ _SERIES = {"avg": average_order_series, "bmb": b_minus_beta_series, "parity": pa
 
 
 def _cmd_stats(args):
-    table = _table(args, args.x)
     if args.mode == "density":
-        payload = {"N": args.N, "x": args.x, "density": estimate_local_density(args.N, args.x, table)}
+        payload = {"N": args.N, "x": args.x, "density": estimate_local_density(args.N, args.x)}
         return _emit(args, payload, list(payload), [payload.values()])
     if args.mode == "residue":
-        counts = residue_distribution(Shift(args.a), args.q, args.x, table)
+        counts = residue_distribution(Shift(args.a), args.q, args.x)
         payload = {"a": args.a, "q": args.q, "x": args.x,
                    "counts": {str(h): c for h, c in sorted(counts.items())}}
         return _emit(args, payload, ["h", "count"], sorted(counts.items()))
-    s = _SERIES[args.mode](Shift(args.a), _checkpoints(args.x), table)
+    s = _SERIES[args.mode](Shift(args.a), _checkpoints(args.x))
     rows = list(zip(s.checkpoints, s.sums, s.reference, s.ratios))
     columns = ["x", "sum", "reference", "ratio"]
     return _emit(args, {"rows": [dict(zip(columns, row)) for row in rows]}, columns, rows)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .arith import Shift, as_shift
 from .errors import DomainError, RangeOverflowError
-from .sieve import WORD_MAX, SieveTable, is_prime
-from .tables import big_b
+from .sieve import WORD_MAX, SieveTable, index_dtype, is_prime
+from .tables import b_term, check_x, segments
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,18 @@ def enumerate_fibre(
     return sorted(out)
 
 
-def preimage_density(target_set, x: int, table: SieveTable) -> tuple[int, float]:
+def preimage_density(target_set, x: int) -> tuple[int, float]:
     """(count, density) of {2 <= n <= x : B(n) in target_set}; density is count / x.
 
     target_set is a vectorised predicate, called exactly once, on the
-    array of B(n) for 2 <= n <= x, in the sieve's dtype (int32
-    below 2^31; every entry lies in [2, x]).  It returns a bool array of
-    that shape, or a scalar, which broadcasts.
+    array of B(n) for 2 <= n <= x, in index_dtype(x) (int32 below 2^31;
+    every entry lies in [2, x]).  It returns a bool array of that shape,
+    or a scalar, which broadcasts.
     """
-    table.check_x(x)
-    values = big_b(table)[2 : x + 1]
+    check_x(x)
+    values = np.empty(x - 1, dtype=index_dtype(x))
+    for s, _, v in segments(x, b_term):
+        values[max(s, 2) - 2 : s + v.size - 2] = v[max(2 - s, 0) :]
     hit = np.broadcast_to(np.asarray(target_set(values), dtype=bool), values.shape)
     count = int(np.count_nonzero(hit))
     return count, count / x

@@ -1,11 +1,12 @@
 """Smallest-prime-factor sieve, primality testing, and integer factorization.
 
-The sieve covers a fixed range [2, limit], or streams it window by
-window (spf_windows) for a caller that cannot hold it whole; everything
-above the limit is handled by trial division against the sieve primes, a
-deterministic Miller-Rabin test (complete witness set for the 64-bit
-range), and a Brent-variant rho splitter for the rare composites that
-survive both.
+build_sieve holds the table over [0, limit] whole, for the commands that
+look up a few numbers; spf_windows streams the same table segment by
+segment (Bays and Hudson's segmented sieve) for the bulk tables, so no
+bulk command holds it whole.  Above the limit, factorization uses trial
+division against the sieve primes, a deterministic Miller-Rabin test
+(complete witness set for the 64-bit range), and a Brent-variant rho
+splitter for the rare composites that survive both.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class SieveTable:
     __slots__ = ("limit", "spf", "_primes")
 
     def __init__(self, limit: int, spf: np.ndarray):
+        spf.setflags(write=False)
         self.limit = limit
         self.spf = spf
         self._primes = None
@@ -57,13 +59,6 @@ class SieveTable:
             primes.setflags(write=False)
             self._primes = primes
         return self._primes
-
-    def check_x(self, x: int) -> None:
-        """Raise DomainError unless 2 <= x <= limit, the range of n <= x sums."""
-        if x < 2:
-            raise DomainError(f"x must be >= 2, got x={x}")
-        if x > self.limit:
-            raise DomainError(f"x={x} exceeds table limit {self.limit}")
 
 
 def index_dtype(top: int) -> type:
@@ -91,12 +86,13 @@ def _sieve_segment(seg: np.ndarray, lo: int, descending: list[int]) -> None:
     every composite; entries never written (primes) keep n.  Each prime
     starts at max(p * p, the first multiple of p >= lo).  descending
     holds the primes up to at least sqrt(hi - 1), largest first; it is
-    cut once, by bisection, to the primes that write.
+    cut once, by bisection, to the primes that write.  n = 0, 1 get 0.
     """
     hi = lo + seg.size
     first = bisect.bisect_left(descending, -math.isqrt(hi - 1), key=operator.neg)
     for p in descending[first:]:
         seg[max(p * p, lo + -lo % p) - lo :: p] = p
+    seg[: max(2 - lo, 0)] = 0
 
 
 def build_sieve(limit: int) -> SieveTable:
@@ -105,30 +101,22 @@ def build_sieve(limit: int) -> SieveTable:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > WORD_MAX:
         raise DomainError(f"sieve limit {limit} exceeds the 64-bit range")
-    # Segments of CHUNK entries stay in cache while the primes stride over
-    # them.
-    descending = _sieving_primes(limit)
-    spf = np.arange(limit + 1, dtype=index_dtype(limit))
-    for lo in range(0, limit + 1, CHUNK):
-        _sieve_segment(spf[lo : lo + CHUNK], lo, descending)
-    spf[0] = 0
-    spf[1] = 0
-    spf.setflags(write=False)
+    spf = np.empty(limit + 1, dtype=index_dtype(limit))
+    for w, seg in spf_windows(limit):
+        spf[w : w + seg.size] = seg
     return SieveTable(limit, spf)
 
 
-def spf_windows(lo: int, limit: int):
-    """Yield (w, spf[w : w + CHUNK]) for the windows w = lo, lo + CHUNK, ...
-    up to limit, each sieved on its own, so no whole-range table exists.
+def spf_windows(limit: int):
+    """Yield (w, spf[w : w + CHUNK]) for the windows w = 0, CHUNK, ... up
+    to limit, each sieved on its own, so no whole-range table exists.
 
-    The windows are fresh writable arrays in index_dtype(limit).  With
-    lo > limit there are none, and no sieving primes are made.
+    The windows are fresh writable arrays in index_dtype(limit); build_sieve
+    joins them into the whole table.
     """
-    if lo > limit:
-        return
     descending = _sieving_primes(limit)
     dtype = index_dtype(limit)
-    for w in range(lo, limit + 1, CHUNK):
+    for w in range(0, limit + 1, CHUNK):
         seg = np.arange(w, min(w + CHUNK, limit + 1), dtype=dtype)
         _sieve_segment(seg, w, descending)
         yield w, seg

@@ -1,88 +1,84 @@
-"""Bulk tables over a sieve: vectorized B, beta and the orbit step map.
+"""Bulk values of B, streamed segment by segment: the one source for every bulk command.
 
-The census and partial-sum modules never call the scalar functions in a
-loop; they work off flat numpy arrays built here in one ascending pass
-over the sieve.  Each function returns a fresh writable array over
-[0, limit]; its entries at n = 0, 1 are 0 unless stated otherwise.
+B(n) = p + B(m) with p = spf(n) and m = n // p, and (B - beta)(n) =
+(B - beta)(m) + p exactly when p | m, since beta(n) = beta(m) + p unless
+p already divides m.  m <= n/2, so segments() fills each sieve segment
+of sieve.spf_windows from the values below it, kept in one array over
+[0, limit // 2], and no whole-range table of B, beta or B_a exists.  B_a differs from B only at
+the primes, where B(n) = spf(n); shift_primes adds a there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .arith import Shift, as_shift
-from .errors import RangeOverflowError
-from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype
+from .errors import DomainError
+from .sieve import index_dtype, spf_windows
 
 
-def _block(out, p, lo, term):
-    """out[m] + term(p, m) over the block [lo, lo + p.size), where p = spf[lo:]
-    and m = n // p.  Every out[m] must already hold its value."""
-    m = np.arange(lo, lo + p.size, dtype=p.dtype) // p
-    return out[m] + term(p, m)
-
-
-def _b_term(p, m):
+def b_term(p, m):
+    """B(n) - B(m) for n = p * m with p = spf(n)."""
     return p
 
 
-def _block_sum(spf, term, dtype=None):
-    """out[n] = out[m] + term(p, m) with p = spf[n] and m = n // p, for n >= 2.
+def excess_term(p, m):
+    """(B - beta)(n) - (B - beta)(m) for n = p * m with p = spf(n)."""
+    return p * (m % p == 0)
 
-    Since m <= n/2, every m in a block [lo, hi) with hi <= 2*lo lies in an
-    earlier block, so each block is a few vectorized gathers over values
-    already computed.  Blocks stop doubling at CHUNK entries, which bounds
-    the temporaries.  out has the sieve's dtype unless dtype is given.
+
+def blocks(lo: int, end: int):
+    """The blocks [b, min(2b, end)) that tile [max(lo, 2), end), as (b, hi) pairs.
+
+    Every n in a block has n // spf(n) <= n/2 < b, and a composite n has
+    B(n) <= n/2 + 2, so a block depends almost only on earlier ones.
     """
-    out = np.zeros(spf.size, dtype=dtype or spf.dtype)
-    lo = 2
-    while lo < spf.size:
-        hi = min(2 * lo, lo + CHUNK, spf.size)
-        out[lo:hi] = _block(out, spf[lo:hi], lo, term)
-        lo = hi
-    return out
+    b = max(lo, 2)
+    while b < end:
+        hi = min(2 * b, end)
+        yield b, hi
+        b = hi
 
 
-def big_b(table: SieveTable) -> np.ndarray:
-    """B(n) = p + B(m) with p = spf(n) and m = n // p, in the sieve's dtype."""
-    return _block_sum(table.spf, _b_term)
+def segments(limit: int, term):
+    """Yield (s, spf, v) for the segments [s, s + spf.size) of spf_windows(limit).
 
-
-def big_b_window(b: np.ndarray, spf: np.ndarray, lo: int) -> np.ndarray:
-    """B over the window [lo, lo + spf.size) from its spf, by big_b's recurrence.
-
-    b must hold B below lo, and the window must end by 2*lo, so that every
-    n // spf(n) lies below lo.
+    v[n - s] = V(n), where V(0) = V(1) = 0 and V(n) = V(m) + term(p, m):
+    B with b_term, B - beta with excess_term.  v has spf's dtype and is
+    filled block by block from the V below each block: in v itself in the
+    first segment, else in back, V over [0, limit // 2], which is the only
+    array that outlives a segment.
     """
-    return _block(b, spf, lo, _b_term)
+    half = limit // 2
+    back = np.zeros(half + 1, dtype=index_dtype(half))
+    for s, spf in spf_windows(limit):
+        v = np.empty_like(spf)
+        v[:2] = 0  # V(0) = V(1) = 0; the blocks overwrite all n >= 2
+        below = v if s == 0 else back
+        for lo, hi in blocks(s, s + spf.size):
+            p = spf[lo - s : hi - s]
+            m = np.arange(lo, hi, dtype=p.dtype)
+            m //= p
+            np.add(below[m], term(p, m), out=v[lo - s : hi - s])
+        back[s : s + v.size] = v[: max(half + 1 - s, 0)]
+        yield s, spf, v
+        # Drop the segment before the next is sieved, but not m: freeing all
+        # at once lets malloc trim the heap, and pages fault in again.
+        del spf, v, below, p
 
 
-def beta(table: SieveTable) -> np.ndarray:
-    """beta(n) = beta(m) + p with p = spf(n) and m = n // p, unless p | m."""
-    spf = table.spf
-    return _block_sum(spf, lambda p, m: np.where(spf[m] == p, 0, p))
+def shift_primes(v: np.ndarray, spf: np.ndarray, a: int, top: int) -> np.ndarray:
+    """B_a over a segment from its B and spf: v + a where v == spf (the primes).
 
-
-def step_map(table: SieveTable, shift: Shift | int) -> np.ndarray:
-    """f[n] = B_a(n) for 2 <= n <= limit; f[0] = 0 and f[1] = 1.
-
-    The dtype is index_dtype(limit + a): int32 unless some B_a value
-    needs int64.  B is built straight into f, and a is added wherever
-    B(n) = spf(n), which holds exactly at the primes.  Entries at primes
-    near the top of the table may exceed the limit; callers that index
-    with f must patch those first.  A shift that carries the largest
-    prime past 2^63 - 1 raises RangeOverflowError before any allocation.
+    The result has index_dtype(top + a), where top bounds the segment's
+    n; it is v itself when that is v's dtype.  Entries at n = 0, 1, where
+    B = spf = 0, take a as well.
     """
-    a = as_shift(shift).a
-    spf = table.spf
-    p = table.limit
-    while spf[p] != p:
-        p -= 1
-    if p + a > WORD_MAX:
-        raise RangeOverflowError(f"{p} + {a} exceeds the 64-bit range")
-    f = _block_sum(spf, _b_term, index_dtype(table.limit + a))
-    for lo in range(2, f.size, CHUNK):
-        seg = f[lo : lo + CHUNK]
-        np.add(seg, a, out=seg, where=seg == spf[lo : lo + CHUNK])
-    f[1] = 1
+    f = v.astype(index_dtype(top + a), copy=False)
+    np.add(f, a, out=f, where=f == spf)
     return f
+
+
+def check_x(x: int) -> None:
+    """Raise DomainError unless x >= 2: the bulk sums and counts run over 2 <= n <= x."""
+    if x < 2:
+        raise DomainError(f"x must be >= 2, got x={x}")

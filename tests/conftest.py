@@ -1,7 +1,7 @@
 import pytest
 
+from oracles import prime_power_sums
 from primeshift import build_kappa, build_sieve
-from primeshift.tables import beta, big_b
 
 # Covers starts up to 10^6 plus the climb headroom needed by shifts a <= 200
 # (an orbit from p <= 10^6 never exceeds p + 12a).
@@ -14,21 +14,24 @@ def table():
     return build_sieve(BIG_LIMIT)
 
 
-def _frozen(values):
-    values.setflags(write=False)
+@pytest.fixture(scope="session")
+def oracle_values():
+    """(B, beta, prime) for n <= BIG_LIMIT from prime-power sums, shared
+    read-only by the session."""
+    values = prime_power_sums(BIG_LIMIT)
+    for v in values:
+        v.setflags(write=False)
     return values
 
 
 @pytest.fixture(scope="session")
-def b_values(table):
-    """B(n) for n <= BIG_LIMIT, shared read-only by the session."""
-    return _frozen(big_b(table))
+def b_values(oracle_values):
+    return oracle_values[0]
 
 
 @pytest.fixture(scope="session")
-def beta_values(table):
-    """beta(n) for n <= BIG_LIMIT, shared read-only by the session."""
-    return _frozen(beta(table))
+def beta_values(oracle_values):
+    return oracle_values[1]
 
 
 @pytest.fixture(scope="session")

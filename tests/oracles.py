@@ -19,7 +19,34 @@ from primeshift.dynamics import canonicalize, iterate_orbit
 from primeshift.errors import ConsistencyError, DomainError, RangeOverflowError
 from primeshift.fibres import KappaTable
 from primeshift.sieve import WORD_MAX, SieveTable, factorize, is_prime
-from primeshift.tables import beta, big_b
+
+
+def prime_power_sums(limit: int):
+    """(B, beta, prime) over [0, limit] as int64, int64 and bool arrays.
+
+    The primes come from a plain sieve of Eratosthenes; B(n) is the sum of
+    p over the prime powers p^k dividing n, and beta(n) the sum of the
+    primes p dividing n.  Entries at n = 0, 1 are 0 and False.
+    """
+    prime = np.ones(limit + 1, dtype=bool)
+    prime[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if prime[i]:
+            prime[i * i :: i] = False
+    b = np.zeros(limit + 1, dtype=np.int64)
+    beta = np.zeros(limit + 1, dtype=np.int64)
+    for p in np.flatnonzero(prime).tolist():
+        beta[p::p] += p
+        q = p
+        while q <= limit:
+            b[q::q] += p
+            q *= p
+    return b, beta, prime
+
+
+def shifted_map(b, prime, a: int):
+    """B_a over [0, b.size) from B and the prime mask: n + a at the primes."""
+    return np.where(prime, np.arange(b.size) + a, b)
 
 
 def run_census_naive(
@@ -166,17 +193,17 @@ def min_composite_preimage(p: int, table: SieveTable) -> int:
     """Least composite n with B(n) = p, by direct scan of B-values.
 
     Independent of build_amicable; used as the oracle for its minimality
-    claim.  Scans ever longer prefixes of the sieve, doubling up to the
-    whole range, so it requires the answer to lie below table.limit.
+    claim.  Scans ever longer prefixes of prime_power_sums, doubling up to
+    table.limit, so it requires the answer to lie below table.limit.
     """
     if p < 5:
         raise DomainError(f"p must be >= 5, got {p}")
     k = p
     while k < table.limit:
         k = min(2 * k, table.limit)
-        spf = table.spf[: k + 1]
-        # B(0) = B(1) = 0 < p, so every hit is some n >= 2 with spf[n] != n
-        hits = np.flatnonzero((big_b(SieveTable(k, spf)) == p) & (spf != np.arange(k + 1)))
+        b, _, prime = prime_power_sums(k)
+        # B(0) = B(1) = 0 < p, so every hit is some n >= 2 that is not prime
+        hits = np.flatnonzero((b == p) & ~prime)
         if hits.size:
             return int(hits[0])
     raise DomainError(f"no composite preimage of {p} within sieve limit {table.limit}")
@@ -197,8 +224,7 @@ def validate_chain(witness: ChainWitness, table: SieveTable) -> bool:
     return True
 
 
-def excess_tail_count(K: int, x: int, table: SieveTable) -> int:
-    """#{n <= x : B(n) - beta(n) > K}, the tail mass beyond K."""
-    table.check_x(x)
-    diff = big_b(table)[2 : x + 1] - beta(table)[2 : x + 1]
+def excess_tail_count(K: int, x: int, b_values, beta_values) -> int:
+    """#{2 <= n <= x : B(n) - beta(n) > K}, the tail mass beyond K."""
+    diff = b_values[2 : x + 1] - beta_values[2 : x + 1]
     return int(np.count_nonzero(diff > K))

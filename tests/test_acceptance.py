@@ -18,6 +18,7 @@ from oracles import (
     kappa_asymptotic_ratio,
     min_composite_preimage,
     prime_count,
+    shifted_map,
     validate_chain,
     verify_amicable,
 )
@@ -34,7 +35,6 @@ from primeshift import (
 )
 from primeshift.arith import shifted_B
 from primeshift.sieve import is_prime
-from primeshift.tables import step_map
 from primeshift.golden import (
     A39_CYCLES,
     COMPUTED_CORRECTIONS,
@@ -97,8 +97,9 @@ def test_criterion_03_sweep_max_four(capsys):
            f"argmax a={sorted(argmax)}")
 
 
-def test_criterion_04_a1_dynamics(table, capsys):
-    f = step_map(table, 1)
+def test_criterion_04_a1_dynamics(table, oracle_values, capsys):
+    b, _, is_p = oracle_values
+    f = shifted_map(b, is_p, 1)
     n = np.arange(LIMIT + 1)
     prime = table.spf[: LIMIT + 1] == n  # also True at n = 0, excluded below
     comp = ~prime
@@ -114,12 +115,13 @@ def test_criterion_04_a1_dynamics(table, capsys):
     report(capsys, 4, "a=1 orbits end in (4) or (5,6), sigma exact", ok)
 
 
-def test_criterion_05_unique_fixed_point(table, capsys):
+def test_criterion_05_unique_fixed_point(oracle_values, capsys):
     bound = 10**5
     n = np.arange(bound + 1)
+    b, _, prime = (v[: bound + 1] for v in oracle_values)
     bad = []
     for a in range(1, 101):
-        f = step_map(table, a)[: bound + 1]
+        f = shifted_map(b, prime, a)
         fixed = n[2:][f[2:] == n[2:]]
         if list(fixed) != [4]:
             bad.append((a, list(fixed)))
@@ -135,13 +137,14 @@ def test_criterion_06_composite_bound(table, b_values, capsys):
     report(capsys, 6, "B(n) <= 2 + n/2 on composites to 10^6", ok)
 
 
-def test_criterion_07_descent_bound(table, capsys):
+def test_criterion_07_descent_bound(table, oracle_values, capsys):
+    b, _, is_p = oracle_values
     bound = 10**5
     n = np.arange(bound + 1)
     prime = table.spf[: bound + 1] == n  # also True at n = 0, below every floor
     failures = []
     for a in range(1, 51):
-        f = step_map(table, a)
+        f = shifted_map(b, is_p, a)
         floor = 2 * a * a + 10
         p = n[prime & (n > floor)]
         x = p.copy()
@@ -199,43 +202,43 @@ def test_criterion_10_kappa_trend(table, capsys):
 
 
 def test_criterion_11_average_order(table, capsys):
-    s = average_order_series(0, [10**4, 10**5, 10**6], table)
+    s = average_order_series(0, [10**4, 10**5, 10**6])
     ok = all(0.9 < r < 1.4 for r in s.ratios)
     ok = ok and abs(s.ratios[0] - 1) > abs(s.ratios[1] - 1) > abs(s.ratios[2] - 1)
     pi_x = prime_count(table, 10**6)
     for a in (1, 10):
-        sa = average_order_series(a, [10**6], table)
+        sa = average_order_series(a, [10**6])
         ok = ok and sa.sums[0] - s.sums[2] == a * pi_x
     report(capsys, 11, "average order band and exact shift decomposition", ok,
            "ratios " + ", ".join(f"{v:.3f}" for v in s.ratios))
 
 
 def test_criterion_12_parity(table, capsys):
-    s0 = parity_sum(0, [10**6], table)
-    s1 = parity_sum(1, [10**6], table)
+    s0 = parity_sum(0, [10**6])
+    s1 = parity_sum(1, [10**6])
     r = s1.sums[0] / (2 * prime_count(table, 10**6))
     ok = abs(s0.sums[0]) / 10**6 < 0.02 and 0.7 < r < 1.3
     report(capsys, 12, "parity sums: even-shift cancellation, odd-shift drift",
            ok, f"|S0|/x={abs(s0.sums[0])/10**6:.4f}, odd ratio={r:.3f}")
 
 
-def test_criterion_13_local_density(table, capsys):
-    d0 = estimate_local_density(0, 10**6, table)
+def test_criterion_13_local_density(b_values, beta_values, capsys):
+    d0 = estimate_local_density(0, 10**6)
     ok = abs(d0 - 6 / math.pi**2) < 0.01
     # fit the tail constant on the 10^5 data, verify it at 10^6
     ks = (4, 8, 16)
     fit_x = 10**5
-    C = 1.1 * max(K * excess_tail_count(K, fit_x, table) / fit_x for K in ks)
+    C = 1.1 * max(K * excess_tail_count(K, fit_x, b_values, beta_values) / fit_x for K in ks)
     for K in ks:
-        ok = ok and excess_tail_count(K, 10**6, table) <= C * 10**6 / K
+        ok = ok and excess_tail_count(K, 10**6, b_values, beta_values) <= C * 10**6 / K
     report(capsys, 13, "density at N=0 and fitted tail bound", ok,
            f"d0={d0:.6f}, C={C:.3f}")
 
 
-def test_criterion_14_square_value_density(table, capsys):
+def test_criterion_14_square_value_density(capsys):
     squares = np.arange(1001) ** 2  # every B-value here is <= 10^6 = 1000^2
     sq = lambda v: np.isin(v, squares)
-    d = [preimage_density(sq, x, table)[1] for x in (10**4, 10**5, 10**6)]
+    d = [preimage_density(sq, x)[1] for x in (10**4, 10**5, 10**6)]
     ok = d[0] > d[1] > d[2] > 0
     report(capsys, 14, "density of square B-values strictly decreasing", ok,
            "densities " + ", ".join(f"{v:.5f}" for v in d))

@@ -8,7 +8,8 @@ from oracles import shifted_beta, small_beta
 from primeshift import DomainError, RangeOverflowError, Shift
 from primeshift.arith import big_B, shifted_B
 from primeshift.sieve import WORD_MAX, is_prime
-from primeshift.tables import CHUNK, step_map
+from primeshift.sieve import CHUNK
+from primeshift.tables import b_term, excess_term, segments, shift_primes
 
 
 def test_big_b_examples(table):
@@ -92,11 +93,22 @@ def test_power_rule(table):
             assert shifted_B(n**k, 7, table) == k * bn
 
 
+def _streamed(limit, term, a=None):
+    """V over [0, limit] from the segment stream, shifted by a if given."""
+    out = np.zeros(limit + 1, dtype=np.int64)
+    for s, spf, v in segments(limit, term):
+        out[s : s + v.size] = v if a is None else shift_primes(v, spf, a, limit)
+    return out
+
+
 def test_beta_le_b_exhaustive(b_values, beta_values):
-    # beta <= B with equality exactly on squarefree n, for all n <= 10^6
+    # beta <= B with equality exactly on squarefree n, for all n <= 10^6,
+    # in the oracle's sums and in the stream's B - beta
     n = np.arange(2, 10**6 + 1)
     b = b_values[2 : 10**6 + 1]
     beta = beta_values[2 : 10**6 + 1]
+    excess = _streamed(10**6, excess_term)[2:]
+    assert np.array_equal(excess, b - beta)
     assert np.all(beta <= b)
     spf_squarefree = np.ones(10**6 + 1, dtype=bool)
     for p in range(2, 1001):
@@ -107,17 +119,20 @@ def test_beta_le_b_exhaustive(b_values, beta_values):
 
 def test_value_table_matches_scalar(table, b_values, beta_values):
     # Fixed cases, every n <= 2*10^4, then seeded random n up to 10^6, and
-    # every n within 50 of a multiple of CHUNK, where step_map's shift
-    # changes blocks.
+    # every n within 50 of a multiple of CHUNK, where the stream changes
+    # segments: the oracle's sums and the stream's B, B - beta and B_a
+    # against the scalar functions.
     rng = np.random.default_rng(20240)
     ns = [97, 360, 999999, 6469693230 % 10**6, *range(2, 2 * 10**4 + 1)]
     ns += rng.integers(2, 10**6 + 1, 2000).tolist()
-    for n in ns:
-        assert int(b_values[n]) == big_B(n, table), n
-        assert int(beta_values[n]) == small_beta(n, table), n
     ns += [n for c in range(CHUNK, 10**6 + 1, CHUNK) for n in range(c - 50, c + 51)]
+    b, excess = _streamed(10**6, b_term), _streamed(10**6, excess_term)
+    for n in ns:
+        big, beta = big_B(n, table), small_beta(n, table)
+        assert (int(b_values[n]), int(beta_values[n])) == (big, beta), n
+        assert (int(b[n]), int(excess[n])) == (big, big - beta), n
     for a in (0, 1, 39):
-        f = step_map(table, a)
+        f = _streamed(10**6, b_term, a)
         for n in ns:
             assert int(f[n]) == shifted_B(n, a, table), (n, a)
 

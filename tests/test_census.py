@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import run_census_naive
+from oracles import prime_power_sums, run_census_naive, shifted_map
 from primeshift import (
     ConsistencyError,
     build_sieve,
@@ -16,13 +16,11 @@ from primeshift import (
 )
 from primeshift import census as census_mod
 from primeshift import sieve as sieve_mod
-from primeshift import tables as tables_mod
 from primeshift.census import census_limit, climb_margin, state_dtype
 from primeshift.cli import run
 from primeshift.dynamics import canonicalize, default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
 from primeshift.sieve import index_dtype
-from primeshift.tables import step_map
 
 
 def _summary(rep):
@@ -71,12 +69,12 @@ def test_naive_agrees_with_memoized(table):
 
 
 def test_naive_agrees_across_windows(table, monkeypatch):
-    # With 64-entry windows a 10^4 census resolves a head [0, max(63,
-    # census_limit(a, climb_margin(a) + 4))] and then 144 to 156 windows:
-    # successors carried from window to window, the primes near the top
-    # whose successor passes the limit, and at a = 0 the primes ranked
-    # window by window.
-    for mod in (sieve_mod, tables_mod, census_mod):
+    # With 64-entry segments a 10^4 census streams 157 to 169 of them, and
+    # holds back the first 1 to 26 until the walks are done: successors
+    # carried from segment to segment, the primes near the top whose
+    # successor passes the limit, and at a = 0 the primes ranked segment
+    # by segment.
+    for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
     for a in (0, 1, 2, 3, 39, 137, 200):
         assert census_limit(a, climb_margin(a) + 4) < 10**4 // 2
@@ -111,11 +109,11 @@ def test_census_on_table_below_cycle_bound():
 def test_census_limit_bounds_orbits():
     # Twice the largest bound tested: an orbit that leaves this table
     # fails the test with an IndexError.
-    small = build_sieve(2 * census_limit(200, 3000))
+    b, _, prime = prime_power_sums(2 * census_limit(200, 3000))
     starts = np.arange(2, 3001)
     for a in range(201):
         m = climb_margin(a)
-        f = step_map(small, a)
+        f = shifted_map(b, prime, a)
         x = starts
         top = starts.copy()
         for _ in range(default_max_steps(3000, a)):
@@ -255,11 +253,11 @@ def test_unsettled_node_names_its_input(monkeypatch):
 def test_census_peak_memory():
     # Bytes per table entry at the census's own peak, numpy buffers included.
     # Only the state (2 B per entry) and B up to limit // 2 (2 B per entry)
-    # span the range; the head's sieve and step map (2^18 entries each),
-    # the CHUNK-sized temporaries of each window and the counts weigh most
-    # at 10^6.  At a = 0 the state takes 4 B and the 78,499 cycles, one
-    # per prime and 4, peak as Python objects.  Measured: 9.32, 5.33 and
-    # 20.77 B, bounded with 10% headroom.
+    # span the range; the CHUNK-sized buffers of each segment and the
+    # counts weigh most at 10^6.  At a = 0 the state takes 4 B and the
+    # 78,499 cycles, one per prime and 4, peak as Python objects.  The
+    # bounds were set from 9.32, 5.33 and 20.77 B with 10% headroom; the
+    # segment stream measures 8.35, 5.09 and 17.82 B.
     for a, start_limit, per_entry in ((39, 10**6, 10.3), (39, 4 * 10**6, 5.9), (0, 10**6, 22.8)):
         tracemalloc.start()
         try:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import verify_amicable
-from primeshift import AmicablePair, Shift, build_sieve, census, constructions
+from primeshift import AmicablePair, Shift, build_sieve, census, constructions, stats
 from primeshift.arith import big_B, shifted_B
 from primeshift.cli import run
 from primeshift.sieve import is_prime
@@ -180,13 +180,14 @@ def test_fibre_bound_above_64_bits(capsys):
     assert (code, out) == (0, "7 10 12\n")
 
 
+def _no_segments(limit, term):
+    raise AssertionError(f"asked for segments up to {limit}")
+
+
 def test_census_range_past_64_bits(capsys, monkeypatch):
     # a = 2^62 climbs (3 + 1) * a above each start: past 2^63 - 1 before
-    # any table is built.
-    def no_sieve(limit):
-        raise AssertionError(f"census asked for a sieve of {limit} entries")
-
-    monkeypatch.setattr(census, "build_sieve", no_sieve)
+    # any segment is built.
+    monkeypatch.setattr(census, "segments", _no_segments)
     a = 2**62
     code, out, err = invoke(capsys, "census", "--a", str(a), "--limit", "10")
     assert (code, out) == (2, "")
@@ -230,26 +231,27 @@ def test_density_file_target(capsys, tmp_path):
 
 
 def test_density_matches_scalar_oracle(capsys, tmp_path):
-    x = 2 * 10**4
-    members = {-7, 0, 1, 2, 5, 17, 17, 144, 997, 9973, x + 1, 10**9}
-    target = tmp_path / "members.txt"
-    target.write_text("".join(f"{v}\n" for v in [*members, 17, 144, 0, -7]))
-    table = build_sieve(x)
-    values = [big_B(n, table) for n in range(2, x + 1)]
-    oracles = {
-        "primes": lambda v: is_prime(v),
-        "squares": lambda v: math.isqrt(v) ** 2 == v,
-        f"file:{target}": lambda v: v in members,
-    }
-    for spec, member in oracles.items():
-        count = sum(1 for v in values if member(v))
-        code, out, _ = invoke(
-            capsys, "--sieve-limit", "1000", "--format", "json",
-            "density", "--set", spec, "--x", str(x),
-        )
-        assert code == 0
-        row = json.loads(out)
-        assert (row["count"], row["density"]) == (count, count / x), spec
+    # At x = 4, B(4) = 4 but 4 is not prime.
+    for x in (2, 3, 4, 5, 6, 2 * 10**4):
+        members = {-7, 0, 1, 2, 4, 5, 17, 17, 144, 997, 9973, x + 1, 10**9}
+        target = tmp_path / "members.txt"
+        target.write_text("".join(f"{v}\n" for v in [*members, 17, 144, 0, -7]))
+        table = build_sieve(x)
+        values = [big_B(n, table) for n in range(2, x + 1)]
+        oracles = {
+            "primes": lambda v: is_prime(v),
+            "squares": lambda v: math.isqrt(v) ** 2 == v,
+            f"file:{target}": lambda v: v in members,
+        }
+        for spec, member in oracles.items():
+            count = sum(1 for v in values if member(v))
+            code, out, _ = invoke(
+                capsys, "--sieve-limit", "1000", "--format", "json",
+                "density", "--set", spec, "--x", str(x),
+            )
+            assert code == 0
+            row = json.loads(out)
+            assert (row["count"], row["density"]) == (count, count / x), (spec, x)
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,15 +305,18 @@ def test_stats_residue(capsys):
     assert sum(counts) == 10000 - 1
 
 
-def test_stats_shift_past_64_bits(capsys):
-    # The largest prime <= 5 is 5 itself, and 5 + a leaves the 64-bit range.
-    for argv in (
-        ["residue", "--x", "5", "--a", str(2**63 - 1), "--q", "3"],
-        ["avg", "--x", "5", "--a", "99999999999999999999"],
-    ):
-        code, out, err = invoke(capsys, "--format", "json", "stats", *argv)
-        assert (code, out) == (2, "")
-        assert err == f"arithmetic/resource error: 5 + {argv[4]} exceeds the 64-bit range\n"
+def test_stats_shift_past_64_bits(capsys, monkeypatch):
+    # The largest prime <= 5 is 5 itself, and 5 + a leaves the 64-bit range
+    # before any segment is built.
+    with monkeypatch.context() as patched:
+        patched.setattr(stats, "segments", _no_segments)
+        for argv in (
+            ["residue", "--x", "5", "--a", str(2**63 - 1), "--q", "3"],
+            ["avg", "--x", "5", "--a", "99999999999999999999"],
+        ):
+            code, out, err = invoke(capsys, "--format", "json", "stats", *argv)
+            assert (code, out) == (2, "")
+            assert err == f"arithmetic/resource error: 5 + {argv[4]} exceeds the 64-bit range\n"
     # The largest prime <= 1000 is 997, and 997 + a still fits.
     code, out, _ = invoke(
         capsys, "--format", "json", "stats", "avg", "--x", "1000", "--a", "9223372036854774000"

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import enumerate_fibre_exact, kappa_asymptotic_ratio, kappa_recursion, prime_partitions
+from oracles import (
+    enumerate_fibre_exact,
+    kappa_asymptotic_ratio,
+    kappa_recursion,
+    prime_partitions,
+    prime_power_sums,
+    shifted_map,
+)
 from primeshift import (
     DomainError,
     build_kappa,
@@ -14,7 +21,6 @@ from primeshift import (
 )
 from primeshift.arith import shifted_B
 from primeshift.sieve import is_prime
-from primeshift.tables import step_map
 
 
 def partition_count_oracle(limit, table):
@@ -83,8 +89,8 @@ def test_fibre_matches_step_map_scan(table):
     rng = random.Random(20)
     cases = [(rng.randint(2, 10**4), rng.randint(0, 50)) for _ in range(20)]
     cases += [(m, a) for m in range(2, 60) for a in (0, 3, 17)]
-    small = build_sieve(10**5)
-    maps = {a: step_map(small, a) for _, a in cases}
+    b, _, prime = prime_power_sums(10**5)
+    maps = {a: shifted_map(b, prime, a) for _, a in cases}
     for m, a in cases:
         scan = (np.flatnonzero(maps[a][2:] == m) + 2).tolist()
         assert enumerate_fibre(m, a, 10**5, table) == scan, (m, a)
@@ -134,27 +140,27 @@ def test_kappa_ratio_trend(table):
     assert kappa_asymptotic_ratio(3, kt) == 0.0
 
 
-def test_preimage_density(table):
-    count, density = preimage_density(lambda v: v == 7, 10**3, table)
+def test_preimage_density():
+    count, density = preimage_density(lambda v: v == 7, 10**3)
     assert count == 3 and density == 3 / 10**3
     # a scalar result broadcasts over the whole array
-    count, density = preimage_density(lambda v: False, 10**3, table)
+    count, density = preimage_density(lambda v: False, 10**3)
     assert (count, density) == (0, 0.0)
 
 
-def test_preimage_density_calls_predicate_once(table, b_values):
+def test_preimage_density_calls_predicate_once(b_values):
     seen = []
 
     def counted(v):
         seen.append(v.shape)
         return v % 2 == 0
 
-    count, _ = preimage_density(counted, 5000, table)
+    count, _ = preimage_density(counted, 5000)
     assert seen == [(4999,)]
     assert count == int(np.count_nonzero(b_values[2:5001] % 2 == 0))
 
 
 @pytest.mark.parametrize("x", [1, 0, -5])
-def test_preimage_density_rejects_x_below_two(table, x):
+def test_preimage_density_rejects_x_below_two(x):
     with pytest.raises(DomainError, match=f"x={x}"):
-        preimage_density(lambda v: True, x, table)
+        preimage_density(lambda v: True, x)

@@ -48,13 +48,12 @@ def test_spf_matches_masked_sieve():
 
 
 def test_windows_match_whole_sieve():
-    # spf_windows streams, from any start, the table build_sieve holds whole.
-    limit = 3 * CHUNK + 5
-    whole = build_sieve(limit).spf
-    for lo in (2, CHUNK - 1, CHUNK, 2 * CHUNK + 7):
-        windows = list(spf_windows(lo, limit))
-        assert [w for w, _ in windows] == list(range(lo, limit + 1, CHUNK))
-        assert np.array_equal(np.concatenate([seg for _, seg in windows]), whole[lo:]), lo
+    # spf_windows streams the table build_sieve holds whole, 0 and 1 included.
+    for limit in (2, 3, CHUNK - 1, CHUNK, 3 * CHUNK + 5):
+        windows = list(spf_windows(limit))
+        assert [w for w, _ in windows] == list(range(0, limit + 1, CHUNK))
+        got = np.concatenate([seg for _, seg in windows])
+        assert np.array_equal(got, masked_sieve_oracle(limit)), limit
 
 
 def test_primes_match_full_index_scan():
