@@ -14,7 +14,7 @@ from .census import CensusReport, cycle_count_sweep, reached_cycles, run_census
 from .constructions import AmicablePair, ChainWitness, build_amicable, find_ascending_chain
 from .dynamics import Cycle, OrbitRecord, iterate_orbit
 from .errors import ConsistencyError, DomainError, NonterminationError, RangeOverflowError
-from .fibres import KappaTable, build_kappa, enumerate_fibre, preimage_density
+from .fibres import KappaTable, build_kappa, enumerate_fibre
 from .sieve import SieveTable, build_sieve
 from .stats import (
     PartialSumSeries,
@@ -22,6 +22,7 @@ from .stats import (
     b_minus_beta_series,
     estimate_local_density,
     parity_sum,
+    preimage_density,
     residue_distribution,
 )
 

@@ -1,8 +1,8 @@
 """The additive function B and the shifted map B_a.
 
-B(n) sums the prime divisors of n with multiplicity (beta(n), the sum of
-the distinct ones, is tabulated in tables.py).  The shifted variant B_a
-agrees with B on composites but sends a prime p to p + a.
+B(n) sums the prime divisors of n with multiplicity, beta(n) the distinct
+ones; tables.py streams B and B - beta in bulk, never beta alone.  The
+shifted variant B_a agrees with B on composites but sends a prime p to p + a.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -26,13 +25,14 @@ from .census import cycle_count_sweep, reached_cycles, run_census
 from .constructions import build_amicable, find_ascending_chain
 from .dynamics import iterate_orbit
 from .errors import DomainError, NonterminationError, RangeOverflowError
-from .fibres import build_kappa, enumerate_fibre, preimage_density
-from .sieve import CHUNK, build_sieve
+from .fibres import build_kappa, enumerate_fibre
+from .sieve import build_sieve
 from .stats import (
     average_order_series,
     b_minus_beta_series,
     estimate_local_density,
     parity_sum,
+    preimage_density,
     residue_distribution,
 )
 
@@ -56,13 +56,6 @@ def _build_parser() -> _Parser:
         prog="primeshift",
         description="Shifted prime-divisor functions: orbits, censuses, "
         "constructions, fibres, and distribution checks.",
-    )
-    p.add_argument(
-        "--sieve-limit",
-        type=int,
-        default=os.environ.get("DD_SIEVE_LIMIT"),
-        help="lower bound on the smallest-prime-factor table of orbit, amicable, "
-        "chain, kappa and fibre (default: env DD_SIEVE_LIMIT, else none)",
     )
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -165,13 +158,8 @@ def _emit(args, payload: dict, columns: list[str], rows, text: str | None = None
     return _write(args, buf.getvalue())
 
 
-def _table(args, need: int):
-    """The sieve a command needs, raised to the --sieve-limit floor if one is set."""
-    return build_sieve(max(need, args.sieve_limit or 0, 2))
-
-
 def _cmd_orbit(args):
-    table = _table(args, SMALL_TABLE)
+    table = build_sieve(SMALL_TABLE)
     rec = iterate_orbit(
         args.n, Shift(args.a), table,
         max_steps=args.max_steps, extend_domain=args.extend_domain,
@@ -239,13 +227,13 @@ def _cmd_table1(args):
 
 
 def _cmd_amicable(args):
-    pair = build_amicable(args.p, _table(args, SMALL_TABLE))
+    pair = build_amicable(args.p, build_sieve(SMALL_TABLE))
     p, n, a = pair.p, pair.n, pair.shift.a
     return _emit(args, {"p": p, "n": n, "a": a}, ["p", "n", "a"], [(p, n, a)], f"p={p} n={n} a={a}")
 
 
 def _cmd_chain(args):
-    w = find_ascending_chain(args.k, args.bound, _table(args, SMALL_TABLE))
+    w = find_ascending_chain(args.k, args.bound, build_sieve(SMALL_TABLE))
     if w is None:
         payload = {"k": args.k, "n": None, "a": None, "chain": None}
         return _emit(args, payload, ["k", "n", "a", "chain"], [], "none")
@@ -256,57 +244,52 @@ def _cmd_chain(args):
 
 
 def _cmd_kappa(args):
-    kt = build_kappa(args.limit, _table(args, args.limit))
+    kt = build_kappa(args.limit, build_sieve(max(args.limit, 2)))
     rows = [(m, kt[m]) for m in range(1, args.limit + 1)]
     payload = {"kappa": {str(m): str(k) for m, k in rows}}
     return _emit(args, payload, ["m", "kappa"], rows)
 
 
 def _cmd_fibre(args):
-    table = _table(args, min(args.m, args.bound // 2))
+    table = build_sieve(max(min(args.m, args.bound // 2), 2))
     hits = enumerate_fibre(args.m, Shift(args.a), args.bound, table)
     payload = {"m": args.m, "a": args.a, "bound": args.bound, "solutions": hits}
     text = " ".join(str(n) for n in hits) if hits else "none"
     return _emit(args, payload, ["n"], [(n,) for n in hits], text)
 
 
-def _read_members(path: str) -> set[int]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return {int(line) for line in fh if line.strip()}
-    except (OSError, ValueError) as exc:
-        raise DomainError(f"cannot read target set file {path!r}: {exc}") from None
-
-
-def _target_predicate(spec: str):
-    """Vectorised membership test for v = B over [2, x], whose values lie in
-    [2, x]; the set is read here, its mask over [0, x] built at the call."""
+def _target(spec: str, x: int):
+    """target(lo, spf) for preimage_density: the set's members among the k
+    in [lo, hi = lo + spf.size).  The primes are the k with spf(k) = k, the
+    squares those of the roots from ceil(sqrt(lo)) to sqrt(hi - 1); a
+    file's members <= x are read once and sliced per segment."""
+    if spec == "primes":
+        return lambda lo, spf: spf == np.arange(lo, lo + spf.size, dtype=spf.dtype)
     if spec == "squares":
-        members = lambda x: np.arange(math.isqrt(x) + 1) ** 2
+        def members(lo, hi):
+            return np.arange(math.isqrt(lo - 1) + 1 if lo else 0, math.isqrt(hi - 1) + 1) ** 2
     elif spec.startswith("file:"):
-        found = _read_members(spec[len("file:") :])
-        members = lambda x: [m for m in found if 0 <= m <= x]
-    elif spec != "primes":
+        path = spec[len("file:") :]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                found = [m for m in map(int, filter(str.strip, fh)) if 0 <= m <= x]
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read target set file {path!r}: {exc}") from None
+        found = np.unique(np.array(found, dtype=np.int64))
+        members = lambda lo, hi: found[np.searchsorted(found, lo) : np.searchsorted(found, hi)]
+    else:
         raise DomainError(f"unknown target set {spec!r}")
 
-    def predicate(v):
-        mask = np.zeros(v.size + 2, dtype=bool)
-        if spec != "primes":
-            mask[members(v.size + 1)] = True
-            return mask[v]
-        # B(k) = k exactly when k is prime or k = 4: v marks the primes
-        # itself, chunk by chunk, with no temporary as long as v.
-        for lo in range(0, v.size, CHUNK):
-            part = v[lo : lo + CHUNK]
-            mask[lo + 2 : lo + 2 + part.size] = part == np.arange(lo + 2, lo + 2 + part.size)
-        mask[4:5] = False
-        return mask[v]
+    def target(lo, spf):
+        marks = np.zeros(spf.size, dtype=bool)
+        marks[members(lo, lo + spf.size) - lo] = True
+        return marks
 
-    return predicate
+    return target
 
 
 def _cmd_density(args):
-    count, density = preimage_density(_target_predicate(args.target), args.x)
+    count, density = preimage_density(_target(args.target, args.x), args.x)
     payload = {"set": args.target, "x": args.x, "count": count, "density": density}
     return _emit(args, payload, list(payload), [payload.values()])
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .arith import Shift, as_shift
 from .errors import DomainError, RangeOverflowError
-from .sieve import WORD_MAX, SieveTable, index_dtype, is_prime
-from .tables import b_term, check_x, segments
+from .sieve import WORD_MAX, SieveTable, is_prime
 
 
 @dataclass(frozen=True)
@@ -114,19 +113,3 @@ def enumerate_fibre(
         out.append(m - a)
     return sorted(out)
 
-
-def preimage_density(target_set, x: int) -> tuple[int, float]:
-    """(count, density) of {2 <= n <= x : B(n) in target_set}; density is count / x.
-
-    target_set is a vectorised predicate, called exactly once, on the
-    array of B(n) for 2 <= n <= x, in index_dtype(x) (int32 below 2^31;
-    every entry lies in [2, x]).  It returns a bool array of that shape,
-    or a scalar, which broadcasts.
-    """
-    check_x(x)
-    values = np.empty(x - 1, dtype=index_dtype(x))
-    for s, _, v in segments(x, b_term):
-        values[max(s, 2) - 2 : s + v.size - 2] = v[max(2 - s, 0) :]
-    hit = np.broadcast_to(np.asarray(target_set(values), dtype=bool), values.shape)
-    count = int(np.count_nonzero(hit))
-    return count, count / x

@@ -95,13 +95,22 @@ def _sieve_segment(seg: np.ndarray, lo: int, descending: list[int]) -> None:
     seg[: max(2 - lo, 0)] = 0
 
 
+def zeros(size: int, dtype, bound: str) -> np.ndarray:
+    """np.zeros(size, dtype), or a MemoryError naming bound where numpy could
+    hold no such array (it would raise ValueError)."""
+    nbytes = size * np.dtype(dtype).itemsize
+    if nbytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"{bound} needs a {nbytes}-byte table, past the largest array")
+    return np.zeros(size, dtype=dtype)
+
+
 def build_sieve(limit: int) -> SieveTable:
     """Build the smallest-prime-factor table up to limit (inclusive)."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > WORD_MAX:
-        raise DomainError(f"sieve limit {limit} exceeds the 64-bit range")
-    spf = np.empty(limit + 1, dtype=index_dtype(limit))
+        raise RangeOverflowError(f"sieve limit {limit} exceeds the 64-bit range")
+    spf = zeros(limit + 1, index_dtype(limit), f"sieve limit {limit}")
     for w, seg in spf_windows(limit):
         spf[w : w + seg.size] = seg
     return SieveTable(limit, spf)

@@ -1,9 +1,10 @@
-"""Empirical distribution checks: partial sums, local densities, residues.
+"""Empirical distribution checks: partial sums, local densities, residues,
+and the density of the n whose B(n) lies in a set.
 
 Each check streams B_a or B - beta over 2 <= n <= x from tables.segments
 and sums or counts segment by segment, so no table spans the range but
-the stream's own half-range array.  Partial sums are exact integers; the
-analytic reference terms (pi^2 x^2 / (12 log x) and friends) are double
+the stream's half-range array (and the set's mask over [0, x]).  Partial
+sums are exact integers; the analytic reference terms (pi^2 x^2 / (12 log x) and friends) are double
 precision, which is all the ratio diagnostics need.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .arith import Shift, as_shift
 from .errors import DomainError, RangeOverflowError
-from .sieve import WORD_MAX, is_prime
+from .sieve import WORD_MAX, is_prime, zeros
 from .tables import b_term, check_x, excess_term, segments, shift_primes
 
 
@@ -127,6 +128,23 @@ def estimate_local_density(N: int, x: int) -> float:
         raise DomainError(f"N must be >= 0, got {N}")
     check_x(x)
     return sum(int(np.count_nonzero(v == N)) for _, v in _excess(x)) / x
+
+
+def preimage_density(target, x: int) -> tuple[int, float]:
+    """(count, density) of {2 <= n <= x : B(n) in a set}; density is count / x.
+
+    target(lo, spf) marks the set's members among the k in [lo, lo +
+    spf.size), given spf over them.  The segments pass in order and fill
+    one mask over [0, x] with their marks; B(n) lies in [2, n] for n >= 2,
+    so every lookup reads a mark already written.
+    """
+    check_x(x)
+    mask = zeros(x + 1, bool, f"the target mask to x={x}")
+    count = 0
+    for s, spf, v in segments(x, b_term):
+        mask[s : s + spf.size] = target(s, spf)
+        count += int(np.count_nonzero(mask[v[max(2 - s, 0) :]]))
+    return count, count / x
 
 
 def parity_sum(shift: Shift | int, checkpoints) -> PartialSumSeries:

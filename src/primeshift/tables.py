@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .sieve import index_dtype, spf_windows
+from .sieve import index_dtype, spf_windows, zeros
 
 
 def b_term(p, m):
@@ -49,7 +49,7 @@ def segments(limit: int, term):
     array that outlives a segment.
     """
     half = limit // 2
-    back = np.zeros(half + 1, dtype=index_dtype(half))
+    back = zeros(half + 1, index_dtype(half), f"a stream to {limit}")
     for s, spf in spf_windows(limit):
         v = np.empty_like(spf)
         v[:2] = 0  # V(0) = V(1) = 0; the blocks overwrite all n >= 2

@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import verify_amicable
-from primeshift import AmicablePair, Shift, build_sieve, census, constructions, stats
+from primeshift import AmicablePair, Shift, build_sieve, census, cli, constructions, stats
+from primeshift import sieve as sieve_mod
 from primeshift.arith import big_B, shifted_B
 from primeshift.cli import run
 from primeshift.sieve import is_prime
@@ -20,14 +24,14 @@ def invoke(capsys, *argv):
 
 
 def test_orbit_text(capsys):
-    code, out, err = invoke(capsys, "--sieve-limit", "100", "orbit", "--n", "5", "--a", "2")
+    code, out, err = invoke(capsys, "orbit", "--n", "5", "--a", "2")
     assert code == 0
     assert out == "5 7 9 6 [cycle]\n"
 
 
 def test_orbit_json(capsys):
     code, out, _ = invoke(
-        capsys, "--sieve-limit", "1000", "--format", "json",
+        capsys, "--format", "json",
         "orbit", "--n", "100", "--a", "1",
     )
     assert code == 0
@@ -38,11 +42,11 @@ def test_orbit_json(capsys):
 
 
 def test_orbit_extend_domain(capsys):
-    code, out, err = invoke(capsys, "--sieve-limit", "100", "orbit", "--n", "1", "--a", "3")
+    code, out, err = invoke(capsys, "orbit", "--n", "1", "--a", "3")
     assert code == 1
     assert "domain error" in err
     code, out, _ = invoke(
-        capsys, "--sieve-limit", "100", "--extend-domain", "orbit", "--n", "1", "--a", "3"
+        capsys, "--extend-domain", "orbit", "--n", "1", "--a", "3"
     )
     assert code == 0
     assert out == "1 [cycle]\n"
@@ -70,7 +74,7 @@ def test_amicable_above_sieve_limit(capsys):
 
 
 def test_census_csv(capsys):
-    code, out, _ = invoke(capsys, "--sieve-limit", "20000", "census", "--a", "1", "--limit", "10000")
+    code, out, _ = invoke(capsys, "census", "--a", "1", "--limit", "10000")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "a,cycle_id,length,members,sign_pattern,basin_count"
@@ -80,7 +84,7 @@ def test_census_csv(capsys):
 
 def test_census_json(capsys):
     code, out, _ = invoke(
-        capsys, "--sieve-limit", "20000", "--format", "json",
+        capsys, "--format", "json",
         "census", "--a", "12", "--limit", "10000",
     )
     assert code == 0
@@ -92,7 +96,7 @@ def test_census_json(capsys):
 
 def test_sweep(capsys):
     code, out, _ = invoke(
-        capsys, "--sieve-limit", "20000", "--format", "json",
+        capsys, "--format", "json",
         "sweep", "--a-max", "5", "--limit", "10000",
     )
     assert code == 0
@@ -102,7 +106,7 @@ def test_sweep(capsys):
 
 
 def test_table1_reports_known_inconsistencies(capsys):
-    code, out, _ = invoke(capsys, "--sieve-limit", "1003000", "table1", "--limit", "100000")
+    code, out, _ = invoke(capsys, "table1", "--limit", "100000")
     assert code == 1
     lines = out.splitlines()
     assert lines[0] == "MATCH: 17/20 rows"
@@ -156,7 +160,7 @@ def test_chain_large_k_gives_up_early(capsys, monkeypatch):
 
 
 def test_kappa_csv(capsys):
-    code, out, _ = invoke(capsys, "--sieve-limit", "100", "kappa", "--limit", "7")
+    code, out, _ = invoke(capsys, "kappa", "--limit", "7")
     assert code == 0
     rows = dict(line.split(",") for line in out.splitlines()[1:])
     assert rows["7"] == "3"
@@ -164,10 +168,10 @@ def test_kappa_csv(capsys):
 
 
 def test_fibre_text(capsys):
-    code, out, _ = invoke(capsys, "--sieve-limit", "2000", "fibre", "--m", "7")
+    code, out, _ = invoke(capsys, "fibre", "--m", "7")
     assert code == 0
     assert out == "7 10 12\n"
-    code, out, _ = invoke(capsys, "--sieve-limit", "2000", "fibre", "--m", "7", "--a", "3")
+    code, out, _ = invoke(capsys, "fibre", "--m", "7", "--a", "3")
     assert out == "10 12\n"
 
 
@@ -178,6 +182,40 @@ def test_fibre_bound_above_64_bits(capsys):
     assert err.startswith("arithmetic/resource error:") and str(bound) in err
     code, out, _ = invoke(capsys, "fibre", "--m", "7", "--bound", str(2**63 - 1))
     assert (code, out) == (0, "7 10 12\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fibre", "--m", str(10**20), "--bound", str(10**20)],
+    ["kappa", "--limit", str(10**20)],
+])
+def test_sieve_past_64_bits(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("arithmetic/resource error: sieve limit ") and "64-bit range" in err
+
+
+W = str(2**63 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "bmb", "--x", W],
+    ["census", "--a", "1", "--limit", "9223372036854775000"],
+    ["density", "--set", "primes", "--x", W],
+    ["kappa", "--limit", W],
+    ["fibre", "--m", W, "--bound", W],
+])
+def test_table_past_any_array(capsys, argv):
+    # Each table's byte size is checked before it is allocated.
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("arithmetic/resource error: ") and "Traceback" not in err
+    assert "-byte table, past the largest array" in err and err.count("\n") == 1
+    assert peak < 2**20
 
 
 def _no_segments(limit, term):
@@ -205,13 +243,13 @@ def test_orbit_negative_max_steps(capsys):
 
 
 def test_fibre_negative_bound(capsys):
-    code, out, _ = invoke(capsys, "--sieve-limit", "1000", "fibre", "--m", "2", "--bound", "-3")
+    code, out, _ = invoke(capsys, "fibre", "--m", "2", "--bound", "-3")
     assert (code, out) == (0, "none\n")
 
 
 def test_density(capsys):
     code, out, _ = invoke(
-        capsys, "--sieve-limit", "20000", "density", "--set", "squares", "--x", "10000"
+        capsys, "density", "--set", "squares", "--x", "10000"
     )
     assert code == 0
     row = dict(zip(*[line.split(",") for line in out.splitlines()]))
@@ -223,8 +261,7 @@ def test_density_file_target(capsys, tmp_path):
     target = tmp_path / "vals.txt"
     target.write_text("7\n")
     code, out, _ = invoke(
-        capsys, "--sieve-limit", "2000",
-        "density", "--set", f"file:{target}", "--x", "1000",
+        capsys, "density", "--set", f"file:{target}", "--x", "1000",
     )
     assert code == 0
     assert out.splitlines()[1].split(",")[2] == "3"
@@ -246,12 +283,33 @@ def test_density_matches_scalar_oracle(capsys, tmp_path):
         for spec, member in oracles.items():
             count = sum(1 for v in values if member(v))
             code, out, _ = invoke(
-                capsys, "--sieve-limit", "1000", "--format", "json",
+                capsys, "--format", "json",
                 "density", "--set", spec, "--x", str(x),
             )
             assert code == 0
             row = json.loads(out)
             assert (row["count"], row["density"]) == (count, count / x), (spec, x)
+
+
+def test_density_across_segments(capsys, monkeypatch, tmp_path, oracle_values):
+    # With 64-entry segments, x = 10^4 streams 157 of them, and B(n) of an
+    # n in one segment often lies in an earlier one.
+    monkeypatch.setattr(sieve_mod, "CHUNK", 2**6)
+    x = 10**4
+    b, _, prime = (v[: x + 1] for v in oracle_values)
+    members = [0, 1, 4, 7, 64, 65, 127, 128, 4999, x, x + 1, 2 * x, 10**30]
+    target = tmp_path / "members.txt"
+    target.write_text("".join(f"{m}\n" for m in members))
+    in_set = {
+        "primes": prime,
+        "squares": np.isin(np.arange(x + 1), np.arange(101) ** 2),
+        f"file:{target}": np.isin(np.arange(x + 1), [m for m in members if m <= x]),
+    }
+    for spec, mask in in_set.items():
+        count = int(np.count_nonzero(mask[b[2:]]))
+        code, out, _ = invoke(capsys, "--format", "json", "density", "--set", spec, "--x", str(x))
+        assert code == 0
+        assert (json.loads(out)["count"], json.loads(out)["density"]) == (count, count / x), spec
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,7 +324,7 @@ def test_density_matches_scalar_oracle(capsys, tmp_path):
     ["stats", "density", "--x", "0"],
 ])
 def test_x_below_two_is_domain_error(capsys, argv):
-    code, out, err = invoke(capsys, "--sieve-limit", "1000", *argv)
+    code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("domain error:") and f"x={argv[-1]}" in err
@@ -280,7 +338,7 @@ def test_density_bad_file_is_domain_error(capsys, tmp_path, content):
     elif content is not None:
         target.write_bytes(content)
     code, out, err = invoke(
-        capsys, "--sieve-limit", "1000", "density", "--set", f"file:{target}", "--x", "500",
+        capsys, "density", "--set", f"file:{target}", "--x", "500",
     )
     assert code == 1
     assert out == ""
@@ -288,7 +346,7 @@ def test_density_bad_file_is_domain_error(capsys, tmp_path, content):
 
 
 def test_stats_avg(capsys):
-    code, out, _ = invoke(capsys, "--sieve-limit", "20000", "stats", "avg", "--x", "10000")
+    code, out, _ = invoke(capsys, "stats", "avg", "--x", "10000")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "x,sum,reference,ratio"
@@ -298,7 +356,7 @@ def test_stats_avg(capsys):
 
 def test_stats_residue(capsys):
     code, out, _ = invoke(
-        capsys, "--sieve-limit", "20000", "stats", "residue", "--q", "3", "--x", "10000"
+        capsys, "stats", "residue", "--q", "3", "--x", "10000"
     )
     assert code == 0
     counts = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
@@ -329,7 +387,7 @@ def test_stats_shift_past_64_bits(capsys, monkeypatch):
 def test_out_file(capsys, tmp_path):
     dest = tmp_path / "orbit.txt"
     code, out, _ = invoke(
-        capsys, "--sieve-limit", "100", "--out", str(dest), "orbit", "--n", "5", "--a", "2"
+        capsys, "--out", str(dest), "orbit", "--n", "5", "--a", "2"
     )
     assert code == 0
     assert out == ""
@@ -350,7 +408,7 @@ def test_out_file(capsys, tmp_path):
     *(["stats", mode, "--x", "1000"] for mode in ("avg", "bmb", "density", "parity", "residue")),
 ])
 def test_json_format_prints_json(capsys, argv):
-    code, out, _ = invoke(capsys, "--sieve-limit", "2000", "--format", "json", *argv)
+    code, out, _ = invoke(capsys, "--format", "json", *argv)
     assert code == 0
     assert json.loads(out)["schema_version"] == 1
 
@@ -372,27 +430,11 @@ def test_usage_exit_code(capsys):
     assert exc.value.code == 64
 
 
-def test_env_sieve_limit(capsys, monkeypatch):
-    monkeypatch.setenv("DD_SIEVE_LIMIT", "500")
-    code, out, _ = invoke(capsys, "orbit", "--n", "5", "--a", "2")
-    assert code == 0
-    assert out == "5 7 9 6 [cycle]\n"
-
-
-def test_env_sieve_limit_not_an_int(capsys, monkeypatch):
-    monkeypatch.setenv("DD_SIEVE_LIMIT", "abc")
-    with pytest.raises(SystemExit) as exc:
-        run(["orbit", "--n", "5"])
-    assert exc.value.code == 64
-    err = capsys.readouterr().err
-    assert err.startswith("usage: primeshift") and "invalid int value: 'abc'" in err
-
-
 def test_deterministic_output(capsys):
     runs = []
     for _ in range(2):
         _, out, _ = invoke(
-            capsys, "--sieve-limit", "20000", "--format", "json",
+            capsys, "--format", "json",
             "census", "--a", "3", "--limit", "10000",
         )
         runs.append(out)
@@ -437,5 +479,7 @@ def _captured_run(argv):
 @settings(max_examples=60, deadline=None)
 @given(small_queries())
 def test_table_size_never_changes_output(argv):
-    # each command's own sizing against a 10^6 table, the old default
-    assert _captured_run(argv) == _captured_run(["--sieve-limit", "1000000", *argv])
+    # each command's own sizing against a table of at least 10^6 entries
+    with mock.patch.object(cli, "build_sieve", lambda limit: build_sieve(max(limit, 10**6))):
+        floored = _captured_run(argv)
+    assert _captured_run(argv) == floored

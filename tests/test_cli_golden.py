@@ -61,7 +61,7 @@ GOLDEN = {
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_cli_golden(capsys, case):
     fmt, *argv = case.split()
-    code = run(["--sieve-limit", "20000", "--format", fmt, *argv])
+    code = run(["--format", fmt, *argv])
     out = capsys.readouterr().out
     assert code == (1 if argv[0] == "table1" else 0)
     want = GOLDEN[case]

@@ -19,6 +19,7 @@ from primeshift import (
     enumerate_fibre,
     preimage_density,
 )
+from primeshift import sieve as sieve_mod
 from primeshift.arith import shifted_B
 from primeshift.sieve import is_prime
 
@@ -140,27 +141,36 @@ def test_kappa_ratio_trend(table):
     assert kappa_asymptotic_ratio(3, kt) == 0.0
 
 
+def _ks(lo, spf):
+    return np.arange(lo, lo + spf.size)
+
+
 def test_preimage_density():
-    count, density = preimage_density(lambda v: v == 7, 10**3)
+    count, density = preimage_density(lambda lo, spf: _ks(lo, spf) == 7, 10**3)
     assert count == 3 and density == 3 / 10**3
-    # a scalar result broadcasts over the whole array
-    count, density = preimage_density(lambda v: False, 10**3)
+    count, density = preimage_density(lambda lo, spf: np.zeros(spf.size, dtype=bool), 10**3)
     assert (count, density) == (0, 0.0)
 
 
-def test_preimage_density_calls_predicate_once(b_values):
+def test_preimage_density_calls_predicate_once(monkeypatch, b_values):
+    # The target is called once per segment, in order, with that segment's
+    # sieve: every k in [0, x] is offered once.
+    monkeypatch.setattr(sieve_mod, "CHUNK", 2**10)
+    x = 5000
+    spf = build_sieve(x).spf
     seen = []
 
-    def counted(v):
-        seen.append(v.shape)
-        return v % 2 == 0
+    def counted(lo, seg):
+        seen.append(lo)
+        assert np.array_equal(seg, spf[lo : lo + seg.size])
+        return _ks(lo, seg) % 2 == 0
 
-    count, _ = preimage_density(counted, 5000)
-    assert seen == [(4999,)]
-    assert count == int(np.count_nonzero(b_values[2:5001] % 2 == 0))
+    count, _ = preimage_density(counted, x)
+    assert seen == list(range(0, x + 1, 2**10))
+    assert count == int(np.count_nonzero(b_values[2 : x + 1] % 2 == 0))
 
 
 @pytest.mark.parametrize("x", [1, 0, -5])
 def test_preimage_density_rejects_x_below_two(x):
     with pytest.raises(DomainError, match=f"x={x}"):
-        preimage_density(lambda v: True, x)
+        preimage_density(lambda lo, spf: np.ones(spf.size, dtype=bool), x)
