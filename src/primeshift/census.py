@@ -15,9 +15,9 @@ the labels; then every segment is resolved in the blocks [lo, 2*lo) of
 tables.blocks.  A node whose successor is unresolved waits with that
 successor beside it.  So only the state (2 B per entry at a <= 200) and
 the stream's half-range B (int32, 2 B per entry of the range) are whole:
-4 B per entry.  The same lemma makes a sweep over shifts cheap: starts
-<= climb_margin(a) + 4 already reach every cycle, and the census of those
-is one short segment.
+4 B per entry.  A sweep over shifts runs no census: every cycle's minimum
+is a start <= climb_margin(a) + 4, and reached_cycles only walks from
+those starts over the short prefix of B_a that holds their orbits.
 """
 
 from __future__ import annotations
@@ -60,8 +60,11 @@ def census_limit(a: int, start_limit: int) -> int:
     composite c <= p + m, and B(c) <= c/2 + 2 <= (X + m)/2 + 2 <= X once
     X >= m + 4; a composite n <= X maps to B(n) <= n.  So orbits from
     starts <= start_limit stay in [2, X + m], and no B_a orbit is
-    unbounded.  A range past 2^63 - 1 raises RangeOverflowError.
+    unbounded.  A start_limit below 2 leaves no start and raises
+    DomainError; a range past 2^63 - 1 raises RangeOverflowError.
     """
+    if start_limit < 2:
+        raise DomainError(f"--limit must be >= 2 under a={a}, got {start_limit}")
     m = climb_margin(a)
     top = max(start_limit, m + 4) + m
     if top > WORD_MAX:
@@ -85,8 +88,11 @@ class CensusReport:
         return tuple(c for c in self.cycles if len(c) > 1)
 
 
-def _find_cycles(f, margin, budget, a):
-    """Every cycle except the fixed points at primes, keyed by its minimum.
+def _find_cycles(f, last, budget, a):
+    """The cycles that walks from 2..last meet under the list f, by minimum.
+
+    A walk marks each node with its start and stops at a marked one: its
+    own mark closes a new cycle, an earlier walk's leads to a known one.
 
     Lemma: for a >= 1 every cycle has its minimum x <= margin + 4, where
     margin = climb_margin(a).  If x is composite then x <= 4, because
@@ -96,23 +102,46 @@ def _find_cycles(f, margin, budget, a):
     a = 0 every cycle is a fixed point: n = 4, which the walks meet, or a
     prime, which run_census labels from the sieve's primes.
     """
-    seen: set[int] = set()
+    mark = [0] * len(f)
     cycles: dict[int, list[int]] = {}
-    for start in range(2, margin + 5):
-        path: dict[int, int] = {}
-        v = start
-        while v not in seen and v not in path:
+    for start in range(2, last + 1):
+        v, path = start, []
+        while not mark[v]:
             if len(path) > budget:
                 raise ConsistencyError(
                     f"no cycle within {budget} steps from {start} under a={a}"
                 )
-            path[v] = len(path)
-            v = f.item(v)
-        if v in path:
-            members = list(path)[path[v] :]
+            mark[v] = start
+            path.append(v)
+            v = f[v]
+        if mark[v] == start:
+            members = path[path.index(v) :]
             cycles[min(members)] = members
-        seen.update(path)
     return cycles
+
+
+def _shifted(a, limit):
+    """Yield (s, spf, f), f[n - s] = B_a(n), for the segments of [0, limit].
+
+    Only primes p > limit - a step past the range, and no start reaches
+    them: their B_a becomes 0, an index never labelled, so in a census
+    they and their preimages stay pending."""
+    for s, spf, v in segments(limit, b_term):
+        f = shift_primes(v, spf, a, limit)
+        top = f[max(limit - a + 1 - s, 0) :]
+        top[top > limit] = 0
+        yield s, spf, f
+        del spf, v, f, top  # before the next segment is built
+
+
+def _walk_map(stream, reach):
+    """(segments taken, SieveTable, B_a as a list) of stream over [0, reach]."""
+    held = [next(stream)]
+    while held[-1][0] + held[-1][1].size <= reach:
+        held.append(next(stream))
+    table = SieveTable(reach, np.concatenate([spf[: reach + 1 - s] for s, spf, _ in held]))
+    walk = np.concatenate([f[: reach + 1 - s] for s, _, f in held]).tolist()
+    return held, table, walk
 
 
 def state_dtype(bits: int, budget: int) -> type:
@@ -172,34 +201,16 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     """
     shift = as_shift(shift)
     a = shift.a
-    if start_limit < 2:
-        raise DomainError(f"start_limit must be >= 2, got {start_limit}")
-    margin = climb_margin(a)
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
     # Every walk stays in [0, reach], and so does every cycle member but
     # the primes of a = 0.
-    reach = min(limit, census_limit(a, margin + 4))
-
-    def shifted():
-        for s, spf, v in segments(limit, b_term):
-            f = shift_primes(v, spf, a, limit)
-            # Only primes p > limit - a step past the range, and no start
-            # reaches them: their B_a becomes 0, an index never labelled,
-            # so they and their preimages stay pending.
-            top = f[max(limit - a + 1 - s, 0) :]
-            top[top > limit] = 0
-            yield s, spf, f
-            del spf, v, f, top  # before the next segment is built
-
+    margin = climb_margin(a)
+    reach = census_limit(a, margin + 4)
     # The segments up to reach wait for the walks, which fix the labels.
-    stream = shifted()
-    held = [next(stream)]
-    while held[-1][0] + held[-1][1].size <= reach:
-        held.append(next(stream))
-    walk_table = SieveTable(reach, np.concatenate([spf[: reach + 1 - s] for s, spf, _ in held]))
-    walk = np.concatenate([f[: reach + 1 - s] for s, _, f in held])
-    walked = _find_cycles(walk, margin, budget, a)
+    stream = _shifted(a, limit)
+    held, walk_table, walk = _walk_map(stream, reach)
+    walked = _find_cycles(walk, margin + 4, budget, a)
     minima = [np.array(sorted(walked))]
     bits = minima[0].size.bit_length()
     if a == 0:
@@ -286,15 +297,20 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
 
 
 def reached_cycles(shift: Shift | int, start_limit: int) -> tuple[Cycle, ...]:
-    """The nontrivial cycles reached from starts 2..start_limit.
+    """The nontrivial cycles reached from starts 2..start_limit, by their minimum.
 
-    By the _find_cycles lemma every cycle has its minimum, itself a start,
-    at most climb_margin(a) + 4, so a census over that many starts lists
-    the same cycles as any larger one.
+    No census: by the _find_cycles lemma every cycle's minimum is a start
+    <= climb_margin(a) + 4, so walks from 2..last, last = min(start_limit,
+    climb_margin(a) + 4), meet every cycle that any larger range reaches.
+    Each is checked against the scalar map (canonicalize).
     """
     a = as_shift(shift).a
-    starts = min(start_limit, climb_margin(a) + 4)
-    return run_census(shift, starts).nontrivial_cycles
+    last = min(start_limit, climb_margin(a) + 4)
+    limit = census_limit(a, last)
+    _, table, walk = _walk_map(_shifted(a, limit), limit)
+    walked = _find_cycles(walk, last, default_max_steps(limit, a), a)
+    cycles = (canonicalize(walked[m], shift, table) for m in sorted(walked))
+    return tuple(c for c in cycles if len(c) > 1)
 
 
 def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set[int]]:

@@ -83,9 +83,16 @@ def test_naive_agrees_across_windows(table, monkeypatch):
 
 
 def test_naive_agrees_on_reached_cycles(table):
+    # reached_cycles against the per-start oracle's nontrivial cycles, also
+    # at 20 starts, below climb_margin(a) + 4 from a = 6 on, where (31, 58)
+    # at a = 27 and (43, 82) at a = 39 are not reached.
     for a in [*range(41), 97, 150, 199, 200, 15000]:
-        slow = _summary(run_census_naive(a, 3000, table))
-        assert _summary(run_census(a, 3000)) == slow, f"a={a}"
+        slow = run_census_naive(a, 3000, table)
+        assert _summary(run_census(a, 3000)) == _summary(slow), f"a={a}"
+        for start_limit, naive in ((3000, slow), (20, run_census_naive(a, 20, table))):
+            want = [(c.members, c.sign_pattern) for c in naive.nontrivial_cycles]
+            got = [(c.members, c.sign_pattern) for c in reached_cycles(a, start_limit)]
+            assert got == want, f"a={a}, start_limit={start_limit}"
 
 
 def test_unreached_cycles_not_listed():
@@ -237,6 +244,15 @@ def test_dist_past_budget_raises(monkeypatch):
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 4)
     with pytest.raises(ConsistencyError, match=r"node \d+ under a=0 is more than 4 steps"):
         run_census(0, 100)
+
+
+def test_walk_past_budget_raises(monkeypatch):
+    # Under a = 39 the walk from 2 runs 2 -> 41 -> 80 -> ...: past a budget
+    # of 1 step before it closes a cycle.
+    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 1)
+    for find in (run_census, reached_cycles):
+        with pytest.raises(ConsistencyError, match=r"^no cycle within 1 steps from 2 under a=39$"):
+            find(39, 100)
 
 
 def test_unsettled_node_names_its_input(monkeypatch):

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -231,6 +235,28 @@ def test_census_range_past_64_bits(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("arithmetic/resource error:")
     assert f"a={a}" in err and "--limit 10" in err
+
+
+@pytest.mark.parametrize("argv, a", [
+    (["census", "--a", "39", "--limit", "1"], 39),
+    (["sweep", "--a-max", "3", "--limit", "1"], 1),
+    (["table1", "--limit", "-5"], 1),
+])
+def test_limit_below_two_is_domain_error(capsys, argv, a):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"domain error: --limit must be >= 2 under a={a}, got {argv[-1]}\n"
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["--format", "json", "sweep", "--a-max", "3", "--limit", "1000"]
+    proc = subprocess.run([sys.executable, "-m", "primeshift", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(json.loads(proc.stdout)["counts"]) == ["1", "2", "3"]
 
 
 def test_orbit_negative_max_steps(capsys):
