@@ -10,20 +10,23 @@ distance, because a node's successor almost always lies below it.  Both
 live in one packed state per node (see state_dtype).
 
 B_a comes from the segment stream of tables.segments, shifted at the
-primes.  The segments that hold the walks wait until the walks have fixed
-the labels; then every segment is resolved in the blocks [lo, 2*lo) of
-tables.blocks.  A node whose successor is unresolved waits with that
-successor beside it.  So only the state (2 B per entry at a <= 200) and
-the stream's half-range B (int32, 2 B per entry of the range) are whole:
-4 B per entry.  A sweep over shifts runs no census: every cycle's minimum
-is a start <= climb_margin(a) + 4, and reached_cycles only walks from
-those starts over the short prefix of B_a that holds their orbits.
+primes; the stream builds the next segment on a worker thread while the
+census resolves the current one.  The segments that hold the walks wait
+until the walks have fixed the labels; then every segment is resolved in
+the blocks [lo, 2*lo) of tables.blocks.  A node whose successor is
+unresolved waits with that successor beside it.  So only the state (2 B
+per entry at a <= 200) and the stream's half-range B (int32, 2 B per
+entry of the range) are whole: 4 B per entry.  A sweep over shifts runs
+no census: every cycle's minimum is a start <= climb_margin(a) + 4, and
+reached_cycles only walks from those starts over the short prefix of B_a
+that holds their orbits.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +134,7 @@ def _shifted(a, limit):
         top = f[max(limit - a + 1 - s, 0) :]
         top[top > limit] = 0
         yield s, spf, f
-        del spf, v, f, top  # before the next segment is built
+        del spf, v, f, top  # so the stream frees it before it builds another
 
 
 def _walk_map(stream, reach):
@@ -208,53 +211,58 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     margin = climb_margin(a)
     reach = census_limit(a, margin + 4)
     # The segments up to reach wait for the walks, which fix the labels.
-    stream = _shifted(a, limit)
-    held, walk_table, walk = _walk_map(stream, reach)
-    walked = _find_cycles(walk, margin + 4, budget, a)
-    minima = [np.array(sorted(walked))]
-    bits = minima[0].size.bit_length()
-    if a == 0:
-        # Every prime is a fixed point as well; the walks met (2), (3) and
-        # (4), and the primes from 5 on take their labels segment by
-        # segment, so the label count is bounded before the state exists:
-        # pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), plus 4.
-        bits = (int(1.25506 * limit / math.log(limit)) + 1).bit_length()
-
-    # state[n] = dist[n] << bits | label[n], 0 while unresolved.  label[n]
-    # is the 1-based index in minima of the cycle n reaches, and dist[n]
-    # the number of B_a steps to get there.
-    state = np.zeros(limit + 1, dtype=state_dtype(bits, budget))
-    state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
-    for m, members in walked.items():
-        state[members] = state[m]
-    step = 1 << bits
-
-    def resolve(lo, f, pending):
-        # First round over [lo, lo + f.size) as slices: a node whose
-        # successor is already resolved takes its state, one step further;
-        # cycle nodes keep theirs.  The rest wait with their successors.
-        succ = state[f]
-        np.add(succ, step, out=succ, where=succ != 0)
-        window = state[lo : lo + f.size]
-        np.copyto(window, succ, where=window == 0)
-        new = (window == 0).nonzero()[0]
-        if new.size:
-            pending = (np.concatenate([pending[0], new + lo]), np.concatenate([pending[1], f[new]]))
-        return _settle(*pending, state, step, budget, a, start_limit)
-
-    pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=index_dtype(limit + a)))
-    ranked = minima[0].size
-    # The held segments go first, each dropped from held as the loop takes it.
-    for s, spf, f in itertools.chain((held.pop(0) for _ in range(len(held))), stream):
+    # Closing the stream on every way out stops its worker thread.
+    with closing(_shifted(a, limit)) as stream:
+        held, walk_table, walk = _walk_map(stream, reach)
+        walked = _find_cycles(walk, margin + 4, budget, a)
+        minima = [np.array(sorted(walked))]
+        bits = minima[0].size.bit_length()
         if a == 0:
-            lo = max(s, 5)
-            primes = np.flatnonzero(f[lo - s :] == spf[lo - s :]) + lo
-            state[primes] = np.arange(ranked + 1, ranked + primes.size + 1, dtype=state.dtype)
-            ranked += primes.size
-            minima.append(primes)
-        for lo, hi in blocks(s, s + f.size):
-            pending = resolve(lo, f[lo - s : hi - s], pending)
-        del spf, f  # before the next segment is built
+            # Every prime is a fixed point as well; the walks met (2), (3) and
+            # (4), and the primes from 5 on take their labels segment by
+            # segment, so the label count is bounded before the state exists:
+            # pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), plus 4.
+            bits = (int(1.25506 * limit / math.log(limit)) + 1).bit_length()
+
+        # state[n] = dist[n] << bits | label[n], 0 while unresolved.  label[n]
+        # is the 1-based index in minima of the cycle n reaches, and dist[n]
+        # the number of B_a steps to get there.
+        state = np.zeros(limit + 1, dtype=state_dtype(bits, budget))
+        state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
+        for m, members in walked.items():
+            state[members] = state[m]
+        step = 1 << bits
+
+        def resolve(lo, f, pending):
+            # First round over [lo, lo + f.size) as slices: a node whose
+            # successor is already resolved takes its state, one step further;
+            # cycle nodes keep theirs.  The rest wait with their successors.
+            succ = state.take(f)
+            ok = succ != 0
+            succ += step
+            window = state[lo : lo + f.size]
+            wait = window == 0
+            ok &= wait
+            succ *= ok
+            window += succ
+            new = np.flatnonzero(wait ^ ok)
+            if new.size:
+                pending = (np.concatenate([pending[0], new + lo]), np.concatenate([pending[1], f[new]]))
+            return _settle(*pending, state, step, budget, a, start_limit)
+
+        pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=index_dtype(limit + a)))
+        ranked = minima[0].size
+        # The held segments go first, each dropped from held as the loop takes it.
+        for s, spf, f in itertools.chain((held.pop(0) for _ in range(len(held))), stream):
+            if a == 0:
+                lo = max(s, 5)
+                primes = np.flatnonzero(f[lo - s :] == spf[lo - s :]) + lo
+                state[primes] = np.arange(ranked + 1, ranked + primes.size + 1, dtype=state.dtype)
+                ranked += primes.size
+                minima.append(primes)
+            for lo, hi in blocks(s, s + f.size):
+                pending = resolve(lo, f[lo - s : hi - s], pending)
+            del spf, f  # so the stream frees it before it builds another
     nodes = pending[0]
     stuck = nodes[nodes <= start_limit]
     if stuck.size:

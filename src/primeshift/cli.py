@@ -59,7 +59,13 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="no effect: bulk streams always build the next segment on one worker "
+        "thread; kept because the benchmark harness passes it",
+    )
     p.add_argument(
         "--extend-domain",
         action="store_true",

@@ -25,7 +25,7 @@ WORD_MAX = 2**63 - 1
 
 #: Entries per pass of the chunked loops, which bounds their temporaries
 #: and keeps the sieve's segments in cache.
-CHUNK = 1 << 18
+CHUNK = 1 << 17
 
 # Complete deterministic witness set for n < 3.3 * 10^24, covers WORD_MAX.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -5,7 +5,9 @@ B(n) = p + B(m) with p = spf(n) and m = n // p, and (B - beta)(n) =
 p already divides m.  m <= n/2, so segments() fills each sieve segment
 of sieve.spf_windows from the values below it, kept in one array over
 [0, limit // 2], and no whole-range table of B, beta or B_a exists.  B_a differs from B only at
-the primes, where B(n) = spf(n); shift_primes adds a there.
+the primes, where B(n) = spf(n); shift_primes adds a there.  From the
+second segment on, one worker thread builds the next segment while the
+caller works on the current one.
 """
 
 from __future__ import annotations
@@ -47,10 +49,21 @@ def segments(limit: int, term):
     filled block by block from the V below each block: in v itself in the
     first segment, else in back, V over [0, limit // 2], which is the only
     array that outlives a segment.
+
+    The first segment is built in the caller's thread.  When the caller
+    asks for the next one and the stream has more, one worker thread
+    builds each following segment while the caller holds the one before,
+    so at most two are alive.  A segment is copied into back before it is
+    yielded and never touched after, so the caller may change spf and v
+    in place.  Closing the stream stops the worker; an error in it is
+    raised here, in the caller.
     """
     half = limit // 2
     back = zeros(half + 1, index_dtype(half), f"a stream to {limit}")
-    for s, spf in spf_windows(limit):
+    windows = spf_windows(limit)
+
+    def build():
+        s, spf = next(windows)
         v = np.empty_like(spf)
         v[:2] = 0  # V(0) = V(1) = 0; the blocks overwrite all n >= 2
         below = v if s == 0 else back
@@ -60,10 +73,20 @@ def segments(limit: int, term):
             m //= p
             np.add(below[m], term(p, m), out=v[lo - s : hi - s])
         back[s : s + v.size] = v[: max(half + 1 - s, 0)]
-        yield s, spf, v
-        # Drop the segment before the next is sieved, but not m: freeing all
-        # at once lets malloc trim the heap, and pages fault in again.
-        del spf, v, below, p
+        return s, spf, v
+
+    seg = build()
+    yield seg
+    if seg[0] + seg[1].size > limit:
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as worker:
+        job = worker.submit(build)
+        while job is not None:
+            seg = job.result()  # drops the segment before, which the caller let go
+            job = worker.submit(build) if seg[0] + seg[1].size <= limit else None
+            yield seg
 
 
 def shift_primes(v: np.ndarray, spf: np.ndarray, a: int, top: int) -> np.ndarray:
@@ -74,7 +97,7 @@ def shift_primes(v: np.ndarray, spf: np.ndarray, a: int, top: int) -> np.ndarray
     B = spf = 0, take a as well.
     """
     f = v.astype(index_dtype(top + a), copy=False)
-    np.add(f, a, out=f, where=f == spf)
+    f += (f == spf) * f.dtype.type(a)
     return f
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from primeshift.cli import run
 from primeshift.dynamics import canonicalize, default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
 from primeshift.sieve import index_dtype
+from primeshift.tables import b_term
 
 
 def _summary(rep):
@@ -73,13 +75,22 @@ def test_naive_agrees_across_windows(table, monkeypatch):
     # holds back the first 1 to 26 until the walks are done: successors
     # carried from segment to segment, the primes near the top whose
     # successor passes the limit, and at a = 0 the primes ranked segment
-    # by segment.
+    # by segment.  From the second segment on, the stream's worker thread
+    # builds them.
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
+    builders = set()
+
+    def term(p, m):
+        builders.add(threading.get_ident())
+        return b_term(p, m)
+
+    monkeypatch.setattr(census_mod, "b_term", term)
     for a in (0, 1, 2, 3, 39, 137, 200):
         assert census_limit(a, climb_margin(a) + 4) < 10**4 // 2
         fast = run_census(a, 10**4)
         assert _summary(fast) == _summary(run_census_naive(a, 10**4, table)), f"a={a}"
+    assert builders - {threading.get_ident()}
 
 
 def test_naive_agrees_on_reached_cycles(table):
@@ -273,7 +284,8 @@ def test_census_peak_memory():
     # counts weigh most at 10^6.  At a = 0 the state takes 4 B and the
     # 78,499 cycles, one per prime and 4, peak as Python objects.  The
     # bounds were set from 9.32, 5.33 and 20.77 B with 10% headroom; the
-    # segment stream measures 8.35, 5.09 and 17.82 B.
+    # segment stream, with two 2^17-entry segments alive while the worker
+    # builds the next, measures 8.7, 5.0-5.1 and 17.8 B.
     for a, start_limit, per_entry in ((39, 10**6, 10.3), (39, 4 * 10**6, 5.9), (0, 10**6, 22.8)):
         tracemalloc.start()
         try:
