@@ -9,7 +9,7 @@ front end; this namespace exports what the CLI calls and the types those
 functions return.
 """
 
-from .arith import Shift
+from .arith import check_shift
 from .census import CensusReport, cycle_count_sweep, reached_cycles, run_census
 from .constructions import AmicablePair, ChainWitness, build_amicable, find_ascending_chain
 from .dynamics import Cycle, OrbitRecord, iterate_orbit

@@ -7,25 +7,23 @@ shifted variant B_a agrees with B on composites but sends a prime p to p + a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, RangeOverflowError
 from .sieve import WORD_MAX, SieveTable, factorize, is_prime
 
 
-@dataclass(frozen=True)
-class Shift:
-    """The perturbation a >= 0 applied at primes; a = 0 is the unshifted case."""
-
-    a: int
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise DomainError(f"shift must be non-negative, got {self.a}")
+def check_shift(a: int) -> int:
+    """The shift a >= 0 applied at primes, as an int; a = 0 is the unshifted case."""
+    a = int(a)
+    if a < 0:
+        raise DomainError(f"shift must be non-negative, got {a}")
+    return a
 
 
-def as_shift(shift: Shift | int) -> Shift:
-    return shift if isinstance(shift, Shift) else Shift(int(shift))
+def prime_step(p: int, a: int) -> int:
+    """B_a(p) = p + a for a prime p, or RangeOverflowError past 2^63 - 1."""
+    if p + a > WORD_MAX:
+        raise RangeOverflowError(f"{p} + {a} exceeds the 64-bit range")
+    return p + a
 
 
 def _check_domain(n: int, extend_domain: bool) -> int | None:
@@ -42,19 +40,12 @@ def big_B(n: int, table: SieveTable) -> int:
     return sum(p * r for p, r in factorize(n, table))
 
 
-def shifted_B(
-    n: int,
-    shift: Shift | int,
-    table: SieveTable,
-    extend_domain: bool = False,
-) -> int:
+def shifted_B(n: int, a: int, table: SieveTable, extend_domain: bool = False) -> int:
     """B_a(n): n + a when n is prime, otherwise B(n)."""
-    a = as_shift(shift).a
+    a = check_shift(a)
     ext = _check_domain(n, extend_domain)
     if ext is not None:
         return ext
     if is_prime(n, table):
-        if n + a > WORD_MAX:
-            raise RangeOverflowError(f"{n} + {a} exceeds the 64-bit range")
-        return n + a
+        return prime_step(n, a)
     return big_B(n, table)

@@ -9,17 +9,16 @@ all minima.  One ascending pass then gives every node its label and
 distance, because a node's successor almost always lies below it.  Both
 live in one packed state per node (see state_dtype).
 
-B_a comes from the segment stream of tables.segments, shifted at the
-primes; the stream builds the next segment on a worker thread while the
-census resolves the current one.  The segments that hold the walks wait
-until the walks have fixed the labels; then every segment is resolved in
-the blocks [lo, 2*lo) of tables.blocks.  A node whose successor is
-unresolved waits with that successor beside it.  So only the state (2 B
-per entry at a <= 200) and the stream's half-range B (int32, 2 B per
-entry of the range) are whole: 4 B per entry.  A sweep over shifts runs
-no census: every cycle's minimum is a start <= climb_margin(a) + 4, and
-reached_cycles only walks from those starts over the short prefix of B_a
-that holds their orbits.
+B_a comes from the segment stream of tables.shifted_segments, which
+builds the next segment on a worker thread while the census resolves the
+current one.  The segments that hold the walks wait until the walks have
+fixed the labels; then every segment is resolved in the blocks
+[lo, 2*lo) of tables.blocks.  A node whose successor is unresolved waits with
+that successor beside it.  So only the state (2 B per entry at a <= 200)
+and the stream's half-range B (int32, 2 B per entry of the range) are
+whole: 4 B per entry.  A sweep over shifts runs no census: every cycle's
+minimum is a start <= climb_margin(a) + 4, and reached_cycles only walks
+from those starts over the short prefix of B_a that holds their orbits.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import Shift, as_shift
+from .arith import check_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
 from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype, is_prime
-from .tables import b_term, blocks, segments, shift_primes
+from .tables import blocks, shifted_segments
 
 
 def climb_margin(a: int) -> int:
@@ -63,9 +62,11 @@ def census_limit(a: int, start_limit: int) -> int:
     composite c <= p + m, and B(c) <= c/2 + 2 <= (X + m)/2 + 2 <= X once
     X >= m + 4; a composite n <= X maps to B(n) <= n.  So orbits from
     starts <= start_limit stay in [2, X + m], and no B_a orbit is
-    unbounded.  A start_limit below 2 leaves no start and raises
-    DomainError; a range past 2^63 - 1 raises RangeOverflowError.
+    unbounded.  A negative shift or a start_limit below 2, which leaves no
+    start, raises DomainError; a range past 2^63 - 1 raises
+    RangeOverflowError.  This is the census's one check of its shift.
     """
+    a = check_shift(a)
     if start_limit < 2:
         raise DomainError(f"--limit must be >= 2 under a={a}, got {start_limit}")
     m = climb_margin(a)
@@ -79,16 +80,12 @@ def census_limit(a: int, start_limit: int) -> int:
 class CensusReport:
     """The cycles reached from starts 2..start_limit, each with its basin count."""
 
-    shift: Shift
+    a: int
     start_limit: int
     cycles: tuple[Cycle, ...]
     basin_counts: tuple[int, ...] = field(repr=False)
     stopping_time_histogram: dict[int, int] = field(repr=False)
     max_total_stopping_time: int
-
-    @property
-    def nontrivial_cycles(self) -> tuple[Cycle, ...]:
-        return tuple(c for c in self.cycles if len(c) > 1)
 
 
 def _find_cycles(f, last, budget, a):
@@ -124,17 +121,16 @@ def _find_cycles(f, last, budget, a):
 
 
 def _shifted(a, limit):
-    """Yield (s, spf, f), f[n - s] = B_a(n), for the segments of [0, limit].
+    """shifted_segments(a, limit) with every B_a past limit set to 0.
 
     Only primes p > limit - a step past the range, and no start reaches
     them: their B_a becomes 0, an index never labelled, so in a census
     they and their preimages stay pending."""
-    for s, spf, v in segments(limit, b_term):
-        f = shift_primes(v, spf, a, limit)
+    for s, spf, f in shifted_segments(a, limit):
         top = f[max(limit - a + 1 - s, 0) :]
         top[top > limit] = 0
         yield s, spf, f
-        del spf, v, f, top  # so the stream frees it before it builds another
+        del spf, f, top  # so the stream frees it before it builds another
 
 
 def _walk_map(stream, reach):
@@ -193,7 +189,7 @@ def _counts(values, width=1):
     return out
 
 
-def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
+def run_census(a: int, start_limit: int) -> CensusReport:
     """Enumerate all cycles reached from starts 2..start_limit, with basins.
 
     Works on [2, census_limit(a, start_limit)], streamed segment by
@@ -202,8 +198,6 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
     the prime fixed points of a = 0 come straight from the stream.  Cycles
     reached only from starts above start_limit are not listed.
     """
-    shift = as_shift(shift)
-    a = shift.a
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
     # Every walk stays in [0, reach], and so does every cycle member but
@@ -287,11 +281,11 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
         basins, counts = grid.sum(axis=0), grid.sum(axis=1)
     labels = np.flatnonzero(basins)
     cycles = tuple(
-        canonicalize(walked[m], shift, walk_table) if m in walked else Cycle((m,), "+")
+        canonicalize(walked[m], a, walk_table) if m in walked else Cycle((m,), "+")
         for m in np.concatenate(minima)[labels - 1].tolist()
     )
     return CensusReport(
-        shift=shift,
+        a=a,
         start_limit=start_limit,
         cycles=cycles,
         basin_counts=tuple(basins[labels].tolist()),
@@ -304,7 +298,7 @@ def run_census(shift: Shift | int, start_limit: int) -> CensusReport:
 # Sweeps over many shifts
 
 
-def reached_cycles(shift: Shift | int, start_limit: int) -> tuple[Cycle, ...]:
+def reached_cycles(a: int, start_limit: int) -> tuple[Cycle, ...]:
     """The nontrivial cycles reached from starts 2..start_limit, by their minimum.
 
     No census: by the _find_cycles lemma every cycle's minimum is a start
@@ -312,12 +306,11 @@ def reached_cycles(shift: Shift | int, start_limit: int) -> tuple[Cycle, ...]:
     climb_margin(a) + 4), meet every cycle that any larger range reaches.
     Each is checked against the scalar map (canonicalize).
     """
-    a = as_shift(shift).a
     last = min(start_limit, climb_margin(a) + 4)
     limit = census_limit(a, last)
     _, table, walk = _walk_map(_shifted(a, limit), limit)
     walked = _find_cycles(walk, last, default_max_steps(limit, a), a)
-    cycles = (canonicalize(walked[m], shift, table) for m in sorted(walked))
+    cycles = (canonicalize(walked[m], a, table) for m in sorted(walked))
     return tuple(c for c in cycles if len(c) > 1)
 
 

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import golden
-from .arith import Shift
+from .arith import check_shift
 from .census import cycle_count_sweep, reached_cycles, run_census
 from .constructions import build_amicable, find_ascending_chain
 from .dynamics import iterate_orbit
@@ -167,12 +167,12 @@ def _emit(args, payload: dict, columns: list[str], rows, text: str | None = None
 def _cmd_orbit(args):
     table = build_sieve(SMALL_TABLE)
     rec = iterate_orbit(
-        args.n, Shift(args.a), table,
+        args.n, args.a, table,
         max_steps=args.max_steps, extend_domain=args.extend_domain,
     )
     payload = {
         "start": rec.start,
-        "a": rec.shift.a,
+        "a": rec.a,
         "trajectory": list(rec.trajectory),
         "entry_index": rec.entry_index,
         "cycle": list(rec.cycle),
@@ -184,7 +184,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_census(args):
-    rep = run_census(Shift(args.a), args.limit)
+    rep = run_census(args.a, args.limit)
     cycles = zip(rep.cycles, rep.basin_counts)
     if args.format != "json":
         columns = ["a", "cycle_id", "length", "members", "sign_pattern", "basin_count"]
@@ -234,7 +234,7 @@ def _cmd_table1(args):
 
 def _cmd_amicable(args):
     pair = build_amicable(args.p, build_sieve(SMALL_TABLE))
-    p, n, a = pair.p, pair.n, pair.shift.a
+    p, n, a = pair.p, pair.n, pair.a
     return _emit(args, {"p": p, "n": n, "a": a}, ["p", "n", "a"], [(p, n, a)], f"p={p} n={n} a={a}")
 
 
@@ -243,9 +243,9 @@ def _cmd_chain(args):
     if w is None:
         payload = {"k": args.k, "n": None, "a": None, "chain": None}
         return _emit(args, payload, ["k", "n", "a", "chain"], [], "none")
-    payload = {"k": w.k, "n": w.n, "a": w.shift.a, "chain": list(w.chain)}
-    row = (w.k, w.n, w.shift.a, ";".join(str(v) for v in w.chain))
-    text = f"k={w.k} n={w.n} a={w.shift.a} chain={' '.join(str(v) for v in w.chain)}"
+    payload = {"k": w.k, "n": w.n, "a": w.a, "chain": list(w.chain)}
+    row = (w.k, w.n, w.a, ";".join(str(v) for v in w.chain))
+    text = f"k={w.k} n={w.n} a={w.a} chain={' '.join(str(v) for v in w.chain)}"
     return _emit(args, payload, ["k", "n", "a", "chain"], [row], text)
 
 
@@ -258,7 +258,7 @@ def _cmd_kappa(args):
 
 def _cmd_fibre(args):
     table = build_sieve(max(min(args.m, args.bound // 2), 2))
-    hits = enumerate_fibre(args.m, Shift(args.a), args.bound, table)
+    hits = enumerate_fibre(args.m, args.a, args.bound, table)
     payload = {"m": args.m, "a": args.a, "bound": args.bound, "solutions": hits}
     text = " ".join(str(n) for n in hits) if hits else "none"
     return _emit(args, payload, ["n"], [(n,) for n in hits], text)
@@ -305,14 +305,15 @@ _SERIES = {"avg": average_order_series, "bmb": b_minus_beta_series, "parity": pa
 
 def _cmd_stats(args):
     if args.mode == "density":
+        check_shift(args.a)  # unused here, but rejected when negative like every --a
         payload = {"N": args.N, "x": args.x, "density": estimate_local_density(args.N, args.x)}
         return _emit(args, payload, list(payload), [payload.values()])
     if args.mode == "residue":
-        counts = residue_distribution(Shift(args.a), args.q, args.x)
+        counts = residue_distribution(args.a, args.q, args.x)
         payload = {"a": args.a, "q": args.q, "x": args.x,
                    "counts": {str(h): c for h, c in sorted(counts.items())}}
         return _emit(args, payload, ["h", "count"], sorted(counts.items()))
-    s = _SERIES[args.mode](Shift(args.a), _checkpoints(args.x))
+    s = _SERIES[args.mode](args.a, _checkpoints(args.x))
     rows = list(zip(s.checkpoints, s.sums, s.reference, s.ratios))
     columns = ["x", "sum", "reference", "ratio"]
     return _emit(args, {"rows": [dict(zip(columns, row)) for row in rows]}, columns, rows)

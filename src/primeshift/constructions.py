@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Shift, big_B
+from .arith import big_B
 from .errors import ConsistencyError, DomainError, RangeOverflowError
 from .sieve import WORD_MAX, SieveTable, factorize, is_prime
 
@@ -15,7 +15,7 @@ class AmicablePair:
 
     p: int
     n: int
-    shift: Shift
+    a: int
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class ChainWitness:
     """A strictly ascending orbit segment n < B_a(n) < ... < B_a^k(n)."""
 
     n: int
-    shift: Shift
+    a: int
     k: int
     chain: tuple[int, ...]
 
@@ -61,7 +61,7 @@ def build_amicable(p: int, table: SieveTable) -> AmicablePair:
         raise ConsistencyError(f"constructed n={n} is prime")
     if big_B(n, table) != p:
         raise ConsistencyError(f"constructed n={n} has B(n) != {p}")
-    return AmicablePair(p, n, Shift(n - p))
+    return AmicablePair(p, n, n - p)
 
 
 def find_ascending_chain(
@@ -104,6 +104,6 @@ def find_ascending_chain(
                         break
                     chain.append(v)
                 if ok:
-                    return ChainWitness(p, Shift(a), k, tuple(chain))
+                    return ChainWitness(p, a, k, tuple(chain))
         p += 2
     return None

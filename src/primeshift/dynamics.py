@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Shift, as_shift, shifted_B
+from .arith import check_shift, shifted_B
 from .errors import ConsistencyError, DomainError, NonterminationError
 from .sieve import SieveTable, is_prime
 
@@ -27,7 +27,7 @@ class OrbitRecord:
     """
 
     start: int
-    shift: Shift
+    a: int
     trajectory: tuple[int, ...]
     entry_index: int
 
@@ -68,27 +68,27 @@ def default_max_steps(n: int, a: int) -> int:
 
 def iterate_orbit(
     n: int,
-    shift: Shift | int,
+    a: int,
     table: SieveTable,
     max_steps: int | None = None,
     extend_domain: bool = False,
 ) -> OrbitRecord:
     """Follow n under the shifted map until the orbit closes, within max_steps >= 0 steps."""
-    shift = as_shift(shift)
+    a = check_shift(a)
     if max_steps is None:
-        max_steps = default_max_steps(n, shift.a)
+        max_steps = default_max_steps(n, a)
     if max_steps < 0:
-        raise DomainError(f"--max-steps {max_steps} is negative for the orbit of {n}, a={shift.a}")
+        raise DomainError(f"--max-steps {max_steps} is negative for the orbit of {n}, a={a}")
     seen: dict[int, int] = {}
     traj = [n]
     v = n
     while v not in seen:
         seen[v] = len(traj) - 1
         if len(traj) - 1 >= max_steps:
-            raise NonterminationError(n, shift.a, max_steps)
-        v = shifted_B(v, shift, table, extend_domain=extend_domain)
+            raise NonterminationError(n, a, max_steps)
+        v = shifted_B(v, a, table, extend_domain=extend_domain)
         traj.append(v)
-    return OrbitRecord(n, shift, tuple(traj), seen[v])
+    return OrbitRecord(n, a, tuple(traj), seen[v])
 
 
 def min_first(members) -> tuple[int, ...]:
@@ -98,18 +98,16 @@ def min_first(members) -> tuple[int, ...]:
     return members[k:] + members[:k]
 
 
-def canonicalize(raw_cycle, shift: Shift | int, table: SieveTable) -> Cycle:
+def canonicalize(raw_cycle, a: int, table: SieveTable) -> Cycle:
     """Rotate a verified cycle so its minimum is first and attach signs."""
-    shift = as_shift(shift)
+    a = check_shift(a)
     members = [int(v) for v in raw_cycle]
     if not members:
         raise ConsistencyError("empty cycle")
     for v, nxt in zip(members, members[1:] + members[:1]):
-        got = shifted_B(v, shift, table)
+        got = shifted_B(v, a, table)
         if got != nxt:
-            raise ConsistencyError(
-                f"not a cycle under a={shift.a}: {v} -> {got}, expected {nxt}"
-            )
+            raise ConsistencyError(f"not a cycle under a={a}: {v} -> {got}, expected {nxt}")
     rotated = min_first(members)
     pattern = "".join("+" if is_prime(v, table) else "-" for v in rotated)
     return Cycle(rotated, pattern)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Shift, as_shift
+from .arith import check_shift
 from .errors import DomainError, RangeOverflowError
 from .sieve import WORD_MAX, SieveTable, is_prime
 
@@ -55,12 +55,7 @@ def build_kappa(limit: int, table: SieveTable) -> KappaTable:
     return KappaTable(limit, tuple(k.tolist()))
 
 
-def enumerate_fibre(
-    m: int,
-    shift: Shift | int,
-    x_bound: int,
-    table: SieveTable,
-) -> list[int]:
+def enumerate_fibre(m: int, a: int, x_bound: int, table: SieveTable) -> list[int]:
     """All n <= x_bound with B_a(n) = m, ascending, built from the inverse of B_a.
 
     B_a agrees with B on composites, so the composite solutions are the
@@ -74,11 +69,11 @@ def enumerate_fibre(
     solution is m - a, when it is a prime in [2, x_bound].  A bound above
     2^63 - 1 raises RangeOverflowError.
     """
+    a = check_shift(a)
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
     if x_bound > WORD_MAX:
         raise RangeOverflowError(f"fibre bound {x_bound} exceeds the 64-bit range")
-    a = as_shift(shift).a
     top = max(min(m - 2, x_bound // 2), 0)  # a negative top would wrap the slice below
     if top > table.limit:
         raise DomainError(f"fibre of m={m} at bound {x_bound} needs primes up to {top}, "

@@ -1,10 +1,11 @@
 """Empirical distribution checks: partial sums, local densities, residues,
 and the density of the n whose B(n) lies in a set.
 
-Each check streams B_a or B - beta over 2 <= n <= x from tables.segments
-and sums or counts segment by segment, so no table spans the range but
-the stream's half-range array (and the set's mask over [0, x]).  Partial
-sums are exact integers; the analytic reference terms (pi^2 x^2 / (12 log x) and friends) are double
+Each check streams B_a from tables.shifted_segments, or B or B - beta
+from tables.segments, over 2 <= n <= x and sums or counts segment by
+segment, so no table spans the range but the stream's half-range array
+(and the set's mask over [0, x]).  Partial sums are exact integers; the
+analytic reference terms (pi^2 x^2 / (12 log x) and friends) are double
 precision, which is all the ratio diagnostics need.
 """
 
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Shift, as_shift
-from .errors import DomainError, RangeOverflowError
-from .sieve import WORD_MAX, is_prime, zeros
-from .tables import b_term, check_x, excess_term, segments, shift_primes
+from .arith import check_shift
+from .errors import DomainError
+from .sieve import zeros
+from .tables import b_term, check_x, excess_term, segments, shifted_segments
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,8 @@ def _from_two(parts):
 
 
 def _shifted(a, x):
-    """B_a over 2 <= n <= x as (lo, values) segments.
-
-    A shift that carries the largest prime <= x past 2^63 - 1 raises
-    RangeOverflowError before any segment is built.
-    """
-    if x + a > WORD_MAX:
-        p = x
-        while not is_prime(p):
-            p -= 1
-        if p + a > WORD_MAX:
-            raise RangeOverflowError(f"{p} + {a} exceeds the 64-bit range")
-    return _from_two((s, shift_primes(v, spf, a, x)) for s, spf, v in segments(x, b_term))
+    """B_a over 2 <= n <= x as (lo, values) segments."""
+    return _from_two((s, f) for s, _, f in shifted_segments(a, x))
 
 
 def _excess(x):
@@ -99,20 +90,20 @@ def _series(cps, parts, ref_fn, ratio_fn=None):
     return PartialSumSeries(tuple(cps), sums, refs, ratios)
 
 
-def average_order_series(shift: Shift | int, checkpoints) -> PartialSumSeries:
+def average_order_series(a: int, checkpoints) -> PartialSumSeries:
     """Partial sums of B_a against the main term pi^2 x^2 / (12 log x)."""
-    a = as_shift(shift).a
+    a = check_shift(a)
     cps = _checked_cps(checkpoints)
     return _series(cps, _shifted(a, cps[-1]), lambda x: math.pi**2 * x * x / (12 * math.log(x)))
 
 
-def b_minus_beta_series(shift: Shift | int, checkpoints) -> PartialSumSeries:
+def b_minus_beta_series(a: int, checkpoints) -> PartialSumSeries:
     """Partial sums of B_a - beta_a (= B - beta, shift-independent).
 
     Reference is x log log x; the ratio reported is (sum - ref) / x, the
     bounded quantity in the expansion x log log x + O(x).
     """
-    as_shift(shift)  # validated; the difference does not depend on a
+    check_shift(a)  # validated; the difference does not depend on a
     cps = _checked_cps(checkpoints)
     return _series(
         cps,
@@ -147,14 +138,14 @@ def preimage_density(target, x: int) -> tuple[int, float]:
     return count, count / x
 
 
-def parity_sum(shift: Shift | int, checkpoints) -> PartialSumSeries:
+def parity_sum(a: int, checkpoints) -> PartialSumSeries:
     """S(x) = sum over 2 <= n <= x of (-1)^{B_a(n)}.
 
     For even a the sum is o(x): reference is 0 and the ratio reported is
     |S(x)| / x.  For odd a the sign flips at every odd prime, so S(x)
     tracks 2 pi(x); reference is 2x / log x with ratio S / reference.
     """
-    a = as_shift(shift).a
+    a = check_shift(a)
     cps = _checked_cps(checkpoints)
     signs = ((lo, 1 - 2 * (f & 1)) for lo, f in _shifted(a, cps[-1]))
     if a % 2 == 0:
@@ -162,11 +153,11 @@ def parity_sum(shift: Shift | int, checkpoints) -> PartialSumSeries:
     return _series(cps, signs, lambda x: 2 * x / math.log(x))
 
 
-def residue_distribution(shift: Shift | int, q: int, x: int) -> dict[int, int]:
+def residue_distribution(a: int, q: int, x: int) -> dict[int, int]:
     """Counts of n <= x (n >= 2) with B_a(n) = h mod q, for each residue h."""
+    a = check_shift(a)
     if q <= 2:
         raise DomainError(f"q must be > 2, got {q}")
-    a = as_shift(shift).a
     check_x(x)
     counts = sum(np.bincount(f % q, minlength=q) for _, f in _shifted(a, x))
     return {h: int(counts[h]) for h in range(q)}

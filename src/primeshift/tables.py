@@ -4,18 +4,20 @@ B(n) = p + B(m) with p = spf(n) and m = n // p, and (B - beta)(n) =
 (B - beta)(m) + p exactly when p | m, since beta(n) = beta(m) + p unless
 p already divides m.  m <= n/2, so segments() fills each sieve segment
 of sieve.spf_windows from the values below it, kept in one array over
-[0, limit // 2], and no whole-range table of B, beta or B_a exists.  B_a differs from B only at
-the primes, where B(n) = spf(n); shift_primes adds a there.  From the
-second segment on, one worker thread builds the next segment while the
-caller works on the current one.
+[0, limit // 2], and no whole-range table of B, beta or B_a exists.  B_a
+differs from B only at the primes, where B(n) = spf(n): shifted_segments
+adds a there, once arith.prime_step, the one rule for p + a, has passed
+the largest prime.  From the second segment on, one worker thread builds
+the next segment while the caller works on the current one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .arith import prime_step
 from .errors import DomainError
-from .sieve import index_dtype, spf_windows, zeros
+from .sieve import WORD_MAX, index_dtype, is_prime, spf_windows, zeros
 
 
 def b_term(p, m):
@@ -89,16 +91,25 @@ def segments(limit: int, term):
             yield seg
 
 
-def shift_primes(v: np.ndarray, spf: np.ndarray, a: int, top: int) -> np.ndarray:
-    """B_a over a segment from its B and spf: v + a where v == spf (the primes).
+def shifted_segments(a: int, top: int):
+    """Yield (s, spf, f), f[n - s] = B_a(n), for the segments of [0, top].
 
-    The result has index_dtype(top + a), where top bounds the segment's
-    n; it is v itself when that is v's dtype.  Entries at n = 0, 1, where
-    B = spf = 0, take a as well.
+    f is B plus a where B == spf, at the primes, in index_dtype(top + a);
+    it is the stream's v itself when that is v's dtype.  Entries at n = 0,
+    1, where B = spf = 0, take a as well.  A shift that carries the
+    largest prime <= top past 2^63 - 1 raises RangeOverflowError before
+    any segment is built.
     """
-    f = v.astype(index_dtype(top + a), copy=False)
-    f += (f == spf) * f.dtype.type(a)
-    return f
+    if top + a > WORD_MAX:
+        p = top
+        while not is_prime(p):
+            p -= 1
+        prime_step(p, a)
+    for s, spf, v in segments(top, b_term):
+        f = v.astype(index_dtype(top + a), copy=False)
+        f += (f == spf) * f.dtype.type(a)
+        yield s, spf, f
+        del spf, v, f  # so the stream frees it before it builds another
 
 
 def check_x(x: int) -> None:

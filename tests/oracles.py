@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from primeshift.arith import Shift, as_shift, shifted_B
+from primeshift.arith import shifted_B
 from primeshift.census import CensusReport
 from primeshift.constructions import AmicablePair, ChainWitness
 from primeshift.dynamics import canonicalize, iterate_orbit
@@ -50,7 +50,7 @@ def shifted_map(b, prime, a: int):
 
 
 def run_census_naive(
-    shift: Shift | int,
+    a: int,
     start_limit: int,
     table: SieveTable,
     order=None,
@@ -60,21 +60,20 @@ def run_census_naive(
     Slow by design; used to cross-check run_census on small ranges.  An
     explicit processing order may be supplied to confirm order-independence.
     """
-    shift = as_shift(shift)
     starts = list(order) if order is not None else list(range(2, start_limit + 1))
     basins: dict[tuple[int, ...], list] = {}
     hist: dict[int, int] = {}
     max_tail = 0
     for n in starts:
-        rec = iterate_orbit(n, shift, table)
-        cyc = canonicalize(rec.cycle, shift, table)
+        rec = iterate_orbit(n, a, table)
+        cyc = canonicalize(rec.cycle, a, table)
         basins.setdefault(cyc.members, [cyc, 0])[1] += 1
         tail = rec.total_stopping_time
         hist[tail] = hist.get(tail, 0) + 1
         max_tail = max(max_tail, tail)
     cycles, counts = zip(*(basins[m] for m in sorted(basins)))
     return CensusReport(
-        shift=shift,
+        a=a,
         start_limit=start_limit,
         cycles=cycles,
         basin_counts=counts,
@@ -102,9 +101,8 @@ def small_beta(n: int, table: SieveTable) -> int:
     return sum(p for p, _ in factorize(n, table))
 
 
-def shifted_beta(n: int, shift: Shift | int, table: SieveTable) -> int:
+def shifted_beta(n: int, a: int, table: SieveTable) -> int:
     """beta_a(n): n + a when n is prime, otherwise beta(n)."""
-    a = as_shift(shift).a
     if is_prime(n, table):
         if n + a > WORD_MAX:
             raise RangeOverflowError(f"{n} + {a} exceeds the 64-bit range")
@@ -184,8 +182,8 @@ def kappa_asymptotic_ratio(m: int, ktable: KappaTable) -> float:
 def verify_amicable(pair: AmicablePair, table: SieveTable) -> bool:
     """Confirm the pair is a genuine 2-cycle under its shift."""
     return (
-        shifted_B(pair.p, pair.shift, table) == pair.n
-        and shifted_B(pair.n, pair.shift, table) == pair.p
+        shifted_B(pair.p, pair.a, table) == pair.n
+        and shifted_B(pair.n, pair.a, table) == pair.p
     )
 
 
@@ -217,7 +215,7 @@ def validate_chain(witness: ChainWitness, table: SieveTable) -> bool:
     for i in range(witness.k):
         if not is_prime(c[i], table):
             return False
-        if shifted_B(c[i], witness.shift, table) != c[i + 1]:
+        if shifted_B(c[i], witness.a, table) != c[i + 1]:
             return False
         if c[i + 1] <= c[i]:
             return False

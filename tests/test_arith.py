@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import shifted_beta, small_beta
-from primeshift import DomainError, RangeOverflowError, Shift
-from primeshift.arith import big_B, shifted_B
+from primeshift import DomainError, RangeOverflowError
+from primeshift.arith import big_B, check_shift, shifted_B
 from primeshift.sieve import WORD_MAX, is_prime
 from primeshift.sieve import CHUNK
-from primeshift.tables import b_term, excess_term, segments, shift_primes
+from primeshift.tables import b_term, excess_term, segments, shifted_segments
 
 
 def test_big_b_examples(table):
@@ -27,11 +27,11 @@ def test_small_beta_examples(table):
 
 
 def test_shifted_examples(table):
-    assert shifted_B(5, Shift(2), table) == 7
-    assert shifted_B(9, Shift(2), table) == 6
-    assert shifted_B(4, Shift(17), table) == 4
-    assert shifted_beta(5, Shift(2), table) == 7
-    assert shifted_beta(12, Shift(2), table) == 5
+    assert shifted_B(5, 2, table) == 7
+    assert shifted_B(9, 2, table) == 6
+    assert shifted_B(4, 17, table) == 4
+    assert shifted_beta(5, 2, table) == 7
+    assert shifted_beta(12, 2, table) == 5
 
 
 def test_domain_floor(table):
@@ -55,14 +55,19 @@ def test_extended_domain(table):
 
 
 def test_shift_validation():
-    with pytest.raises(DomainError):
-        Shift(-1)
+    with pytest.raises(DomainError, match=r"^shift must be non-negative, got -1$"):
+        check_shift(-1)
 
 
 def test_overflow_reported(table):
     p = 999983  # prime
     with pytest.raises(RangeOverflowError):
         shifted_B(p, WORD_MAX, table)
+    # 997 + a = 2^63 - 1 is the last prime step that fits.
+    assert shifted_B(997, WORD_MAX - 997, table) == WORD_MAX
+    message = r"^997 \+ 9223372036854774811 exceeds the 64-bit range$"
+    with pytest.raises(RangeOverflowError, match=message):
+        shifted_B(997, 9223372036854774811, table)
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,11 +98,11 @@ def test_power_rule(table):
             assert shifted_B(n**k, 7, table) == k * bn
 
 
-def _streamed(limit, term, a=None):
-    """V over [0, limit] from the segment stream, shifted by a if given."""
+def _streamed(limit, stream):
+    """V over [0, limit] from a segment stream of (s, spf, v)."""
     out = np.zeros(limit + 1, dtype=np.int64)
-    for s, spf, v in segments(limit, term):
-        out[s : s + v.size] = v if a is None else shift_primes(v, spf, a, limit)
+    for s, _, v in stream:
+        out[s : s + v.size] = v
     return out
 
 
@@ -107,7 +112,7 @@ def test_beta_le_b_exhaustive(b_values, beta_values):
     n = np.arange(2, 10**6 + 1)
     b = b_values[2 : 10**6 + 1]
     beta = beta_values[2 : 10**6 + 1]
-    excess = _streamed(10**6, excess_term)[2:]
+    excess = _streamed(10**6, segments(10**6, excess_term))[2:]
     assert np.array_equal(excess, b - beta)
     assert np.all(beta <= b)
     spf_squarefree = np.ones(10**6 + 1, dtype=bool)
@@ -126,13 +131,14 @@ def test_value_table_matches_scalar(table, b_values, beta_values):
     ns = [97, 360, 999999, 6469693230 % 10**6, *range(2, 2 * 10**4 + 1)]
     ns += rng.integers(2, 10**6 + 1, 2000).tolist()
     ns += [n for c in range(CHUNK, 10**6 + 1, CHUNK) for n in range(c - 50, c + 51)]
-    b, excess = _streamed(10**6, b_term), _streamed(10**6, excess_term)
+    b = _streamed(10**6, segments(10**6, b_term))
+    excess = _streamed(10**6, segments(10**6, excess_term))
     for n in ns:
         big, beta = big_B(n, table), small_beta(n, table)
         assert (int(b_values[n]), int(beta_values[n])) == (big, beta), n
         assert (int(b[n]), int(excess[n])) == (big, big - beta), n
     for a in (0, 1, 39):
-        f = _streamed(10**6, b_term, a)
+        f = _streamed(10**6, shifted_segments(a, 10**6))
         for n in ns:
             assert int(f[n]) == shifted_B(n, a, table), (n, a)
 

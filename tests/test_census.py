@@ -17,6 +17,7 @@ from primeshift import (
 )
 from primeshift import census as census_mod
 from primeshift import sieve as sieve_mod
+from primeshift import tables as tables_mod
 from primeshift.census import census_limit, climb_margin, state_dtype
 from primeshift.cli import run
 from primeshift.dynamics import canonicalize, default_max_steps
@@ -36,18 +37,18 @@ def _summary(rep):
 
 def test_census_a1():
     rep = run_census(1, 10**6)
-    assert {c.members for c in rep.nontrivial_cycles} == {(5, 6)}
+    assert {c.members for c in rep.cycles if len(c) > 1} == {(5, 6)}
     assert [c.members for c in rep.cycles if len(c) == 1] == [(4,)]
 
 
 def test_census_a12():
     rep = run_census(12, 10**6)
-    assert {c.members for c in rep.nontrivial_cycles} == {(5, 17, 29, 41, 53, 65, 18, 8, 6)}
+    assert {c.members for c in rep.cycles if len(c) > 1} == {(5, 17, 29, 41, 53, 65, 18, 8, 6)}
 
 
 def test_census_a39():
     rep = run_census(39, 10**6)
-    assert {c.members for c in rep.nontrivial_cycles} == canonical_set(A39_CYCLES)
+    assert {c.members for c in rep.cycles if len(c) > 1} == canonical_set(A39_CYCLES)
 
 
 def test_basin_counts_sum():
@@ -85,7 +86,7 @@ def test_naive_agrees_across_windows(table, monkeypatch):
         builders.add(threading.get_ident())
         return b_term(p, m)
 
-    monkeypatch.setattr(census_mod, "b_term", term)
+    monkeypatch.setattr(tables_mod, "b_term", term)
     for a in (0, 1, 2, 3, 39, 137, 200):
         assert census_limit(a, climb_margin(a) + 4) < 10**4 // 2
         fast = run_census(a, 10**4)
@@ -101,7 +102,7 @@ def test_naive_agrees_on_reached_cycles(table):
         slow = run_census_naive(a, 3000, table)
         assert _summary(run_census(a, 3000)) == _summary(slow), f"a={a}"
         for start_limit, naive in ((3000, slow), (20, run_census_naive(a, 20, table))):
-            want = [(c.members, c.sign_pattern) for c in naive.nontrivial_cycles]
+            want = [(c.members, c.sign_pattern) for c in naive.cycles if len(c) > 1]
             got = [(c.members, c.sign_pattern) for c in reached_cycles(a, start_limit)]
             assert got == want, f"a={a}, start_limit={start_limit}"
 
@@ -176,7 +177,7 @@ def test_table1_rows_match_catalog():
         if a in (9, 11, 13):
             continue
         rep = run_census(a, 10**6)
-        assert {c.members for c in rep.nontrivial_cycles} == canonical_set(rows), f"a={a}"
+        assert {c.members for c in rep.cycles if len(c) > 1} == canonical_set(rows), f"a={a}"
 
 
 def test_sweep_counts():
@@ -193,7 +194,7 @@ def test_sweep_matches_full_census():
     counts, _ = cycle_count_sweep(200, 10**6)
     for a in range(1, 201):
         full = run_census(a, 10**6)
-        assert counts[a] == len(full.nontrivial_cycles), f"a={a}"
+        assert counts[a] == sum(1 for c in full.cycles if len(c) > 1), f"a={a}"
 
 
 def test_csv_output(capsys):
@@ -301,9 +302,9 @@ def test_prime_fixed_points_skip_the_scalar_check(monkeypatch):
     # canonicalize; the other 1,227 prime fixed points come from the sieve.
     calls = []
 
-    def counted(raw_cycle, shift, table):
+    def counted(raw_cycle, a, table):
         calls.append(tuple(raw_cycle))
-        return canonicalize(raw_cycle, shift, table)
+        return canonicalize(raw_cycle, a, table)
 
     monkeypatch.setattr(census_mod, "canonicalize", counted)
     rep = run_census(0, 10**4)

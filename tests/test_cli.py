@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import verify_amicable
-from primeshift import AmicablePair, Shift, build_sieve, census, cli, constructions, stats
+from primeshift import AmicablePair, build_sieve, cli, constructions, tables
 from primeshift import sieve as sieve_mod
 from primeshift.arith import big_B, shifted_B
 from primeshift.cli import run
@@ -73,7 +73,7 @@ def test_amicable_above_sieve_limit(capsys):
     assert code == 0
     assert out == "p=1000000007 n=282475231204059313 a=282475230204059306\n"
     fields = dict(kv.split("=") for kv in out.split())
-    pair = AmicablePair(int(fields["p"]), int(fields["n"]), Shift(int(fields["a"])))
+    pair = AmicablePair(int(fields["p"]), int(fields["n"]), int(fields["a"]))
     assert verify_amicable(pair, build_sieve(100))
 
 
@@ -229,7 +229,7 @@ def _no_segments(limit, term):
 def test_census_range_past_64_bits(capsys, monkeypatch):
     # a = 2^62 climbs (3 + 1) * a above each start: past 2^63 - 1 before
     # any segment is built.
-    monkeypatch.setattr(census, "segments", _no_segments)
+    monkeypatch.setattr(tables, "segments", _no_segments)
     a = 2**62
     code, out, err = invoke(capsys, "census", "--a", str(a), "--limit", "10")
     assert (code, out) == (2, "")
@@ -246,6 +246,18 @@ def test_limit_below_two_is_domain_error(capsys, argv, a):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"domain error: --limit must be >= 2 under a={a}, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--n", "5"],
+    ["census"],
+    ["fibre", "--m", "7"],
+    *(["stats", mode, "--x", "100"] for mode in ("avg", "bmb", "parity", "residue", "density")),
+])
+def test_negative_shift_is_domain_error(capsys, argv):
+    # bmb and density do not depend on the shift, but reject a negative one too.
+    code, out, err = invoke(capsys, *argv, "--a", "-1")
+    assert (code, out, err) == (1, "", "domain error: shift must be non-negative, got -1\n")
 
 
 def test_python_m_runs_the_cli():
@@ -390,24 +402,25 @@ def test_stats_residue(capsys):
 
 
 def test_stats_shift_past_64_bits(capsys, monkeypatch):
-    # The largest prime <= 5 is 5 itself, and 5 + a leaves the 64-bit range
-    # before any segment is built.
+    # The largest prime <= 5 is 5 itself and the largest <= 1000 is 997:
+    # p + a past 2^63 - 1 leaves the 64-bit range before any segment is built.
     with monkeypatch.context() as patched:
-        patched.setattr(stats, "segments", _no_segments)
-        for argv in (
-            ["residue", "--x", "5", "--a", str(2**63 - 1), "--q", "3"],
-            ["avg", "--x", "5", "--a", "99999999999999999999"],
+        patched.setattr(tables, "segments", _no_segments)
+        for p, argv in (
+            (5, ["residue", "--x", "5", "--a", str(2**63 - 1), "--q", "3"]),
+            (5, ["avg", "--x", "5", "--a", "99999999999999999999"]),
+            (997, ["avg", "--x", "1000", "--a", "9223372036854774811"]),
         ):
             code, out, err = invoke(capsys, "--format", "json", "stats", *argv)
             assert (code, out) == (2, "")
-            assert err == f"arithmetic/resource error: 5 + {argv[4]} exceeds the 64-bit range\n"
-    # The largest prime <= 1000 is 997, and 997 + a still fits.
-    code, out, _ = invoke(
-        capsys, "--format", "json", "stats", "avg", "--x", "1000", "--a", "9223372036854774000"
-    )
-    assert code == 0
-    last = json.loads(out)["rows"][-1]
-    assert (last["x"], last["sum"]) == (1000, 1549526502191602174707)
+            assert err == f"arithmetic/resource error: {p} + {argv[4]} exceeds the 64-bit range\n"
+    # 997 + a still fits, up to 997 + a = 2^63 - 1.
+    for a, total in ((9223372036854774000, 1549526502191602174707),
+                     (9223372036854774810, 1549526502191602310787)):
+        code, out, _ = invoke(capsys, "--format", "json", "stats", "avg", "--x", "1000", "--a", str(a))
+        assert code == 0
+        last = json.loads(out)["rows"][-1]
+        assert (last["x"], last["sum"]) == (1000, total)
 
 
 def test_out_file(capsys, tmp_path):

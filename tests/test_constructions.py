@@ -8,11 +8,11 @@ from primeshift.sieve import is_prime
 
 def test_amicable_examples(table):
     pair = build_amicable(7, table)
-    assert (pair.p, pair.n, pair.shift.a) == (7, 10, 3)
+    assert (pair.p, pair.n, pair.a) == (7, 10, 3)
     pair = build_amicable(11, table)
-    assert (pair.p, pair.n, pair.shift.a) == (11, 28, 17)
+    assert (pair.p, pair.n, pair.a) == (11, 28, 17)
     pair = build_amicable(5, table)
-    assert (pair.p, pair.n, pair.shift.a) == (5, 6, 1)
+    assert (pair.p, pair.n, pair.a) == (5, 6, 1)
 
 
 def test_amicable_is_two_cycle(table):
@@ -51,23 +51,23 @@ def test_minimality_counterexample(table):
 
 def test_chain_k1(table):
     w = find_ascending_chain(1, 1000, table)
-    assert (w.n, w.shift.a, w.chain) == (3, 2, (3, 5))
+    assert (w.n, w.a, w.chain) == (3, 2, (3, 5))
     assert validate_chain(w, table)
 
 
 def test_chain_k4(table):
     w = find_ascending_chain(4, 1000, table)
     assert w.chain == (5, 11, 17, 23, 29)
-    assert w.shift.a == 6
+    assert w.a == 6
     assert validate_chain(w, table)
     # each step really is the shifted map
     for i in range(4):
-        assert shifted_B(w.chain[i], w.shift, table) == w.chain[i + 1]
+        assert shifted_B(w.chain[i], w.a, table) == w.chain[i + 1]
 
 
 def test_chain_k2_smallest(table):
     w = find_ascending_chain(2, 1000, table)
-    assert (w.n, w.shift.a, w.chain) == (3, 2, (3, 5, 7))
+    assert (w.n, w.a, w.chain) == (3, 2, (3, 5, 7))
 
 
 def test_chain_none_at_desk_scale(table):
