@@ -5,13 +5,16 @@ output: CSV (comma separated, header row, LF endings), JSON with a
 schema_version field, or one text line for the commands that have one
 (the others print CSV under --format text).  Exit codes: 0 success,
 1 domain error (including a failed reference-table diff), 2 resource or
-arithmetic error, 64 usage.
+arithmetic error, 64 usage.  run may be called repeatedly in one process:
+it builds the parser and the small table once and prints what a fresh
+process would.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -26,7 +29,7 @@ from .constructions import build_amicable, find_ascending_chain
 from .dynamics import iterate_orbit
 from .errors import DomainError, NonterminationError, RangeOverflowError
 from .fibres import build_kappa, enumerate_fibre
-from .sieve import build_sieve
+from .sieve import SieveTable, build_sieve
 from .stats import (
     average_order_series,
     b_minus_beta_series,
@@ -40,7 +43,8 @@ DEFAULT_LIMIT = 10**6
 SCHEMA_VERSION = 1
 #: Table for the commands whose input is a few numbers: with primes up to
 #: 2^16, trial division settles every n < 2^32, and Miller-Rabin plus rho
-#: stay exact above that.
+#: stay exact above that.  Built once per process, on first use, and shared
+#: read-only by orbit, amicable and chain.
 SMALL_TABLE = 2**16
 
 
@@ -51,7 +55,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first run.  parse_args fills a fresh
+    Namespace each call, and errors and help go to the sys.stderr and
+    sys.stdout of that call, so sharing it carries nothing between runs."""
     p = _Parser(
         prog="primeshift",
         description="Shifted prime-divisor functions: orbits, censuses, "
@@ -120,6 +128,11 @@ def _build_parser() -> _Parser:
     return p
 
 
+@functools.cache
+def _small_table() -> SieveTable:
+    return build_sieve(SMALL_TABLE)
+
+
 def _checkpoints(x: int) -> list[int]:
     cps = []
     c = 10
@@ -165,9 +178,8 @@ def _emit(args, payload: dict, columns: list[str], rows, text: str | None = None
 
 
 def _cmd_orbit(args):
-    table = build_sieve(SMALL_TABLE)
     rec = iterate_orbit(
-        args.n, args.a, table,
+        args.n, args.a, _small_table(),
         max_steps=args.max_steps, extend_domain=args.extend_domain,
     )
     payload = {
@@ -233,13 +245,13 @@ def _cmd_table1(args):
 
 
 def _cmd_amicable(args):
-    pair = build_amicable(args.p, build_sieve(SMALL_TABLE))
+    pair = build_amicable(args.p, _small_table())
     p, n, a = pair.p, pair.n, pair.a
     return _emit(args, {"p": p, "n": n, "a": a}, ["p", "n", "a"], [(p, n, a)], f"p={p} n={n} a={a}")
 
 
 def _cmd_chain(args):
-    w = find_ascending_chain(args.k, args.bound, build_sieve(SMALL_TABLE))
+    w = find_ascending_chain(args.k, args.bound, _small_table())
     if w is None:
         payload = {"k": args.k, "n": None, "a": None, "chain": None}
         return _emit(args, payload, ["k", "n", "a", "chain"], [], "none")

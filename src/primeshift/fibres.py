@@ -85,7 +85,9 @@ def enumerate_fibre(m: int, a: int, x_bound: int, table: SieveTable) -> list[int
     def rec(rest, prod, cap):
         # parts so far multiply to prod; the next part is at most cap
         k = -(-rest // cap)
-        if prod * ((rest - 2 * k + 2) << (k - 1)) > x_bound:
+        # both other factors are >= 1, so 2^(k-1) alone passes x_bound once
+        # k - 1 reaches its bit length; testing that first builds no k-bit int
+        if k - 1 >= x_bound.bit_length() or prod * ((rest - 2 * k + 2) << (k - 1)) > x_bound:
             return
         if rest <= cap and table.spf[rest] == rest:
             out.append(prod * rest)  # the part p = rest closes the partition

@@ -1,12 +1,20 @@
 import pytest
 
 from oracles import prime_power_sums
-from primeshift import build_kappa, build_sieve
+from primeshift import build_kappa, build_sieve, cli
 
 # Covers starts up to 10^6 plus the climb headroom needed by shifts a <= 200
 # (an orbit from p <= 10^6 never exceeds p + 12a).
 BIG_LIMIT = 1_003_000
 MILLION = 10**6
+
+
+@pytest.fixture(autouse=True)
+def _fresh_small_table():
+    """Drop the CLI's cached 2^16 table after each test, so a table built
+    while a test patched the sieve never reaches a later test."""
+    yield
+    cli._small_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

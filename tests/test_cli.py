@@ -188,6 +188,20 @@ def test_fibre_bound_above_64_bits(capsys):
     assert (code, out) == (0, "7 10 12\n")
 
 
+@pytest.mark.parametrize("m", [10**9, 2**63 - 1])
+def test_fibre_of_large_m_under_small_bound(capsys, m):
+    # about m / 5 parts would be needed, so every branch is pruned before
+    # the bound on their product is built as an (m / 5)-bit integer
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(capsys, "fibre", "--m", str(m), "--bound", "10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "none\n", "")
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("argv", [
     ["fibre", "--m", str(10**20), "--bound", str(10**20)],
     ["kappa", "--limit", str(10**20)],
@@ -511,14 +525,83 @@ def small_queries(draw):
 def _captured_run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+SMALL_TABLE_COMMANDS = ("orbit", "amicable", "chain")
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_queries())
 def test_table_size_never_changes_output(argv):
-    # each command's own sizing against a table of at least 10^6 entries
-    with mock.patch.object(cli, "build_sieve", lambda limit: build_sieve(max(limit, 10**6))):
-        floored = _captured_run(argv)
-    assert _captured_run(argv) == floored
+    # each command's own sizing, and the shared 2^16 table, against tables
+    # of at least 10^6 entries; the cache is cleared on both sides of the
+    # patch, so each run builds the table it is meant to use
+    built = []
+
+    def floored(limit):
+        built.append(build_sieve(max(limit, 10**6)))
+        return built[-1]
+
+    uses_small = argv[2] in SMALL_TABLE_COMMANDS
+    cli._small_table.cache_clear()
+    with mock.patch.object(cli, "build_sieve", floored):
+        floored_run = _captured_run(argv)
+    cli._small_table.cache_clear()
+    if uses_small:
+        assert [t.limit for t in built] == [10**6]
+    assert _captured_run(argv) == floored_run
+    assert cli._small_table.cache_info().misses == uses_small
+    if uses_small:
+        assert cli._small_table().limit == cli.SMALL_TABLE
+
+
+OUT = "<out>"
+
+
+@pytest.mark.parametrize("sequence", [
+    [(["orbit"], 64), (["orbit", "--n", "5", "--a", "2"], 0)],
+    [(["--out", OUT, "orbit", "--n", "5", "--a", "2"], 0), (["orbit", "--n", "100", "--a", "1"], 0)],
+    [([*fmt, "chain", "--k", "4"], 0) for fmt in (["--format", "json"], ["--format", "csv"], [])],
+    [(["--extend-domain", "orbit", "--n", "1"], 0), (["orbit", "--n", "1"], 1)],
+    [(["orbit", "--n", "5", "--a", "-1"], 1),
+     (["fibre", "--m", "150", "--bound", str(10**39)], 2),
+     (["amicable", "--p", "11"], 0)],
+], ids=["usage-then-valid", "out-then-stdout", "json-csv-text", "extend-domain-then-not",
+        "domain-overflow-valid"])
+def test_repeated_runs_match_first_runs(tmp_path, sequence):
+    # each command run after others in one process, with the parser and the
+    # small table already built, gives what it gives as a process's first run
+    path = tmp_path / "out.txt"
+
+    def recorded(argv):
+        path.unlink(missing_ok=True)
+        code, out, err = _captured_run([str(path) if arg == OUT else arg for arg in argv])
+        return code, out, err, path.read_bytes() if path.exists() else None
+
+    first = []
+    for argv, _ in sequence:
+        cli._build_parser.cache_clear()
+        cli._small_table.cache_clear()
+        first.append(recorded(argv))
+    assert [r[0] for r in first] == [code for _, code in sequence]
+    cli._build_parser()
+    cli._small_table()
+    assert [recorded(argv) for argv, _ in sequence] == first
+
+
+def test_parser_and_small_table_built_once(capsys):
+    cli._build_parser.cache_clear()
+    cli._small_table.cache_clear()
+    for argv in (["orbit", "--n", "5"], ["amicable", "--p", "11"], ["chain", "--k", "4"],
+                 ["fibre", "--m", "7"], ["orbit", "--n", "100", "--a", "1"]):
+        assert invoke(capsys, *argv)[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._small_table.cache_info().misses == 1
+    table = cli._small_table()
+    assert table.limit == cli.SMALL_TABLE
+    assert not table.spf.flags.writeable and not table.primes().flags.writeable
