@@ -11,19 +11,19 @@ live in one packed state per node (see state_dtype).
 
 B_a comes from the segment stream of tables.shifted_segments, which
 builds the next segment on a worker thread while the census resolves the
-current one.  The segments that hold the walks wait until the walks have
-fixed the labels; then every segment is resolved in the blocks
-[lo, 2*lo) of tables.blocks.  A node whose successor is unresolved waits with
-that successor beside it.  So only the state (2 B per entry at a <= 200)
-and the stream's half-range B (int32, 2 B per entry of the range) are
-whole: 4 B per entry.  A sweep over shifts runs no census: every cycle's
+current one.  The walks read their own short stream over
+[0, census_limit(a, climb_margin(a) + 4)] first (_walks); then every
+segment of the census stream is resolved in the blocks [lo, 2*lo) of
+tables.blocks.  A node whose successor is unresolved waits with that
+successor beside it.  So only the state (2 B per entry at a <= 200) and
+the stream's half-range B (int32, 2 B per entry of the range) are whole:
+4 B per entry.  A sweep over shifts runs no census: every cycle's
 minimum is a start <= climb_margin(a) + 4, and reached_cycles only walks
-from those starts over the short prefix of B_a that holds their orbits.
+from those starts, with the same _walks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -33,7 +33,7 @@ import numpy as np
 from .arith import check_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype, is_prime
+from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype, is_prime, zeros
 from .tables import blocks, shifted_segments
 
 
@@ -120,27 +120,20 @@ def _find_cycles(f, last, budget, a):
     return cycles
 
 
-def _shifted(a, limit):
-    """shifted_segments(a, limit) with every B_a past limit set to 0.
+def _walks(a, last):
+    """{minimum: Cycle} of the cycles that walks from 2..last meet under B_a.
 
-    Only primes p > limit - a step past the range, and no start reaches
-    them: their B_a becomes 0, an index never labelled, so in a census
-    they and their preimages stay pending."""
-    for s, spf, f in shifted_segments(a, limit):
-        top = f[max(limit - a + 1 - s, 0) :]
-        top[top > limit] = 0
-        yield s, spf, f
-        del spf, f, top  # so the stream frees it before it builds another
-
-
-def _walk_map(stream, reach):
-    """(segments taken, SieveTable, B_a as a list) of stream over [0, reach]."""
-    held = [next(stream)]
-    while held[-1][0] + held[-1][1].size <= reach:
-        held.append(next(stream))
-    table = SieveTable(reach, np.concatenate([spf[: reach + 1 - s] for s, spf, _ in held]))
-    walk = np.concatenate([f[: reach + 1 - s] for s, _, f in held]).tolist()
-    return held, table, walk
+    B_a comes from a short stream of its own over [0, census_limit(a,
+    last)], which holds every orbit from those starts.  Each cycle is
+    checked against the scalar map (canonicalize).
+    """
+    top = census_limit(a, last)
+    # Closing the stream on every way out stops its worker thread.
+    with closing(shifted_segments(a, top)) as stream:
+        _, spf, f = zip(*stream)
+    table = SieveTable(top, np.concatenate(spf))
+    walked = _find_cycles(np.concatenate(f).tolist(), last, default_max_steps(top, a), a)
+    return {m: canonicalize(members, a, table) for m, members in walked.items()}
 
 
 def state_dtype(bits: int, budget: int) -> type:
@@ -200,54 +193,50 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     """
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
-    # Every walk stays in [0, reach], and so does every cycle member but
-    # the primes of a = 0.
-    margin = climb_margin(a)
-    reach = census_limit(a, margin + 4)
-    # The segments up to reach wait for the walks, which fix the labels.
+    walked = _walks(a, climb_margin(a) + 4)
+    minima = [np.array(sorted(walked))]
+    bits = minima[0].size.bit_length()
+    if a == 0:
+        # Every prime is a fixed point as well; the walks met (2), (3) and
+        # (4), and the primes from 5 on take their labels segment by
+        # segment, so the label count is bounded before the state exists:
+        # pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), plus 4.
+        bits = (int(1.25506 * limit / math.log(limit)) + 1).bit_length()
+
+    # state[n] = dist[n] << bits | label[n], 0 while unresolved.  label[n]
+    # is the 1-based index in minima of the cycle n reaches, and dist[n]
+    # the number of B_a steps to get there.  The a entries past limit,
+    # where the primes p > limit - a step, are never labelled: no start
+    # reaches those primes, and they and their preimages stay pending.
+    bound = f"census of a={a} with --limit {start_limit}"
+    state = zeros(limit + a + 1, state_dtype(bits, budget), bound)
+    state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
+    for m, cycle in walked.items():
+        state[list(cycle.members)] = state[m]
+    step = 1 << bits
+
+    def resolve(lo, f, pending):
+        # First round over [lo, lo + f.size) as slices: a node whose
+        # successor is already resolved takes its state, one step further;
+        # cycle nodes keep theirs.  The rest wait with their successors.
+        succ = state.take(f)
+        ok = succ != 0
+        succ += step
+        window = state[lo : lo + f.size]
+        wait = window == 0
+        ok &= wait
+        succ *= ok
+        window += succ
+        new = np.flatnonzero(wait ^ ok)
+        if new.size:
+            pending = (np.concatenate([pending[0], new + lo]), np.concatenate([pending[1], f[new]]))
+        return _settle(*pending, state, step, budget, a, start_limit)
+
+    pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=index_dtype(limit + a)))
+    ranked = minima[0].size
     # Closing the stream on every way out stops its worker thread.
-    with closing(_shifted(a, limit)) as stream:
-        held, walk_table, walk = _walk_map(stream, reach)
-        walked = _find_cycles(walk, margin + 4, budget, a)
-        minima = [np.array(sorted(walked))]
-        bits = minima[0].size.bit_length()
-        if a == 0:
-            # Every prime is a fixed point as well; the walks met (2), (3) and
-            # (4), and the primes from 5 on take their labels segment by
-            # segment, so the label count is bounded before the state exists:
-            # pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), plus 4.
-            bits = (int(1.25506 * limit / math.log(limit)) + 1).bit_length()
-
-        # state[n] = dist[n] << bits | label[n], 0 while unresolved.  label[n]
-        # is the 1-based index in minima of the cycle n reaches, and dist[n]
-        # the number of B_a steps to get there.
-        state = np.zeros(limit + 1, dtype=state_dtype(bits, budget))
-        state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
-        for m, members in walked.items():
-            state[members] = state[m]
-        step = 1 << bits
-
-        def resolve(lo, f, pending):
-            # First round over [lo, lo + f.size) as slices: a node whose
-            # successor is already resolved takes its state, one step further;
-            # cycle nodes keep theirs.  The rest wait with their successors.
-            succ = state.take(f)
-            ok = succ != 0
-            succ += step
-            window = state[lo : lo + f.size]
-            wait = window == 0
-            ok &= wait
-            succ *= ok
-            window += succ
-            new = np.flatnonzero(wait ^ ok)
-            if new.size:
-                pending = (np.concatenate([pending[0], new + lo]), np.concatenate([pending[1], f[new]]))
-            return _settle(*pending, state, step, budget, a, start_limit)
-
-        pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=index_dtype(limit + a)))
-        ranked = minima[0].size
-        # The held segments go first, each dropped from held as the loop takes it.
-        for s, spf, f in itertools.chain((held.pop(0) for _ in range(len(held))), stream):
+    with closing(shifted_segments(a, limit)) as stream:
+        for s, spf, f in stream:
             if a == 0:
                 lo = max(s, 5)
                 primes = np.flatnonzero(f[lo - s :] == spf[lo - s :]) + lo
@@ -281,7 +270,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
         basins, counts = grid.sum(axis=0), grid.sum(axis=1)
     labels = np.flatnonzero(basins)
     cycles = tuple(
-        canonicalize(walked[m], a, walk_table) if m in walked else Cycle((m,), "+")
+        walked[m] if m in walked else Cycle((m,), "+")
         for m in np.concatenate(minima)[labels - 1].tolist()
     )
     return CensusReport(
@@ -302,16 +291,11 @@ def reached_cycles(a: int, start_limit: int) -> tuple[Cycle, ...]:
     """The nontrivial cycles reached from starts 2..start_limit, by their minimum.
 
     No census: by the _find_cycles lemma every cycle's minimum is a start
-    <= climb_margin(a) + 4, so walks from 2..last, last = min(start_limit,
-    climb_margin(a) + 4), meet every cycle that any larger range reaches.
-    Each is checked against the scalar map (canonicalize).
+    <= climb_margin(a) + 4, so walks from 2..min(start_limit,
+    climb_margin(a) + 4) meet every cycle that any larger range reaches.
     """
-    last = min(start_limit, climb_margin(a) + 4)
-    limit = census_limit(a, last)
-    _, table, walk = _walk_map(_shifted(a, limit), limit)
-    walked = _find_cycles(walk, last, default_max_steps(limit, a), a)
-    cycles = (canonicalize(walked[m], a, table) for m in sorted(walked))
-    return tuple(c for c in cycles if len(c) > 1)
+    walked = _walks(a, min(start_limit, climb_margin(a) + 4))
+    return tuple(walked[m] for m in sorted(walked) if len(walked[m]) > 1)
 
 
 def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set[int]]:

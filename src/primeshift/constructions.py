@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .arith import big_B
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import WORD_MAX, SieveTable, factorize, is_prime
+from .sieve import WORD_MAX, SieveTable, factorize, is_prime, prime_below
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,6 @@ class ChainWitness:
     chain: tuple[int, ...]
 
 
-def _previous_prime(p: int, table: SieveTable) -> int:
-    q = p - 1
-    while q >= 2:
-        if is_prime(q, table):
-            return q
-        q -= 1
-    raise DomainError(f"no prime below {p}")
-
-
 def build_amicable(p: int, table: SieveTable) -> AmicablePair:
     """Produce the 2-cycle through p: a composite n with B(n) = p.
 
@@ -48,7 +39,7 @@ def build_amicable(p: int, table: SieveTable) -> AmicablePair:
     """
     if p <= 3 or not is_prime(p, table):
         raise DomainError(f"p must be a prime > 3, got {p}")
-    q = _previous_prime(p, table)
+    q = prime_below(p, table)
     d = p - q
     aprime = factorize(d, table)[-1][0]
     b = d // aprime

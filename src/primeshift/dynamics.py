@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import check_shift, shifted_B
+from .arith import _check_domain, check_shift, shifted_B
 from .errors import ConsistencyError, DomainError, NonterminationError
 from .sieve import SieveTable, is_prime
 
@@ -75,6 +75,7 @@ def iterate_orbit(
 ) -> OrbitRecord:
     """Follow n under the shifted map until the orbit closes, within max_steps >= 0 steps."""
     a = check_shift(a)
+    _check_domain(n, extend_domain)
     if max_steps is None:
         max_steps = default_max_steps(n, a)
     if max_steps < 0:

@@ -166,6 +166,16 @@ def is_prime(n: int, table: SieveTable | None = None) -> bool:
     return _miller_rabin(n)
 
 
+def prime_below(n: int, table: SieveTable | None = None) -> int:
+    """The largest prime below n, or DomainError when there is none."""
+    q = n - 1
+    while q >= 2:
+        if is_prime(q, table):
+            return q
+        q -= 1
+    raise DomainError(f"no prime below {n}")
+
+
 def _pollard_brent(n: int) -> int:
     """Return a nontrivial factor of composite, odd, non-prime-power n.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import prime_step
 from .errors import DomainError
-from .sieve import WORD_MAX, index_dtype, is_prime, spf_windows, zeros
+from .sieve import WORD_MAX, index_dtype, prime_below, spf_windows, zeros
 
 
 def b_term(p, m):
@@ -101,10 +101,7 @@ def shifted_segments(a: int, top: int):
     any segment is built.
     """
     if top + a > WORD_MAX:
-        p = top
-        while not is_prime(p):
-            p -= 1
-        prime_step(p, a)
+        prime_step(prime_below(top + 1), a)
     for s, spf, v in segments(top, b_term):
         f = v.astype(index_dtype(top + a), copy=False)
         f += (f == spf) * f.dtype.type(a)

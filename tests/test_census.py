@@ -72,12 +72,12 @@ def test_naive_agrees_with_memoized(table):
 
 
 def test_naive_agrees_across_windows(table, monkeypatch):
-    # With 64-entry segments a 10^4 census streams 157 to 169 of them, and
-    # holds back the first 1 to 26 until the walks are done: successors
-    # carried from segment to segment, the primes near the top whose
-    # successor passes the limit, and at a = 0 the primes ranked segment
-    # by segment.  From the second segment on, the stream's worker thread
-    # builds them.
+    # With 64-entry segments a 10^4 census streams 157 to 169 of them,
+    # after its walks have read 1 to 26 from a short stream of their own:
+    # successors carried from segment to segment, the primes near the top
+    # whose successor passes the limit, and at a = 0 the primes ranked
+    # segment by segment.  From the second segment on, the stream's worker
+    # thread builds them.
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
     builders = set()
@@ -265,6 +265,35 @@ def test_walk_past_budget_raises(monkeypatch):
     for find in (run_census, reached_cycles):
         with pytest.raises(ConsistencyError, match=r"^no cycle within 1 steps from 2 under a=39$"):
             find(39, 100)
+
+
+def test_walk_stream_stops_its_worker(monkeypatch):
+    # With 64-entry segments the walks from 2..100 and from 2..121 under
+    # a = 39 read B_a over [0, 238] in four segments, the last three built
+    # by the stream's worker thread.  The worker is gone when the walks
+    # return, and when they fail, while the error and its frames live on.
+    expected = reached_cycles(39, 100)
+    for mod in (sieve_mod, census_mod):
+        monkeypatch.setattr(mod, "CHUNK", 2**6)
+    windows, spf_windows = [], tables_mod.spf_windows
+
+    def counted(limit):
+        for w in spf_windows(limit):
+            windows.append((limit, threading.get_ident()))
+            yield w
+
+    monkeypatch.setattr(tables_mod, "spf_windows", counted)
+    before = threading.active_count()
+    assert reached_cycles(39, 100) == expected
+    assert threading.active_count() == before
+    assert [limit for limit, _ in windows] == [238] * 4
+    assert {ident for _, ident in windows} - {threading.get_ident()}
+    windows.clear()
+    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 1)
+    with pytest.raises(ConsistencyError, match="^no cycle within 1 steps from 2 under a=39$") as caught:
+        run_census(39, 10**4)
+    assert threading.active_count() == before, caught.value
+    assert [limit for limit, _ in windows] == [238] * 4
 
 
 def test_unsettled_node_names_its_input(monkeypatch):

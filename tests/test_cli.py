@@ -234,6 +234,9 @@ def test_table_past_any_array(capsys, argv):
     assert err.startswith("arithmetic/resource error: ") and "Traceback" not in err
     assert "-byte table, past the largest array" in err and err.count("\n") == 1
     assert peak < 2**20
+    if argv[0] == "census":
+        # The census names its own input, not the range of a table below it.
+        assert "a=1" in err and "--limit 9223372036854775000" in err
 
 
 def _no_segments(limit, term):
@@ -292,6 +295,18 @@ def test_orbit_negative_max_steps(capsys):
     assert "--max-steps -1" in err and "orbit of 5," in err and "a=2" in err
     code, out, _ = invoke(capsys, "orbit", "--n", "5", "--a", "2", "--max-steps", "0")
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--n", "1", "--a", "3"],
+    ["orbit", "--n", "0"],
+    ["orbit", "--n", "-7"],
+])
+def test_orbit_start_checked_before_step_budget(capsys, argv):
+    # A start below 2 is a domain error, whatever the step budget.
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("domain error: n must be >= 2")
+    assert invoke(capsys, *argv, "--max-steps", "0") == (code, out, err)
 
 
 def test_fibre_negative_bound(capsys):
