@@ -26,13 +26,13 @@ def prime_step(p: int, a: int) -> int:
     return p + a
 
 
-def _check_domain(n: int, extend_domain: bool) -> int | None:
+def _check_domain(n: int, a: int, extend_domain: bool) -> int | None:
     """Handle the n in {0, 1} extension; return the extended value or None."""
     if n >= 2:
         return None
     if extend_domain and n in (0, 1):
         return n  # B(0) = 0 and B(1) = 1; both non-prime, the shift never applies
-    raise DomainError(f"n must be >= 2 (got {n}); pass extend_domain=True for 0, 1")
+    raise DomainError(f"--n must be >= 2 under a={a}, got {n}; pass --extend-domain for 0 and 1")
 
 
 def big_B(n: int, table: SieveTable) -> int:
@@ -43,7 +43,7 @@ def big_B(n: int, table: SieveTable) -> int:
 def shifted_B(n: int, a: int, table: SieveTable, extend_domain: bool = False) -> int:
     """B_a(n): n + a when n is prime, otherwise B(n)."""
     a = check_shift(a)
-    ext = _check_domain(n, extend_domain)
+    ext = _check_domain(n, a, extend_domain)
     if ext is not None:
         return ext
     if is_prime(n, table):

@@ -15,11 +15,14 @@ current one.  The walks read their own short stream over
 [0, census_limit(a, climb_margin(a) + 4)] first (_walks); then every
 segment of the census stream is resolved in the blocks [lo, 2*lo) of
 tables.blocks.  A node whose successor is unresolved waits with that
-successor beside it.  So only the state (2 B per entry at a <= 200) and
-the stream's half-range B (int32, 2 B per entry of the range) are whole:
-4 B per entry.  A sweep over shifts runs no census: every cycle's
-minimum is a start <= climb_margin(a) + 4, and reached_cycles only walks
-from those starts, with the same _walks.
+successor beside it.  A composite's successor lies at most halfway up,
+so the state is whole only up to limit // 2 + 2 (1 B per entry of the
+range at a <= 200), and above that a window of CHUNK + climb_margin(a)
+states follows the stream, folded into the basin and stopping-time
+counts as it moves.  With the stream's half-range B (int32, 2 B per
+entry of the range) a census holds 3 B per entry.  A sweep over shifts
+runs no census: every cycle's minimum is a start <= climb_margin(a) + 4,
+and reached_cycles only walks from those starts, with the same _walks.
 """
 
 from __future__ import annotations
@@ -146,40 +149,42 @@ def state_dtype(bits: int, budget: int) -> type:
     return np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
 
 
-def _settle(nodes, succ, state, step, budget, a, start_limit):
+def _settle(nodes, succ, state, step, budget, name):
     """Resolve pending nodes whose successor is resolved, until none moves.
 
-    Each pending node carries its successor in succ.  Returns the nodes
-    still pending and their successors.
+    Each pending node carries its successor in succ, both as positions in
+    state; a successor past the end of state reads its last slot, 0.
+    Returns the positions still pending and their successors.  name(pos)
+    names the node at a position.
     """
     rounds = 0
     while nodes.size:
-        known = state[succ]
+        known = state.take(succ, mode="clip")
         ok = known != 0
         if not np.count_nonzero(ok):
             break
         if rounds == budget:
-            raise ConsistencyError(
-                f"node {int(nodes[0])} under a={a} with --limit {start_limit} "
-                f"is unresolved after {budget} rounds"
-            )
+            raise ConsistencyError(f"{name(int(nodes[0]))} is unresolved after {budget} rounds")
         state[nodes[ok]] = known[ok] + step
         nodes, succ = nodes[~ok], succ[~ok]
         rounds += 1
     return nodes, succ
 
 
-def _counts(values, width=1):
-    """np.bincount(values) in chunks, without its full-length intp copy.
+def _tally(total, values):
+    """total plus np.bincount(values), in place unless total must grow.
 
-    The length is rounded up to a multiple of width.  Each chunk is cast
-    to intp here, because bincount will not cast a uint64 state itself.
+    total at least doubles when it grows, so its trailing zeros are not
+    counts.  values is cast to intp here, because bincount will not cast
+    a uint64 state itself.
     """
-    out = np.zeros((int(values.max()) // width + 1) * width, dtype=np.intp)
-    for lo in range(0, values.size, CHUNK):
-        part = np.bincount(values[lo : lo + CHUNK].astype(np.intp))
-        out[: part.size] += part
-    return out
+    part = np.bincount(values.astype(np.intp))
+    if part.size > total.size:
+        grown = np.zeros(max(part.size, 2 * total.size), dtype=np.intp)
+        grown[: total.size] = total
+        total = grown
+    total[: part.size] += part
+    return total
 
 
 def run_census(a: int, start_limit: int) -> CensusReport:
@@ -193,7 +198,8 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     """
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
-    walked = _walks(a, climb_margin(a) + 4)
+    margin = climb_margin(a)
+    walked = _walks(a, margin + 4)
     minima = [np.array(sorted(walked))]
     bits = minima[0].size.bit_length()
     if a == 0:
@@ -202,71 +208,141 @@ def run_census(a: int, start_limit: int) -> CensusReport:
         # segment, so the label count is bounded before the state exists:
         # pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), plus 4.
         bits = (int(1.25506 * limit / math.log(limit)) + 1).bit_length()
+    step, past = 1 << bits, (budget + 1) << bits
 
-    # state[n] = dist[n] << bits | label[n], 0 while unresolved.  label[n]
-    # is the 1-based index in minima of the cycle n reaches, and dist[n]
-    # the number of B_a steps to get there.  The a entries past limit,
-    # where the primes p > limit - a step, are never labelled: no start
-    # reaches those primes, and they and their preimages stay pending.
+    # The state of node n is dist[n] << bits | label[n], 0 while
+    # unresolved.  label[n] is the 1-based index in minima of the cycle n
+    # reaches, and dist[n] the number of B_a steps to get there.  A
+    # composite n <= limit steps to B(n) <= n/2 + 2 <= half, so above half
+    # a state is read only at p + a, from a prime p at most margin below
+    # its chain's top.  So state[n] holds node n up to half, and above half
+    # a window of CHUNK + margin nodes follows the stream: state[n - shift]
+    # holds node n.  Its last slot is never written, and reads past the
+    # window are clipped to it: nodes past limit, where the primes p >
+    # limit - a step, are never labelled, as no start reaches them.  The
+    # walked cycles lie below 2 * margin + 5 <= half + margin + 1, inside
+    # the first window.
+    half = limit // 2 + 2
     bound = f"census of a={a} with --limit {start_limit}"
-    state = zeros(limit + a + 1, state_dtype(bits, budget), bound)
+    state = zeros(min(half + CHUNK + margin + 2, limit + 2), state_dtype(bits, budget), bound)
     state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
     for m, cycle in walked.items():
         state[list(cycle.members)] = state[m]
-    step = 1 << bits
+    shift = counted = 0
+    tallies = [np.zeros(0, dtype=np.intp)] * (2 if a == 0 else 1)
+
+    def node(pos):
+        # The node at a position in state, or the nodes at an array of them.
+        return pos + shift * (pos > half)
+
+    def name(pos):
+        return f"node {node(pos)} under a={a} with --limit {start_limit}"
+
+    def fold(end):
+        # Count the final states of the nodes from counted up to end that
+        # are starts, and check every dist against the budget, in ascending
+        # order, so an error names the smallest node past the budget.  Each
+        # state is written once, from its successor's final one, so a node
+        # past the budget leaves one at exactly dist = budget + 1, which
+        # state_dtype makes room for: no dist wraps unseen.  A state orders
+        # nodes by dist first, so a part's largest holds its largest dist.
+        nonlocal counted, tallies
+        while counted < end:
+            n = counted
+            pos, top = (n, half + 1) if n <= half else (n - shift, end)
+            counted = min(end, n + CHUNK, top)
+            part = state[pos : pos + counted - n]
+            if part.max() >= past:
+                raise ConsistencyError(
+                    f"node {n + int(np.argmax(part >= past))} under a={a} "
+                    f"is more than {budget} steps from its cycle"
+                )
+            starts = part[max(2 - n, 0) : max(start_limit + 1 - n, 0)]
+            # A (dist, label) grid over the labels of every prime of a = 0
+            # would be huge.
+            values = (starts & (step - 1), starts >> bits) if a == 0 else (starts,)
+            tallies = [_tally(t, v) for t, v in zip(tallies, values)]
 
     def resolve(lo, f, pending):
-        # First round over [lo, lo + f.size) as slices: a node whose
-        # successor is already resolved takes its state, one step further;
-        # cycle nodes keep theirs.  The rest wait with their successors.
-        succ = state.take(f)
+        # First round over the positions [lo, lo + f.size) as slices: a node
+        # whose successor is already resolved takes its state, one step
+        # further; cycle nodes keep theirs.  The rest wait with their
+        # successors.  f holds successors as nodes and is read as positions:
+        # a node up to half is its own position, and above half a successor
+        # is some p + a from a prime p in this block.  For a > 0 that node
+        # is unresolved, and so is position p + a > lo, not yet written (or
+        # past the window, clipped to its last slot); at a = 0 the primes
+        # are labelled already and do not wait.  Only the successors that
+        # wait are turned into positions.
+        succ = state.take(f, mode="clip")
         ok = succ != 0
         succ += step
-        window = state[lo : lo + f.size]
-        wait = window == 0
+        block = state[lo : lo + f.size]
+        wait = block == 0
         ok &= wait
         succ *= ok
-        window += succ
+        block += succ
         new = np.flatnonzero(wait ^ ok)
         if new.size:
-            pending = (np.concatenate([pending[0], new + lo]), np.concatenate([pending[1], f[new]]))
-        return _settle(*pending, state, step, budget, a, start_limit)
+            targets = f[new]
+            targets -= (targets > half) * targets.dtype.type(shift)
+            pending = (
+                np.concatenate([pending[0], new + lo]),
+                np.concatenate([pending[1], targets]),
+            )
+        return _settle(*pending, state, step, budget, name)
+
+    def slide(s, pending):
+        # Move the window up to start at s - margin, once fold has counted
+        # the nodes that leave it.
+        nonlocal shift
+        d = max(s - margin - half - 1, 0) - shift
+        if d <= 0:
+            return pending
+        window = state[half + 1 :]
+        window[:margin] = window[d : d + margin]
+        window[margin:] = 0
+        shift += d
+        nodes, succ = pending
+        nodes -= (nodes > half) * d
+        succ -= (succ > half) * succ.dtype.type(d)
+        return nodes, succ
 
     pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=index_dtype(limit + a)))
     ranked = minima[0].size
     # Closing the stream on every way out stops its worker thread.
     with closing(shifted_segments(a, limit)) as stream:
         for s, spf, f in stream:
+            if s > 2 * margin + 4:
+                # The nodes below s - margin are final: a node n still
+                # pending below s has an orbit that reaches s, and from n
+                # >= margin + 4 an orbit stays <= n + margin (census_limit),
+                # so n >= s - margin; from a smaller n it stays <= 2 *
+                # margin + 4 < s.
+                fold(s - margin)
+                pending = slide(s, pending)
             if a == 0:
                 lo = max(s, 5)
                 primes = np.flatnonzero(f[lo - s :] == spf[lo - s :]) + lo
-                state[primes] = np.arange(ranked + 1, ranked + primes.size + 1, dtype=state.dtype)
+                state[primes - shift] = np.arange(
+                    ranked + 1, ranked + primes.size + 1, dtype=state.dtype
+                )
                 ranked += primes.size
                 minima.append(primes)
             for lo, hi in blocks(s, s + f.size):
-                pending = resolve(lo, f[lo - s : hi - s], pending)
+                pending = resolve(lo - shift, f[lo - s : hi - s], pending)
             del spf, f  # so the stream frees it before it builds another
-    nodes = pending[0]
+    nodes = node(pending[0])
     stuck = nodes[nodes <= start_limit]
     if stuck.size:
         raise ConsistencyError(f"node {int(stuck[0])} under a={a} reaches no cycle")
-    # Each state is written once, from its successor's final one, so a node
-    # past the budget leaves one at exactly dist = budget + 1, which
-    # state_dtype makes room for: no dist wraps unseen.  A state orders
-    # nodes by dist first, so the largest one holds the largest dist.
-    past = (budget + 1) << bits
-    if state.max() >= past:
-        node = int(np.argmax(state >= past))
-        raise ConsistencyError(
-            f"node {node} under a={a} is more than {budget} steps from its cycle"
-        )
+    fold(limit + 1)
 
-    starts = state[2 : start_limit + 1]
+    tallies = [np.trim_zeros(t, "b") for t in tallies]
     if a == 0:
-        # A (dist, label) grid over the labels of every prime would be huge.
-        basins, counts = _counts(starts & (step - 1)), _counts(starts >> bits)
+        basins, counts = tallies
     else:
-        grid = _counts(starts, step).reshape(-1, step)
+        grid = np.pad(tallies[0], (0, -tallies[0].size % step)).reshape(-1, step)
         basins, counts = grid.sum(axis=0), grid.sum(axis=1)
     labels = np.flatnonzero(basins)
     cycles = tuple(
@@ -304,7 +380,7 @@ def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set
     Returns (counts, argmax_set).
     """
     if a_max < 1:
-        raise DomainError(f"a_max must be >= 1, got {a_max}")
+        raise DomainError(f"--a-max must be >= 1, got {a_max}")
     counts = {a: len(reached_cycles(a, start_limit)) for a in range(1, a_max + 1)}
     best = max(counts.values())
     argmax = {a for a, c in counts.items() if c == best}

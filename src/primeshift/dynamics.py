@@ -75,7 +75,7 @@ def iterate_orbit(
 ) -> OrbitRecord:
     """Follow n under the shifted map until the orbit closes, within max_steps >= 0 steps."""
     a = check_shift(a)
-    _check_domain(n, extend_domain)
+    _check_domain(n, a, extend_domain)
     if max_steps is None:
         max_steps = default_max_steps(n, a)
     if max_steps < 0:

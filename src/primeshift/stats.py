@@ -40,10 +40,10 @@ class PartialSumSeries:
             raise DomainError("series fields must have equal lengths")
 
 
-def _checked_cps(checkpoints):
-    """Checkpoints ascending, each at least 2."""
+def _checked_cps(checkpoints, a=None):
+    """Checkpoints ascending, each at least 2 (see check_x)."""
     cps = sorted(int(c) for c in checkpoints)
-    check_x(cps[0])
+    check_x(cps[0], a)
     return cps
 
 
@@ -93,7 +93,7 @@ def _series(cps, parts, ref_fn, ratio_fn=None):
 def average_order_series(a: int, checkpoints) -> PartialSumSeries:
     """Partial sums of B_a against the main term pi^2 x^2 / (12 log x)."""
     a = check_shift(a)
-    cps = _checked_cps(checkpoints)
+    cps = _checked_cps(checkpoints, a)
     return _series(cps, _shifted(a, cps[-1]), lambda x: math.pi**2 * x * x / (12 * math.log(x)))
 
 
@@ -146,7 +146,7 @@ def parity_sum(a: int, checkpoints) -> PartialSumSeries:
     tracks 2 pi(x); reference is 2x / log x with ratio S / reference.
     """
     a = check_shift(a)
-    cps = _checked_cps(checkpoints)
+    cps = _checked_cps(checkpoints, a)
     signs = ((lo, 1 - 2 * (f & 1)) for lo, f in _shifted(a, cps[-1]))
     if a % 2 == 0:
         return _series(cps, signs, lambda x: 0.0, ratio_fn=lambda x, s, r: abs(s) / x)
@@ -158,6 +158,6 @@ def residue_distribution(a: int, q: int, x: int) -> dict[int, int]:
     a = check_shift(a)
     if q <= 2:
         raise DomainError(f"q must be > 2, got {q}")
-    check_x(x)
+    check_x(x, a)
     counts = sum(np.bincount(f % q, minlength=q) for _, f in _shifted(a, x))
     return {h: int(counts[h]) for h in range(q)}

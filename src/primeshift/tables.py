@@ -109,7 +109,9 @@ def shifted_segments(a: int, top: int):
         del spf, v, f  # so the stream frees it before it builds another
 
 
-def check_x(x: int) -> None:
-    """Raise DomainError unless x >= 2: the bulk sums and counts run over 2 <= n <= x."""
+def check_x(x: int, a: int | None = None) -> None:
+    """Raise DomainError unless x >= 2: the bulk sums and counts run over
+    2 <= n <= x.  The message names the shift a when the values depend on it."""
     if x < 2:
-        raise DomainError(f"x must be >= 2, got x={x}")
+        under = "" if a is None else f" under a={a}"
+        raise DomainError(f"--x must be >= 2{under}, got x={x}")

@@ -94,6 +94,36 @@ def test_naive_agrees_across_windows(table, monkeypatch):
     assert builders - {threading.get_ident()}
 
 
+def test_prime_chains_cross_window_edges(table, monkeypatch):
+    # Above H = limit // 2 + 2 the census keeps its state in a window of
+    # CHUNK + climb_margin(a) nodes that slides up with the stream.  At
+    # a = 210 and 420 (smallest prime not dividing a is 11, so a prime
+    # climbs up to 12a: 2,520 and 5,040) a chain spans dozens of 64-entry
+    # segments, so pending chains ride through many slides.  At 10^4 and
+    # 2 * 10^4 starts the walked cycles lie below H; at 2 and 20 starts
+    # H = climb_margin(a) + 4 and walked cycle members lie above it.
+    for mod in (sieve_mod, census_mod):
+        monkeypatch.setattr(mod, "CHUNK", 2**6)
+    sizes, zeros = [], census_mod.zeros
+
+    def recorded(size, dtype, bound):
+        sizes.append(size)
+        return zeros(size, dtype, bound)
+
+    monkeypatch.setattr(census_mod, "zeros", recorded)
+    for a, big in ((210, 10**4), (420, 2 * 10**4)):
+        for start_limit in (2, 20, big):
+            limit = census_limit(a, start_limit)
+            if start_limit == big:
+                assert census_limit(a, climb_margin(a) + 4) < limit // 2 + 2
+            sizes.clear()
+            fast = run_census(a, start_limit)
+            slow = run_census_naive(a, start_limit, table)
+            assert _summary(fast) == _summary(slow), f"a={a}, start_limit={start_limit}"
+            # One state, a window smaller than the range only at `big`.
+            assert len(sizes) == 1 and (sizes[0] < limit) == (start_limit == big)
+
+
 def test_naive_agrees_on_reached_cycles(table):
     # reached_cycles against the per-start oracle's nontrivial cycles, also
     # at 20 starts, below climb_margin(a) + 4 from a = 6 on, where (31, 58)
@@ -258,6 +288,31 @@ def test_dist_past_budget_raises(monkeypatch):
         run_census(0, 100)
 
 
+def test_dist_past_budget_raises_in_its_window(table, monkeypatch):
+    # Under a = 0 only 9314 of the nodes up to 10^4 is more than 9 steps
+    # from its fixed point, and it lies above H = 5002, where the state is
+    # a window.  With 64-entry segments and a budget of 9 the census names
+    # it as the window passes it, while the stream is short of its top.
+    steps = [iterate_orbit(n, 0, table).total_stopping_time for n in range(2, 10**4 + 1)]
+    assert [n for n, k in enumerate(steps, 2) if k > 9] == [9314]
+    for mod in (sieve_mod, census_mod):
+        monkeypatch.setattr(mod, "CHUNK", 2**6)
+    windows, spf_windows = [], tables_mod.spf_windows
+
+    def counted(limit):
+        for w in spf_windows(limit):
+            windows.append(w[0])
+            yield w
+
+    monkeypatch.setattr(tables_mod, "spf_windows", counted)
+    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 9)
+    with pytest.raises(
+        ConsistencyError, match=r"^node 9314 under a=0 is more than 9 steps from its cycle$"
+    ):
+        run_census(0, 10**4)
+    assert max(windows) < 10**4 - 2**8
+
+
 def test_walk_past_budget_raises(monkeypatch):
     # Under a = 39 the walk from 2 runs 2 -> 41 -> 80 -> ...: past a budget
     # of 1 step before it closes a cycle.
@@ -309,14 +364,15 @@ def test_unsettled_node_names_its_input(monkeypatch):
 
 def test_census_peak_memory():
     # Bytes per table entry at the census's own peak, numpy buffers included.
-    # Only the state (2 B per entry) and B up to limit // 2 (2 B per entry)
-    # span the range; the CHUNK-sized buffers of each segment and the
-    # counts weigh most at 10^6.  At a = 0 the state takes 4 B and the
-    # 78,499 cycles, one per prime and 4, peak as Python objects.  The
-    # bounds were set from 9.32, 5.33 and 20.77 B with 10% headroom; the
-    # segment stream, with two 2^17-entry segments alive while the worker
-    # builds the next, measures 8.7, 5.0-5.1 and 17.8 B.
-    for a, start_limit, per_entry in ((39, 10**6, 10.3), (39, 4 * 10**6, 5.9), (0, 10**6, 22.8)):
+    # Only B up to limit // 2 (2 B per entry) and the state up to limit // 2
+    # (1 B per entry) span the range; above that the state is a window of
+    # CHUNK + climb_margin(a) nodes.  The CHUNK-sized buffers of each
+    # segment, two or three alive while the worker builds the next, weigh
+    # most at 10^6, and vary with the worker's timing.  At a = 0 the state
+    # takes 2 B and the 78,499 cycles, one per prime and 4, peak as Python
+    # objects.  The bounds were set from 8.41, 4.20 and 16.51 B with 10%
+    # headroom; with a whole-range state they measured 9.15, 5.03 and 17.82.
+    for a, start_limit, per_entry in ((39, 10**6, 9.3), (39, 4 * 10**6, 4.7), (0, 10**6, 18.2)):
         tracemalloc.start()
         try:
             run_census(a, start_limit)

@@ -265,6 +265,19 @@ def test_limit_below_two_is_domain_error(capsys, argv, a):
     assert err == f"domain error: --limit must be >= 2 under a={a}, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["sweep", "--a-max", "0"], "--a-max must be >= 1, got 0"),
+    (["orbit", "--n", "1", "--a", "2"],
+     "--n must be >= 2 under a=2, got 1; pass --extend-domain for 0 and 1"),
+    (["stats", "avg", "--x", "1", "--a", "5"], "--x must be >= 2 under a=5, got x=1"),
+    (["stats", "residue", "--x", "1", "--a", "5"], "--x must be >= 2 under a=5, got x=1"),
+    (["stats", "density", "--x", "1"], "--x must be >= 2, got x=1"),
+    (["density", "--set", "primes", "--x", "1"], "--x must be >= 2, got x=1"),
+])
+def test_domain_errors_name_the_flag(capsys, argv, err):
+    assert invoke(capsys, *argv) == (1, "", f"domain error: {err}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "--n", "5"],
     ["census"],
@@ -305,7 +318,7 @@ def test_orbit_negative_max_steps(capsys):
 def test_orbit_start_checked_before_step_budget(capsys, argv):
     # A start below 2 is a domain error, whatever the step budget.
     code, out, err = invoke(capsys, *argv)
-    assert (code, out) == (1, "") and err.startswith("domain error: n must be >= 2")
+    assert (code, out) == (1, "") and err.startswith("domain error: --n must be >= 2")
     assert invoke(capsys, *argv, "--max-steps", "0") == (code, out, err)
 
 
