@@ -19,10 +19,11 @@ successor beside it.  A composite's successor lies at most halfway up,
 so the state is whole only up to limit // 2 + 2 (1 B per entry of the
 range at a <= 200), and above that a window of CHUNK + climb_margin(a)
 states follows the stream, folded into the basin and stopping-time
-counts as it moves.  With the stream's half-range B (int32, 2 B per
-entry of the range) a census holds 3 B per entry.  A sweep over shifts
-runs no census: every cycle's minimum is a start <= climb_margin(a) + 4,
-and reached_cycles only walks from those starts, with the same _walks.
+counts as it moves.  With the stream's B at the odd n <= limit // 2
+(int32, 1 B per entry of the range) a census holds 2 B per entry.  A
+sweep over shifts runs no census: every cycle's minimum is a start <=
+climb_margin(a) + 4, and reached_cycles only walks from those starts,
+with the same _walks.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ def build_amicable(p: int, table: SieveTable) -> AmicablePair:
     exists.
     """
     if p <= 3 or not is_prime(p, table):
-        raise DomainError(f"p must be a prime > 3, got {p}")
+        raise DomainError(f"--p must be a prime > 3, got {p}")
     q = prime_below(p, table)
     d = p - q
     aprime = factorize(d, table)[-1][0]
@@ -72,7 +72,7 @@ def find_ascending_chain(
     passes the bound, so large k costs a few primality tests.
     """
     if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+        raise DomainError(f"--k must be >= 1, got {k}")
     stride = 1
     small = []
     for s in range(2, k + 1):

@@ -71,7 +71,7 @@ def enumerate_fibre(m: int, a: int, x_bound: int, table: SieveTable) -> list[int
     """
     a = check_shift(a)
     if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
+        raise DomainError(f"--m must be >= 2, got {m}")
     if x_bound > WORD_MAX:
         raise RangeOverflowError(f"fibre bound {x_bound} exceeds the 64-bit range")
     top = max(min(m - 2, x_bound // 2), 0)  # a negative top would wrap the slice below

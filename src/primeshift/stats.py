@@ -3,10 +3,11 @@ and the density of the n whose B(n) lies in a set.
 
 Each check streams B_a from tables.shifted_segments, or B or B - beta
 from tables.segments, over 2 <= n <= x and sums or counts segment by
-segment, so no table spans the range but the stream's half-range array
-(and the set's mask over [0, x]).  Partial sums are exact integers; the
-analytic reference terms (pi^2 x^2 / (12 log x) and friends) are double
-precision, which is all the ratio diagnostics need.
+segment, so no table spans the range but the stream's B at the odd n
+<= x // 2 (1 B per entry of the range) and the set's mask over [0, x].
+Partial sums are exact integers; the analytic reference terms (pi^2 x^2
+/ (12 log x) and friends) are double precision, which is all the ratio
+diagnostics need.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def b_minus_beta_series(a: int, checkpoints) -> PartialSumSeries:
 def estimate_local_density(N: int, x: int) -> float:
     """Fraction of n <= x with B(n) - beta(n) = N."""
     if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
+        raise DomainError(f"--N must be >= 0, got {N}")
     check_x(x)
     return sum(int(np.count_nonzero(v == N)) for _, v in _excess(x)) / x
 
@@ -157,7 +158,7 @@ def residue_distribution(a: int, q: int, x: int) -> dict[int, int]:
     """Counts of n <= x (n >= 2) with B_a(n) = h mod q, for each residue h."""
     a = check_shift(a)
     if q <= 2:
-        raise DomainError(f"q must be > 2, got {q}")
+        raise DomainError(f"--q must be > 2, got {q}")
     check_x(x, a)
     counts = sum(np.bincount(f % q, minlength=q) for _, f in _shifted(a, x))
     return {h: int(counts[h]) for h in range(q)}

@@ -3,15 +3,19 @@
 B(n) = p + B(m) with p = spf(n) and m = n // p, and (B - beta)(n) =
 (B - beta)(m) + p exactly when p | m, since beta(n) = beta(m) + p unless
 p already divides m.  m <= n/2, so segments() fills each sieve segment
-of sieve.spf_windows from the values below it, kept in one array over
-[0, limit // 2], and no whole-range table of B, beta or B_a exists.  B_a
-differs from B only at the primes, where B(n) = spf(n): shifted_segments
-adds a there, once arith.prime_step, the one rule for p + a, has passed
-the largest prime.  From the second segment on, one worker thread builds
-the next segment while the caller works on the current one.
+of sieve.spf_windows from the values below it, and no whole-range table
+of B, beta or B_a exists.  Only the values at the odd n <= limit // 2
+outlive a segment, 1 B per entry of the range: an even n = 2^k o, o odd,
+takes its value from o's, as B(2^k o) = 2k + B(o).  B_a differs from B
+only at the primes, where B(n) = spf(n): shifted_segments adds a there,
+once arith.prime_step, the one rule for p + a, has passed the largest
+prime.  From the second segment on, one worker thread builds the next
+segment while the caller works on the current one.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,14 +24,22 @@ from .errors import DomainError
 from .sieve import WORD_MAX, index_dtype, prime_below, spf_windows, zeros
 
 
-def b_term(p, m):
-    """B(n) - B(m) for n = p * m with p = spf(n)."""
-    return p
+class Term(NamedTuple):
+    """How a quantity V with V(0) = V(1) = 0 grows along n = p * m, p = spf(n).
+
+    step(p, m) = V(n) - V(m), and pow2(k) = V(2^k o) - V(o) for odd o and
+    k >= 1.
+    """
+
+    step: Callable
+    pow2: Callable
 
 
-def excess_term(p, m):
-    """(B - beta)(n) - (B - beta)(m) for n = p * m with p = spf(n)."""
-    return p * (m % p == 0)
+#: B: p at every prime factor, so 2k over 2^k.
+b_term = Term(lambda p, m: p, lambda k: 2 * k)
+
+#: B - beta: p when p | m, else 0, so 2k - 2 over 2^k, as beta(2^k o) = 2 + beta(o).
+excess_term = Term(lambda p, m: p * (m % p == 0), lambda k: 2 * k - 2)
 
 
 def blocks(lo: int, end: int):
@@ -43,14 +55,16 @@ def blocks(lo: int, end: int):
         b = hi
 
 
-def segments(limit: int, term):
+def segments(limit: int, term: Term):
     """Yield (s, spf, v) for the segments [s, s + spf.size) of spf_windows(limit).
 
-    v[n - s] = V(n), where V(0) = V(1) = 0 and V(n) = V(m) + term(p, m):
-    B with b_term, B - beta with excess_term.  v has spf's dtype and is
-    filled block by block from the V below each block: in v itself in the
-    first segment, else in back, V over [0, limit // 2], which is the only
-    array that outlives a segment.
+    v[n - s] = V(n) for a Term: B with b_term, B - beta with excess_term.
+    v has spf's dtype.  Only back outlives a segment: back[i] = V(2i + 1)
+    for the odd 2i + 1 <= limit // 2.  The first segment is filled block
+    by block (see blocks) from v itself, V(n) = V(m) + term.step(p, m).
+    Each later one is one block: an odd n has an odd m, read from back,
+    and the even n = 2^k (2i + 1), one class per k, read V(2i + 1) off a
+    contiguous run of back and add term.pow2(k).
 
     The first segment is built in the caller's thread.  When the caller
     asks for the next one and the stream has more, one worker thread
@@ -61,20 +75,36 @@ def segments(limit: int, term):
     raised here, in the caller.
     """
     half = limit // 2
-    back = zeros(half + 1, index_dtype(half), f"a stream to {limit}")
+    back = zeros((half + 1) // 2, index_dtype(half), f"a stream to {limit}")
     windows = spf_windows(limit)
 
     def build():
         s, spf = next(windows)
+        top = s + spf.size
         v = np.empty_like(spf)
-        v[:2] = 0  # V(0) = V(1) = 0; the blocks overwrite all n >= 2
-        below = v if s == 0 else back
-        for lo, hi in blocks(s, s + spf.size):
-            p = spf[lo - s : hi - s]
-            m = np.arange(lo, hi, dtype=p.dtype)
+        odd = (s + 1) & 1  # the position of the first odd n
+        if s == 0:
+            v[:2] = 0  # V(0) = V(1) = 0; the blocks overwrite all n >= 2
+            for lo, hi in blocks(2, top):
+                p = spf[lo:hi]
+                m = np.arange(lo, hi, dtype=p.dtype)
+                m //= p
+                np.add(v[m], term.step(p, m), out=v[lo:hi])
+        else:
+            p = spf[odd::2]
+            m = np.arange(s + odd, top, 2, dtype=p.dtype)
             m //= p
-            np.add(below[m], term(p, m), out=v[lo - s : hi - s])
-        back[s : s + v.size] = v[: max(half + 1 - s, 0)]
+            step = term.step(p, m)
+            m >>= 1
+            np.add(back[m], step, out=v[odd::2])
+            for k in range(1, (top - 1).bit_length()):  # the k with 2^k < top
+                n0 = s + (((1 << k) - s) & ((2 << k) - 1))  # first n >= s of the class
+                i0 = n0 >> (k + 1)
+                run = v[n0 - s :: 2 << k]
+                np.add(back[i0 : i0 + run.size], term.pow2(k), out=run)
+        i = s >> 1
+        kept = v[odd::2][: max(back.size - i, 0)]
+        back[i : i + kept.size] = kept
         return s, spf, v
 
     seg = build()

@@ -23,7 +23,7 @@ from primeshift.cli import run
 from primeshift.dynamics import canonicalize, default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
 from primeshift.sieve import index_dtype
-from primeshift.tables import b_term
+from primeshift.tables import b_term, segments
 
 
 def _summary(rep):
@@ -82,11 +82,11 @@ def test_naive_agrees_across_windows(table, monkeypatch):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
     builders = set()
 
-    def term(p, m):
+    def step(p, m):
         builders.add(threading.get_ident())
-        return b_term(p, m)
+        return b_term.step(p, m)
 
-    monkeypatch.setattr(tables_mod, "b_term", term)
+    monkeypatch.setattr(tables_mod, "b_term", b_term._replace(step=step))
     for a in (0, 1, 2, 3, 39, 137, 200):
         assert census_limit(a, climb_margin(a) + 4) < 10**4 // 2
         fast = run_census(a, 10**4)
@@ -364,15 +364,17 @@ def test_unsettled_node_names_its_input(monkeypatch):
 
 def test_census_peak_memory():
     # Bytes per table entry at the census's own peak, numpy buffers included.
-    # Only B up to limit // 2 (2 B per entry) and the state up to limit // 2
-    # (1 B per entry) span the range; above that the state is a window of
-    # CHUNK + climb_margin(a) nodes.  The CHUNK-sized buffers of each
-    # segment, two or three alive while the worker builds the next, weigh
-    # most at 10^6, and vary with the worker's timing.  At a = 0 the state
-    # takes 2 B and the 78,499 cycles, one per prime and 4, peak as Python
-    # objects.  The bounds were set from 8.41, 4.20 and 16.51 B with 10%
-    # headroom; with a whole-range state they measured 9.15, 5.03 and 17.82.
-    for a, start_limit, per_entry in ((39, 10**6, 9.3), (39, 4 * 10**6, 4.7), (0, 10**6, 18.2)):
+    # Only the stream's B at the odd n up to limit // 2 (1 B per entry) and
+    # the state up to limit // 2 (1 B per entry) span the range; above that
+    # the state is a window of CHUNK + climb_margin(a) nodes.  The
+    # CHUNK-sized buffers of each segment, two or three alive while the
+    # worker builds the next, weigh most at 10^6, and vary with the worker's
+    # timing.  At a = 0 the state takes 2 B and the 78,499 cycles, one per
+    # prime and 4, peak as Python objects.  The bounds were set from 6.56 to
+    # 6.89, 3.07 and 16.51 B with 10% headroom; with B over all of [0,
+    # limit // 2] they measured 8.41, 4.20 and 16.51.  The stream alone
+    # measured 1.68 B per entry, and 2.81 B with B over all of [0, limit // 2].
+    for a, start_limit, per_entry in ((39, 10**6, 7.6), (39, 4 * 10**6, 3.4), (0, 10**6, 18.2)):
         tracemalloc.start()
         try:
             run_census(a, start_limit)
@@ -380,6 +382,14 @@ def test_census_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= per_entry * census_limit(a, start_limit), (a, start_limit)
+    tracemalloc.start()
+    try:
+        for _ in segments(4 * 10**6, b_term):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.85 * 4 * 10**6
 
 
 def test_prime_fixed_points_skip_the_scalar_check(monkeypatch):

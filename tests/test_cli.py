@@ -273,6 +273,11 @@ def test_limit_below_two_is_domain_error(capsys, argv, a):
     (["stats", "residue", "--x", "1", "--a", "5"], "--x must be >= 2 under a=5, got x=1"),
     (["stats", "density", "--x", "1"], "--x must be >= 2, got x=1"),
     (["density", "--set", "primes", "--x", "1"], "--x must be >= 2, got x=1"),
+    (["stats", "residue", "--q", "2"], "--q must be > 2, got 2"),
+    (["fibre", "--m", "1"], "--m must be >= 2, got 1"),
+    (["chain", "--k", "0"], "--k must be >= 1, got 0"),
+    (["amicable", "--p", "1"], "--p must be a prime > 3, got 1"),
+    (["stats", "density", "--N", "-1"], "--N must be >= 0, got -1"),
 ])
 def test_domain_errors_name_the_flag(capsys, argv, err):
     assert invoke(capsys, *argv) == (1, "", f"domain error: {err}\n")
