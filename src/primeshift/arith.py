@@ -15,7 +15,7 @@ def check_shift(a: int) -> int:
     """The shift a >= 0 applied at primes, as an int; a = 0 is the unshifted case."""
     a = int(a)
     if a < 0:
-        raise DomainError(f"shift must be non-negative, got {a}")
+        raise DomainError(f"--a must be >= 0, got {a}")
     return a
 
 

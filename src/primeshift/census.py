@@ -2,28 +2,15 @@
 
 No B_a orbit is unbounded, and census_limit gives the bound: orbits from
 starts <= S never leave [2, census_limit(a, S)].  The census treats B_a
-on that range as a functional graph.  Short scalar walks from a few
-starts find every cycle but the prime fixed points of a = 0 (see
-_find_cycles); a label is the 1-based index of a cycle's minimum among
-all minima.  One ascending pass then gives every node its label and
-distance, because a node's successor almost always lies below it.  Both
-live in one packed state per node (see state_dtype).
-
-B_a comes from the segment stream of tables.shifted_segments, which
-builds the next segment on a worker thread while the census resolves the
-current one.  The walks read their own short stream over
-[0, census_limit(a, climb_margin(a) + 4)] first (_walks); then every
-segment of the census stream is resolved in the blocks [lo, 2*lo) of
-tables.blocks.  A node whose successor is unresolved waits with that
-successor beside it.  A composite's successor lies at most halfway up,
-so the state is whole only up to limit // 2 + 2 (1 B per entry of the
-range at a <= 200), and above that a window of CHUNK + climb_margin(a)
-states follows the stream, folded into the basin and stopping-time
-counts as it moves.  With the stream's B at the odd n <= limit // 2
-(int32, 1 B per entry of the range) a census holds 2 B per entry.  A
-sweep over shifts runs no census: every cycle's minimum is a start <=
-climb_margin(a) + 4, and reached_cycles only walks from those starts,
-with the same _walks.
+on that range as a functional graph.  Short scalar walks from 4 and the
+primes find every cycle but the prime fixed points of a = 0 (see
+_find_cycles), over a prefix of B of their own (_sweep); a label is the
+1-based index of a cycle's minimum among all minima.  One ascending pass
+over the segment stream of tables.shifted_segments then gives every node
+its label and distance, because a node's successor almost always lies
+below it.  Both live in one packed state per node (see state_dtype), and
+a census holds 2 B per entry of the range (see run_census).  A sweep
+over shifts runs no census: every shift walks over one prefix of B.
 """
 
 from __future__ import annotations
@@ -34,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import check_shift
+from .arith import check_shift, prime_step
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype, is_prime, zeros
-from .tables import blocks, shifted_segments
+from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype, is_prime, prime_below, zeros
+from .tables import b_term, blocks, segments, shifted_segments
 
 
 def climb_margin(a: int) -> int:
@@ -92,11 +79,12 @@ class CensusReport:
     max_total_stopping_time: int
 
 
-def _find_cycles(f, last, budget, a):
-    """The cycles that walks from 2..last meet under the list f, by minimum.
+def _find_cycles(f, starts, budget, a):
+    """The cycles that walks from starts meet under the list f, by minimum.
 
     A walk marks each node with its start and stops at a marked one: its
     own mark closes a new cycle, an earlier walk's leads to a known one.
+    A walk ends within len(f) steps; its length meets the budget then.
 
     Lemma: for a >= 1 every cycle has its minimum x <= margin + 4, where
     margin = climb_margin(a).  If x is composite then x <= 4, because
@@ -104,39 +92,42 @@ def _find_cycles(f, last, budget, a):
     a composite c <= x + margin, and x <= B(c) <= c/2 + 2 <= (x + margin)/2
     + 2.  So walks from the starts 2..margin+4 meet every cycle.  For
     a = 0 every cycle is a fixed point: n = 4, which the walks meet, or a
-    prime, which run_census labels from the sieve's primes.
+    prime, which run_census labels from the stream.  Nor does a composite
+    start c > 4 add a cycle: it descends (B(c) < c) to a prime or to 4
+    below c, so walks from 4 and the primes <= last meet every cycle that
+    walks from 2..last meet.
     """
     mark = [0] * len(f)
     cycles: dict[int, list[int]] = {}
-    for start in range(2, last + 1):
-        v, path = start, []
+    for start in starts:
+        v, steps = start, 0
         while not mark[v]:
-            if len(path) > budget:
-                raise ConsistencyError(
-                    f"no cycle within {budget} steps from {start} under a={a}"
-                )
             mark[v] = start
-            path.append(v)
             v = f[v]
+            steps += 1
+        if steps > budget + 1:
+            raise ConsistencyError(f"no cycle within {budget} steps from {start} under a={a}")
         if mark[v] == start:
-            members = path[path.index(v) :]
+            members = [v]
+            while f[members[-1]] != v:
+                members.append(f[members[-1]])
             cycles[min(members)] = members
     return cycles
 
 
-def _walks(a, last):
+def _walks(a, last, B, table):
     """{minimum: Cycle} of the cycles that walks from 2..last meet under B_a.
 
-    B_a comes from a short stream of its own over [0, census_limit(a,
-    last)], which holds every orbit from those starts.  Each cycle is
-    checked against the scalar map (canonicalize).
+    B and table reach census_limit(a, last); B_a there is a copy of B
+    with a added at the primes.  The walks start from 4 and the primes
+    (see _find_cycles), and canonicalize checks each cycle.
     """
     top = census_limit(a, last)
-    # Closing the stream on every way out stops its worker thread.
-    with closing(shifted_segments(a, top)) as stream:
-        _, spf, f = zip(*stream)
-    table = SieveTable(top, np.concatenate(spf))
-    walked = _find_cycles(np.concatenate(f).tolist(), last, default_max_steps(top, a), a)
+    f = B[: top + 1].astype(index_dtype(top + a))
+    primes = table.primes()
+    f[primes[: np.searchsorted(primes, top, "right")]] += a
+    starts = sorted([4] * (last >= 4) + primes[: np.searchsorted(primes, last, "right")].tolist())
+    walked = _find_cycles(f.tolist(), starts, default_max_steps(top, a), a)
     return {m: canonicalize(members, a, table) for m, members in walked.items()}
 
 
@@ -200,7 +191,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
     margin = climb_margin(a)
-    walked = _walks(a, margin + 4)
+    walked = _sweep([a], margin + 4)[a]
     minima = [np.array(sorted(walked))]
     bits = minima[0].size.bit_length()
     if a == 0:
@@ -360,29 +351,42 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# Sweeps over many shifts
+def _sweep(shifts, start_limit):
+    """{a: {minimum: Cycle}} of the cycles reached from 2..start_limit under
+    B_a, for each a in shifts, by walks alone.
+
+    By the _find_cycles lemma, walks from 2..min(start_limit,
+    climb_margin(a) + 4) meet every cycle that any larger range reaches.
+    Every shift walks over one prefix of B and its sieve, read once from a
+    short stream up to the largest census_limit the walks need, and
+    canonicalize checks every cycle against that one table.
+    """
+    def last(a):  # shifts is iterated twice, not stored: a huge range makes no list
+        return min(start_limit, climb_margin(a) + 4)
+    top = 0
+    for a in shifts:
+        t = census_limit(a, last(a))
+        if t + a > WORD_MAX:  # as in shifted_segments, before the stream
+            prime_step(prime_below(t + 1), a)
+        top = max(top, t)
+    # Closing the stream on every way out stops its worker thread.
+    with closing(segments(top, b_term)) as stream:
+        _, spf, b = zip(*stream)
+    B, table = np.concatenate(b), SieveTable(top, np.concatenate(spf))
+    return {a: _walks(a, last(a), B, table) for a in shifts}
 
 
 def reached_cycles(a: int, start_limit: int) -> tuple[Cycle, ...]:
-    """The nontrivial cycles reached from starts 2..start_limit, by their minimum.
-
-    No census: by the _find_cycles lemma every cycle's minimum is a start
-    <= climb_margin(a) + 4, so walks from 2..min(start_limit,
-    climb_margin(a) + 4) meet every cycle that any larger range reaches.
-    """
-    walked = _walks(a, min(start_limit, climb_margin(a) + 4))
-    return tuple(walked[m] for m in sorted(walked) if len(walked[m]) > 1)
+    """The nontrivial cycles reached from starts 2..start_limit, by their minimum."""
+    return tuple(c for _, c in sorted(_sweep([a], start_limit)[a].items()) if len(c) > 1)
 
 
 def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set[int]]:
-    """Count distinct nontrivial cycles for each a in 1..a_max.
-
-    Returns (counts, argmax_set).
-    """
+    """(counts, argmax_set): the distinct nontrivial cycles for each a in 1..a_max."""
     if a_max < 1:
         raise DomainError(f"--a-max must be >= 1, got {a_max}")
-    counts = {a: len(reached_cycles(a, start_limit)) for a in range(1, a_max + 1)}
+    walked = _sweep(range(1, a_max + 1), start_limit)
+    counts = {a: sum(len(c) > 1 for c in w.values()) for a, w in walked.items()}
     best = max(counts.values())
     argmax = {a for a, c in counts.items() if c == best}
     return counts, argmax

@@ -42,7 +42,7 @@ def build_kappa(limit: int, table: SieveTable) -> KappaTable:
     integers.  kappa(0) is stored as 0 (it is never consulted).
     """
     if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
+        raise DomainError(f"--limit must be >= 1, got {limit}")
     if table.limit < limit:
         raise DomainError("sieve must cover the kappa limit")
     k = np.zeros(limit + 1, dtype=object)
@@ -73,7 +73,7 @@ def enumerate_fibre(m: int, a: int, x_bound: int, table: SieveTable) -> list[int
     if m < 2:
         raise DomainError(f"--m must be >= 2, got {m}")
     if x_bound > WORD_MAX:
-        raise RangeOverflowError(f"fibre bound {x_bound} exceeds the 64-bit range")
+        raise RangeOverflowError(f"--bound {x_bound} exceeds the 64-bit range")
     top = max(min(m - 2, x_bound // 2), 0)  # a negative top would wrap the slice below
     if top > table.limit:
         raise DomainError(f"fibre of m={m} at bound {x_bound} needs primes up to {top}, "

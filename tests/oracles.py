@@ -49,6 +49,34 @@ def shifted_map(b, prime, a: int):
     return np.where(prime, np.arange(b.size) + a, b)
 
 
+def walked_cycles(f, prime, last: int) -> dict:
+    """{minimum: (members, sign_pattern)} of the cycles reached from every
+    start 2..last under the map list f, with '+' where prime is True.
+
+    Each orbit is followed until it repeats one of its own values, which
+    closes a new cycle, or meets a value an earlier orbit took, whose
+    cycle it then shares.
+    """
+    known: dict[int, int] = {}  # value -> minimum of the cycle it reaches
+    cycles = {}
+    for start in range(2, last + 1):
+        orbit: dict[int, int] = {}  # value -> its index in this orbit
+        v = start
+        while v not in known and v not in orbit:
+            orbit[v] = len(orbit)
+            v = f[v]
+        if v in orbit:
+            members = list(orbit)[orbit[v] :]
+            k = members.index(min(members))
+            members = tuple(members[k:] + members[:k])
+            cycles[members[0]] = (members, "".join("+" if prime[m] else "-" for m in members))
+            v = members[0]
+        else:
+            v = known[v]
+        known.update(dict.fromkeys(orbit, v))
+    return cycles
+
+
 def run_census_naive(
     a: int,
     start_limit: int,

@@ -55,7 +55,7 @@ def test_extended_domain(table):
 
 
 def test_shift_validation():
-    with pytest.raises(DomainError, match=r"^shift must be non-negative, got -1$"):
+    with pytest.raises(DomainError, match=r"^--a must be >= 0, got -1$"):
         check_shift(-1)
 
 

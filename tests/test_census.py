@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import prime_power_sums, run_census_naive, shifted_map
+from oracles import prime_power_sums, run_census_naive, shifted_map, walked_cycles
 from primeshift import (
     ConsistencyError,
     build_sieve,
@@ -135,6 +135,47 @@ def test_naive_agrees_on_reached_cycles(table):
             want = [(c.members, c.sign_pattern) for c in naive.cycles if len(c) > 1]
             got = [(c.members, c.sign_pattern) for c in reached_cycles(a, start_limit)]
             assert got == want, f"a={a}, start_limit={start_limit}"
+
+
+def test_prime_starts_meet_every_walked_cycle(oracle_values):
+    # The _find_cycles lemma: walks from 4 and the primes <= last meet the
+    # cycles that walks from every start 2..last meet, with the same members
+    # and signs.  a = 951 has the most cycles at a <= 1000 (5), and 1680
+    # and 1890 the largest climb margins at a <= 2000 (12a), so one prefix
+    # of B reaches census_limit(1890, climb_margin(1890) + 4) = 45,364.
+    b, _, prime = oracle_values
+    walks = [(a, last) for a in [*range(401), 951, 1680, 1890]
+             for last in (climb_margin(a) + 4, 20)]
+    top = max(census_limit(a, last) for a, last in walks)
+    assert top == 45_364
+    B, table = b[: top + 1], build_sieve(top)
+    for a, last in walks:
+        top = census_limit(a, last)
+        want = walked_cycles(shifted_map(b[: top + 1], prime[: top + 1], a).tolist(), prime, last)
+        got = census_mod._walks(a, last, B, table)
+        assert {m: (c.members, c.sign_pattern) for m, c in got.items()} == want, f"a={a}, last={last}"
+
+
+def test_sweep_reads_one_stream(monkeypatch):
+    # Every shift of a sweep walks over one prefix of B, up to the largest
+    # census_limit(a, climb_margin(a) + 4) at a <= 200: 2,884 at a = 180.
+    # canonicalize checks every cycle against that prefix's one table.
+    limits, spf_windows = [], tables_mod.spf_windows
+    tables_seen = set()
+
+    def counted(limit):
+        limits.append(limit)
+        return spf_windows(limit)
+
+    def checked(raw_cycle, a, table):
+        tables_seen.add(id(table))
+        return canonicalize(raw_cycle, a, table)
+
+    monkeypatch.setattr(tables_mod, "spf_windows", counted)
+    monkeypatch.setattr(census_mod, "canonicalize", checked)
+    counts, _ = cycle_count_sweep(200, 10**6)
+    assert limits == [2884] == [census_limit(180, climb_margin(180) + 4)]
+    assert len(tables_seen) == 1 and counts[39] == 4
 
 
 def test_unreached_cycles_not_listed():

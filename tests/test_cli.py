@@ -212,6 +212,12 @@ def test_sieve_past_64_bits(capsys, argv):
     assert err.startswith("arithmetic/resource error: sieve limit ") and "64-bit range" in err
 
 
+def test_fibre_bound_past_64_bits_names_the_flag(capsys):
+    code, out, err = invoke(capsys, "fibre", "--m", "40", "--bound", str(10**19))
+    assert (code, out) == (2, "")
+    assert err == f"arithmetic/resource error: --bound {10**19} exceeds the 64-bit range\n"
+
+
 W = str(2**63 - 1)
 
 
@@ -278,6 +284,7 @@ def test_limit_below_two_is_domain_error(capsys, argv, a):
     (["chain", "--k", "0"], "--k must be >= 1, got 0"),
     (["amicable", "--p", "1"], "--p must be a prime > 3, got 1"),
     (["stats", "density", "--N", "-1"], "--N must be >= 0, got -1"),
+    (["kappa", "--limit", "0"], "--limit must be >= 1, got 0"),
 ])
 def test_domain_errors_name_the_flag(capsys, argv, err):
     assert invoke(capsys, *argv) == (1, "", f"domain error: {err}\n")
@@ -292,7 +299,7 @@ def test_domain_errors_name_the_flag(capsys, argv, err):
 def test_negative_shift_is_domain_error(capsys, argv):
     # bmb and density do not depend on the shift, but reject a negative one too.
     code, out, err = invoke(capsys, *argv, "--a", "-1")
-    assert (code, out, err) == (1, "", "domain error: shift must be non-negative, got -1\n")
+    assert (code, out, err) == (1, "", "domain error: --a must be >= 0, got -1\n")
 
 
 def test_python_m_runs_the_cli():
