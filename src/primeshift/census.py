@@ -8,9 +8,10 @@ _find_cycles), over a prefix of B of their own (_sweep); a label is the
 1-based index of a cycle's minimum among all minima.  One ascending pass
 over the segment stream of tables.shifted_segments then gives every node
 its label and distance, because a node's successor almost always lies
-below it.  Both live in one packed state per node (see state_dtype), and
-a census holds 2 B per entry of the range (see run_census).  A sweep
-over shifts runs no census: every shift walks over one prefix of B.
+below it.  Both live in one packed state per node (see state_dtype), one
+byte at a <= 200, widened only if a distance needs it, and a census holds
+1.5 B per entry of the range (see run_census).  A sweep over shifts runs
+no census: every shift walks over one prefix of B.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import numpy as np
 from .arith import check_shift, prime_step
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import CHUNK, WORD_MAX, SieveTable, index_dtype, is_prime, prime_below, zeros
+from .sieve import (
+    CHUNK, WORD_MAX, SieveTable, check_size, index_dtype, is_prime, prime_below, zeros
+)
 from .tables import b_term, blocks, segments, shifted_segments
 
 
@@ -131,27 +134,35 @@ def _walks(a, last, B, table):
     return {m: canonicalize(members, a, table) for m, members in walked.items()}
 
 
+def dist_top(dtype, bits: int) -> int:
+    """The largest dist a packed state of dtype holds beside every bits-bit label."""
+    return int(np.iinfo(dtype).max) >> bits
+
+
 def state_dtype(bits: int, budget: int) -> type:
     """dtype of the packed census state dist << bits | label.
 
     The narrowest unsigned type that holds a dist of budget + 1 beside
-    every bits-bit label, so a dist past the budget stays visible.
+    every bits-bit label, so a dist past the budget stays visible.  With
+    budget 0 it is the narrowest that holds the labels, which a census
+    starts from (see run_census).
     """
-    top = ((budget + 2) << bits) - 1
-    return np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
+    types = (np.uint8, np.uint16, np.uint32)
+    return next((t for t in types if dist_top(t, bits) > budget), np.uint64)
 
 
-def _settle(nodes, succ, state, step, budget, name):
+def _settle(nodes, succ, read, step, budget, name):
     """Resolve pending nodes whose successor is resolved, until none moves.
 
     Each pending node carries its successor in succ, both as positions in
-    state; a successor past the end of state reads its last slot, 0.
+    the state; read(positions) returns the state and its values there, a
+    successor past the end of the state reading its last slot, 0.
     Returns the positions still pending and their successors.  name(pos)
     names the node at a position.
     """
     rounds = 0
     while nodes.size:
-        known = state.take(succ, mode="clip")
+        state, known = read(succ)
         ok = known != 0
         if not np.count_nonzero(ok):
             break
@@ -214,14 +225,39 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     # limit - a step, are never labelled, as no start reaches them.  The
     # walked cycles lie below 2 * margin + 5 <= half + margin + 1, inside
     # the first window.
+    #
+    # The state starts in the narrowest dtype that holds the labels: one
+    # byte at a <= 200, 0.5 B per entry of the range.  Its largest dist is
+    # 31 beside 3 label bits, and the dists a census reaches grow about one
+    # per decade of the limit: at 10^7 at most 28 (a = 155), while a = 90
+    # reaches 31 at 10^9.  A successor read at the largest dist, a state >=
+    # full, would wrap one step on, so the state first widens, once, to the
+    # dtype of the budget, and fold still sees every dist past it.  The
+    # wide state is a zeroed copy of the positions below written, the
+    # walked cycles and the segments streamed so far, so the pages above it
+    # stay untouched.
     half = limit // 2 + 2
     bound = f"census of a={a} with --limit {start_limit}"
-    state = zeros(min(half + CHUNK + margin + 2, limit + 2), state_dtype(bits, budget), bound)
+    size, wide = min(half + CHUNK + margin + 2, limit + 2), state_dtype(bits, budget)
+    check_size(size, wide, bound)  # the size the state may widen to
+    state = zeros(size, state_dtype(bits, 0), bound)
+    full = dist_top(state.dtype, bits) << bits
     state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
     for m, cycle in walked.items():
         state[list(cycle.members)] = state[m]
     shift = counted = 0
+    written = 2 * margin + 5
     tallies = [np.zeros(0, dtype=np.intp)] * (2 if a == 0 else 1)
+
+    def read(pos):
+        # The state, widened first if need be, and its values at positions.
+        nonlocal state
+        known = state.take(pos, mode="clip")
+        if state.dtype != wide and known.max(initial=0) >= full:
+            grown = zeros(size, wide, bound)
+            grown[:written] = state[:written]
+            state, known = grown, known.astype(wide)
+        return state, known
 
     def node(pos):
         # The node at a position in state, or the nodes at an array of them.
@@ -266,7 +302,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
         # past the window, clipped to its last slot); at a = 0 the primes
         # are labelled already and do not wait.  Only the successors that
         # wait are turned into positions.
-        succ = state.take(f, mode="clip")
+        _, succ = read(f)
         ok = succ != 0
         succ += step
         block = state[lo : lo + f.size]
@@ -282,7 +318,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
                 np.concatenate([pending[0], new + lo]),
                 np.concatenate([pending[1], targets]),
             )
-        return _settle(*pending, state, step, budget, name)
+        return _settle(*pending, read, step, budget, name)
 
     def slide(s, pending):
         # Move the window up to start at s - margin, once fold has counted
@@ -313,6 +349,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
                 # margin + 4 < s.
                 fold(s - margin)
                 pending = slide(s, pending)
+            written = max(written, s + f.size - shift)
             if a == 0:
                 lo = max(s, 5)
                 primes = np.flatnonzero(f[lo - s :] == spf[lo - s :]) + lo

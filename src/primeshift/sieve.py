@@ -95,12 +95,17 @@ def _sieve_segment(seg: np.ndarray, lo: int, descending: list[int]) -> None:
     seg[: max(2 - lo, 0)] = 0
 
 
-def zeros(size: int, dtype, bound: str) -> np.ndarray:
-    """np.zeros(size, dtype), or a MemoryError naming bound where numpy could
-    hold no such array (it would raise ValueError)."""
+def check_size(size: int, dtype, bound: str) -> None:
+    """A MemoryError naming bound where numpy could hold no array of size
+    entries of dtype (it would raise ValueError)."""
     nbytes = size * np.dtype(dtype).itemsize
     if nbytes > np.iinfo(np.intp).max:
         raise MemoryError(f"{bound} needs a {nbytes}-byte table, past the largest array")
+
+
+def zeros(size: int, dtype, bound: str) -> np.ndarray:
+    """np.zeros(size, dtype), checked by check_size first."""
+    check_size(size, dtype, bound)
     return np.zeros(size, dtype=dtype)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -18,7 +19,7 @@ from primeshift import (
 from primeshift import census as census_mod
 from primeshift import sieve as sieve_mod
 from primeshift import tables as tables_mod
-from primeshift.census import census_limit, climb_margin, state_dtype
+from primeshift.census import census_limit, climb_margin, dist_top, state_dtype
 from primeshift.cli import run
 from primeshift.dynamics import canonicalize, default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
@@ -316,6 +317,130 @@ def test_census_dtype_rules():
     budget = default_max_steps(census_limit(15000, 3000), 15000)
     assert state_dtype(2, budget) is np.uint32
     assert state_dtype((431).bit_length(), default_max_steps(3000, 0)) is np.uint32
+    # A census starts from state_dtype(bits, 0), the narrowest that holds
+    # its labels and one step: one byte up to 7 label bits.
+    assert state_dtype(7, 0) is np.uint8  # (2 << 7) - 1 = 255
+    assert state_dtype(8, 0) is np.uint16
+    assert state_dtype(3, 30) is np.uint8  # (32 << 3) - 1 = 255
+    assert state_dtype(3, 31) is np.uint16
+    assert state_dtype(0, 254) is np.uint8 and state_dtype(0, 255) is np.uint16
+    # It widens on reading a successor at its largest dist.  One byte holds
+    # dist 31 beside 3 label bits and 63 beside 2: at 10^7 and a <= 200 the
+    # closest is 28 at a = 155 (4 cycles), and a = 168 (3 cycles) reaches 40.
+    assert dist_top(np.uint8, 3) == 31 and dist_top(np.uint8, 2) == 63
+    assert dist_top(np.uint16, 2) == 2**14 - 1 and dist_top(np.uint64, 60) == 15
+    assert state_dtype(3, 0) is np.uint8 and state_dtype(3, 28) is np.uint8
+    # a = 0 at 10^7: the 20 label bits take a 32-bit state from the start.
+    assert state_dtype((664_580).bit_length(), 0) is np.uint32
+
+
+def _widenings(monkeypatch):
+    # A list that gets, for each widening of a census state, the wide dtype,
+    # the function whose read widened and the window's shift then (0 below
+    # limit // 2).
+    widened, zeros = [], census_mod.zeros
+
+    def recorded(size, wide, bound):
+        if sys._getframe(1).f_code.co_name == "read":
+            caller = outer = sys._getframe(2)
+            while outer.f_code.co_name != "run_census":
+                outer = outer.f_back
+            widened.append((wide, caller.f_code.co_name, outer.f_locals["shift"]))
+        return zeros(size, wide, bound)
+
+    monkeypatch.setattr(census_mod, "zeros", recorded)
+    return widened
+
+
+def _narrow_top(monkeypatch, dtype, top):
+    # States of dtype hold dists up to top only, so a census that starts in
+    # dtype widens on reading a successor top steps from its cycle.
+    real = census_mod.dist_top
+
+    def narrowed(d, bits):
+        return min(real(d, bits), top) if np.dtype(d) == dtype else real(d, bits)
+
+    monkeypatch.setattr(census_mod, "dist_top", narrowed)
+    return _widenings(monkeypatch)
+
+
+def _never_narrowed(a, start_limit):
+    # The census in the state dtype of its budget from the start.
+    with pytest.MonkeyPatch.context() as mp:
+        _narrow_top(mp, np.uint8, 0)
+        _narrow_top(mp, np.uint16, 0)
+        return run_census(a, start_limit)
+
+
+@pytest.mark.parametrize(
+    "a, dtype, top, chunk, where",
+    [
+        # a = 39 at 10^4: the first read of a successor 2 steps from its
+        # cycle is in a resolve block, of one 3 steps away in a settle round.
+        (39, np.uint8, 2, None, ("resolve", False)),
+        (39, np.uint8, 3, None, ("_settle", False)),
+        # With 64-entry segments: a = 137 first reads a successor 14 steps
+        # away in a settle round above limit // 2, where the state is a
+        # window; a = 0, with 11 label bits in 2 B, reads 9314's successor,
+        # 9 steps away, in a resolve block there.
+        (137, np.uint8, 14, 2**6, ("_settle", True)),
+        (0, np.uint16, 9, 2**6, ("resolve", True)),
+    ],
+)
+def test_widening_is_exact(monkeypatch, a, dtype, top, chunk, where):
+    want = _summary(_never_narrowed(a, 10**4))
+    if chunk:
+        for mod in (sieve_mod, census_mod):
+            monkeypatch.setattr(mod, "CHUNK", chunk)
+    widened = _narrow_top(monkeypatch, dtype, top)
+    assert _summary(run_census(a, 10**4)) == want
+    [(wide, caller, shift)] = widened
+    assert np.dtype(wide).itemsize > np.dtype(dtype).itemsize
+    assert (caller, shift > 0) == where
+
+
+def test_one_byte_state_widens_where_a_dist_would_wrap(table, monkeypatch):
+    # a = 0 from 150 to 650 starts takes 6 or 7 label bits (its bound on
+    # the labels' count is 38 to 126), so one byte holds dists up to 3 or 1
+    # only, and the census widens to 2 B well before its largest dist, 6 or
+    # 7.  Each step kept in one byte past that would wrap.
+    widened = _widenings(monkeypatch)
+    for start_limit in (150, 300, 650):
+        widened.clear()
+        fast = run_census(0, start_limit)
+        assert _summary(fast) == _summary(run_census_naive(0, start_limit, table))
+        assert widened == [(np.uint16, "resolve", 0)], start_limit
+
+
+def test_budget_error_after_widening_names_the_budget(monkeypatch):
+    # As test_dist_past_budget_raises_in_its_window, with the 2-byte state
+    # of a = 0 holding dists up to 5 only: the census widens to 4 B well
+    # below 9314, which still fails against the budget of 9 steps.
+    for mod in (sieve_mod, census_mod):
+        monkeypatch.setattr(mod, "CHUNK", 2**6)
+    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 9)
+    widened = _narrow_top(monkeypatch, np.uint16, 5)
+    with pytest.raises(
+        ConsistencyError, match=r"^node 9314 under a=0 is more than 9 steps from its cycle$"
+    ):
+        run_census(0, 10**4)
+    assert [wide for wide, _, _ in widened] == [np.uint32]
+
+
+def test_one_byte_census_never_widens(monkeypatch):
+    # Every shift up to 200 stays below one byte's largest dist at 10^4
+    # (31 beside 3 label bits): one state, allocated once.
+    made, zeros = [], census_mod.zeros
+
+    def recorded(size, dtype, bound):
+        made.append(dtype)
+        return zeros(size, dtype, bound)
+
+    monkeypatch.setattr(census_mod, "zeros", recorded)
+    for a in range(1, 201):
+        made.clear()
+        run_census(a, 10**4)
+        assert made == [np.uint8], f"a={a}"
 
 
 
@@ -406,16 +531,17 @@ def test_unsettled_node_names_its_input(monkeypatch):
 def test_census_peak_memory():
     # Bytes per table entry at the census's own peak, numpy buffers included.
     # Only the stream's B at the odd n up to limit // 2 (1 B per entry) and
-    # the state up to limit // 2 (1 B per entry) span the range; above that
-    # the state is a window of CHUNK + climb_margin(a) nodes.  The
+    # the one-byte state up to limit // 2 (0.5 B per entry) span the range;
+    # above that the state is a window of CHUNK + climb_margin(a) nodes.  The
     # CHUNK-sized buffers of each segment, two or three alive while the
     # worker builds the next, weigh most at 10^6, and vary with the worker's
-    # timing.  At a = 0 the state takes 2 B and the 78,499 cycles, one per
-    # prime and 4, peak as Python objects.  The bounds were set from 6.56 to
-    # 6.89, 3.07 and 16.51 B with 10% headroom; with B over all of [0,
-    # limit // 2] they measured 8.41, 4.20 and 16.51.  The stream alone
-    # measured 1.68 B per entry, and 2.81 B with B over all of [0, limit // 2].
-    for a, start_limit, per_entry in ((39, 10**6, 7.6), (39, 4 * 10**6, 3.4), (0, 10**6, 18.2)):
+    # timing.  At a = 0 the state takes 4 B per state, 2 B per entry, and
+    # the 78,499 cycles, one per prime and 4, peak as Python objects.  The
+    # bounds were set from 4.34 to 6.06, 2.51 and 16.51 B with 10% headroom;
+    # with a 2-byte state they measured 4.97 to 6.89, 3.07 and 16.51.  The
+    # stream alone measured 1.68 B per entry, and 2.81 B with B over all of
+    # [0, limit // 2].
+    for a, start_limit, per_entry in ((39, 10**6, 6.7), (39, 4 * 10**6, 2.8), (0, 10**6, 18.2)):
         tracemalloc.start()
         try:
             run_census(a, start_limit)
