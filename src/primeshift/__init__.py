@@ -15,7 +15,6 @@ from .constructions import AmicablePair, ChainWitness, build_amicable, find_asce
 from .dynamics import Cycle, OrbitRecord, iterate_orbit
 from .errors import ConsistencyError, DomainError, NonterminationError, RangeOverflowError
 from .fibres import KappaTable, build_kappa, enumerate_fibre
-from .sieve import SieveTable, build_sieve
 from .stats import (
     PartialSumSeries,
     average_order_series,

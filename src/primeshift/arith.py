@@ -8,7 +8,7 @@ shifted variant B_a agrees with B on composites but sends a prime p to p + a.
 from __future__ import annotations
 
 from .errors import DomainError, RangeOverflowError
-from .sieve import WORD_MAX, SieveTable, factorize, is_prime
+from .sieve import WORD_MAX, SieveTable, factorize, is_prime, prime_below
 
 
 def check_shift(a: int) -> int:
@@ -24,6 +24,12 @@ def prime_step(p: int, a: int) -> int:
     if p + a > WORD_MAX:
         raise RangeOverflowError(f"{p} + {a} exceeds the 64-bit range")
     return p + a
+
+
+def check_prime_steps(top: int, a: int) -> None:
+    """RangeOverflowError when B_a carries the largest prime <= top past 2^63 - 1."""
+    if top + a > WORD_MAX:
+        prime_step(prime_below(top + 1), a)
 
 
 def _check_domain(n: int, a: int, extend_domain: bool) -> int | None:

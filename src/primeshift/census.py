@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import check_shift, prime_step
+from .arith import check_prime_steps, check_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import (
-    CHUNK, WORD_MAX, SieveTable, check_size, index_dtype, is_prime, prime_below, zeros
-)
+from .sieve import CHUNK, WORD_MAX, SieveTable, check_size, index_dtype, is_prime, zeros
 from .tables import b_term, blocks, segments, shifted_segments
 
 
@@ -403,8 +401,7 @@ def _sweep(shifts, start_limit):
     top = 0
     for a in shifts:
         t = census_limit(a, last(a))
-        if t + a > WORD_MAX:  # as in shifted_segments, before the stream
-            prime_step(prime_below(t + 1), a)
+        check_prime_steps(t, a)  # as in shifted_segments, before the stream
         top = max(top, t)
     # Closing the stream on every way out stops its worker thread.
     with closing(segments(top, b_term)) as stream:
@@ -413,17 +410,17 @@ def _sweep(shifts, start_limit):
     return {a: _walks(a, last(a), B, table) for a in shifts}
 
 
-def reached_cycles(a: int, start_limit: int) -> tuple[Cycle, ...]:
-    """The nontrivial cycles reached from starts 2..start_limit, by their minimum."""
-    return tuple(c for _, c in sorted(_sweep([a], start_limit)[a].items()) if len(c) > 1)
+def reached_cycles(shifts, start_limit: int) -> dict[int, tuple[Cycle, ...]]:
+    """{a: the nontrivial cycles reached from starts 2..start_limit under
+    B_a, by their minimum} for each a in shifts."""
+    return {a: tuple(c for _, c in sorted(walked.items()) if len(c) > 1)
+            for a, walked in _sweep(shifts, start_limit).items()}
 
 
 def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set[int]]:
     """(counts, argmax_set): the distinct nontrivial cycles for each a in 1..a_max."""
     if a_max < 1:
         raise DomainError(f"--a-max must be >= 1, got {a_max}")
-    walked = _sweep(range(1, a_max + 1), start_limit)
-    counts = {a: sum(len(c) > 1 for c in w.values()) for a, w in walked.items()}
+    counts = {a: len(c) for a, c in reached_cycles(range(1, a_max + 1), start_limit).items()}
     best = max(counts.values())
-    argmax = {a for a, c in counts.items() if c == best}
-    return counts, argmax
+    return counts, {a for a, c in counts.items() if c == best}

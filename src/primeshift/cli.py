@@ -5,9 +5,9 @@ output: CSV (comma separated, header row, LF endings), JSON with a
 schema_version field, or one text line for the commands that have one
 (the others print CSV under --format text).  Exit codes: 0 success,
 1 domain error (including a failed reference-table diff), 2 resource or
-arithmetic error, 64 usage.  run may be called repeatedly in one process:
-it builds the parser and the small table once and prints what a fresh
-process would.
+arithmetic error, 64 usage.  The library sizes its own tables.  run may be
+called repeatedly in one process: it builds the parser once, the library
+its shared table, and each run prints what a fresh process would.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ import numpy as np
 
 from . import golden
 from .arith import check_shift
-from .census import _sweep, cycle_count_sweep, run_census
+from .census import cycle_count_sweep, reached_cycles, run_census
 from .constructions import build_amicable, find_ascending_chain
 from .dynamics import iterate_orbit
 from .errors import DomainError, NonterminationError, RangeOverflowError
 from .fibres import build_kappa, enumerate_fibre
-from .sieve import SieveTable, build_sieve
 from .stats import (
     average_order_series,
     b_minus_beta_series,
@@ -41,11 +40,6 @@ from .stats import (
 
 DEFAULT_LIMIT = 10**6
 SCHEMA_VERSION = 1
-#: Table for the commands whose input is a few numbers: with primes up to
-#: 2^16, trial division settles every n < 2^32, and Miller-Rabin plus rho
-#: stay exact above that.  Built once per process, on first use, and shared
-#: read-only by orbit, amicable and chain.
-SMALL_TABLE = 2**16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,11 +122,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-@functools.cache
-def _small_table() -> SieveTable:
-    return build_sieve(SMALL_TABLE)
-
-
 def _checkpoints(x: int) -> list[int]:
     cps = []
     c = 10
@@ -178,10 +167,7 @@ def _emit(args, payload: dict, columns: list[str], rows, text: str | None = None
 
 
 def _cmd_orbit(args):
-    rec = iterate_orbit(
-        args.n, args.a, _small_table(),
-        max_steps=args.max_steps, extend_domain=args.extend_domain,
-    )
+    rec = iterate_orbit(args.n, args.a, max_steps=args.max_steps, extend_domain=args.extend_domain)
     payload = {
         "start": rec.start,
         "a": rec.a,
@@ -229,8 +215,8 @@ def _cmd_sweep(args):
 def _cmd_table1(args):
     """The catalog diff, as text in every format; exit 1 unless every row matches."""
     lines = []
-    for a, walked in _sweep(sorted(golden.CYCLE_TABLE), args.limit).items():
-        got = {c.members for c in walked.values() if len(c) > 1}
+    for a, cycles in reached_cycles(sorted(golden.CYCLE_TABLE), args.limit).items():
+        got = {c.members for c in cycles}
         want = golden.canonical_set(golden.CYCLE_TABLE[a])
         if got != want:
             note = (" (catalog row is not closed under the map; known inconsistency)"
@@ -241,13 +227,13 @@ def _cmd_table1(args):
 
 
 def _cmd_amicable(args):
-    pair = build_amicable(args.p, _small_table())
+    pair = build_amicable(args.p)
     p, n, a = pair.p, pair.n, pair.a
     return _emit(args, {"p": p, "n": n, "a": a}, ["p", "n", "a"], [(p, n, a)], f"p={p} n={n} a={a}")
 
 
 def _cmd_chain(args):
-    w = find_ascending_chain(args.k, args.bound, _small_table())
+    w = find_ascending_chain(args.k, args.bound)
     if w is None:
         payload = {"k": args.k, "n": None, "a": None, "chain": None}
         return _emit(args, payload, ["k", "n", "a", "chain"], [], "none")
@@ -258,15 +244,14 @@ def _cmd_chain(args):
 
 
 def _cmd_kappa(args):
-    kt = build_kappa(args.limit, build_sieve(max(args.limit, 2)))
+    kt = build_kappa(args.limit)
     rows = [(m, kt[m]) for m in range(1, args.limit + 1)]
     payload = {"kappa": {str(m): str(k) for m, k in rows}}
     return _emit(args, payload, ["m", "kappa"], rows)
 
 
 def _cmd_fibre(args):
-    table = build_sieve(max(min(args.m, args.bound // 2), 2))
-    hits = enumerate_fibre(args.m, args.a, args.bound, table)
+    hits = enumerate_fibre(args.m, args.a, args.bound)
     payload = {"m": args.m, "a": args.a, "bound": args.bound, "solutions": hits}
     text = " ".join(str(n) for n in hits) if hits else "none"
     return _emit(args, payload, ["n"], [(n,) for n in hits], text)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .arith import big_B
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import WORD_MAX, SieveTable, factorize, is_prime, prime_below
+from .sieve import SHARED_LIMIT, WORD_MAX, covering, factorize, is_prime, prime_below
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class ChainWitness:
     chain: tuple[int, ...]
 
 
-def build_amicable(p: int, table: SieveTable) -> AmicablePair:
+def build_amicable(p: int) -> AmicablePair:
     """Produce the 2-cycle through p: a composite n with B(n) = p.
 
     Let q be the largest prime below p and d = p - q.  The pair uses
@@ -37,6 +37,7 @@ def build_amicable(p: int, table: SieveTable) -> AmicablePair:
     preimage of p: for 91 of the 166 primes 5 <= p <= 10^3 a smaller one
     exists.
     """
+    table = covering(SHARED_LIMIT)
     if p <= 3 or not is_prime(p, table):
         raise DomainError(f"--p must be a prime > 3, got {p}")
     q = prime_below(p, table)
@@ -55,9 +56,7 @@ def build_amicable(p: int, table: SieveTable) -> AmicablePair:
     return AmicablePair(p, n, n - p)
 
 
-def find_ascending_chain(
-    k: int, search_bound: int, table: SieveTable
-) -> ChainWitness | None:
+def find_ascending_chain(k: int, search_bound: int) -> ChainWitness | None:
     """Search for primes p, p+a, ..., p+ka (all prime), p and a <= search_bound.
 
     Such a progression climbs under B_a: each prime term maps to the next.
@@ -73,6 +72,7 @@ def find_ascending_chain(
     """
     if k < 1:
         raise DomainError(f"--k must be >= 1, got {k}")
+    table = covering(SHARED_LIMIT)
     stride = 1
     small = []
     for s in range(2, k + 1):

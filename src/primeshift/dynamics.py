@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .arith import _check_domain, check_shift, shifted_B
 from .errors import ConsistencyError, DomainError, NonterminationError
-from .sieve import SieveTable, is_prime
+from .sieve import SHARED_LIMIT, SieveTable, covering, is_prime
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,7 @@ def default_max_steps(n: int, a: int) -> int:
 
 
 def iterate_orbit(
-    n: int,
-    a: int,
-    table: SieveTable,
-    max_steps: int | None = None,
-    extend_domain: bool = False,
+    n: int, a: int, *, max_steps: int | None = None, extend_domain: bool = False
 ) -> OrbitRecord:
     """Follow n under the shifted map until the orbit closes, within max_steps >= 0 steps."""
     a = check_shift(a)
@@ -80,6 +76,7 @@ def iterate_orbit(
         max_steps = default_max_steps(n, a)
     if max_steps < 0:
         raise DomainError(f"--max-steps {max_steps} is negative for the orbit of {n}, a={a}")
+    table = covering(SHARED_LIMIT)
     seen: dict[int, int] = {}
     traj = [n]
     v = n

@@ -14,7 +14,7 @@ import numpy as np
 
 from .arith import check_shift
 from .errors import DomainError, RangeOverflowError
-from .sieve import WORD_MAX, SieveTable, is_prime
+from .sieve import WORD_MAX, covering, is_prime
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class KappaTable:
         return self.kappa[m]
 
 
-def build_kappa(limit: int, table: SieveTable) -> KappaTable:
+def build_kappa(limit: int) -> KappaTable:
     """Count prime partitions with the coin DP for prod_p 1 / (1 - x^p).
 
     Adding the prime p sends k[j] to k[j] + k[j - p] for j ascending; the
@@ -43,11 +43,10 @@ def build_kappa(limit: int, table: SieveTable) -> KappaTable:
     """
     if limit < 1:
         raise DomainError(f"--limit must be >= 1, got {limit}")
-    if table.limit < limit:
-        raise DomainError("sieve must cover the kappa limit")
+    # Sized before the DP array, so a limit past any array fails in check_size.
+    primes = covering(limit).primes()
     k = np.zeros(limit + 1, dtype=object)
     k[0] = 1
-    primes = table.primes()
     for p in primes[: np.searchsorted(primes, limit, side="right")].tolist():
         for j in range(p, limit + 1, p):
             k[j : j + p] += k[j - p : min(j, limit + 1 - p)]
@@ -55,7 +54,7 @@ def build_kappa(limit: int, table: SieveTable) -> KappaTable:
     return KappaTable(limit, tuple(k.tolist()))
 
 
-def enumerate_fibre(m: int, a: int, x_bound: int, table: SieveTable) -> list[int]:
+def enumerate_fibre(m: int, a: int, x_bound: int) -> list[int]:
     """All n <= x_bound with B_a(n) = m, ascending, built from the inverse of B_a.
 
     B_a agrees with B on composites, so the composite solutions are the
@@ -64,8 +63,8 @@ def enumerate_fibre(m: int, a: int, x_bound: int, table: SieveTable) -> list[int
     non-increasing parts, and a branch is dropped once no completion can
     stay <= x_bound: parts >= 2 multiply to at least their sum, and k parts
     in [2, cap] summing to rest, with k >= ceil(rest / cap), multiply to at
-    least 2^(k-1) * (rest - 2(k-1)).  Every part is at most
-    min(m - 2, x_bound // 2), which the sieve must cover.  The one prime
+    least 2^(k-1) * (rest - 2(k-1)).  Every part is at most top =
+    min(m - 2, x_bound // 2), and covering(top) holds them.  The one prime
     solution is m - a, when it is a prime in [2, x_bound].  A bound above
     2^63 - 1 raises RangeOverflowError.
     """
@@ -75,9 +74,7 @@ def enumerate_fibre(m: int, a: int, x_bound: int, table: SieveTable) -> list[int
     if x_bound > WORD_MAX:
         raise RangeOverflowError(f"--bound {x_bound} exceeds the 64-bit range")
     top = max(min(m - 2, x_bound // 2), 0)  # a negative top would wrap the slice below
-    if top > table.limit:
-        raise DomainError(f"fibre of m={m} at bound {x_bound} needs primes up to {top}, "
-                          f"sieve limit is {table.limit}")
+    table = covering(top)
     primes = table.primes()
     primes = primes[: np.searchsorted(primes, top, side="right")].tolist()
     out = []

@@ -1,17 +1,18 @@
 """Smallest-prime-factor sieve, primality testing, and integer factorization.
 
-build_sieve holds the table over [0, limit] whole, for the commands that
-look up a few numbers; spf_windows streams the same table segment by
-segment (Bays and Hudson's segmented sieve) for the bulk tables, so no
-bulk command holds it whole.  Above the limit, factorization uses trial
-division against the sieve primes, a deterministic Miller-Rabin test
-(complete witness set for the 64-bit range), and a Brent-variant rho
+build_sieve holds the table over [0, limit] whole, covering sizes it for
+the commands that look up a few numbers, and spf_windows streams it
+segment by segment (Bays and Hudson's segmented sieve) for the bulk
+tables, so no bulk command holds it whole.  Above the limit, factorization
+uses trial division against the sieve primes, a deterministic Miller-Rabin
+test (complete witness set for the 64-bit range), and a Brent-variant rho
 splitter for the rare composites that survive both.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 import random
@@ -26,6 +27,10 @@ WORD_MAX = 2**63 - 1
 #: Entries per pass of the chunked loops, which bounds their temporaries
 #: and keeps the sieve's segments in cache.
 CHUNK = 1 << 17
+
+#: Limit of covering's shared table: with primes up to 2^16, trial division
+#: settles every n < 2^32, and Miller-Rabin plus rho are exact above that.
+SHARED_LIMIT = 2**16
 
 # Complete deterministic witness set for n < 3.3 * 10^24, covers WORD_MAX.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -95,18 +100,22 @@ def _sieve_segment(seg: np.ndarray, lo: int, descending: list[int]) -> None:
     seg[: max(2 - lo, 0)] = 0
 
 
-def check_size(size: int, dtype, bound: str) -> None:
-    """A MemoryError naming bound where numpy could hold no array of size
-    entries of dtype (it would raise ValueError)."""
+def check_size(size: int, dtype, bound: str) -> int:
+    """The bytes of size entries of dtype, or a MemoryError naming bound where
+    numpy could hold no such array (it would raise ValueError)."""
     nbytes = size * np.dtype(dtype).itemsize
     if nbytes > np.iinfo(np.intp).max:
         raise MemoryError(f"{bound} needs a {nbytes}-byte table, past the largest array")
+    return nbytes
 
 
 def zeros(size: int, dtype, bound: str) -> np.ndarray:
-    """np.zeros(size, dtype), checked by check_size first."""
-    check_size(size, dtype, bound)
-    return np.zeros(size, dtype=dtype)
+    """np.zeros(size, dtype) after check_size; numpy's MemoryError is raised again naming bound."""
+    nbytes = check_size(size, dtype, bound)
+    try:
+        return np.zeros(size, dtype=dtype)
+    except MemoryError:
+        raise MemoryError(f"{bound} needs a {nbytes}-byte table, more than is free") from None
 
 
 def build_sieve(limit: int) -> SieveTable:
@@ -119,6 +128,16 @@ def build_sieve(limit: int) -> SieveTable:
     for w, seg in spf_windows(limit):
         spf[w : w + seg.size] = seg
     return SieveTable(limit, spf)
+
+
+_shared = functools.cache(lambda: build_sieve(SHARED_LIMIT))
+
+
+def covering(top: int) -> SieveTable:
+    """A table that reaches top: the shared read-only 2^16 table, built once
+    per process, when it does, else a fresh build_sieve(top).  Factorization
+    above a table's limit is exact, so which one never changes a result."""
+    return _shared() if top <= SHARED_LIMIT else build_sieve(top)
 
 
 def spf_windows(limit: int):

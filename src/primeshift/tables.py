@@ -8,9 +8,9 @@ of B, beta or B_a exists.  Only the values at the odd n <= limit // 2
 outlive a segment, 1 B per entry of the range: an even n = 2^k o, o odd,
 takes its value from o's, as B(2^k o) = 2k + B(o).  B_a differs from B
 only at the primes, where B(n) = spf(n): shifted_segments adds a there,
-once arith.prime_step, the one rule for p + a, has passed the largest
-prime.  From the second segment on, one worker thread builds the next
-segment while the caller works on the current one.
+once arith.check_prime_steps, the one rule for p + a, has passed the
+largest prime.  From the second segment on, one worker thread builds the
+next segment while the caller works on the current one.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import prime_step
+from .arith import check_prime_steps
 from .errors import DomainError
-from .sieve import WORD_MAX, index_dtype, prime_below, spf_windows, zeros
+from .sieve import index_dtype, spf_windows, zeros
 
 
 class Term(NamedTuple):
@@ -130,8 +130,7 @@ def shifted_segments(a: int, top: int):
     largest prime <= top past 2^63 - 1 raises RangeOverflowError before
     any segment is built.
     """
-    if top + a > WORD_MAX:
-        prime_step(prime_below(top + 1), a)
+    check_prime_steps(top, a)
     for s, spf, v in segments(top, b_term):
         f = v.astype(index_dtype(top + a), copy=False)
         f += (f == spf) * f.dtype.type(a)

@@ -1,7 +1,8 @@
 import pytest
 
 from oracles import prime_power_sums
-from primeshift import build_kappa, build_sieve, cli
+from primeshift import build_kappa, sieve
+from primeshift.sieve import build_sieve
 
 # Covers starts up to 10^6 plus the climb headroom needed by shifts a <= 200
 # (an orbit from p <= 10^6 never exceeds p + 12a).
@@ -10,11 +11,12 @@ MILLION = 10**6
 
 
 @pytest.fixture(autouse=True)
-def _fresh_small_table():
-    """Drop the CLI's cached 2^16 table after each test, so a table built
-    while a test patched the sieve never reaches a later test."""
+def _fresh_shared_table():
+    """Drop the shared 2^16 table that sieve.covering caches after each
+    test, so a table built while a test patched the sieve never reaches a
+    later test."""
     yield
-    cli._small_table.cache_clear()
+    sieve._shared.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -43,5 +45,5 @@ def beta_values(oracle_values):
 
 
 @pytest.fixture(scope="session")
-def kappa60(table):
-    return build_kappa(60, table)
+def kappa60():
+    return build_kappa(60)

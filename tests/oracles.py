@@ -93,7 +93,7 @@ def run_census_naive(
     hist: dict[int, int] = {}
     max_tail = 0
     for n in starts:
-        rec = iterate_orbit(n, a, table)
+        rec = iterate_orbit(n, a)
         cyc = canonicalize(rec.cycle, a, table)
         basins.setdefault(cyc.members, [cyc, 0])[1] += 1
         tail = rec.total_stopping_time

@@ -162,12 +162,12 @@ def test_criterion_08_amicable(table, capsys):
     valid = True
     for p in range(5, 10**4 + 1):
         if is_prime(p, table):
-            pair = build_amicable(p, table)
+            pair = build_amicable(p)
             valid = valid and verify_amicable(pair, table)
     findings = []
     for p in range(5, 10**3 + 1):
         if is_prime(p, table):
-            pair = build_amicable(p, table)
+            pair = build_amicable(p)
             mn = min_composite_preimage(p, table)
             if pair.n != mn:
                 findings.append((p, pair.n, mn))
@@ -193,8 +193,8 @@ def test_criterion_09_kappa_oracle(table, kappa60, capsys):
     report(capsys, 9, "kappa recursion matches enumeration to 60", ok)
 
 
-def test_criterion_10_kappa_trend(table, capsys):
-    kt = build_kappa(10**4, table)
+def test_criterion_10_kappa_trend(capsys):
+    kt = build_kappa(10**4)
     r = [kappa_asymptotic_ratio(m, kt) for m in (10**2, 10**3, 10**4)]
     ok = r[0] < r[1] < r[2] and 0.5 < r[1] < 1.1
     report(capsys, 10, "kappa growth ratio increasing, in band at 10^3", ok,
@@ -245,7 +245,7 @@ def test_criterion_14_square_value_density(capsys):
 
 
 def test_criterion_15_ascending_chain(table, capsys):
-    w = find_ascending_chain(4, 10**3, table)
+    w = find_ascending_chain(4, 10**3)
     ok = w is not None and w.chain == (5, 11, 17, 23, 29) and w.a == 6
     ok = ok and validate_chain(w, table)
     report(capsys, 15, "length-4 ascending chain 5 11 17 23 29 at a=6", ok)

@@ -10,7 +10,6 @@ import pytest
 from oracles import prime_power_sums, run_census_naive, shifted_map, walked_cycles
 from primeshift import (
     ConsistencyError,
-    build_sieve,
     cycle_count_sweep,
     iterate_orbit,
     reached_cycles,
@@ -23,7 +22,7 @@ from primeshift.census import census_limit, climb_margin, dist_top, state_dtype
 from primeshift.cli import run
 from primeshift.dynamics import canonicalize, default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
-from primeshift.sieve import index_dtype
+from primeshift.sieve import build_sieve, index_dtype
 from primeshift.tables import b_term, segments
 
 
@@ -134,7 +133,7 @@ def test_naive_agrees_on_reached_cycles(table):
         assert _summary(run_census(a, 3000)) == _summary(slow), f"a={a}"
         for start_limit, naive in ((3000, slow), (20, run_census_naive(a, 20, table))):
             want = [(c.members, c.sign_pattern) for c in naive.cycles if len(c) > 1]
-            got = [(c.members, c.sign_pattern) for c in reached_cycles(a, start_limit)]
+            got = [(c.members, c.sign_pattern) for c in reached_cycles([a], start_limit)[a]]
             assert got == want, f"a={a}, start_limit={start_limit}"
 
 
@@ -226,11 +225,11 @@ def test_order_independence(table):
     }
 
 
-def test_fate_matches_orbit_tail(table):
+def test_fate_matches_orbit_tail():
     rep = run_census(5, 10**4)
     member_sets = {c.members: set(c.members) for c in rep.cycles}
     for n in (2, 17, 100, 5040, 9973):
-        rec = iterate_orbit(n, 5, table)
+        rec = iterate_orbit(n, 5)
         landing = rec.trajectory[rec.total_stopping_time]
         assert any(landing in s for s in member_sets.values())
 
@@ -454,12 +453,12 @@ def test_dist_past_budget_raises(monkeypatch):
         run_census(0, 100)
 
 
-def test_dist_past_budget_raises_in_its_window(table, monkeypatch):
+def test_dist_past_budget_raises_in_its_window(monkeypatch):
     # Under a = 0 only 9314 of the nodes up to 10^4 is more than 9 steps
     # from its fixed point, and it lies above H = 5002, where the state is
     # a window.  With 64-entry segments and a budget of 9 the census names
     # it as the window passes it, while the stream is short of its top.
-    steps = [iterate_orbit(n, 0, table).total_stopping_time for n in range(2, 10**4 + 1)]
+    steps = [iterate_orbit(n, 0).total_stopping_time for n in range(2, 10**4 + 1)]
     assert [n for n, k in enumerate(steps, 2) if k > 9] == [9314]
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
@@ -483,7 +482,7 @@ def test_walk_past_budget_raises(monkeypatch):
     # Under a = 39 the walk from 2 runs 2 -> 41 -> 80 -> ...: past a budget
     # of 1 step before it closes a cycle.
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 1)
-    for find in (run_census, reached_cycles):
+    for find in (run_census, lambda a, start_limit: reached_cycles([a], start_limit)):
         with pytest.raises(ConsistencyError, match=r"^no cycle within 1 steps from 2 under a=39$"):
             find(39, 100)
 
@@ -493,7 +492,7 @@ def test_walk_stream_stops_its_worker(monkeypatch):
     # a = 39 read B_a over [0, 238] in four segments, the last three built
     # by the stream's worker thread.  The worker is gone when the walks
     # return, and when they fail, while the error and its frames live on.
-    expected = reached_cycles(39, 100)
+    expected = reached_cycles([39], 100)
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
     windows, spf_windows = [], tables_mod.spf_windows
@@ -505,7 +504,7 @@ def test_walk_stream_stops_its_worker(monkeypatch):
 
     monkeypatch.setattr(tables_mod, "spf_windows", counted)
     before = threading.active_count()
-    assert reached_cycles(39, 100) == expected
+    assert reached_cycles([39], 100) == expected
     assert threading.active_count() == before
     assert [limit for limit, _ in windows] == [238] * 4
     assert {ident for _, ident in windows} - {threading.get_ident()}
@@ -588,7 +587,7 @@ def _trial_division_factors(n):
 
 def test_a951_cycles_close_under_trial_division():
     # cycle_count_sweep(1000, 10**6) peaks at 5 cycles, only at a = 951.
-    cycles = reached_cycles(951, 10**6)
+    cycles = reached_cycles([951], 10**6)[951]
     assert len(cycles) == 5
     for cyc in cycles:
         members = cyc.members

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -14,11 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import verify_amicable
-from primeshift import AmicablePair, build_sieve, cli, constructions, tables
+from primeshift import AmicablePair, cli, constructions, tables
 from primeshift import sieve as sieve_mod
 from primeshift.arith import big_B, shifted_B
 from primeshift.cli import run
-from primeshift.sieve import is_prime
+from primeshift.sieve import build_sieve, is_prime
 
 
 def invoke(capsys, *argv):
@@ -207,9 +209,14 @@ def test_fibre_of_large_m_under_small_bound(capsys, m):
     ["kappa", "--limit", str(10**20)],
 ])
 def test_sieve_past_64_bits(capsys, argv):
+    # fibre checks its --bound before it sizes a table; kappa's table is
+    # sized by --limit itself.
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("arithmetic/resource error: sieve limit ") and "64-bit range" in err
+    if argv[0] == "fibre":
+        assert err == f"arithmetic/resource error: --bound {10**20} exceeds the 64-bit range\n"
+    else:
+        assert err == f"arithmetic/resource error: sieve limit {10**20} exceeds the 64-bit range\n"
 
 
 def test_fibre_bound_past_64_bits_names_the_flag(capsys):
@@ -243,6 +250,23 @@ def test_table_past_any_array(capsys, argv):
     if argv[0] == "census":
         # The census names its own input, not the range of a table below it.
         assert "a=1" in err and "--limit 9223372036854775000" in err
+
+
+def test_refused_allocation_names_the_input(capsys, monkeypatch):
+    # numpy's MemoryError, here for any array past 50,000 entries, is
+    # raised again naming the census's input.  Nothing large is allocated.
+    np_zeros = np.zeros
+
+    def refuse(size, dtype=float):
+        if size > 50_000:
+            raise MemoryError(f"Unable to allocate an array with shape ({size},)")
+        return np_zeros(size, dtype=dtype)
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    code, out, err = invoke(capsys, "census", "--a", "39", "--limit", str(10**5))
+    assert (code, out) == (2, "")
+    assert err.startswith("arithmetic/resource error: census of a=39 with --limit 100000 needs a ")
+    assert err.endswith("-byte table, more than is free\n")
 
 
 def _no_segments(limit, term):
@@ -572,32 +596,40 @@ def _captured_run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-SMALL_TABLE_COMMANDS = ("orbit", "amicable", "chain")
+def _uses_shared_table(argv) -> bool:
+    """Whether a small_queries command reads sieve.covering's shared table:
+    orbit, amicable and chain always, and fibre and kappa, whose tables
+    reach at most 2998 and 300 here, once their input passes its check."""
+    cmd, flags = argv[2], dict(zip(argv[3::2], argv[4::2]))
+    if cmd == "fibre":
+        return int(flags["--m"]) >= 2
+    if cmd == "kappa":
+        return int(flags["--limit"]) >= 1
+    return cmd in ("orbit", "amicable", "chain")
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_queries())
 def test_table_size_never_changes_output(argv):
-    # each command's own sizing, and the shared 2^16 table, against tables
-    # of at least 10^6 entries; the cache is cleared on both sides of the
-    # patch, so each run builds the table it is meant to use
+    # every table the library sizes, the shared 2^16 one included, against
+    # tables of at least 10^6 entries; the cache is cleared on both sides
+    # of the patch, so each run builds the table it is meant to use
     built = []
 
     def floored(limit):
         built.append(build_sieve(max(limit, 10**6)))
         return built[-1]
 
-    uses_small = argv[2] in SMALL_TABLE_COMMANDS
-    cli._small_table.cache_clear()
-    with mock.patch.object(cli, "build_sieve", floored):
+    uses_shared = _uses_shared_table(argv)
+    sieve_mod._shared.cache_clear()
+    with mock.patch.object(sieve_mod, "build_sieve", floored):
         floored_run = _captured_run(argv)
-    cli._small_table.cache_clear()
-    if uses_small:
-        assert [t.limit for t in built] == [10**6]
+    sieve_mod._shared.cache_clear()
+    assert [t.limit for t in built] == [10**6] * uses_shared
     assert _captured_run(argv) == floored_run
-    assert cli._small_table.cache_info().misses == uses_small
-    if uses_small:
-        assert cli._small_table().limit == cli.SMALL_TABLE
+    assert sieve_mod._shared.cache_info().misses == uses_shared
+    if uses_shared:
+        assert sieve_mod._shared().limit == 2**16
 
 
 OUT = "<out>"
@@ -626,22 +658,39 @@ def test_repeated_runs_match_first_runs(tmp_path, sequence):
     first = []
     for argv, _ in sequence:
         cli._build_parser.cache_clear()
-        cli._small_table.cache_clear()
+        sieve_mod._shared.cache_clear()
         first.append(recorded(argv))
     assert [r[0] for r in first] == [code for _, code in sequence]
     cli._build_parser()
-    cli._small_table()
+    sieve_mod.covering(2)
     assert [recorded(argv) for argv, _ in sequence] == first
 
 
-def test_parser_and_small_table_built_once(capsys):
+def test_parser_and_small_table_built_once(capsys, monkeypatch):
+    # orbit, amicable, chain, and fibre and kappa of small inputs all read
+    # the one shared 2^16 table: no command builds a second one.
     cli._build_parser.cache_clear()
-    cli._small_table.cache_clear()
+    sieve_mod._shared.cache_clear()
+    built = []
+    monkeypatch.setattr(sieve_mod, "build_sieve", lambda limit: built.append(limit) or build_sieve(limit))
     for argv in (["orbit", "--n", "5"], ["amicable", "--p", "11"], ["chain", "--k", "4"],
-                 ["fibre", "--m", "7"], ["orbit", "--n", "100", "--a", "1"]):
+                 ["fibre", "--m", "7"], ["kappa", "--limit", "60"], ["orbit", "--n", "100", "--a", "1"]):
         assert invoke(capsys, *argv)[0] == 0
     assert cli._build_parser.cache_info().misses == 1
-    assert cli._small_table.cache_info().misses == 1
-    table = cli._small_table()
-    assert table.limit == cli.SMALL_TABLE
+    assert built == [2**16]
+    table = sieve_mod.covering(2**16)
+    assert sieve_mod._shared.cache_info().misses == 1 and table.limit == 2**16
     assert not table.spf.flags.writeable and not table.primes().flags.writeable
+
+
+def test_cli_passes_flags_and_sizes_no_table():
+    # The library sizes its own tables: no function cli.py imports from the
+    # package takes one, and cli.py imports no private name.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    names = [alias.name for node in imports for alias in node.names]
+    assert not [n for n in [*names, *(node.module or "" for node in imports)] if n.startswith("_")]
+    functions = [getattr(cli, n) for n in names if inspect.isfunction(getattr(cli, n))]
+    assert {"iterate_orbit", "build_amicable", "find_ascending_chain", "build_kappa",
+            "enumerate_fibre", "reached_cycles"} <= {f.__name__ for f in functions}
+    assert [f.__name__ for f in functions if "table" in inspect.signature(f).parameters] == []

@@ -6,38 +6,38 @@ from primeshift.arith import shifted_B
 from primeshift.dynamics import canonicalize
 
 
-def test_orbit_cycle_examples(table):
-    rec = iterate_orbit(5, 2, table)
+def test_orbit_cycle_examples():
+    rec = iterate_orbit(5, 2)
     assert rec.trajectory == (5, 7, 9, 6, 5)
     assert rec.cycle == (5, 7, 9, 6)
     assert rec.entry_index == 0
 
-    rec = iterate_orbit(4, 7, table)
+    rec = iterate_orbit(4, 7)
     assert rec.cycle == (4,)
     assert rec.total_stopping_time == 0
 
 
 def test_orbit_descends_to_5_6(table):
-    rec = iterate_orbit(100, 1, table)
+    rec = iterate_orbit(100, 1)
     assert set(rec.cycle) == {5, 6}
     # trajectory agrees with direct scalar iteration
     for i in range(len(rec.trajectory) - 1):
         assert rec.trajectory[i + 1] == shifted_B(rec.trajectory[i], 1, table)
 
 
-def test_orbit_extended_domain(table):
-    rec = iterate_orbit(1, 5, table, extend_domain=True)
+def test_orbit_extended_domain():
+    rec = iterate_orbit(1, 5, extend_domain=True)
     assert rec.cycle == (1,)
 
 
-def test_stopping_times(table):
-    assert iterate_orbit(7, 1, table).stopping_time == 2
-    assert iterate_orbit(9, 1, table).stopping_time == 1
-    assert iterate_orbit(5, 1, table).stopping_time is None  # cycle minimum never drops
-    assert iterate_orbit(4, 9, table).stopping_time is None
-    assert iterate_orbit(5, 2, table).total_stopping_time == 0
-    assert iterate_orbit(100, 1, table).total_stopping_time == len(
-        iterate_orbit(100, 1, table).trajectory
+def test_stopping_times():
+    assert iterate_orbit(7, 1).stopping_time == 2
+    assert iterate_orbit(9, 1).stopping_time == 1
+    assert iterate_orbit(5, 1).stopping_time is None  # cycle minimum never drops
+    assert iterate_orbit(4, 9).stopping_time is None
+    assert iterate_orbit(5, 2).total_stopping_time == 0
+    assert iterate_orbit(100, 1).total_stopping_time == len(
+        iterate_orbit(100, 1).trajectory
     ) - 1 - 2  # tail length: cycle (5,6) occupies the last two steps
 
 

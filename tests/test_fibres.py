@@ -15,13 +15,12 @@ from oracles import (
 from primeshift import (
     DomainError,
     build_kappa,
-    build_sieve,
     enumerate_fibre,
     preimage_density,
 )
 from primeshift import sieve as sieve_mod
 from primeshift.arith import shifted_B
-from primeshift.sieve import is_prime
+from primeshift.sieve import build_sieve, is_prime
 
 
 def partition_count_oracle(limit, table):
@@ -54,39 +53,39 @@ def test_kappa_vs_enumeration(table, kappa60):
 
 def test_kappa_matches_recursion_oracle(table):
     # the paper's beta-weighted recursion, with its exact-division check
-    assert list(build_kappa(1000, table).kappa) == kappa_recursion(1000, table)
+    assert list(build_kappa(1000).kappa) == kappa_recursion(1000, table)
 
 
 def test_kappa_positive_from_two(kappa60):
     assert all(kappa60[m] >= 1 for m in range(2, 61))
 
 
-def test_kappa_domain(table):
+def test_kappa_domain():
     with pytest.raises(DomainError):
-        build_kappa(0, table)
-    kt = build_kappa(5, table)
+        build_kappa(0)
+    kt = build_kappa(5)
     with pytest.raises(DomainError):
         kt[6]
 
 
-def test_fibre_examples(table):
-    assert enumerate_fibre(7, 0, 10**3, table) == [7, 10, 12]
-    assert enumerate_fibre(4, 0, 10**2, table) == [4]
+def test_fibre_examples():
+    assert enumerate_fibre(7, 0, 10**3) == [7, 10, 12]
+    assert enumerate_fibre(4, 0, 10**2) == [4]
     # shifting only moves the prime preimage: 7 - 3 = 4 is composite, so
     # the solution set at a=3 is just the composite part {10, 12}
-    assert enumerate_fibre(7, 3, 10**3, table) == [10, 12]
+    assert enumerate_fibre(7, 3, 10**3) == [10, 12]
     # the bound is inclusive: twenty parts of 2 give 2^20
-    assert enumerate_fibre(40, 0, 2**20, table)[-1] == 2**20
+    assert enumerate_fibre(40, 0, 2**20)[-1] == 2**20
 
 
 def test_fibre_scalar_path_matches_vectorized(table):
     for m, a in ((7, 0), (12, 5), (30, 2)):
-        fast = enumerate_fibre(m, a, 500, table)
+        fast = enumerate_fibre(m, a, 500)
         slow = [n for n in range(2, 501) if shifted_B(n, a, table) == m]
         assert fast == slow
 
 
-def test_fibre_matches_step_map_scan(table):
+def test_fibre_matches_step_map_scan():
     rng = random.Random(20)
     cases = [(rng.randint(2, 10**4), rng.randint(0, 50)) for _ in range(20)]
     cases += [(m, a) for m in range(2, 60) for a in (0, 3, 17)]
@@ -94,17 +93,29 @@ def test_fibre_matches_step_map_scan(table):
     maps = {a: shifted_map(b, prime, a) for _, a in cases}
     for m, a in cases:
         scan = (np.flatnonzero(maps[a][2:] == m) + 2).tolist()
-        assert enumerate_fibre(m, a, 10**5, table) == scan, (m, a)
+        assert enumerate_fibre(m, a, 10**5) == scan, (m, a)
 
 
-def test_fibre_needs_sieve_below_half_bound(table):
-    # parts of a composite solution are <= min(m - 2, bound // 2)
-    small = build_sieve(100)
-    assert enumerate_fibre(102, 0, 10**4, small) == enumerate_fibre(102, 0, 10**4, table)
-    assert enumerate_fibre(400, 0, 201, small) == []
-    for m, bound in ((103, 10**4), (400, 202)):
-        with pytest.raises(DomainError):
-            enumerate_fibre(m, 0, bound, small)
+@pytest.mark.parametrize("a", [0, 3])
+def test_fibre_tables_around_the_shared_limit(monkeypatch, a):
+    # Parts of a composite solution are <= top = min(m - 2, bound // 2), and
+    # enumerate_fibre reads covering(top): the shared 2^16 table up to 2^16,
+    # a fresh one above.  Both ways of setting top are met at 2^16 - 1,
+    # 2^16 and 2^16 + 1; 65537 is prime, so at 2^16 + 1 the part 65537
+    # itself is a solution's part (2 * 65537 under m = 65539).
+    built, build_sieve = [], sieve_mod.build_sieve
+    monkeypatch.setattr(sieve_mod, "build_sieve", lambda limit: built.append(limit) or build_sieve(limit))
+    b, _, prime = prime_power_sums(2 * (2**16 + 1) + 100)
+    f = shifted_map(b, prime, a)
+    for top in (2**16 - 1, 2**16, 2**16 + 1):
+        cases = [(m, bound) for m in range(top + 2, top + 12) for bound in (2 * top, 2 * top + 1)]
+        cases += [(top + 2, 2 * top + 100)]
+        for m, bound in cases:
+            del built[:]
+            scan = (np.flatnonzero(f[2 : bound + 1] == m) + 2).tolist()
+            assert enumerate_fibre(m, a, bound) == scan, (m, a, bound)
+            assert built in ([], [2**16]) if top <= 2**16 else built == [top], (m, bound, built)
+    assert enumerate_fibre(2**16 + 3, a, 2 * (2**16 + 1))[-1] == 2 * 65537
 
 
 def test_fibre_partition_bijection(table, kappa60):
@@ -112,27 +123,27 @@ def test_fibre_partition_bijection(table, kappa60):
     for m in range(2, 41):
         exact = enumerate_fibre_exact(m, table)
         assert len(exact) == kappa60[m]
-        bounded = enumerate_fibre(m, 0, max(exact), table)
+        bounded = enumerate_fibre(m, 0, max(exact))
         assert bounded == exact
 
 
 def test_fibre_has_composite_solution(table):
     for m in range(5, 1001):
-        fibre = enumerate_fibre(m, 0, table.limit, table)
+        fibre = enumerate_fibre(m, 0, table.limit)
         assert any(not is_prime(n, table) for n in fibre), f"m={m}"
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=2, max_value=300), st.integers(min_value=0, max_value=20))
-def test_fibre_shift_independence(table, m, a):
+def test_fibre_shift_independence(m, a):
     # fibres at shift a and shift 0 differ at most at {m - a, m}
-    base = set(enumerate_fibre(m, 0, 10**4, table))
-    shifted = set(enumerate_fibre(m, a, 10**4, table))
+    base = set(enumerate_fibre(m, 0, 10**4))
+    shifted = set(enumerate_fibre(m, a, 10**4))
     assert base.symmetric_difference(shifted) <= {m - a, m}
 
 
-def test_kappa_ratio_trend(table):
-    kt = build_kappa(1000, table)
+def test_kappa_ratio_trend():
+    kt = build_kappa(1000)
     r100 = kappa_asymptotic_ratio(100, kt)
     r1000 = kappa_asymptotic_ratio(1000, kt)
     assert 0 < r100 < r1000 < 1.1

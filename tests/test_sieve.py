@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeshift import DomainError, build_sieve
-from primeshift.sieve import CHUNK, factorize, is_prime, spf_windows
+from primeshift import DomainError
+from primeshift import sieve as sieve_mod
+from primeshift.sieve import CHUNK, build_sieve, covering, factorize, is_prime, spf_windows, zeros
 
 
 def trial_division_is_prime(n):
@@ -100,6 +101,31 @@ def test_sieve_immutable(table):
 def test_sieve_domain():
     with pytest.raises(DomainError):
         build_sieve(1)
+
+
+def test_covering_shares_one_table_up_to_2_16(monkeypatch):
+    # covering(top) is one read-only 2^16 table, built once, for every top
+    # it reaches, and a fresh table of limit top, built each call, above.
+    built = []
+    monkeypatch.setattr(sieve_mod, "build_sieve", lambda limit: built.append(limit) or build_sieve(limit))
+    shared = covering(2**16)
+    assert shared.limit == 2**16 and not shared.spf.flags.writeable
+    assert covering(0) is shared and covering(2**16) is shared
+    fresh = covering(2**16 + 1)
+    assert fresh.limit == 2**16 + 1 and covering(2**16 + 1) is not fresh
+    assert built == [2**16, 2**16 + 1, 2**16 + 1]
+
+
+def test_zeros_names_its_input_when_numpy_refuses(monkeypatch):
+    # numpy's own MemoryError names only the array's shape and dtype.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.66 GiB for an array with shape (5000131251,)")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    bound = "census of a=39 with --limit 10000000000"
+    with pytest.raises(MemoryError, match="^census of a=39 with --limit 10000000000 needs a "
+                                          "10000262502-byte table, more than is free$"):
+        zeros(5000131251, np.uint16, bound)
 
 
 def test_factorize_examples(table):
