@@ -6,7 +6,7 @@ on that range as a functional graph.  Short scalar walks from 4 and the
 primes find every cycle but the prime fixed points of a = 0 (see
 _find_cycles), over a prefix of B of their own (_sweep); a label is the
 1-based index of a cycle's minimum among all minima.  One ascending pass
-over the segment stream of tables.shifted_segments then gives every node
+over the window stream of tables.shifted_segments then gives every node
 its label and distance, because a node's successor almost always lies
 below it.  Both live in one packed state per node (see state_dtype), one
 byte at a <= 200, widened only if a distance needs it, and a census holds
@@ -26,7 +26,7 @@ from .arith import check_prime_steps, check_shift
 from .dynamics import Cycle, canonicalize, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
 from .sieve import CHUNK, WORD_MAX, SieveTable, check_size, index_dtype, is_prime, zeros
-from .tables import b_term, blocks, segments, shifted_segments
+from .tables import b_term, segments, shifted_segments
 
 
 def climb_margin(a: int) -> int:
@@ -191,8 +191,8 @@ def _tally(total, values):
 def run_census(a: int, start_limit: int) -> CensusReport:
     """Enumerate all cycles reached from starts 2..start_limit, with basins.
 
-    Works on [2, census_limit(a, start_limit)], streamed segment by
-    segment.  Deterministic: cycles are listed by their minimum member.
+    Works on [2, census_limit(a, start_limit)], streamed window by
+    window.  Deterministic: cycles are listed by their minimum member.
     Every walked cycle is checked against the scalar map (canonicalize);
     the prime fixed points of a = 0 come straight from the stream.  Cycles
     reached only from starts above start_limit are not listed.
@@ -205,8 +205,8 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     bits = minima[0].size.bit_length()
     if a == 0:
         # Every prime is a fixed point as well; the walks met (2), (3) and
-        # (4), and the primes from 5 on take their labels segment by
-        # segment, so the label count is bounded before the state exists:
+        # (4), and the primes from 5 on take their labels window by
+        # window, so the label count is bounded before the state exists:
         # pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld), plus 4.
         bits = (int(1.25506 * limit / math.log(limit)) + 1).bit_length()
     step, past = 1 << bits, (budget + 1) << bits
@@ -232,7 +232,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     # full, would wrap one step on, so the state first widens, once, to the
     # dtype of the budget, and fold still sees every dist past it.  The
     # wide state is a zeroed copy of the positions below written, the
-    # walked cycles and the segments streamed so far, so the pages above it
+    # walked cycles and the windows streamed so far, so the pages above it
     # stay untouched.
     half = limit // 2 + 2
     bound = f"census of a={a} with --limit {start_limit}"
@@ -279,10 +279,8 @@ def run_census(a: int, start_limit: int) -> CensusReport:
             counted = min(end, n + CHUNK, top)
             part = state[pos : pos + counted - n]
             if part.max() >= past:
-                raise ConsistencyError(
-                    f"node {n + int(np.argmax(part >= past))} under a={a} "
-                    f"is more than {budget} steps from its cycle"
-                )
+                first = pos + int(np.argmax(part >= past))
+                raise ConsistencyError(f"{name(first)} is more than {budget} steps from its cycle")
             starts = part[max(2 - n, 0) : max(start_limit + 1 - n, 0)]
             # A (dist, label) grid over the labels of every prime of a = 0
             # would be huge.
@@ -295,7 +293,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
         # further; cycle nodes keep theirs.  The rest wait with their
         # successors.  f holds successors as nodes and is read as positions:
         # a node up to half is its own position, and above half a successor
-        # is some p + a from a prime p in this block.  For a > 0 that node
+        # is some p + a from a prime p among these nodes.  For a > 0 that node
         # is unresolved, and so is position p + a > lo, not yet written (or
         # past the window, clipped to its last slot); at a = 0 the primes
         # are labelled already and do not wait.  Only the successors that
@@ -356,13 +354,12 @@ def run_census(a: int, start_limit: int) -> CensusReport:
                 )
                 ranked += primes.size
                 minima.append(primes)
-            for lo, hi in blocks(s, s + f.size):
-                pending = resolve(lo - shift, f[lo - s : hi - s], pending)
+            lo = max(s, 2)
+            pending = resolve(lo - shift, f[lo - s :], pending)
             del spf, f  # so the stream frees it before it builds another
-    nodes = node(pending[0])
-    stuck = nodes[nodes <= start_limit]
+    stuck = pending[0][node(pending[0]) <= start_limit]
     if stuck.size:
-        raise ConsistencyError(f"node {int(stuck[0])} under a={a} reaches no cycle")
+        raise ConsistencyError(f"{name(int(stuck[0]))} reaches no cycle")
     fold(limit + 1)
 
     tallies = [np.trim_zeros(t, "b") for t in tallies]

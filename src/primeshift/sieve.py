@@ -2,11 +2,14 @@
 
 build_sieve holds the table over [0, limit] whole, covering sizes it for
 the commands that look up a few numbers, and spf_windows streams it
-segment by segment (Bays and Hudson's segmented sieve) for the bulk
-tables, so no bulk command holds it whole.  Above the limit, factorization
-uses trial division against the sieve primes, a deterministic Miller-Rabin
-test (complete witness set for the 64-bit range), and a Brent-variant rho
-splitter for the rare composites that survive both.
+window by window (Bays and Hudson's segmented sieve) for the bulk tables,
+so no bulk command holds it whole.  The windows double up to CHUNK
+entries, so the primes that sieve a window come from the windows before
+it, and so do the values that tables.segments fills it from.  Above the
+limit, factorization uses trial division against the sieve primes, a
+deterministic Miller-Rabin test (complete witness set for the 64-bit
+range), and a Brent-variant rho splitter for the rare composites that
+survive both.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 import random
 
 import numpy as np
@@ -25,7 +27,7 @@ from .errors import DomainError, RangeOverflowError
 WORD_MAX = 2**63 - 1
 
 #: Entries per pass of the chunked loops, which bounds their temporaries
-#: and keeps the sieve's segments in cache.
+#: and keeps the sieve's windows in cache.
 CHUNK = 1 << 17
 
 #: Limit of covering's shared table: with primes up to 2^16, trial division
@@ -71,35 +73,6 @@ def index_dtype(top: int) -> type:
     return np.int32 if top < 2**31 else np.int64
 
 
-def _sieving_primes(limit: int) -> list[int]:
-    """The primes p <= sqrt(limit), largest first, as Python ints."""
-    root = math.isqrt(limit)
-    is_small_prime = np.ones(root + 1, dtype=bool)
-    is_small_prime[:2] = False
-    for i in range(2, math.isqrt(root) + 1):
-        if is_small_prime[i]:
-            is_small_prime[i * i :: i] = False
-    return np.flatnonzero(is_small_prime)[::-1].tolist()
-
-
-def _sieve_segment(seg: np.ndarray, lo: int, descending: list[int]) -> None:
-    """Turn seg, which holds n at n for n in [lo, lo + seg.size), into spf.
-
-    A composite n with smallest prime factor p has n >= p * p, so the
-    multiples of p from p * p on reach it.  Writing the primes p <=
-    sqrt(hi - 1) in descending order leaves the smallest one last at
-    every composite; entries never written (primes) keep n.  Each prime
-    starts at max(p * p, the first multiple of p >= lo).  descending
-    holds the primes up to at least sqrt(hi - 1), largest first; it is
-    cut once, by bisection, to the primes that write.  n = 0, 1 get 0.
-    """
-    hi = lo + seg.size
-    first = bisect.bisect_left(descending, -math.isqrt(hi - 1), key=operator.neg)
-    for p in descending[first:]:
-        seg[max(p * p, lo + -lo % p) - lo :: p] = p
-    seg[: max(2 - lo, 0)] = 0
-
-
 def check_size(size: int, dtype, bound: str) -> int:
     """The bytes of size entries of dtype, or a MemoryError naming bound where
     numpy could hold no such array (it would raise ValueError)."""
@@ -141,18 +114,33 @@ def covering(top: int) -> SieveTable:
 
 
 def spf_windows(limit: int):
-    """Yield (w, spf[w : w + CHUNK]) for the windows w = 0, CHUNK, ... up
-    to limit, each sieved on its own, so no whole-range table exists.
+    """Yield (w, spf[w : hi]) for the windows [w, hi) that tile [0, limit]:
+    [0, 2), then [w, min(2w, w + CHUNK)), so the windows start at 0, 2, 4,
+    ..., CHUNK, 2 * CHUNK, ...  Each is sieved on its own, so no
+    whole-range table exists, and every n in a window has n // spf(n) <=
+    n/2 below it.
 
-    The windows are fresh writable arrays in index_dtype(limit); build_sieve
-    joins them into the whole table.
+    The windows are fresh writable arrays in index_dtype(limit); n = 0, 1
+    get 0.  build_sieve joins them into the whole table.
     """
-    descending = _sieving_primes(limit)
-    dtype = index_dtype(limit)
-    for w in range(0, limit + 1, CHUNK):
-        seg = np.arange(w, min(w + CHUNK, limit + 1), dtype=dtype)
-        _sieve_segment(seg, w, descending)
+    dtype, root = index_dtype(limit), math.isqrt(limit)
+    primes = []  # the primes <= root in the windows yielded, ascending
+    yield 0, np.zeros(2, dtype=dtype)
+    w = 2
+    while w <= limit:
+        hi = min(2 * w, w + CHUNK, limit + 1)
+        seg = np.arange(w, hi, dtype=dtype)
+        # A composite n with smallest prime factor p has n >= p * p, so the
+        # multiples of p from p * p on reach it.  The primes p <= sqrt(hi -
+        # 1) all lie below w; writing them in descending order leaves the
+        # smallest one last at every composite, and entries never written
+        # (primes) keep n.
+        for p in reversed(primes[: bisect.bisect_right(primes, math.isqrt(hi - 1))]):
+            seg[max(p * p, w + -w % p) - w :: p] = p
+        small = seg[: max(root + 1 - w, 0)]
+        primes += (np.flatnonzero(small == np.arange(w, w + small.size)) + w).tolist()
         yield w, seg
+        w = hi
 
 
 def _miller_rabin(n: int) -> bool:

@@ -67,7 +67,7 @@ def _excess(x):
 def _exact_sum(values):
     """Exact sum of values: each chunk's int64 sum stays within 2^61 by the
     choice of its length, and the chunk sums add up in Python integers."""
-    chunk = max(1, 2**61 // max(int(np.abs(values).max()), 1))
+    chunk = max(1, 2**61 // max(int(np.abs(values).max(initial=0)), 1))
     return sum(int(values[i : i + chunk].sum(dtype=np.int64)) for i in range(0, values.size, chunk))
 
 

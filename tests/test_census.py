@@ -420,7 +420,8 @@ def test_budget_error_after_widening_names_the_budget(monkeypatch):
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 9)
     widened = _narrow_top(monkeypatch, np.uint16, 5)
     with pytest.raises(
-        ConsistencyError, match=r"^node 9314 under a=0 is more than 9 steps from its cycle$"
+        ConsistencyError,
+        match=r"^node 9314 under a=0 with --limit 10000 is more than 9 steps from its cycle$",
     ):
         run_census(0, 10**4)
     assert [wide for wide, _, _ in widened] == [np.uint32]
@@ -449,7 +450,9 @@ def test_dist_past_budget_raises(monkeypatch):
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 5)
     assert run_census(0, 100).max_total_stopping_time == 5
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 4)
-    with pytest.raises(ConsistencyError, match=r"node \d+ under a=0 is more than 4 steps"):
+    with pytest.raises(
+        ConsistencyError, match=r"node \d+ under a=0 with --limit 100 is more than 4 steps"
+    ):
         run_census(0, 100)
 
 
@@ -472,7 +475,8 @@ def test_dist_past_budget_raises_in_its_window(monkeypatch):
     monkeypatch.setattr(tables_mod, "spf_windows", counted)
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 9)
     with pytest.raises(
-        ConsistencyError, match=r"^node 9314 under a=0 is more than 9 steps from its cycle$"
+        ConsistencyError,
+        match=r"^node 9314 under a=0 with --limit 10000 is more than 9 steps from its cycle$",
     ):
         run_census(0, 10**4)
     assert max(windows) < 10**4 - 2**8
@@ -488,9 +492,10 @@ def test_walk_past_budget_raises(monkeypatch):
 
 
 def test_walk_stream_stops_its_worker(monkeypatch):
-    # With 64-entry segments the walks from 2..100 and from 2..121 under
-    # a = 39 read B_a over [0, 238] in four segments, the last three built
-    # by the stream's worker thread.  The worker is gone when the walks
+    # With segments of at most 64 entries the walks from 2..100 and from
+    # 2..121 under a = 39 read B_a over [0, 238] in nine segments: [0, 2),
+    # [2, 4), ..., [32, 64) built by the caller, and the three from 64 on by
+    # the stream's worker thread.  The worker is gone when the walks
     # return, and when they fail, while the error and its frames live on.
     expected = reached_cycles([39], 100)
     for mod in (sieve_mod, census_mod):
@@ -506,25 +511,30 @@ def test_walk_stream_stops_its_worker(monkeypatch):
     before = threading.active_count()
     assert reached_cycles([39], 100) == expected
     assert threading.active_count() == before
-    assert [limit for limit, _ in windows] == [238] * 4
+    assert [limit for limit, _ in windows] == [238] * 9
     assert {ident for _, ident in windows} - {threading.get_ident()}
     windows.clear()
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 1)
     with pytest.raises(ConsistencyError, match="^no cycle within 1 steps from 2 under a=39$") as caught:
         run_census(39, 10**4)
     assert threading.active_count() == before, caught.value
-    assert [limit for limit, _ in windows] == [238] * 4
+    assert [limit for limit, _ in windows] == [238] * 9
 
 
 def test_unsettled_node_names_its_input(monkeypatch):
-    # Under a = 0, 14 -> 9 -> 6 -> 5 with 9 and 14 in one block [8, 16):
-    # 14 is pending until a settle round after 9 resolves, and a budget of
-    # 0 rounds allows none.
-    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 0)
+    # Under a = 39, 14 -> 9 -> 6 with 9 and 14 in one segment [8, 16): 14
+    # is pending until a settle round after 9 resolves, and a budget of 0
+    # rounds allows none.  The error names the first node pending, 2, which
+    # waits for 2 + 39 = 41 from the segment [2, 4) on.  The budget is
+    # patched for the census's own range only, so the walks over [0, 238]
+    # keep theirs, and fold, which would name a node past a budget of 0
+    # steps, starts only past 2 * 117 + 4 = 238.
+    steps, top = census_mod.default_max_steps, census_limit(39, 10**4)
+    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 0 if n == top else steps(n, a))
     with pytest.raises(
-        ConsistencyError, match=r"node 14 under a=0 with --limit 100 is unresolved after 0 rounds"
+        ConsistencyError, match=r"^node 2 under a=39 with --limit 10000 is unresolved after 0 rounds$"
     ):
-        run_census(0, 100)
+        run_census(39, 10**4)
 
 
 def test_census_peak_memory():

@@ -165,7 +165,8 @@ def test_preimage_density():
 
 def test_preimage_density_calls_predicate_once(monkeypatch, b_values):
     # The target is called once per segment, in order, with that segment's
-    # sieve: every k in [0, x] is offered once.
+    # sieve: every k in [0, x] is offered once.  The segments double from
+    # [2, 4) up to CHUNK entries.
     monkeypatch.setattr(sieve_mod, "CHUNK", 2**10)
     x = 5000
     spf = build_sieve(x).spf
@@ -177,7 +178,7 @@ def test_preimage_density_calls_predicate_once(monkeypatch, b_values):
         return _ks(lo, seg) % 2 == 0
 
     count, _ = preimage_density(counted, x)
-    assert seen == list(range(0, x + 1, 2**10))
+    assert seen == [0, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3072, 4096]
     assert count == int(np.count_nonzero(b_values[2 : x + 1] % 2 == 0))
 
 

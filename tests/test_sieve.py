@@ -49,10 +49,14 @@ def test_spf_matches_masked_sieve():
 
 
 def test_windows_match_whole_sieve():
-    # spf_windows streams the table build_sieve holds whole, 0 and 1 included.
-    for limit in (2, 3, CHUNK - 1, CHUNK, 3 * CHUNK + 5):
+    # spf_windows streams the table build_sieve holds whole, 0 and 1
+    # included, in windows [0, 2), then [w, min(2w, w + CHUNK)): they start
+    # at 0, 2, 4, ..., CHUNK / 2, then every CHUNK entries.
+    starts = [0, *(2**k for k in range(1, CHUNK.bit_length() - 1)), *range(CHUNK, 4 * CHUNK, CHUNK)]
+    powers = (2**k + d for k in range(2, CHUNK.bit_length()) for d in (-1, 1))
+    for limit in (2, 3, *powers, CHUNK, 3 * CHUNK + 5):
         windows = list(spf_windows(limit))
-        assert [w for w, _ in windows] == list(range(0, limit + 1, CHUNK))
+        assert [w for w, _ in windows] == [w for w in starts if w <= limit], limit
         got = np.concatenate([seg for _, seg in windows])
         assert np.array_equal(got, masked_sieve_oracle(limit)), limit
 

@@ -1,6 +1,7 @@
 """The segment stream: its values at the edges of the odd-only back array
-and of the segments, and its worker thread, started only for a second
-segment, stopped when the stream closes, its errors raised in the caller."""
+and of the segments, and its worker thread, started only for a segment at
+or past CHUNK, stopped when the stream closes, its errors raised in the
+caller."""
 
 import concurrent.futures
 import threading
@@ -8,7 +9,7 @@ import threading
 import pytest
 
 from oracles import small_beta
-from primeshift import ConsistencyError, run_census
+from primeshift import ConsistencyError, cycle_count_sweep, run_census
 from primeshift import census as census_mod
 from primeshift import sieve as sieve_mod
 from primeshift.arith import big_B
@@ -17,7 +18,8 @@ from primeshift.tables import b_term, excess_term, segments
 
 @pytest.fixture
 def small_chunk(monkeypatch):
-    # 64-entry segments, so a stream to 10^3 has 16 of them.
+    # Segments of at most 64 entries, so a stream to 10^3 has 21 of them:
+    # [0, 2), [2, 4), ..., [32, 64), then 15 of 64 entries from 64 on.
     monkeypatch.setattr(sieve_mod, "CHUNK", 2**6)
 
 
@@ -46,18 +48,36 @@ def test_stream_edges_match_scalar(small_chunk, table):
                     assert (b[n], excess[n]) == (2 * k + p * (p > 1), 2 * k - 2), (limit, n)
 
 
-def test_one_window_stream_starts_no_thread(monkeypatch):
+def _no_executor(monkeypatch):
     def no_executor(*args, **kwargs):
-        raise AssertionError("a one-window stream started a worker")
+        raise AssertionError("a stream below CHUNK started a worker")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_executor)
-    assert [s for s, _, _ in segments(100, b_term)] == [0]
+
+
+def test_one_window_stream_starts_no_thread(monkeypatch):
+    # The caller builds every segment below CHUNK itself: a stream to 100
+    # has seven, and one up to CHUNK - 1 has 17.
+    _no_executor(monkeypatch)
+    assert [s for s, _, _ in segments(100, b_term)] == [0, 2, 4, 8, 16, 32, 64]
+    starts = [s for s, _, _ in segments(sieve_mod.CHUNK - 1, b_term)]
+    assert starts == [0, *(2**k for k in range(1, sieve_mod.CHUNK.bit_length() - 1))]
+
+
+def test_sweep_starts_no_worker(monkeypatch):
+    # A sweep over a <= 200 reads B up to 2,884, below CHUNK: no worker,
+    # which would cost more than the stream itself.
+    expected = cycle_count_sweep(200, 10**6)
+    _no_executor(monkeypatch)
+    assert cycle_count_sweep(200, 10**6) == expected
 
 
 def test_closed_stream_stops_its_worker(small_chunk):
     before = threading.active_count()
     stream = segments(10**3, b_term)
-    assert [next(stream)[0], next(stream)[0]] == [0, 64]
+    assert [next(stream)[0] for _ in range(6)] == [0, 2, 4, 8, 16, 32]
+    assert threading.active_count() == before
+    assert [next(stream)[0], next(stream)[0]] == [64, 128]
     assert threading.active_count() == before + 1
     stream.close()
     assert threading.active_count() == before
