@@ -17,7 +17,6 @@ no census: every shift walks over one prefix of B.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,7 +164,7 @@ def _settle(nodes, succ, read, step, budget, name):
         if not np.count_nonzero(ok):
             break
         if rounds == budget:
-            raise ConsistencyError(f"{name(int(nodes[0]))} is unresolved after {budget} rounds")
+            raise ConsistencyError(f"{name(int(nodes[ok][0]))} is unresolved after {budget} rounds")
         state[nodes[ok]] = known[ok] + step
         nodes, succ = nodes[~ok], succ[~ok]
         rounds += 1
@@ -334,29 +333,26 @@ def run_census(a: int, start_limit: int) -> CensusReport:
 
     pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=index_dtype(limit + a)))
     ranked = minima[0].size
-    # Closing the stream on every way out stops its worker thread.
-    with closing(shifted_segments(a, limit)) as stream:
-        for s, spf, f in stream:
-            if s > 2 * margin + 4:
-                # The nodes below s - margin are final: a node n still
-                # pending below s has an orbit that reaches s, and from n
-                # >= margin + 4 an orbit stays <= n + margin (census_limit),
-                # so n >= s - margin; from a smaller n it stays <= 2 *
-                # margin + 4 < s.
-                fold(s - margin)
-                pending = slide(s, pending)
-            written = max(written, s + f.size - shift)
-            if a == 0:
-                lo = max(s, 5)
-                primes = np.flatnonzero(f[lo - s :] == spf[lo - s :]) + lo
-                state[primes - shift] = np.arange(
-                    ranked + 1, ranked + primes.size + 1, dtype=state.dtype
-                )
-                ranked += primes.size
-                minima.append(primes)
-            lo = max(s, 2)
-            pending = resolve(lo - shift, f[lo - s :], pending)
-            del spf, f  # so the stream frees it before it builds another
+    for s, spf, f in shifted_segments(a, limit):
+        if s > 2 * margin + 4:
+            # The nodes below s - margin are final: a node n still pending
+            # below s has an orbit that reaches s, and from n >= margin + 4
+            # an orbit stays <= n + margin (census_limit), so n >= s -
+            # margin; from a smaller n it stays <= 2 * margin + 4 < s.
+            fold(s - margin)
+            pending = slide(s, pending)
+        written = max(written, s + f.size - shift)
+        if a == 0:
+            lo = max(s, 5)
+            primes = np.flatnonzero(f[lo - s :] == spf[lo - s :]) + lo
+            state[primes - shift] = np.arange(
+                ranked + 1, ranked + primes.size + 1, dtype=state.dtype
+            )
+            ranked += primes.size
+            minima.append(primes)
+        lo = max(s, 2)
+        pending = resolve(lo - shift, f[lo - s :], pending)
+        del spf, f  # so the stream frees it before it builds another
     stuck = pending[0][node(pending[0]) <= start_limit]
     if stuck.size:
         raise ConsistencyError(f"{name(int(stuck[0]))} reaches no cycle")
@@ -400,9 +396,7 @@ def _sweep(shifts, start_limit):
         t = census_limit(a, last(a))
         check_prime_steps(t, a)  # as in shifted_segments, before the stream
         top = max(top, t)
-    # Closing the stream on every way out stops its worker thread.
-    with closing(segments(top, b_term)) as stream:
-        _, spf, b = zip(*stream)
+    _, spf, b = zip(*segments(top, b_term))
     B, table = np.concatenate(b), SieveTable(top, np.concatenate(spf))
     return {a: _walks(a, last(a), B, table) for a in shifts}
 

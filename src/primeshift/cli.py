@@ -65,8 +65,7 @@ def _build_parser() -> _Parser:
         "--threads",
         type=int,
         default=1,
-        help="no effect: bulk streams always build the next segment on one worker "
-        "thread; kept because the benchmark harness passes it",
+        help="no effect; kept because the benchmark harness passes it",
     )
     p.add_argument(
         "--extend-domain",

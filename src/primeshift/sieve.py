@@ -5,16 +5,16 @@ the commands that look up a few numbers, and spf_windows streams it
 window by window (Bays and Hudson's segmented sieve) for the bulk tables,
 so no bulk command holds it whole.  The windows double up to CHUNK
 entries, so the primes that sieve a window come from the windows before
-it, and so do the values that tables.segments fills it from.  Above the
-limit, factorization uses trial division against the sieve primes, a
-deterministic Miller-Rabin test (complete witness set for the 64-bit
-range), and a Brent-variant rho splitter for the rare composites that
-survive both.
+it, and so do the values that tables.segments fills it from.  A window
+finds the first multiple of each of its sieving primes in one numpy step
+and writes one slice per prime.  Above the limit, factorization uses
+trial division against the sieve primes, a deterministic Miller-Rabin
+test (complete witness set for the 64-bit range), and a Brent-variant
+rho splitter for the rare composites that survive both.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import random
@@ -124,7 +124,9 @@ def spf_windows(limit: int):
     get 0.  build_sieve joins them into the whole table.
     """
     dtype, root = index_dtype(limit), math.isqrt(limit)
-    primes = []  # the primes <= root in the windows yielded, ascending
+    # The primes <= root in the windows yielded, ascending, in int64 so
+    # that p * p and w + -w % p below cannot wrap.
+    primes = np.empty(0, dtype=np.int64)
     yield 0, np.zeros(2, dtype=dtype)
     w = 2
     while w <= limit:
@@ -134,11 +136,15 @@ def spf_windows(limit: int):
         # multiples of p from p * p on reach it.  The primes p <= sqrt(hi -
         # 1) all lie below w; writing them in descending order leaves the
         # smallest one last at every composite, and entries never written
-        # (primes) keep n.
-        for p in reversed(primes[: bisect.bisect_right(primes, math.isqrt(hi - 1))]):
-            seg[max(p * p, w + -w % p) - w :: p] = p
-        small = seg[: max(root + 1 - w, 0)]
-        primes += (np.flatnonzero(small == np.arange(w, w + small.size)) + w).tolist()
+        # (primes) keep n.  first is each prime's first multiple in the
+        # window from p * p on, as an offset.
+        p = primes[: np.searchsorted(primes, math.isqrt(hi - 1), "right")][::-1]
+        first = np.maximum(p * p, w + -w % p) - w
+        for q, o in zip(p.tolist(), first.tolist()):
+            seg[o::q] = q
+        if w <= root:
+            small = seg[: root + 1 - w]
+            primes = np.append(primes, np.flatnonzero(small == np.arange(w, w + small.size)) + w)
         yield w, seg
         w = hi
 

@@ -32,14 +32,6 @@ class PartialSumSeries:
     reference: tuple[float, ...]
     ratios: tuple[float, ...]
 
-    def __post_init__(self):
-        if list(self.checkpoints) != sorted(set(self.checkpoints)):
-            raise DomainError("checkpoints must be strictly increasing")
-        if not (
-            len(self.checkpoints) == len(self.sums) == len(self.reference) == len(self.ratios)
-        ):
-            raise DomainError("series fields must have equal lengths")
-
 
 def _checked_cps(checkpoints, a=None):
     """Checkpoints ascending, each at least 2 (see check_x)."""

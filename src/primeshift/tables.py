@@ -10,8 +10,7 @@ per entry of the range: an even n = 2^k o, o odd, takes its value from
 o's, as B(2^k o) = 2k + B(o).  B_a differs from B only at the primes,
 where B(n) = spf(n): shifted_segments adds a there, once
 arith.check_prime_steps, the one rule for p + a, has passed the largest
-prime.  From the window at CHUNK on, one worker thread builds the next
-window while the caller works on the current one.
+prime.  The stream runs in its caller's thread.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import sieve
 from .arith import check_prime_steps
 from .errors import DomainError
 from .sieve import index_dtype, spf_windows, zeros
@@ -54,20 +52,12 @@ def segments(limit: int, term: Term):
     below it, read from back, and the even n = 2^k (2i + 1), one class per
     k, read V(2i + 1) off a contiguous run of back and add term.pow2(k).
 
-    The windows below sieve.CHUNK are built in the caller's thread.  When
-    the caller asks for the first one at or past it, one worker thread
-    builds each following window while the caller holds the one before,
-    so at most two are alive.  A window is copied into back before it is
-    yielded and never touched after, so the caller may change spf and v
-    in place.  Closing the stream stops the worker; an error in it is
-    raised here, in the caller.
+    A window is copied into back before it is yielded and never touched
+    after, so the caller may change spf and v in place.
     """
     half = limit // 2
     back = zeros((half + 1) // 2, index_dtype(half), f"a stream to {limit}")
-    windows = spf_windows(limit)
-
-    def build():
-        s, spf = next(windows)
+    for s, spf in spf_windows(limit):
         top = s + spf.size
         v = np.zeros_like(spf)  # V(0) = V(1) = 0; every n >= 2 is written below
         odd = (s + 1) & 1  # the position of the first odd n
@@ -86,23 +76,7 @@ def segments(limit: int, term: Term):
         i = s >> 1
         kept = v[odd::2][: max(back.size - i, 0)]
         back[i : i + kept.size] = kept
-        return s, spf, v
-
-    chunk, end = sieve.CHUNK, 0
-    while end <= limit and end < chunk:
-        seg = build()
-        end = seg[0] + seg[1].size
-        yield seg
-    if end > limit:
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as worker:
-        job = worker.submit(build)
-        while job is not None:
-            seg = job.result()  # drops the window before, which the caller let go
-            job = worker.submit(build) if seg[0] + seg[1].size <= limit else None
-            yield seg
+        yield s, spf, v
 
 
 def shifted_segments(a: int, top: int):

@@ -1,7 +1,6 @@
 import json
 import random
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -76,22 +75,13 @@ def test_naive_agrees_across_windows(table, monkeypatch):
     # after its walks have read 1 to 26 from a short stream of their own:
     # successors carried from segment to segment, the primes near the top
     # whose successor passes the limit, and at a = 0 the primes ranked
-    # segment by segment.  From the second segment on, the stream's worker
-    # thread builds them.
+    # segment by segment.
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
-    builders = set()
-
-    def step(p, m):
-        builders.add(threading.get_ident())
-        return b_term.step(p, m)
-
-    monkeypatch.setattr(tables_mod, "b_term", b_term._replace(step=step))
     for a in (0, 1, 2, 3, 39, 137, 200):
         assert census_limit(a, climb_margin(a) + 4) < 10**4 // 2
         fast = run_census(a, 10**4)
         assert _summary(fast) == _summary(run_census_naive(a, 10**4, table)), f"a={a}"
-    assert builders - {threading.get_ident()}
 
 
 def test_prime_chains_cross_window_edges(table, monkeypatch):
@@ -491,12 +481,12 @@ def test_walk_past_budget_raises(monkeypatch):
             find(39, 100)
 
 
-def test_walk_stream_stops_its_worker(monkeypatch):
+def test_walks_read_one_short_stream(monkeypatch):
     # With segments of at most 64 entries the walks from 2..100 and from
     # 2..121 under a = 39 read B_a over [0, 238] in nine segments: [0, 2),
-    # [2, 4), ..., [32, 64) built by the caller, and the three from 64 on by
-    # the stream's worker thread.  The worker is gone when the walks
-    # return, and when they fail, while the error and its frames live on.
+    # [2, 4), ..., [32, 64), then the three from 64 on.  The census reads
+    # them once more for its walks before its own stream, which a budget of
+    # 1 step stops at the walk from 2.
     expected = reached_cycles([39], 100)
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
@@ -504,35 +494,31 @@ def test_walk_stream_stops_its_worker(monkeypatch):
 
     def counted(limit):
         for w in spf_windows(limit):
-            windows.append((limit, threading.get_ident()))
+            windows.append(limit)
             yield w
 
     monkeypatch.setattr(tables_mod, "spf_windows", counted)
-    before = threading.active_count()
     assert reached_cycles([39], 100) == expected
-    assert threading.active_count() == before
-    assert [limit for limit, _ in windows] == [238] * 9
-    assert {ident for _, ident in windows} - {threading.get_ident()}
+    assert windows == [238] * 9
     windows.clear()
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 1)
-    with pytest.raises(ConsistencyError, match="^no cycle within 1 steps from 2 under a=39$") as caught:
+    with pytest.raises(ConsistencyError, match="^no cycle within 1 steps from 2 under a=39$"):
         run_census(39, 10**4)
-    assert threading.active_count() == before, caught.value
-    assert [limit for limit, _ in windows] == [238] * 9
+    assert windows == [238] * 9
 
 
 def test_unsettled_node_names_its_input(monkeypatch):
     # Under a = 39, 14 -> 9 -> 6 with 9 and 14 in one segment [8, 16): 14
     # is pending until a settle round after 9 resolves, and a budget of 0
-    # rounds allows none.  The error names the first node pending, 2, which
-    # waits for 2 + 39 = 41 from the segment [2, 4) on.  The budget is
-    # patched for the census's own range only, so the walks over [0, 238]
-    # keep theirs, and fold, which would name a node past a budget of 0
-    # steps, starts only past 2 * 117 + 4 = 238.
+    # rounds allows none.  The error names 14, which that round would
+    # settle, and not 2, pending before it but waiting for 2 + 39 = 41.
+    # The budget is patched for the census's own range only, so the walks
+    # over [0, 238] keep theirs, and fold, which would name a node past a
+    # budget of 0 steps, starts only past 2 * 117 + 4 = 238.
     steps, top = census_mod.default_max_steps, census_limit(39, 10**4)
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 0 if n == top else steps(n, a))
     with pytest.raises(
-        ConsistencyError, match=r"^node 2 under a=39 with --limit 10000 is unresolved after 0 rounds$"
+        ConsistencyError, match=r"^node 14 under a=39 with --limit 10000 is unresolved after 0 rounds$"
     ):
         run_census(39, 10**4)
 
@@ -542,15 +528,13 @@ def test_census_peak_memory():
     # Only the stream's B at the odd n up to limit // 2 (1 B per entry) and
     # the one-byte state up to limit // 2 (0.5 B per entry) span the range;
     # above that the state is a window of CHUNK + climb_margin(a) nodes.  The
-    # CHUNK-sized buffers of each segment, two or three alive while the
-    # worker builds the next, weigh most at 10^6, and vary with the worker's
-    # timing.  At a = 0 the state takes 4 B per state, 2 B per entry, and
-    # the 78,499 cycles, one per prime and 4, peak as Python objects.  The
-    # bounds were set from 4.34 to 6.06, 2.51 and 16.51 B with 10% headroom;
-    # with a 2-byte state they measured 4.97 to 6.89, 3.07 and 16.51.  The
-    # stream alone measured 1.68 B per entry, and 2.81 B with B over all of
-    # [0, limit // 2].
-    for a, start_limit, per_entry in ((39, 10**6, 6.7), (39, 4 * 10**6, 2.8), (0, 10**6, 18.2)):
+    # CHUNK-sized buffers of the window the census holds and of the one the
+    # stream builds next weigh most at 10^6.  At a = 0 the state takes 4 B
+    # per state, 2 B per entry, and the 78,499 cycles, one per prime and 4,
+    # peak as Python objects.  The stream runs in the caller's thread, so
+    # the peaks are the same on every run: 4.27, 2.19 and 16.51 B, and
+    # 1.68 B for the stream alone, each bounded with 10% headroom.
+    for a, start_limit, per_entry in ((39, 10**6, 4.7), (39, 4 * 10**6, 2.41), (0, 10**6, 18.2)):
         tracemalloc.start()
         try:
             run_census(a, start_limit)
@@ -565,7 +549,7 @@ def test_census_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.85 * 4 * 10**6
+    assert peak <= 1.84 * 4 * 10**6
 
 
 def test_prime_fixed_points_skip_the_scalar_check(monkeypatch):

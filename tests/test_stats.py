@@ -155,11 +155,10 @@ def test_stats_across_segments(monkeypatch, oracle_values):
 def test_stats_peak_memory():
     # Bytes per n at the peak, numpy buffers included: the stream's B or
     # B - beta at the odd n <= x // 2 (int32, 1 B per n) and the buffers of
-    # the segments alive, which vary with the worker's timing; no table
-    # spans the range.  Measured: 1.98-2.26 and 1.74-1.88 B, bounded with
-    # 10% headroom (2.98-3.59 and 2.96-3.91 B with B over all of [0, x // 2]).
+    # the segment held and the one built next; no table spans the range.
+    # Measured: 1.77 and 1.75 B, bounded with 10% headroom.
     x = 4 * 10**6
-    for series, per_entry in ((average_order_series, 2.5), (b_minus_beta_series, 2.1)):
+    for series, per_entry in ((average_order_series, 1.94), (b_minus_beta_series, 1.93)):
         tracemalloc.start()
         try:
             series(3, [x])
@@ -172,8 +171,8 @@ def test_stats_peak_memory():
 def test_preimage_density_peak_memory():
     # Bytes per n at the peak: the target mask (1 B per n), the stream's
     # B at the odd n <= x // 2 (1 B per n) and the segments' buffers; B
-    # itself is never gathered over the range.  Measured: 2.68-2.84 B,
-    # bounded with 10% headroom (3.81-4.59 B with B over all of [0, x // 2]).
+    # itself is never gathered over the range.  Measured: 2.68 B, bounded
+    # with 10% headroom.
     x = 4 * 10**6
     tracemalloc.start()
     try:
@@ -181,4 +180,4 @@ def test_preimage_density_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.15 * x
+    assert peak <= 2.94 * x
