@@ -2,16 +2,19 @@
 
 No B_a orbit is unbounded, and census_limit gives the bound: orbits from
 starts <= S never leave [2, census_limit(a, S)].  The census treats B_a
-on that range as a functional graph.  Short scalar walks from 4 and the
-primes find every cycle but the prime fixed points of a = 0 (see
-_find_cycles), over a prefix of B of their own (_sweep); a label is the
-1-based index of a cycle's minimum among all minima.  One ascending pass
-over the window stream of tables.shifted_segments then gives every node
-its label and distance, because a node's successor almost always lies
-below it.  Both live in one packed state per node (see state_dtype), one
-byte at a <= 200, widened only if a distance needs it, and a census holds
-1.5 B per entry of the range (see run_census).  A sweep over shifts runs
-no census: every shift walks over one prefix of B.
+on that range as a functional graph.  Its cycles, all but the prime
+fixed points of a = 0, are found over a short prefix of B (see _cycles):
+every cycle has its minimum among 4 and the primes, and the
+prime-successor map takes a prime through its climb and B's descent to
+the next prime or 4.  A label is the 1-based index of a cycle's minimum
+among all minima.  One ascending pass over the window stream of
+tables.shifted_segments then gives every node its label and distance,
+because a node's successor almost always lies below it.  Both live in
+one packed state per node (see state_dtype), one byte at a <= 200,
+widened only if a distance needs it, and a census holds 1.5 B per entry
+of the range (see run_census).  A sweep over shifts runs no census:
+_cycles finds the cycles of all its shifts over one prefix of B, many
+shifts per numpy pass.
 """
 
 from __future__ import annotations
@@ -79,56 +82,179 @@ class CensusReport:
     max_total_stopping_time: int
 
 
-def _find_cycles(f, starts, budget, a):
-    """The cycles that walks from starts meet under the list f, by minimum.
+def _descents(B, spf):
+    """(R, S) over a prefix of B and its sieve: B's descent from n ends
+    after S[n] steps at the prime, or 4, whose rank among the primes and
+    4, ascending from 0, is R[n].
 
-    A walk marks each node with its start and stops at a marked one: its
-    own mark closes a new cycle, an earlier walk's leads to a known one.
-    A walk ends within len(f) steps; its length meets the budget then.
+    B(c) < c for composite c > 4, so every descent ends.  Pointer jumping
+    (Wyllie 1979) halves what is left of every descent per round, so a
+    few rounds over the prefix serve.
+    """
+    n = np.arange(B.size, dtype=B.dtype)
+    node = spf == n
+    node[[0, 4]] = False, True
+    D = np.where(node, n, B)  # 0 and 1, which no descent reaches, go to 0
+    S = (D != n).astype(B.dtype)
+    while True:
+        nxt = D[D]
+        if np.array_equal(nxt, D):
+            return (np.cumsum(node, dtype=B.dtype) - 1)[D], S
+        S += S[D]
+        D = nxt
+
+
+def _batch(walks, B, spf, nodes, descent):
+    """[{minimum: members}] of the cycles that orbits from 4 and the primes
+    <= last meet under B_a, for each (a, last, reach, budget) in walks, in
+    order.
+
+    The nodes of a walk are those of nodes, the primes and 4 ascending, up
+    to reach, and its map is P_a (see _cycles), each jump weighted by its
+    B_a steps.  Every orbit of P_a ends in a cycle, so the images of the
+    nodes under P_a, P_a^2, ... shrink until they hold just the cycles'
+    nodes; they shrink fast, as a descent ends low.  From there back up,
+    one step per image, every node of the first image takes its cycle and
+    its weight to that cycle; a start jumps into the first image.  Each
+    cycle's members follow from its minimum by B_a on the prefix.
+    """
+    a, last, reach, budget = (np.array(c, dtype=np.int64) for c in zip(*walks))
+    size = np.searchsorted(nodes, reach, "right")
+    first = np.cumsum(size) - size
+    node = np.concatenate([nodes[:n] for n in size.tolist()])
+    walk = np.repeat(np.arange(size.size), size)
+    # Climb every prime by a to its first composite; at a = 0 a prime is
+    # its own successor.  4, the third node of every walk, steps to itself.
+    shift = a[walk]
+    c = node + shift
+    c[first + 2] = 4
+    weight = np.ones_like(c)
+    up = np.flatnonzero((spf[c] == c) & (shift > 0))
+    while up.size:
+        c[up] += shift[up]
+        weight[up] += 1
+        up = up[spf[c[up]] == c[up]]
+    rank, steps = descent
+    succ = rank[c] + first[walk]
+    weight += steps[c]
+
+    on = np.zeros(walk.size, dtype=bool)
+    on[succ] = True
+    images = [np.flatnonzero(on)]
+    while True:
+        image = np.sort(succ[images[-1]])
+        image = image[np.diff(image, prepend=-1) != 0]
+        if image.size == images[-1].size:
+            break
+        images.append(image)
+    ring = images.pop()
+    on[:] = False
+    on[ring] = True
+    # The least node of each cycle, as a node index: the nodes of a walk
+    # ascend, and a cycle stays within its walk.
+    low, nxt = ring.copy(), succ[ring]
+    live = np.flatnonzero(nxt != ring)
+    while live.size:
+        low[live] = np.minimum(low[live], nxt[live])
+        nxt[live] = succ[nxt[live]]
+        live = live[nxt[live] != ring[live]]
+    label, tail = np.zeros(walk.size, dtype=np.intp), np.zeros(walk.size, dtype=np.int64)
+    label[ring] = low
+    for image in reversed(images):
+        image = image[~on[image]]
+        label[image] = label[succ[image]]
+        tail[image] = tail[succ[image]] + weight[image]
+    # A node jumps into the first image, or is on a cycle.
+    least = label[succ]
+    tail = np.where(on, 0, tail[succ] + weight)
+    start = node <= np.repeat(last, size)
+    cycle = np.zeros(walk.size, dtype=bool)
+    cycle[least[start]] = True
+    cycles = np.flatnonzero(cycle)
+
+    owner, minima = walk[cycles], node[cycles]
+    ids, v, parts = np.arange(cycles.size), minima, []
+    while ids.size:
+        parts.append((ids, v))
+        v = np.where(spf[v] == v, v + a[owner[ids]], B[v])
+        more = v != minima[ids]
+        ids, v = ids[more], v[more]
+    ids, v = (np.concatenate(x) for x in zip(*parts))
+    length = np.bincount(ids, minlength=cycles.size)
+    around = np.zeros(walk.size, dtype=np.int64)
+    around[cycles] = length
+    late = np.flatnonzero(start & (tail + around[least] > np.repeat(budget, size) + 1))
+    if late.size:
+        w, bad = walk[late[0]], node[late[0]]  # the first walk to fail, its smallest start
+        raise ConsistencyError(f"no cycle within {budget[w]} steps from {bad} under a={a[w]}")
+
+    offset = np.cumsum(length) - length
+    members = v[np.argsort(ids, kind="stable")].tolist()
+    found = [{} for _ in walks]
+    for w, m, i, n in zip(owner.tolist(), minima.tolist(), offset.tolist(), length.tolist()):
+        found[w][m] = members[i : i + n]
+    return found
+
+
+def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
+    """{a: {minimum: Cycle}} of the cycles that orbits from 2..last(a) meet
+    under B_a, for each a in shifts; fixed points only if fixed.
 
     Lemma: for a >= 1 every cycle has its minimum x <= margin + 4, where
     margin = climb_margin(a).  If x is composite then x <= 4, because
     B(c) <= c/2 + 2 < c for composite c > 4.  If x is prime, it climbs to
     a composite c <= x + margin, and x <= B(c) <= c/2 + 2 <= (x + margin)/2
-    + 2.  So walks from the starts 2..margin+4 meet every cycle.  For
-    a = 0 every cycle is a fixed point: n = 4, which the walks meet, or a
-    prime, which run_census labels from the stream.  Nor does a composite
-    start c > 4 add a cycle: it descends (B(c) < c) to a prime or to 4
-    below c, so walks from 4 and the primes <= last meet every cycle that
-    walks from 2..last meet.
+    + 2.  So orbits from the starts 2..margin+4 meet every cycle.  For
+    a = 0 every cycle is a fixed point: n = 4, or a prime.  Nor does a
+    composite start c > 4 add a cycle: it descends (B(c) < c) to a prime
+    or to 4 below c, so orbits from 4 and the primes <= last meet every
+    cycle that orbits from 2..last meet, and on a cycle the minimum is a
+    prime or 4.
+
+    So the cycles are found on the prime-successor map P_a: a prime p
+    climbs p + a, p + 2a, ... to its first composite c (at a = 0 it stays
+    at p), and P_a(p) is the prime or 4 that B's descent from c reaches;
+    P_a(4) = 4.  The primes P_a visits from a start <= last lie <= reach =
+    census_limit(a, last) - climb_margin(a), and their climbs stay within
+    census_limit(a, last).  Every shift reads one prefix of B and its
+    sieve, streamed once up to the largest census_limit, and the shifts
+    go in batches of at most CHUNK nodes (a shift with more is a batch
+    alone).  An orbit that does not come back to a prime or 4 of its cycle
+    and round it within default_max_steps raises ConsistencyError naming
+    the smallest such start, and canonicalize checks every cycle against
+    the prefix's one table.  shifts is iterated twice, not stored, so a
+    huge range holds nothing before its first batch.
     """
-    mark = [0] * len(f)
-    cycles: dict[int, list[int]] = {}
-    for start in starts:
-        v, steps = start, 0
-        while not mark[v]:
-            mark[v] = start
-            v = f[v]
-            steps += 1
-        if steps > budget + 1:
-            raise ConsistencyError(f"no cycle within {budget} steps from {start} under a={a}")
-        if mark[v] == start:
-            members = [v]
-            while f[members[-1]] != v:
-                members.append(f[members[-1]])
-            cycles[min(members)] = members
-    return cycles
+    top = 0
+    for a in shifts:
+        t = census_limit(a, last(a))
+        check_prime_steps(t, a)  # as in shifted_segments, before the stream
+        top = max(top, t)
+    if not top:
+        return {}
+    _, spf, b = zip(*segments(top, b_term))
+    B, table = np.concatenate(b), SieveTable(top, np.concatenate(spf))
+    nodes = np.insert(table.primes(), 2, 4)  # the primes and 4, ascending
+    descent = _descents(B, table.spf)
+    found, batch, size = {}, [], 0
 
+    def flush():
+        for (a, *_), cycles in zip(batch, _batch(batch, B, table.spf, nodes, descent)):
+            found[a] = {m: canonicalize(members, a, table) for m, members in cycles.items()
+                        if fixed or len(members) > 1}
 
-def _walks(a, last, B, table):
-    """{minimum: Cycle} of the cycles that walks from 2..last meet under B_a.
-
-    B and table reach census_limit(a, last); B_a there is a copy of B
-    with a added at the primes.  The walks start from 4 and the primes
-    (see _find_cycles), and canonicalize checks each cycle.
-    """
-    top = census_limit(a, last)
-    f = B[: top + 1].astype(index_dtype(top + a))
-    primes = table.primes()
-    f[primes[: np.searchsorted(primes, top, "right")]] += a
-    starts = sorted([4] * (last >= 4) + primes[: np.searchsorted(primes, last, "right")].tolist())
-    walked = _find_cycles(f.tolist(), starts, default_max_steps(top, a), a)
-    return {m: canonicalize(members, a, table) for m, members in walked.items()}
+    for a in shifts:
+        end = last(a)
+        t = census_limit(a, end)
+        reach = t - climb_margin(a)
+        n = int(np.searchsorted(nodes, reach, "right"))
+        if batch and size + n > CHUNK:
+            flush()
+            batch, size = [], 0
+        batch.append((a, end, reach, default_max_steps(t, a)))
+        size += n
+    flush()
+    return found
 
 
 def dist_top(dtype, bits: int) -> int:
@@ -199,7 +325,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
     margin = climb_margin(a)
-    walked = _sweep([a], margin + 4)[a]
+    walked = _cycles([a], lambda _: margin + 4)[a]
     minima = [np.array(sorted(walked))]
     bits = minima[0].size.bit_length()
     if a == 0:
@@ -379,33 +505,15 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     )
 
 
-def _sweep(shifts, start_limit):
-    """{a: {minimum: Cycle}} of the cycles reached from 2..start_limit under
-    B_a, for each a in shifts, by walks alone.
-
-    By the _find_cycles lemma, walks from 2..min(start_limit,
-    climb_margin(a) + 4) meet every cycle that any larger range reaches.
-    Every shift walks over one prefix of B and its sieve, read once from a
-    short stream up to the largest census_limit the walks need, and
-    canonicalize checks every cycle against that one table.
-    """
-    def last(a):  # shifts is iterated twice, not stored: a huge range makes no list
-        return min(start_limit, climb_margin(a) + 4)
-    top = 0
-    for a in shifts:
-        t = census_limit(a, last(a))
-        check_prime_steps(t, a)  # as in shifted_segments, before the stream
-        top = max(top, t)
-    _, spf, b = zip(*segments(top, b_term))
-    B, table = np.concatenate(b), SieveTable(top, np.concatenate(spf))
-    return {a: _walks(a, last(a), B, table) for a in shifts}
-
-
 def reached_cycles(shifts, start_limit: int) -> dict[int, tuple[Cycle, ...]]:
     """{a: the nontrivial cycles reached from starts 2..start_limit under
-    B_a, by their minimum} for each a in shifts."""
-    return {a: tuple(c for _, c in sorted(walked.items()) if len(c) > 1)
-            for a, walked in _sweep(shifts, start_limit).items()}
+    B_a, by their minimum} for each a in shifts.
+
+    By the _cycles lemma, orbits from 2..min(start_limit, climb_margin(a)
+    + 4) meet every cycle that any larger range reaches.
+    """
+    found = _cycles(shifts, lambda a: min(start_limit, climb_margin(a) + 4), fixed=False)
+    return {a: tuple(c.values()) for a, c in found.items()}
 
 
 def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set[int]]:

@@ -273,7 +273,8 @@ def _target(spec: str, x: int):
                 found = [m for m in map(int, filter(str.strip, fh)) if 0 <= m <= x]
         except (OSError, ValueError) as exc:
             raise DomainError(f"cannot read target set file {path!r}: {exc}") from None
-        found = np.unique(np.array(found, dtype=np.int64))
+        found = np.sort(np.array(found, dtype=np.int64))
+        found = found[np.diff(found, prepend=-1) != 0]  # np.unique would import numpy.ma
         members = lambda lo, hi: found[np.searchsorted(found, lo) : np.searchsorted(found, hi)]
     else:
         raise DomainError(f"unknown target set {spec!r}")

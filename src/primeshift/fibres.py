@@ -44,7 +44,7 @@ def build_kappa(limit: int) -> KappaTable:
     if limit < 1:
         raise DomainError(f"--limit must be >= 1, got {limit}")
     # Sized before the DP array, so a limit past any array fails in check_size.
-    primes = covering(limit).primes()
+    primes = covering(limit, f"kappa with --limit {limit}").primes()
     k = np.zeros(limit + 1, dtype=object)
     k[0] = 1
     for p in primes[: np.searchsorted(primes, limit, side="right")].tolist():
@@ -74,7 +74,7 @@ def enumerate_fibre(m: int, a: int, x_bound: int) -> list[int]:
     if x_bound > WORD_MAX:
         raise RangeOverflowError(f"--bound {x_bound} exceeds the 64-bit range")
     top = max(min(m - 2, x_bound // 2), 0)  # a negative top would wrap the slice below
-    table = covering(top)
+    table = covering(top, f"fibre with --m {m} and --bound {x_bound}")
     primes = table.primes()
     primes = primes[: np.searchsorted(primes, top, side="right")].tolist()
     out = []

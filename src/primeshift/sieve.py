@@ -91,13 +91,14 @@ def zeros(size: int, dtype, bound: str) -> np.ndarray:
         raise MemoryError(f"{bound} needs a {nbytes}-byte table, more than is free") from None
 
 
-def build_sieve(limit: int) -> SieveTable:
-    """Build the smallest-prime-factor table up to limit (inclusive)."""
+def build_sieve(limit: int, bound: str | None = None) -> SieveTable:
+    """Build the smallest-prime-factor table up to limit (inclusive); a
+    refused allocation names bound, else the limit."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > WORD_MAX:
         raise RangeOverflowError(f"sieve limit {limit} exceeds the 64-bit range")
-    spf = zeros(limit + 1, index_dtype(limit), f"sieve limit {limit}")
+    spf = zeros(limit + 1, index_dtype(limit), bound or f"sieve limit {limit}")
     for w, seg in spf_windows(limit):
         spf[w : w + seg.size] = seg
     return SieveTable(limit, spf)
@@ -106,11 +107,12 @@ def build_sieve(limit: int) -> SieveTable:
 _shared = functools.cache(lambda: build_sieve(SHARED_LIMIT))
 
 
-def covering(top: int) -> SieveTable:
+def covering(top: int, bound: str | None = None) -> SieveTable:
     """A table that reaches top: the shared read-only 2^16 table, built once
-    per process, when it does, else a fresh build_sieve(top).  Factorization
-    above a table's limit is exact, so which one never changes a result."""
-    return _shared() if top <= SHARED_LIMIT else build_sieve(top)
+    per process, when it does, else a fresh build_sieve(top, bound).
+    Factorization above a table's limit is exact, so which one never
+    changes a result."""
+    return _shared() if top <= SHARED_LIMIT else build_sieve(top, bound)
 
 
 def spf_windows(limit: int):

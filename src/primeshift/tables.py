@@ -42,6 +42,31 @@ b_term = Term(lambda p, m: p, lambda k: 2 * k)
 excess_term = Term(lambda p, m: p * (m % p == 0), lambda k: 2 * k - 2)
 
 
+def _fill(s: int, spf, back, term: Term):
+    """V over the window [s, s + spf.size) from back, whose entries for the
+    window's odd n it then writes (see segments).  Its temporaries go with
+    the call, so none is alive while the stream builds the next window."""
+    top = s + spf.size
+    v = np.zeros_like(spf)  # V(0) = V(1) = 0; every n >= 2 is written below
+    odd = (s + 1) & 1  # the position of the first odd n
+    if s:
+        p = spf[odd::2]
+        m = np.arange(s + odd, top, 2, dtype=p.dtype)
+        m //= p
+        step = term.step(p, m)
+        m >>= 1
+        np.add(back[m], step, out=v[odd::2])
+        for k in range(1, (top - 1).bit_length()):  # the k with 2^k < top
+            n0 = s + (((1 << k) - s) & ((2 << k) - 1))  # first n >= s of the class
+            i0 = n0 >> (k + 1)
+            run = v[n0 - s :: 2 << k]
+            np.add(back[i0 : i0 + run.size], term.pow2(k), out=run)
+    i = s >> 1
+    kept = v[odd::2][: max(back.size - i, 0)]
+    back[i : i + kept.size] = kept
+    return v
+
+
 def segments(limit: int, term: Term):
     """Yield (s, spf, v) for the windows [s, s + spf.size) of spf_windows(limit).
 
@@ -58,25 +83,9 @@ def segments(limit: int, term: Term):
     half = limit // 2
     back = zeros((half + 1) // 2, index_dtype(half), f"a stream to {limit}")
     for s, spf in spf_windows(limit):
-        top = s + spf.size
-        v = np.zeros_like(spf)  # V(0) = V(1) = 0; every n >= 2 is written below
-        odd = (s + 1) & 1  # the position of the first odd n
-        if s:
-            p = spf[odd::2]
-            m = np.arange(s + odd, top, 2, dtype=p.dtype)
-            m //= p
-            step = term.step(p, m)
-            m >>= 1
-            np.add(back[m], step, out=v[odd::2])
-            for k in range(1, (top - 1).bit_length()):  # the k with 2^k < top
-                n0 = s + (((1 << k) - s) & ((2 << k) - 1))  # first n >= s of the class
-                i0 = n0 >> (k + 1)
-                run = v[n0 - s :: 2 << k]
-                np.add(back[i0 : i0 + run.size], term.pow2(k), out=run)
-        i = s >> 1
-        kept = v[odd::2][: max(back.size - i, 0)]
-        back[i : i + kept.size] = kept
+        v = _fill(s, spf, back, term)
         yield s, spf, v
+        del spf, v  # so the next window is built without them
 
 
 def shifted_segments(a: int, top: int):

@@ -128,22 +128,67 @@ def test_naive_agrees_on_reached_cycles(table):
 
 
 def test_prime_starts_meet_every_walked_cycle(oracle_values):
-    # The _find_cycles lemma: walks from 4 and the primes <= last meet the
-    # cycles that walks from every start 2..last meet, with the same members
+    # The _cycles lemma: orbits from 4 and the primes <= last meet the
+    # cycles that orbits from every start 2..last meet, with the same members
     # and signs.  a = 951 has the most cycles at a <= 1000 (5), and 1680
-    # and 1890 the largest climb margins at a <= 2000 (12a), so one prefix
-    # of B reaches census_limit(1890, climb_margin(1890) + 4) = 45,364.
+    # and 1890 the largest climb margins at a <= 2000 (12a), so the largest
+    # prefix of B reaches census_limit(1890, climb_margin(1890) + 4) = 45,364.
     b, _, prime = oracle_values
     walks = [(a, last) for a in [*range(401), 951, 1680, 1890]
              for last in (climb_margin(a) + 4, 20)]
     top = max(census_limit(a, last) for a, last in walks)
     assert top == 45_364
-    B, table = b[: top + 1], build_sieve(top)
     for a, last in walks:
+        got = census_mod._cycles([a], lambda _: last)[a]
         top = census_limit(a, last)
         want = walked_cycles(shifted_map(b[: top + 1], prime[: top + 1], a).tolist(), prime, last)
-        got = census_mod._walks(a, last, B, table)
         assert {m: (c.members, c.sign_pattern) for m, c in got.items()} == want, f"a={a}, last={last}"
+
+
+def _nontrivial(walked):
+    return [w for _, w in sorted(walked.items()) if len(w[0]) > 1]
+
+
+def test_sweep_batches_match_walked_cycles(monkeypatch, oracle_values):
+    # With CHUNK = 2^6 a batch holds at most 64 nodes, so the 200 shifts
+    # of a sweep go in many batches: several small shifts share one, and a
+    # shift with more nodes than 64 is a batch alone.  Every shift still
+    # gets the cycles of walks from every start 2..climb_margin(a) + 4,
+    # with the same members and signs.
+    b, _, prime = oracle_values
+    for mod in (sieve_mod, census_mod):
+        monkeypatch.setattr(mod, "CHUNK", 2**6)
+    sizes, batch = [], census_mod._batch
+
+    def counted(walks, *args):
+        sizes.append(len(walks))
+        return batch(walks, *args)
+
+    monkeypatch.setattr(census_mod, "_batch", counted)
+    counts, _ = cycle_count_sweep(200, 10**6)
+    assert len(sizes) > 100 and max(sizes) > 1 and sum(sizes) == 200
+    found = reached_cycles(range(1, 201), 10**6)
+    for a in range(1, 201):
+        last = climb_margin(a) + 4
+        top = census_limit(a, last)
+        want = _nontrivial(walked_cycles(shifted_map(b[: top + 1], prime[: top + 1], a).tolist(),
+                                         prime, last))
+        assert [(c.members, c.sign_pattern) for c in found[a]] == want, f"a={a}"
+        assert counts[a] == len(want), f"a={a}"
+
+
+def test_reached_cycles_at_the_smallest_limits(oracle_values):
+    # At --limit 2 only 2 starts, and at 3 only 2 and 3; at a = 0 every
+    # cycle is a fixed point, so 20 starts meet no nontrivial one.
+    b, _, prime = oracle_values
+    assert reached_cycles([0], 20) == {0: ()}
+    for start_limit in (2, 3):
+        found = reached_cycles(range(41), start_limit)
+        for a in range(41):
+            top = census_limit(a, start_limit)
+            want = _nontrivial(walked_cycles(shifted_map(b[: top + 1], prime[: top + 1], a).tolist(),
+                                             prime, start_limit))
+            assert [(c.members, c.sign_pattern) for c in found[a]] == want, (a, start_limit)
 
 
 def test_sweep_reads_one_stream(monkeypatch):
@@ -531,10 +576,11 @@ def test_census_peak_memory():
     # CHUNK-sized buffers of the window the census holds and of the one the
     # stream builds next weigh most at 10^6.  At a = 0 the state takes 4 B
     # per state, 2 B per entry, and the 78,499 cycles, one per prime and 4,
-    # peak as Python objects.  The stream runs in the caller's thread, so
-    # the peaks are the same on every run: 4.27, 2.19 and 16.51 B, and
-    # 1.68 B for the stream alone, each bounded with 10% headroom.
-    for a, start_limit, per_entry in ((39, 10**6, 4.7), (39, 4 * 10**6, 2.41), (0, 10**6, 18.2)):
+    # peak as Python objects.  The stream runs in the caller's thread and
+    # frees each window before it builds the next, so the peaks are the
+    # same on every run: 3.88, 2.09 and 16.51 B, and 1.68 B for the stream
+    # alone, each bounded with 10% headroom.
+    for a, start_limit, per_entry in ((39, 10**6, 4.27), (39, 4 * 10**6, 2.31), (0, 10**6, 18.2)):
         tracemalloc.start()
         try:
             run_census(a, start_limit)

@@ -269,6 +269,21 @@ def test_refused_allocation_names_the_input(capsys, monkeypatch):
     assert err.endswith("-byte table, more than is free\n")
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["kappa", "--limit", str(10**14)], f"kappa with --limit {10**14}"),
+    (["fibre", "--m", str(10**18), "--bound", str(10**18)],
+     f"fibre with --m {10**18} and --bound {10**18}"),
+])
+def test_refused_sieve_names_its_flags(capsys, argv, bound):
+    # A sieve that sieve.covering sizes from a flag names the flags.  The
+    # tables, 8 * 10^14 and 4 * 10^18 bytes, lie past a 2^47-byte address
+    # space, so the request is refused at once and nothing is allocated.
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"arithmetic/resource error: {bound} needs a ")
+    assert err.endswith("-byte table, more than is free\n")
+
+
 def _no_segments(limit, term):
     raise AssertionError(f"asked for segments up to {limit}")
 
@@ -335,6 +350,30 @@ def test_python_m_runs_the_cli():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert sorted(json.loads(proc.stdout)["counts"]) == ["1", "2", "3"]
+
+
+def test_bulk_commands_leave_numpy_ma_unimported(tmp_path):
+    # np.unique's first call in a process imports numpy.ma, 10-14 ms, as
+    # much as a whole sweep: census, sweep and a file target deduplicate by
+    # sort and adjacent difference instead.  Run in a fresh interpreter,
+    # where nothing else has imported it.
+    target = tmp_path / "vals.txt"
+    target.write_text("49\n7\n49\n12\n")
+    code = f"""
+import contextlib, io, sys
+from primeshift.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["census", "--a", "39", "--limit", "1000"],
+                 ["sweep", "--a-max", "40", "--limit", "1000"],
+                 ["density", "--set", "file:{target}", "--x", "1000"]):
+        assert run(argv) == 0, argv
+assert "numpy.ma" not in sys.modules
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_orbit_negative_max_steps(capsys):
@@ -616,8 +655,8 @@ def test_table_size_never_changes_output(argv):
     # of the patch, so each run builds the table it is meant to use
     built = []
 
-    def floored(limit):
-        built.append(build_sieve(max(limit, 10**6)))
+    def floored(limit, bound=None):
+        built.append(build_sieve(max(limit, 10**6), bound))
         return built[-1]
 
     uses_shared = _uses_shared_table(argv)
@@ -672,7 +711,8 @@ def test_parser_and_small_table_built_once(capsys, monkeypatch):
     cli._build_parser.cache_clear()
     sieve_mod._shared.cache_clear()
     built = []
-    monkeypatch.setattr(sieve_mod, "build_sieve", lambda limit: built.append(limit) or build_sieve(limit))
+    monkeypatch.setattr(sieve_mod, "build_sieve",
+                        lambda limit, bound=None: built.append(limit) or build_sieve(limit, bound))
     for argv in (["orbit", "--n", "5"], ["amicable", "--p", "11"], ["chain", "--k", "4"],
                  ["fibre", "--m", "7"], ["kappa", "--limit", "60"], ["orbit", "--n", "100", "--a", "1"]):
         assert invoke(capsys, *argv)[0] == 0

@@ -104,7 +104,8 @@ def test_fibre_tables_around_the_shared_limit(monkeypatch, a):
     # 2^16 and 2^16 + 1; 65537 is prime, so at 2^16 + 1 the part 65537
     # itself is a solution's part (2 * 65537 under m = 65539).
     built, build_sieve = [], sieve_mod.build_sieve
-    monkeypatch.setattr(sieve_mod, "build_sieve", lambda limit: built.append(limit) or build_sieve(limit))
+    monkeypatch.setattr(sieve_mod, "build_sieve",
+                        lambda limit, bound=None: built.append(limit) or build_sieve(limit, bound))
     b, _, prime = prime_power_sums(2 * (2**16 + 1) + 100)
     f = shifted_map(b, prime, a)
     for top in (2**16 - 1, 2**16, 2**16 + 1):

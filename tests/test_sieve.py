@@ -111,7 +111,8 @@ def test_covering_shares_one_table_up_to_2_16(monkeypatch):
     # covering(top) is one read-only 2^16 table, built once, for every top
     # it reaches, and a fresh table of limit top, built each call, above.
     built = []
-    monkeypatch.setattr(sieve_mod, "build_sieve", lambda limit: built.append(limit) or build_sieve(limit))
+    monkeypatch.setattr(sieve_mod, "build_sieve",
+                        lambda limit, bound=None: built.append(limit) or build_sieve(limit, bound))
     shared = covering(2**16)
     assert shared.limit == 2**16 and not shared.spf.flags.writeable
     assert covering(0) is shared and covering(2**16) is shared
