@@ -14,7 +14,8 @@ one packed state per node (see state_dtype), one byte at a <= 200,
 widened only if a distance needs it, and a census holds 1.5 B per entry
 of the range (see run_census).  A sweep over shifts runs no census:
 _cycles finds the cycles of all its shifts over one prefix of B, many
-shifts per numpy pass.
+shifts per numpy pass, and check_cycles checks every cycle of a batch in
+one pass by factorization through the prefix's sieve.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import check_prime_steps, check_shift
-from .dynamics import Cycle, canonicalize, default_max_steps
+from .dynamics import Cycle, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
 from .sieve import CHUNK, WORD_MAX, SieveTable, check_size, index_dtype, is_prime, zeros
 from .tables import b_term, segments, shifted_segments
@@ -105,9 +106,11 @@ def _descents(B, spf):
 
 
 def _batch(walks, B, spf, nodes, descent):
-    """[{minimum: members}] of the cycles that orbits from 4 and the primes
-    <= last meet under B_a, for each (a, last, reach, budget) in walks, in
-    order.
+    """(shift, length, members) of the cycles that orbits from 4 and the
+    primes <= last meet under B_a, for each (a, last, reach, budget) in
+    walks: each cycle's shift and length, and all their members in one
+    array, cycle after cycle, in walk order and by minimum within a walk,
+    each cycle from its minimum.
 
     The nodes of a walk are those of nodes, the primes and 4 ascending, up
     to reach, and its map is P_a (see _cycles), each jump weighted by its
@@ -188,12 +191,48 @@ def _batch(walks, B, spf, nodes, descent):
         w, bad = walk[late[0]], node[late[0]]  # the first walk to fail, its smallest start
         raise ConsistencyError(f"no cycle within {budget[w]} steps from {bad} under a={a[w]}")
 
-    offset = np.cumsum(length) - length
-    members = v[np.argsort(ids, kind="stable")].tolist()
-    found = [{} for _ in walks]
-    for w, m, i, n in zip(owner.tolist(), minima.tolist(), offset.tolist(), length.tolist()):
-        found[w][m] = members[i : i + n]
-    return found
+    return a[owner], length, v[np.argsort(ids, kind="stable")]
+
+
+def shifted_values(v, a, spf):
+    """B_a at every entry of v, all >= 2 and covered by the sieve spf: v + a
+    where v is prime, B(v) otherwise.
+
+    B comes from the spf chain, p = spf[r], r //= p until r = 1, as
+    sieve.factorize does below its table's limit, never from a stream of B.
+    """
+    b, r, live = np.zeros_like(v), v.copy(), np.arange(v.size)
+    while live.size:
+        p = spf[r[live]]
+        b[live] += p
+        r[live] //= p
+        live = live[r[live] > 1]
+    return np.where(spf[v] == v, v + a, b)
+
+
+def check_cycles(shift, length, members, spf) -> list[Cycle]:
+    """The Cycles of (shift, length, members) as _batch gives them, checked.
+
+    Each member's B_a, from shifted_values, must be the next member of its
+    cycle, the last wrapping round to the first; the first that is not, in
+    the order of members, raises ConsistencyError.  A member is signed
+    '+' where it is prime.
+    """
+    shift, length, members = (np.asarray(x, dtype=np.int64) for x in (shift, length, members))
+    end = np.cumsum(length)
+    nxt = np.roll(members, -1)
+    nxt[end - 1] = members[end - length]
+    a = np.repeat(shift, length)
+    got = shifted_values(members, a, spf)
+    bad = np.flatnonzero(got != nxt)
+    if bad.size:
+        i = bad[0]
+        raise ConsistencyError(
+            f"not a cycle under a={a[i]}: {members[i]} -> {got[i]}, expected {nxt[i]}"
+        )
+    signs = np.where(spf[members] == members, b"+", b"-").tobytes().decode()
+    values, end = members.tolist(), end.tolist()
+    return [Cycle(tuple(values[i:j]), signs[i:j]) for i, j in zip([0, *end], end)]
 
 
 def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
@@ -221,9 +260,11 @@ def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
     go in batches of at most CHUNK nodes (a shift with more is a batch
     alone).  An orbit that does not come back to a prime or 4 of its cycle
     and round it within default_max_steps raises ConsistencyError naming
-    the smallest such start, and canonicalize checks every cycle against
-    the prefix's one table.  shifts is iterated twice, not stored, so a
-    huge range holds nothing before its first batch.
+    the smallest such start.  check_cycles then checks all cycles of a
+    batch at once: each member's B_a, factored through the prefix's one
+    sieve table and never read from its B, must be the next member.
+    shifts is iterated twice, not stored, so a huge range holds nothing
+    before its first batch.
     """
     top = 0
     for a in shifts:
@@ -239,9 +280,11 @@ def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
     found, batch, size = {}, [], 0
 
     def flush():
-        for (a, *_), cycles in zip(batch, _batch(batch, B, table.spf, nodes, descent)):
-            found[a] = {m: canonicalize(members, a, table) for m, members in cycles.items()
-                        if fixed or len(members) > 1}
+        shift, length, members = _batch(batch, B, table.spf, nodes, descent)
+        found.update((a, {}) for a, *_ in batch)
+        for a, c in zip(shift.tolist(), check_cycles(shift, length, members, table.spf)):
+            if fixed or len(c) > 1:
+                found[a][c.members[0]] = c
 
     for a in shifts:
         end = last(a)
@@ -318,9 +361,10 @@ def run_census(a: int, start_limit: int) -> CensusReport:
 
     Works on [2, census_limit(a, start_limit)], streamed window by
     window.  Deterministic: cycles are listed by their minimum member.
-    Every walked cycle is checked against the scalar map (canonicalize);
-    the prime fixed points of a = 0 come straight from the stream.  Cycles
-    reached only from starts above start_limit are not listed.
+    Every walked cycle is checked by factorization through the sieve
+    (check_cycles); the prime fixed points of a = 0 come straight from the
+    stream.  Cycles reached only from starts above start_limit are not
+    listed.
     """
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)

@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .arith import _check_domain, check_shift, shifted_B
-from .errors import ConsistencyError, DomainError, NonterminationError
-from .sieve import SHARED_LIMIT, SieveTable, covering, is_prime
+from .errors import DomainError, NonterminationError
+from .sieve import SHARED_LIMIT, covering
 
 
 @dataclass(frozen=True)
@@ -87,25 +87,3 @@ def iterate_orbit(
         v = shifted_B(v, a, table, extend_domain=extend_domain)
         traj.append(v)
     return OrbitRecord(n, a, tuple(traj), seen[v])
-
-
-def min_first(members) -> tuple[int, ...]:
-    """Rotate a cycle so its minimum comes first (no verification)."""
-    members = tuple(int(v) for v in members)
-    k = members.index(min(members))
-    return members[k:] + members[:k]
-
-
-def canonicalize(raw_cycle, a: int, table: SieveTable) -> Cycle:
-    """Rotate a verified cycle so its minimum is first and attach signs."""
-    a = check_shift(a)
-    members = [int(v) for v in raw_cycle]
-    if not members:
-        raise ConsistencyError("empty cycle")
-    for v, nxt in zip(members, members[1:] + members[:1]):
-        got = shifted_B(v, a, table)
-        if got != nxt:
-            raise ConsistencyError(f"not a cycle under a={a}: {v} -> {got}, expected {nxt}")
-    rotated = min_first(members)
-    pattern = "".join("+" if is_prime(v, table) else "-" for v in rotated)
-    return Cycle(rotated, pattern)

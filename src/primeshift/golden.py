@@ -10,8 +10,6 @@ Tuples are stored as printed; compare after canonical (min-first)
 rotation, since some rows are written starting from a non-minimal member.
 """
 
-from .dynamics import min_first
-
 CYCLE_TABLE = {
     1: ((5, 6),),
     2: ((5, 7, 9, 6),),
@@ -53,6 +51,13 @@ A39_CYCLES = (
     (7, 46, 25, 10),
     (5, 44, 15, 8, 6),
 )
+
+
+def min_first(members) -> tuple[int, ...]:
+    """Rotate a cycle so its minimum comes first (no verification)."""
+    members = tuple(int(v) for v in members)
+    k = members.index(min(members))
+    return members[k:] + members[:k]
 
 
 def canonical_set(rows) -> set[tuple[int, ...]]:

@@ -12,12 +12,13 @@ import operator
 
 import numpy as np
 
-from primeshift.arith import shifted_B
+from primeshift.arith import check_shift, shifted_B
 from primeshift.census import CensusReport
 from primeshift.constructions import AmicablePair, ChainWitness
-from primeshift.dynamics import canonicalize, iterate_orbit
+from primeshift.dynamics import Cycle, iterate_orbit
 from primeshift.errors import ConsistencyError, DomainError, RangeOverflowError
 from primeshift.fibres import KappaTable
+from primeshift.golden import min_first
 from primeshift.sieve import WORD_MAX, SieveTable, factorize, is_prime
 
 
@@ -75,6 +76,24 @@ def walked_cycles(f, prime, last: int) -> dict:
             v = known[v]
         known.update(dict.fromkeys(orbit, v))
     return cycles
+
+
+def canonicalize(raw_cycle, a: int, table: SieveTable) -> Cycle:
+    """Rotate a verified cycle so its minimum is first and attach signs.
+
+    Each member is checked by the scalar map, one shifted_B call at a time.
+    """
+    a = check_shift(a)
+    members = [int(v) for v in raw_cycle]
+    if not members:
+        raise ConsistencyError("empty cycle")
+    for v, nxt in zip(members, members[1:] + members[:1]):
+        got = shifted_B(v, a, table)
+        if got != nxt:
+            raise ConsistencyError(f"not a cycle under a={a}: {v} -> {got}, expected {nxt}")
+    rotated = min_first(members)
+    pattern = "".join("+" if is_prime(v, table) else "-" for v in rotated)
+    return Cycle(rotated, pattern)
 
 
 def run_census_naive(

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import tracemalloc
 
@@ -19,7 +20,9 @@ from primeshift import sieve as sieve_mod
 from primeshift import tables as tables_mod
 from primeshift.census import census_limit, climb_margin, dist_top, state_dtype
 from primeshift.cli import run
-from primeshift.dynamics import canonicalize, default_max_steps
+from primeshift.arith import shifted_B
+from primeshift.census import check_cycles
+from primeshift.dynamics import default_max_steps
 from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
 from primeshift.sieve import build_sieve, index_dtype
 from primeshift.tables import b_term, segments
@@ -194,23 +197,55 @@ def test_reached_cycles_at_the_smallest_limits(oracle_values):
 def test_sweep_reads_one_stream(monkeypatch):
     # Every shift of a sweep walks over one prefix of B, up to the largest
     # census_limit(a, climb_margin(a) + 4) at a <= 200: 2,884 at a = 180.
-    # canonicalize checks every cycle against that prefix's one table.
+    # check_cycles checks the cycles of every shift against that prefix's
+    # one sieve table.
     limits, spf_windows = [], tables_mod.spf_windows
-    tables_seen = set()
+    tables_seen, shifts_seen = set(), set()
 
     def counted(limit):
         limits.append(limit)
         return spf_windows(limit)
 
-    def checked(raw_cycle, a, table):
-        tables_seen.add(id(table))
-        return canonicalize(raw_cycle, a, table)
+    def checked(shift, length, members, spf):
+        tables_seen.add(id(spf))
+        shifts_seen.update(shift.tolist())
+        return check_cycles(shift, length, members, spf)
 
     monkeypatch.setattr(tables_mod, "spf_windows", counted)
-    monkeypatch.setattr(census_mod, "canonicalize", checked)
+    monkeypatch.setattr(census_mod, "check_cycles", checked)
     counts, _ = cycle_count_sweep(200, 10**6)
     assert limits == [2884] == [census_limit(180, climb_margin(180) + 4)]
-    assert len(tables_seen) == 1 and counts[39] == 4
+    assert len(tables_seen) == 1 and shifts_seen == set(range(1, 201)) and counts[39] == 4
+
+
+def test_cycle_check_factors_through_the_sieve(monkeypatch):
+    # With B(9) = 7 in the stream, a = 2's cycle (5, 7, 9, 6) reads as
+    # (7, 9) on the prefix.  check_cycles factors 9 through the sieve, not
+    # the stream's B, so both the sweep and the census name the member.
+    stream = census_mod.segments
+
+    def corrupted(limit, term):
+        for s, spf, v in stream(limit, term):
+            if s <= 9 < s + v.size:
+                v[9 - s] = 7
+            yield s, spf, v
+
+    monkeypatch.setattr(census_mod, "segments", corrupted)
+    message = re.escape("not a cycle under a=2: 9 -> 6, expected 7")
+    with pytest.raises(ConsistencyError, match=message):
+        reached_cycles([2], 20)
+    with pytest.raises(ConsistencyError, match=message):
+        run_census(2, 20)
+
+
+def test_shifted_values_match_scalar_map():
+    # The vector B_a of check_cycles against the scalar map, over every n
+    # of the largest prefix in test_prime_starts_meet_every_walked_cycle.
+    table = build_sieve(45_364)
+    n = np.arange(2, 45_365)
+    for a in (0, 1, 39, 1890):
+        want = [shifted_B(v, a, table) for v in n.tolist()]
+        assert census_mod.shifted_values(n, a, table.spf).tolist() == want, f"a={a}"
 
 
 def test_unreached_cycles_not_listed():
@@ -600,14 +635,15 @@ def test_census_peak_memory():
 
 def test_prime_fixed_points_skip_the_scalar_check(monkeypatch):
     # At a = 0 only the walked cycles (2), (3) and (4) go through
-    # canonicalize; the other 1,227 prime fixed points come from the sieve.
+    # check_cycles; the other 1,227 prime fixed points come from the sieve.
     calls = []
 
-    def counted(raw_cycle, a, table):
-        calls.append(tuple(raw_cycle))
-        return canonicalize(raw_cycle, a, table)
+    def counted(shift, length, members, spf):
+        cycles = check_cycles(shift, length, members, spf)
+        calls.extend(c.members for c in cycles)
+        return cycles
 
-    monkeypatch.setattr(census_mod, "canonicalize", counted)
+    monkeypatch.setattr(census_mod, "check_cycles", counted)
     rep = run_census(0, 10**4)
     assert sorted(calls) == [(2,), (3,), (4,)]
     assert len(rep.cycles) == 1230

@@ -3,7 +3,7 @@ import pytest
 from oracles import sign_patterns_of_length
 from primeshift import ConsistencyError, iterate_orbit, run_census
 from primeshift.arith import shifted_B
-from primeshift.dynamics import canonicalize
+from primeshift.census import check_cycles
 
 
 def test_orbit_cycle_examples():
@@ -42,22 +42,18 @@ def test_stopping_times():
 
 
 def test_canonicalize(table):
-    cyc = canonicalize((7, 9, 6, 5), 2, table)
-    assert cyc.members == (5, 7, 9, 6)
-    assert cyc.sign_pattern == "++--"
-
-    cyc = canonicalize((4,), 11, table)
-    assert cyc.members == (4,)
-    assert cyc.sign_pattern == "-"
-
-    cyc = canonicalize((10, 7), 3, table)
-    assert cyc.members == (7, 10)
-    assert cyc.sign_pattern == "+-"
+    # Cycles from their minimum, as the census's cycle finder gives them.
+    cycles = check_cycles([2, 11, 3], [4, 1, 2], [5, 7, 9, 6, 4, 7, 10], table.spf)
+    assert [(c.members, c.sign_pattern) for c in cycles] == [
+        ((5, 7, 9, 6), "++--"),
+        ((4,), "-"),
+        ((7, 10), "+-"),
+    ]
 
 
 def test_canonicalize_rejects_non_cycle(table):
-    with pytest.raises(ConsistencyError):
-        canonicalize((5, 6), 2, table)
+    with pytest.raises(ConsistencyError, match="a=2: 5 -> 7, expected 6"):
+        check_cycles([2], [2], [5, 6], table.spf)
 
 
 def test_sign_patterns():
