@@ -49,22 +49,23 @@ def climb_margin(a: int) -> int:
     return (s + 1) * a
 
 
-def census_limit(a: int, start_limit: int) -> int:
+def census_limit(a: int, start_limit: int, m: int | None = None) -> int:
     """Largest value an orbit from a start <= start_limit can reach.
 
-    With m = climb_margin(a) and X = max(start_limit, m + 4), [2, X] is
-    closed under one climb and its descent: a prime p <= X climbs to a
-    composite c <= p + m, and B(c) <= c/2 + 2 <= (X + m)/2 + 2 <= X once
-    X >= m + 4; a composite n <= X maps to B(n) <= n.  So orbits from
-    starts <= start_limit stay in [2, X + m], and no B_a orbit is
-    unbounded.  A negative shift or a start_limit below 2, which leaves no
-    start, raises DomainError; a range past 2^63 - 1 raises
-    RangeOverflowError.  This is the census's one check of its shift.
+    With m = climb_margin(a), computed here unless the caller has it, and
+    X = max(start_limit, m + 4), [2, X] is closed under one climb and its
+    descent: a prime p <= X climbs to a composite c <= p + m, and B(c) <=
+    c/2 + 2 <= (X + m)/2 + 2 <= X once X >= m + 4; a composite n <= X maps
+    to B(n) <= n.  So orbits from starts <= start_limit stay in [2, X +
+    m], and no B_a orbit is unbounded.  A negative shift or a start_limit
+    below 2, which leaves no start, raises DomainError; a range past 2^63
+    - 1 raises RangeOverflowError.  This is the census's one check of its
+    shift.
     """
     a = check_shift(a)
     if start_limit < 2:
         raise DomainError(f"--limit must be >= 2 under a={a}, got {start_limit}")
-    m = climb_margin(a)
+    m = climb_margin(a) if m is None else m
     top = max(start_limit, m + 4) + m
     if top > WORD_MAX:
         raise RangeOverflowError(f"census of a={a} with --limit {start_limit} passes 2^63 - 1")
@@ -98,10 +99,10 @@ def _descents(B, spf):
     D = np.where(node, n, B)  # 0 and 1, which no descent reaches, go to 0
     S = (D != n).astype(B.dtype)
     while True:
-        nxt = D[D]
+        nxt = D.take(D)
         if np.array_equal(nxt, D):
-            return (np.cumsum(node, dtype=B.dtype) - 1)[D], S
-        S += S[D]
+            return (np.cumsum(node, dtype=B.dtype) - 1).take(D), S
+        S += S.take(D)
         D = nxt
 
 
@@ -236,8 +237,8 @@ def check_cycles(shift, length, members, spf) -> list[Cycle]:
 
 
 def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
-    """{a: {minimum: Cycle}} of the cycles that orbits from 2..last(a) meet
-    under B_a, for each a in shifts; fixed points only if fixed.
+    """{a: {minimum: Cycle}} of the cycles that orbits from 2..last(margin)
+    meet under B_a, for each a in shifts; fixed points only if fixed.
 
     Lemma: for a >= 1 every cycle has its minimum x <= margin + 4, where
     margin = climb_margin(a).  If x is composite then x <= 4, because
@@ -264,11 +265,12 @@ def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
     batch at once: each member's B_a, factored through the prefix's one
     sieve table and never read from its B, must be the next member.
     shifts is iterated twice, not stored, so a huge range holds nothing
-    before its first batch.
+    before its first batch; each pass computes each shift's margin once.
     """
     top = 0
     for a in shifts:
-        t = census_limit(a, last(a))
+        m = climb_margin(a)
+        t = census_limit(a, last(m), m)
         check_prime_steps(t, a)  # as in shifted_segments, before the stream
         top = max(top, t)
     if not top:
@@ -287,9 +289,10 @@ def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
                 found[a][c.members[0]] = c
 
     for a in shifts:
-        end = last(a)
-        t = census_limit(a, end)
-        reach = t - climb_margin(a)
+        m = climb_margin(a)
+        end = last(m)
+        t = census_limit(a, end, m)
+        reach = t - m
         n = int(np.searchsorted(nodes, reach, "right"))
         if batch and size + n > CHUNK:
             flush()
@@ -369,7 +372,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
     margin = climb_margin(a)
-    walked = _cycles([a], lambda _: margin + 4)[a]
+    walked = _cycles([a], lambda m: m + 4)[a]
     minima = [np.array(sorted(walked))]
     bits = minima[0].size.bit_length()
     if a == 0:
@@ -556,7 +559,7 @@ def reached_cycles(shifts, start_limit: int) -> dict[int, tuple[Cycle, ...]]:
     By the _cycles lemma, orbits from 2..min(start_limit, climb_margin(a)
     + 4) meet every cycle that any larger range reaches.
     """
-    found = _cycles(shifts, lambda a: min(start_limit, climb_margin(a) + 4), fixed=False)
+    found = _cycles(shifts, lambda m: min(start_limit, m + 4), fixed=False)
     return {a: tuple(c.values()) for a, c in found.items()}
 
 

@@ -39,7 +39,10 @@ def build_kappa(limit: int) -> KappaTable:
     Adding the prime p sends k[j] to k[j] + k[j - p] for j ascending; the
     j in one block [j0, j0 + p) read only the block before it, which is
     already final, so each block is one vectorized add of exact Python
-    integers.  kappa(0) is stored as 0 (it is never consulted).
+    integers.  A prime with p * p <= limit would make p or more such
+    calls; its full blocks, k[:rows * p] as (rows, p), take one running
+    sum down the columns instead, and the tail one block add.  kappa(0) is
+    stored as 0 (it is never consulted).
     """
     if limit < 1:
         raise DomainError(f"--limit must be >= 1, got {limit}")
@@ -48,8 +51,14 @@ def build_kappa(limit: int) -> KappaTable:
     k = np.zeros(limit + 1, dtype=object)
     k[0] = 1
     for p in primes[: np.searchsorted(primes, limit, side="right")].tolist():
-        for j in range(p, limit + 1, p):
-            k[j : j + p] += k[j - p : min(j, limit + 1 - p)]
+        if p * p <= limit:
+            rows = (limit + 1) // p
+            v = k[: rows * p].reshape(rows, p)
+            np.add.accumulate(v, axis=0, out=v)
+            k[rows * p :] += k[(rows - 1) * p : limit + 1 - p]
+        else:
+            for j in range(p, limit + 1, p):
+                k[j : j + p] += k[j - p : min(j, limit + 1 - p)]
     k[0] = 0
     return KappaTable(limit, tuple(k.tolist()))
 

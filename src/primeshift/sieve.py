@@ -6,11 +6,12 @@ window by window (Bays and Hudson's segmented sieve) for the bulk tables,
 so no bulk command holds it whole.  The windows double up to CHUNK
 entries, so the primes that sieve a window come from the windows before
 it, and so do the values that tables.segments fills it from.  A window
-finds the first multiple of each of its sieving primes in one numpy step
-and writes one slice per prime.  Above the limit, factorization uses
-trial division against the sieve primes, a deterministic Miller-Rabin
-test (complete witness set for the 64-bit range), and a Brent-variant
-rho splitter for the rare composites that survive both.
+(its start is even) takes 2 at its even entries in one slice, finds the
+first odd multiple of each odd sieving prime p in one numpy step and
+writes one slice per p, at stride 2p.  Above the limit, factorization
+uses trial division against the sieve primes, a deterministic
+Miller-Rabin test (complete witness set for the 64-bit range), and a
+Brent-variant rho splitter for the rare composites that survive both.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def spf_windows(limit: int):
     """
     dtype, root = index_dtype(limit), math.isqrt(limit)
     # The primes <= root in the windows yielded, ascending, in int64 so
-    # that p * p and w + -w % p below cannot wrap.
+    # that p * p and w + (p - w) % (2 * p) below cannot wrap.
     primes = np.empty(0, dtype=np.int64)
     yield 0, np.zeros(2, dtype=dtype)
     w = 2
@@ -135,15 +136,17 @@ def spf_windows(limit: int):
         hi = min(2 * w, w + CHUNK, limit + 1)
         seg = np.arange(w, hi, dtype=dtype)
         # A composite n with smallest prime factor p has n >= p * p, so the
-        # multiples of p from p * p on reach it.  The primes p <= sqrt(hi -
-        # 1) all lie below w; writing them in descending order leaves the
-        # smallest one last at every composite, and entries never written
-        # (primes) keep n.  first is each prime's first multiple in the
+        # multiples of p from p * p on reach it.  w is even: the even n take
+        # 2 in one slice, and the odd primes p <= sqrt(hi - 1), all below w,
+        # write their odd multiples (p mod 2p) in descending order, leaving
+        # the smallest last at every odd composite; entries never written
+        # (primes) keep n.  first is each one's first odd multiple in the
         # window from p * p on, as an offset.
-        p = primes[: np.searchsorted(primes, math.isqrt(hi - 1), "right")][::-1]
-        first = np.maximum(p * p, w + -w % p) - w
+        p = primes[1 : np.searchsorted(primes, math.isqrt(hi - 1), "right")][::-1]
+        first = np.maximum(p * p, w + (p - w) % (2 * p)) - w
+        seg[0::2] = 2
         for q, o in zip(p.tolist(), first.tolist()):
-            seg[o::q] = q
+            seg[o :: 2 * q] = q
         if w <= root:
             small = seg[: root + 1 - w]
             primes = np.append(primes, np.flatnonzero(small == np.arange(w, w + small.size)) + w)

@@ -127,7 +127,7 @@ def preimage_density(target, x: int) -> tuple[int, float]:
     count = 0
     for s, spf, v in segments(x, b_term):
         mask[s : s + spf.size] = target(s, spf)
-        count += int(np.count_nonzero(mask[v[max(2 - s, 0) :]]))
+        count += int(np.count_nonzero(mask.take(v[max(2 - s, 0) :])))
     return count, count / x
 
 
@@ -152,5 +152,7 @@ def residue_distribution(a: int, q: int, x: int) -> dict[int, int]:
     if q <= 2:
         raise DomainError(f"--q must be > 2, got {q}")
     check_x(x, a)
-    counts = sum(np.bincount(f % q, minlength=q) for _, f in _shifted(a, x))
+    # f - f // q * q is f % q, and about 4x faster: numpy's // by a scalar
+    # runs through libdivide, which its % lacks.
+    counts = sum(np.bincount(f - f // q * q, minlength=q) for _, f in _shifted(a, x))
     return {h: int(counts[h]) for h in range(q)}

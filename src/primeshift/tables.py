@@ -55,7 +55,7 @@ def _fill(s: int, spf, back, term: Term):
         m //= p
         step = term.step(p, m)
         m >>= 1
-        np.add(back[m], step, out=v[odd::2])
+        np.add(back.take(m), step, out=v[odd::2])
         for k in range(1, (top - 1).bit_length()):  # the k with 2^k < top
             n0 = s + (((1 << k) - s) & ((2 << k) - 1))  # first n >= s of the class
             i0 = n0 >> (k + 1)

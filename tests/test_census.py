@@ -218,6 +218,20 @@ def test_sweep_reads_one_stream(monkeypatch):
     assert len(tables_seen) == 1 and shifts_seen == set(range(1, 201)) and counts[39] == 4
 
 
+def test_sweep_computes_each_margin_once_per_pass(monkeypatch):
+    # _cycles passes over its shifts twice, once to size the prefix and
+    # once to batch the walks; each pass needs climb_margin(a) once.
+    calls, margin = [], census_mod.climb_margin
+
+    def counted(a):
+        calls.append(a)
+        return margin(a)
+
+    monkeypatch.setattr(census_mod, "climb_margin", counted)
+    reached_cycles(range(1, 201), 10**6)
+    assert sorted(calls) == sorted([*range(1, 201)] * 2)
+
+
 def test_cycle_check_factors_through_the_sieve(monkeypatch):
     # With B(9) = 7 in the stream, a = 2's cycle (5, 7, 9, 6) reads as
     # (7, 9) on the prefix.  check_cycles factors 9 through the sieve, not

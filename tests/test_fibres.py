@@ -51,6 +51,15 @@ def test_kappa_vs_enumeration(table, kappa60):
         assert kappa60[m] == sum(1 for _ in prime_partitions(m, table))
 
 
+def test_kappa_vs_oracle_every_small_limit(table):
+    # The running sum takes the primes with p * p <= limit, the block adds
+    # the rest; 1..200 crosses that switch at p * p = 4, 9, 25, 49, 121 and
+    # 169, on both sides, and includes limits whose running sum leaves no tail.
+    for limit in range(1, 201):
+        want = partition_count_oracle(limit, table)
+        assert list(build_kappa(limit).kappa) == [0, *want[1:]], f"limit={limit}"
+
+
 def test_kappa_matches_recursion_oracle(table):
     # the paper's beta-weighted recursion, with its exact-division check
     assert list(build_kappa(1000).kappa) == kappa_recursion(1000, table)
