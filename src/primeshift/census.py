@@ -7,12 +7,13 @@ fixed points of a = 0, are found over a short prefix of B (see _cycles):
 every cycle has its minimum among 4 and the primes, and the
 prime-successor map takes a prime through its climb and B's descent to
 the next prime or 4.  A label is the 1-based index of a cycle's minimum
-among all minima.  One ascending pass over the window stream of
-tables.shifted_segments then gives every node its label and distance,
-because a node's successor almost always lies below it.  Both live in
-one packed state per node (see state_dtype), one byte at a <= 200,
-widened only if a distance needs it, and a census holds 1.5 B per entry
-of the range (see run_census).  A sweep over shifts runs no census:
+among all minima.  Above a short prefix every node has a successor
+below it, a prime's the end of its climb and descent step (see
+run_census), so one ascending pass over the window stream of
+tables.shifted_segments gives every start its label and distance.  Both
+live in one packed state per node (see state_dtype), one byte at a <=
+200, widened only if a distance needs it, and a census holds 1.5 B per
+entry of the range.  A sweep over shifts runs no census:
 _cycles finds the cycles of all its shifts over one prefix of B, many
 shifts per numpy pass, and check_cycles checks every cycle of a batch in
 one pass by factorization through the prefix's sieve.
@@ -28,8 +29,8 @@ import numpy as np
 from .arith import check_prime_steps, check_shift
 from .dynamics import Cycle, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import CHUNK, WORD_MAX, SieveTable, check_size, index_dtype, is_prime, zeros
-from .tables import b_term, segments, shifted_segments
+from .sieve import CHUNK, WORD_MAX, SieveTable, check_size, is_prime, zeros
+from .tables import b_term, back_size, segments, shifted_segments
 
 
 def climb_margin(a: int) -> int:
@@ -320,29 +321,6 @@ def state_dtype(bits: int, budget: int) -> type:
     return next((t for t in types if dist_top(t, bits) > budget), np.uint64)
 
 
-def _settle(nodes, succ, read, step, budget, name):
-    """Resolve pending nodes whose successor is resolved, until none moves.
-
-    Each pending node carries its successor in succ, both as positions in
-    the state; read(positions) returns the state and its values there, a
-    successor past the end of the state reading its last slot, 0.
-    Returns the positions still pending and their successors.  name(pos)
-    names the node at a position.
-    """
-    rounds = 0
-    while nodes.size:
-        state, known = read(succ)
-        ok = known != 0
-        if not np.count_nonzero(ok):
-            break
-        if rounds == budget:
-            raise ConsistencyError(f"{name(int(nodes[ok][0]))} is unresolved after {budget} rounds")
-        state[nodes[ok]] = known[ok] + step
-        nodes, succ = nodes[~ok], succ[~ok]
-        rounds += 1
-    return nodes, succ
-
-
 def _tally(total, values):
     """total plus np.bincount(values), in place unless total must grow.
 
@@ -368,11 +346,24 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     (check_cycles); the prime fixed points of a = 0 come straight from the
     stream.  Cycles reached only from starts above start_limit are not
     listed.
+
+    Lemma: for a >= 1, with m = climb_margin(a) and P = 2m + 4, every
+    cycle member is <= P, and above P each node n has a successor s(n) < n
+    with dist(n) = dist(s(n)) + w(n) and label(n) = label(s(n)).  Proof:
+    a cycle's minimum is <= m + 4 (see _cycles), and orbits from there
+    stay <= census_limit(a, m + 4) = P.  A composite n > P has s(n) =
+    B(n) <= n/2 + 2 < n and w(n) = 1.  A prime p > P climbs j >= 1 steps
+    to its first composite c <= p + m, and s(p) = J(p) = B(c) <= (p +
+    m)/2 + 2 < p, as p > m + 4, with w(p) = j + 1: none of p + a, ..., c,
+    all > P, is on a cycle.  So a start n <= S = start_limit reads no
+    node above (S + m)/2 + 2, and orbits from [2, P] stay <=
+    census_limit(a, P) = 3m + 4.  At a = 0, m = 0: a composite n > 4 has
+    B(n) < n, and each prime is a fixed point, its own cycle.
     """
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
-    margin = climb_margin(a)
-    walked = _cycles([a], lambda m: m + 4)[a]
+    m = climb_margin(a)
+    walked = _cycles([a], lambda _: m + 4)[a]
     minima = [np.array(sorted(walked))]
     bits = minima[0].size.bit_length()
     if a == 0:
@@ -385,151 +376,139 @@ def run_census(a: int, start_limit: int) -> CensusReport:
 
     # The state of node n is dist[n] << bits | label[n], 0 while
     # unresolved.  label[n] is the 1-based index in minima of the cycle n
-    # reaches, and dist[n] the number of B_a steps to get there.  A
-    # composite n <= limit steps to B(n) <= n/2 + 2 <= half, so above half
-    # a state is read only at p + a, from a prime p at most margin below
-    # its chain's top.  So state[n] holds node n up to half, and above half
-    # a window of CHUNK + margin nodes follows the stream: state[n - shift]
-    # holds node n.  Its last slot is never written, and reads past the
-    # window are clipped to it: nodes past limit, where the primes p >
-    # limit - a step, are never labelled, as no start reaches them.  The
-    # walked cycles lie below 2 * margin + 5 <= half + margin + 1, inside
-    # the first window.
+    # reaches, and dist[n] the number of B_a steps to get there.  It holds
+    # the nodes up to top, all that any start reads (see the lemma), and
+    # one last slot, never written, that reads past it are clipped to.
+    # Orbits from [2, P] resolve first, by rounds on B_a over [2, low];
+    # then one ascending pass over the stream, whose windows repeat the m
+    # entries before them so that each holds its primes' climbs, resolves
+    # the nodes from P + 1 to S.  The nodes above top are counted and
+    # dropped window by window.
     #
     # The state starts in the narrowest dtype that holds the labels: one
-    # byte at a <= 200, 0.5 B per entry of the range.  Its largest dist is
-    # 31 beside 3 label bits, and the dists a census reaches grow about one
-    # per decade of the limit: at 10^7 at most 28 (a = 155), while a = 90
-    # reaches 31 at 10^9.  A successor read at the largest dist, a state >=
-    # full, would wrap one step on, so the state first widens, once, to the
-    # dtype of the budget, and fold still sees every dist past it.  The
-    # wide state is a zeroed copy of the positions below written, the
-    # walked cycles and the windows streamed so far, so the pages above it
+    # byte at a <= 200.  Its largest dist is 31 beside 3 label bits, and
+    # the dists a census reaches grow about one per decade of the limit:
+    # at 10^7 at most 28 (a = 155), while a = 90 reaches 31 at 10^9.  A
+    # node is at most m // a steps (1 at a = 0) from its successor, so a
+    # read at a dist that a jump would carry past the dtype widens the
+    # state first, once, to a dtype that holds budget + m // a: fold still
+    # sees the first dist past the budget unwrapped.  The wide state is a
+    # zeroed copy of the positions below written, so the pages above it
     # stay untouched.
-    half = limit // 2 + 2
+    P, low = 2 * m + 4, min(limit, 3 * m + 4)
+    top = max((start_limit + m) // 2 + 2, low)
     bound = f"census of a={a} with --limit {start_limit}"
-    size, wide = min(half + CHUNK + margin + 2, limit + 2), state_dtype(bits, budget)
-    check_size(size, wide, bound)  # the size the state may widen to
-    state = zeros(size, state_dtype(bits, 0), bound)
-    full = dist_top(state.dtype, bits) << bits
-    state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
-    for m, cycle in walked.items():
-        state[list(cycle.members)] = state[m]
-    shift = counted = 0
-    written = 2 * margin + 5
+    wide = state_dtype(bits, budget + (m // a if a else 1) - 1)
+    # The state at its widest and the stream's values, together, before either exists.
+    need = check_size(top + 2, wide, bound) + check_size(*back_size(limit), bound)
+    check_size(need, np.uint8, bound)
+    state = zeros(top + 2, state_dtype(bits, 0), bound)
+    cap, written = dist_top(state.dtype, bits), low + 1
     tallies = [np.zeros(0, dtype=np.intp)] * (2 if a == 0 else 1)
 
-    def read(pos):
-        # The state, widened first if need be, and its values at positions.
+    def read(pos, w):
+        # The state at positions, the state widened first where a dist
+        # read plus w, a weight << bits, would pass the narrow dtype's.
         nonlocal state
         known = state.take(pos, mode="clip")
-        if state.dtype != wide and known.max(initial=0) >= full:
-            grown = zeros(size, wide, bound)
+        if state.dtype != wide and int(known.max(initial=0)) + w >= (cap + 1) << bits:
+            grown = zeros(top + 2, wide, bound)
             grown[:written] = state[:written]
             state, known = grown, known.astype(wide)
-        return state, known
+        return known
 
-    def node(pos):
-        # The node at a position in state, or the nodes at an array of them.
-        return pos + shift * (pos > half)
+    def name(n):
+        return f"node {n} under a={a} with --limit {start_limit}"
 
-    def name(pos):
-        return f"node {node(pos)} under a={a} with --limit {start_limit}"
+    def fold(block, lo, end):
+        # Check every dist of block, the states of the nodes from lo on, in
+        # ascending order, so an error names the smallest node past the
+        # budget, and count the starts among the nodes below end.
+        nonlocal tallies
+        if block.max(initial=0) >= past:
+            first = lo + int(np.argmax(block >= past))
+            raise ConsistencyError(f"{name(first)} is more than {budget} steps from its cycle")
+        starts = block[max(2 - lo, 0) : max(min(end, start_limit + 1) - lo, 0)]
+        # A (dist, label) grid over the labels of every prime of a = 0
+        # would be huge.
+        values = (starts & (step - 1), starts >> bits) if a == 0 else (starts,)
+        tallies = [_tally(t, v) for t, v in zip(tallies, values)]
 
-    def fold(end):
-        # Count the final states of the nodes from counted up to end that
-        # are starts, and check every dist against the budget, in ascending
-        # order, so an error names the smallest node past the budget.  Each
-        # state is written once, from its successor's final one, so a node
-        # past the budget leaves one at exactly dist = budget + 1, which
-        # state_dtype makes room for: no dist wraps unseen.  A state orders
-        # nodes by dist first, so a part's largest holds its largest dist.
-        nonlocal counted, tallies
-        while counted < end:
-            n = counted
-            pos, top = (n, half + 1) if n <= half else (n - shift, end)
-            counted = min(end, n + CHUNK, top)
-            part = state[pos : pos + counted - n]
-            if part.max() >= past:
-                first = pos + int(np.argmax(part >= past))
-                raise ConsistencyError(f"{name(first)} is more than {budget} steps from its cycle")
-            starts = part[max(2 - n, 0) : max(start_limit + 1 - n, 0)]
-            # A (dist, label) grid over the labels of every prime of a = 0
-            # would be huge.
-            values = (starts & (step - 1), starts >> bits) if a == 0 else (starts,)
-            tallies = [_tally(t, v) for t, v in zip(tallies, values)]
+    def settle(block, lo, pos, succ, w, last):
+        # Resolve the nodes lo + pos of block from the states of their
+        # successors succ, w (weights << bits) further, round after round,
+        # and return block, widened with the state.  A node up to last that
+        # no round resolves reaches no cycle.
+        while pos.size:
+            known = read(succ, int(w.max()))
+            if block.dtype != state.dtype:
+                end = lo + block.size
+                block = state[lo:end] if end <= top + 1 else block.astype(state.dtype)
+            w = w.astype(state.dtype, copy=False)  # it fits once read has widened
+            wait = np.flatnonzero(known == 0)
+            if wait.size == pos.size:
+                break
+            block[pos] = known + w
+            pos, succ, w = pos[wait], succ[wait], w[wait]
+            block[pos] = 0
+        stuck = pos[pos <= last - lo]
+        if stuck.size:
+            raise ConsistencyError(f"{name(lo + int(stuck[0]))} reaches no cycle")
+        return block
 
-    def resolve(lo, f, pending):
-        # First round over the positions [lo, lo + f.size) as slices: a node
-        # whose successor is already resolved takes its state, one step
-        # further; cycle nodes keep theirs.  The rest wait with their
-        # successors.  f holds successors as nodes and is read as positions:
-        # a node up to half is its own position, and above half a successor
-        # is some p + a from a prime p among these nodes.  For a > 0 that node
-        # is unresolved, and so is position p + a > lo, not yet written (or
-        # past the window, clipped to its last slot); at a = 0 the primes
-        # are labelled already and do not wait.  Only the successors that
-        # wait are turned into positions.
-        _, succ = read(f)
-        ok = succ != 0
-        succ += step
-        block = state[lo : lo + f.size]
-        wait = block == 0
-        ok &= wait
-        succ *= ok
-        block += succ
-        new = np.flatnonzero(wait ^ ok)
-        if new.size:
-            targets = f[new]
-            targets -= (targets > half) * targets.dtype.type(shift)
-            pending = (
-                np.concatenate([pending[0], new + lo]),
-                np.concatenate([pending[1], targets]),
-            )
-        return _settle(*pending, read, step, budget, name)
-
-    def slide(s, pending):
-        # Move the window up to start at s - margin, once fold has counted
-        # the nodes that leave it.
-        nonlocal shift
-        d = max(s - margin - half - 1, 0) - shift
-        if d <= 0:
-            return pending
-        window = state[half + 1 :]
-        window[:margin] = window[d : d + margin]
-        window[margin:] = 0
-        shift += d
-        nodes, succ = pending
-        nodes -= (nodes > half) * d
-        succ -= (succ > half) * succ.dtype.type(d)
-        return nodes, succ
-
-    pending = (np.empty(0, dtype=np.intp), np.empty(0, dtype=index_dtype(limit + a)))
-    ranked = minima[0].size
-    for s, spf, f in shifted_segments(a, limit):
-        if s > 2 * margin + 4:
-            # The nodes below s - margin are final: a node n still pending
-            # below s has an orbit that reaches s, and from n >= margin + 4
-            # an orbit stays <= n + margin (census_limit), so n >= s -
-            # margin; from a smaller n it stays <= 2 * margin + 4 < s.
-            fold(s - margin)
-            pending = slide(s, pending)
-        written = max(written, s + f.size - shift)
+    def resolve(lo, end, s, f):
+        # The nodes lo..end-1 of the window from s, all > P.  One gather
+        # resolves those whose successor B_a(n) is resolved.  The rest are
+        # the primes, the n with B_a(n) >= n, and the nodes whose successor
+        # lies in the window.  A prime p takes J(p), the first B_a(c) < c
+        # on its climb, or at a = 0 the next label, and settle does the rest.
+        nonlocal ranked, written
+        fw = f[lo - s : end - s]
+        if end <= top + 1:
+            written = max(written, end)
+        known = read(fw, step)
+        block = state[lo:end] if end <= top + 1 else known
+        miss = np.flatnonzero(known == 0)
+        np.add(known, step, out=block)
+        block[miss] = 0
+        node, succ = miss + lo, fw.take(miss)
+        prime = succ >= node
         if a == 0:
-            lo = max(s, 5)
-            primes = np.flatnonzero(f[lo - s :] == spf[lo - s :]) + lo
-            state[primes - shift] = np.arange(
-                ranked + 1, ranked + primes.size + 1, dtype=state.dtype
-            )
-            ranked += primes.size
-            minima.append(primes)
-        lo = max(s, 2)
-        pending = resolve(lo - shift, f[lo - s :], pending)
+            p = np.flatnonzero(prime)
+            block[miss[p]] = np.arange(ranked + 1, ranked + p.size + 1)
+            ranked += p.size
+            minima.append(node[p])
+            miss, succ = miss[~prime], succ[~prime]
+            w = np.full(miss.size, step, dtype=np.uint64)
+        else:
+            # Each miss climbs from c, p + a at a prime and n itself at a
+            # composite, j steps in all, while B_a(c) > c.
+            c, j = np.where(prime, succ, node), prime + np.uint64(1)
+            succ = f.take(c - s)
+            up = np.flatnonzero(succ > c)
+            while up.size:
+                c[up] = succ[up]
+                j[up] += 1
+                succ[up] = f.take(c[up] - s)
+                up = up[succ[up] > c[up]]
+            w = j << bits
+        return settle(block, lo, miss, succ, w, end - 1)
+
+    f = np.concatenate([f for _, _, f in shifted_segments(a, low)])
+    state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
+    for x, cycle in walked.items():
+        state[list(cycle.members)] = state[x]
+    pos = np.flatnonzero(state[2 : low + 1] == 0) + 2
+    w = np.full(pos.size, step, dtype=np.uint64)
+    fold(settle(state[: low + 1], 0, pos, f[pos], w, min(start_limit, P)), 0, P + 1)
+    ranked, done = minima[0].size, P + 1
+    for s, spf, f in shifted_segments(a, limit, m) if start_limit > P else ():
+        end = min(s + f.size - m, start_limit + 1)
+        for lo, hi in ((done, min(end, top + 1)), (max(done, top + 1), end)):
+            if lo < hi:
+                fold(resolve(lo, hi, s, f), lo, hi)  # without resolve's temporaries
+        done = max(done, end)
         del spf, f  # so the stream frees it before it builds another
-    stuck = pending[0][node(pending[0]) <= start_limit]
-    if stuck.size:
-        raise ConsistencyError(f"{name(int(stuck[0]))} reaches no cycle")
-    fold(limit + 1)
 
     tallies = [np.trim_zeros(t, "b") for t in tallies]
     if a == 0:
@@ -539,8 +518,8 @@ def run_census(a: int, start_limit: int) -> CensusReport:
         basins, counts = grid.sum(axis=0), grid.sum(axis=1)
     labels = np.flatnonzero(basins)
     cycles = tuple(
-        walked[m] if m in walked else Cycle((m,), "+")
-        for m in np.concatenate(minima)[labels - 1].tolist()
+        walked[x] if x in walked else Cycle((x,), "+")
+        for x in np.concatenate(minima)[labels - 1].tolist()
     )
     return CensusReport(
         a=a,

@@ -334,7 +334,9 @@ def run(argv=None) -> int:
         sys.stderr.write(f"domain error: {exc}\n")
         return 1
     except (RangeOverflowError, NonterminationError, MemoryError) as exc:
-        sys.stderr.write(f"arithmetic/resource error: {exc}\n")
+        # Python's own MemoryError has no message: name the command line.
+        what = str(exc) or "out of memory in " + " ".join(sys.argv[1:] if argv is None else argv)
+        sys.stderr.write(f"arithmetic/resource error: {what}\n")
         return 2
 
 

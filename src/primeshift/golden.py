@@ -3,8 +3,8 @@
 CYCLE_TABLE holds the published catalog verbatim, one row per shift a.
 Three rows (a = 9, 11, 13) are internally inconsistent: the listed tuples
 are not closed under the shifted map (e.g. 5 -> 5 + 9 = 14, not 15).  The
-census reproduces the remaining 17 rows exactly; see KNOWN_BAD_ROWS and
-the computed corrections below.
+census reproduces the remaining 17 rows exactly; see KNOWN_BAD_ROWS.  What
+it finds for those three rows, and at a = 39, the tests hold.
 
 Tuples are stored as printed; compare after canonical (min-first)
 rotation, since some rows are written starting from a non-minimal member.
@@ -35,22 +35,6 @@ CYCLE_TABLE = {
 
 #: Rows of CYCLE_TABLE whose printed tuples are not closed under B_a.
 KNOWN_BAD_ROWS = (9, 11, 13)
-
-#: What the census actually finds for the inconsistent rows (verified by
-#: direct iteration: each tuple is closed under B_a and reachable).
-COMPUTED_CORRECTIONS = {
-    9: ((5, 14, 9, 6), (13, 22)),
-    11: ((5, 16, 8, 6),),
-    13: ((5, 18, 8, 6),),
-}
-
-#: The four-cycle census at a = 39, the richest shift found for a <= 200.
-A39_CYCLES = (
-    (43, 82),
-    (13, 52, 17, 56),
-    (7, 46, 25, 10),
-    (5, 44, 15, 8, 6),
-)
 
 
 def min_first(members) -> tuple[int, ...]:

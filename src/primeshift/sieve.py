@@ -116,41 +116,46 @@ def covering(top: int, bound: str | None = None) -> SieveTable:
     return _shared() if top <= SHARED_LIMIT else build_sieve(top, bound)
 
 
-def spf_windows(limit: int):
-    """Yield (w, spf[w : hi]) for the windows [w, hi) that tile [0, limit]:
+def spf_windows(limit: int, overlap: int = 0):
+    """Yield (lo, spf[lo : hi]) for the windows [w, hi) that tile [0, limit]:
     [0, 2), then [w, min(2w, w + CHUNK)), so the windows start at 0, 2, 4,
     ..., CHUNK, 2 * CHUNK, ...  Each is sieved on its own, so no
     whole-range table exists, and every n in a window has n // spf(n) <=
-    n/2 below it.
+    n/2 below it.  A window past [0, 2) also covers the overlap entries
+    before it, from 2 on: lo = max(2, w - overlap), rounded down to even,
+    and lo = w without overlap.  An overlap past CHUNK takes its place in
+    the window sizes, so a window repeats about as many entries as it
+    adds at most.
 
     The windows are fresh writable arrays in index_dtype(limit); n = 0, 1
     get 0.  build_sieve joins them into the whole table.
     """
     dtype, root = index_dtype(limit), math.isqrt(limit)
     # The primes <= root in the windows yielded, ascending, in int64 so
-    # that p * p and w + (p - w) % (2 * p) below cannot wrap.
+    # that p * p and lo + (p - lo) % (2 * p) below cannot wrap.
     primes = np.empty(0, dtype=np.int64)
     yield 0, np.zeros(2, dtype=dtype)
     w = 2
     while w <= limit:
-        hi = min(2 * w, w + CHUNK, limit + 1)
-        seg = np.arange(w, hi, dtype=dtype)
+        hi = min(2 * w, w + max(CHUNK, overlap), limit + 1)
+        lo = max(2, (w - overlap) & -2)
+        seg = np.arange(lo, hi, dtype=dtype)
         # A composite n with smallest prime factor p has n >= p * p, so the
-        # multiples of p from p * p on reach it.  w is even: the even n take
+        # multiples of p from p * p on reach it.  lo is even: the even n take
         # 2 in one slice, and the odd primes p <= sqrt(hi - 1), all below w,
         # write their odd multiples (p mod 2p) in descending order, leaving
         # the smallest last at every odd composite; entries never written
         # (primes) keep n.  first is each one's first odd multiple in the
         # window from p * p on, as an offset.
         p = primes[1 : np.searchsorted(primes, math.isqrt(hi - 1), "right")][::-1]
-        first = np.maximum(p * p, w + (p - w) % (2 * p)) - w
+        first = np.maximum(p * p, lo + (p - lo) % (2 * p)) - lo
         seg[0::2] = 2
         for q, o in zip(p.tolist(), first.tolist()):
             seg[o :: 2 * q] = q
         if w <= root:
-            small = seg[: root + 1 - w]
+            small = seg[w - lo : root + 1 - lo]
             primes = np.append(primes, np.flatnonzero(small == np.arange(w, w + small.size)) + w)
-        yield w, seg
+        yield lo, seg
         w = hi
 
 

@@ -3,9 +3,9 @@
 B(n) = p + B(m) with p = spf(n) and m = n // p, and (B - beta)(n) =
 (B - beta)(m) + p exactly when p | m, since beta(n) = beta(m) + p unless
 p already divides m.  m <= n/2, and every window of sieve.spf_windows
-past [0, 2) lies below twice its start, so segments() fills each window
-from the values below it, and no whole-range table of B, beta or B_a
-exists.  Only the values at the odd n <= limit // 2 outlive a window, 1 B
+past [0, 2) lies below twice the start of the entries it adds, so
+segments() fills each window from the values below that start, and no
+whole-range table of B, beta or B_a exists.  Only the values at the odd n <= limit // 2 outlive a window, 1 B
 per entry of the range: an even n = 2^k o, o odd, takes its value from
 o's, as B(2^k o) = 2k + B(o).  B_a differs from B only at the primes,
 where B(n) = spf(n): shifted_segments adds a there, once
@@ -67,29 +67,38 @@ def _fill(s: int, spf, back, term: Term):
     return v
 
 
-def segments(limit: int, term: Term):
-    """Yield (s, spf, v) for the windows [s, s + spf.size) of spf_windows(limit).
+def back_size(limit: int) -> tuple[int, type]:
+    """(size, dtype) of the values a stream to limit keeps: V at the odd n <= limit // 2."""
+    half = limit // 2
+    return (half + 1) // 2, index_dtype(half)
+
+
+def segments(limit: int, term: Term, overlap: int = 0):
+    """Yield (s, spf, v) for the windows [s, s + spf.size) of
+    spf_windows(limit, overlap).
 
     v[n - s] = V(n) for a Term: B with b_term, B - beta with excess_term.
     v has spf's dtype.  Only back outlives a window: back[i] = V(2i + 1)
     for the odd 2i + 1 <= limit // 2.  [0, 2) is all 0.  Every later
-    window is below twice its start, so an odd n has an odd m = n // p
-    below it, read from back, and the even n = 2^k (2i + 1), one class per
-    k, read V(2i + 1) off a contiguous run of back and add term.pow2(k).
+    window lies below twice the start w of the entries it adds, its
+    overlap below w, so an odd n has an odd m = n // p below w, read from
+    back, and the even n = 2^k (2i + 1), one class per k, read V(2i + 1)
+    off a contiguous run of back and add term.pow2(k).
 
-    A window is copied into back before it is yielded and never touched
-    after, so the caller may change spf and v in place.
+    A window is copied into back before it is yielded, and the next one
+    computes its overlap again, so the caller may change spf and v in
+    place.
     """
-    half = limit // 2
-    back = zeros((half + 1) // 2, index_dtype(half), f"a stream to {limit}")
-    for s, spf in spf_windows(limit):
+    back = zeros(*back_size(limit), f"a stream to {limit}")
+    for s, spf in spf_windows(limit, overlap):
         v = _fill(s, spf, back, term)
         yield s, spf, v
         del spf, v  # so the next window is built without them
 
 
-def shifted_segments(a: int, top: int):
-    """Yield (s, spf, f), f[n - s] = B_a(n), for the windows of [0, top].
+def shifted_segments(a: int, top: int, overlap: int = 0):
+    """Yield (s, spf, f), f[n - s] = B_a(n), for the windows of [0, top]
+    (see segments for overlap).
 
     f is B plus a where B == spf, at the primes, in index_dtype(top + a);
     it is the stream's v itself when that is v's dtype.  Entries at n = 0,
@@ -98,7 +107,7 @@ def shifted_segments(a: int, top: int):
     any window is built.
     """
     check_prime_steps(top, a)
-    for s, spf, v in segments(top, b_term):
+    for s, spf, v in segments(top, b_term, overlap):
         f = v.astype(index_dtype(top + a), copy=False)
         f += (f == spf) * f.dtype.type(a)
         yield s, spf, f

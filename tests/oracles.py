@@ -2,7 +2,8 @@
 
 None of these is reached from the CLI: each recomputes a result by a
 plainer route (per-start iteration, scalar evaluation, full enumeration
-or a direct scan) so the tests can compare.
+or a direct scan) so the tests can compare.  COMPUTED_CORRECTIONS and
+A39_CYCLES are cycles the tests expect the census to find.
 """
 
 from __future__ import annotations
@@ -20,6 +21,22 @@ from primeshift.errors import ConsistencyError, DomainError, RangeOverflowError
 from primeshift.fibres import KappaTable
 from primeshift.golden import min_first
 from primeshift.sieve import WORD_MAX, SieveTable, factorize, is_prime
+
+#: What the census actually finds for the inconsistent rows (verified by
+#: direct iteration: each tuple is closed under B_a and reachable).
+COMPUTED_CORRECTIONS = {
+    9: ((5, 14, 9, 6), (13, 22)),
+    11: ((5, 16, 8, 6),),
+    13: ((5, 18, 8, 6),),
+}
+
+#: The four-cycle census at a = 39, the richest shift found for a <= 200.
+A39_CYCLES = (
+    (43, 82),
+    (13, 52, 17, 56),
+    (7, 46, 25, 10),
+    (5, 44, 15, 8, 6),
+)
 
 
 def prime_power_sums(limit: int):

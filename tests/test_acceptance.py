@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    A39_CYCLES,
+    COMPUTED_CORRECTIONS,
     excess_tail_count,
     kappa_asymptotic_ratio,
     min_composite_preimage,
@@ -36,8 +38,6 @@ from primeshift import (
 from primeshift.arith import shifted_B
 from primeshift.sieve import is_prime
 from primeshift.golden import (
-    A39_CYCLES,
-    COMPUTED_CORRECTIONS,
     CYCLE_TABLE,
     KNOWN_BAD_ROWS,
     canonical_set,

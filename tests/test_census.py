@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import prime_power_sums, run_census_naive, shifted_map, walked_cycles
+from oracles import A39_CYCLES, prime_power_sums, run_census_naive, shifted_map, walked_cycles
 from primeshift import (
     ConsistencyError,
     cycle_count_sweep,
@@ -23,7 +23,7 @@ from primeshift.cli import run
 from primeshift.arith import shifted_B
 from primeshift.census import check_cycles
 from primeshift.dynamics import default_max_steps
-from primeshift.golden import A39_CYCLES, CYCLE_TABLE, canonical_set
+from primeshift.golden import CYCLE_TABLE, canonical_set
 from primeshift.sieve import build_sieve, index_dtype
 from primeshift.tables import b_term, segments
 
@@ -75,10 +75,10 @@ def test_naive_agrees_with_memoized(table):
 
 def test_naive_agrees_across_windows(table, monkeypatch):
     # With 64-entry segments a 10^4 census streams 157 to 169 of them,
-    # after its walks have read 1 to 26 from a short stream of their own:
-    # successors carried from segment to segment, the primes near the top
-    # whose successor passes the limit, and at a = 0 the primes ranked
-    # segment by segment.
+    # after its walks and its prefix have read short streams of their own:
+    # primes whose climbs end in the entries a segment repeats from the
+    # one before, the primes near the top whose climbs pass the limit, and
+    # at a = 0 the primes ranked segment by segment.
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
     for a in (0, 1, 2, 3, 39, 137, 200):
@@ -88,13 +88,14 @@ def test_naive_agrees_across_windows(table, monkeypatch):
 
 
 def test_prime_chains_cross_window_edges(table, monkeypatch):
-    # Above H = limit // 2 + 2 the census keeps its state in a window of
-    # CHUNK + climb_margin(a) nodes that slides up with the stream.  At
-    # a = 210 and 420 (smallest prime not dividing a is 11, so a prime
-    # climbs up to 12a: 2,520 and 5,040) a chain spans dozens of 64-entry
-    # segments, so pending chains ride through many slides.  At 10^4 and
-    # 2 * 10^4 starts the walked cycles lie below H; at 2 and 20 starts
-    # H = climb_margin(a) + 4 and walked cycle members lie above it.
+    # At a = 210 and 420 (smallest prime not dividing a is 11, so a prime
+    # climbs up to 12a: 2,520 and 5,040) a climb spans dozens of 64-entry
+    # segments, and each segment repeats the climb_margin(a) entries
+    # before it.  The state holds the nodes up to (S + m) // 2 + 2, all
+    # that any node reads, or the prefix [0, 3m + 4] where that is more;
+    # the nodes above it are counted and dropped segment by segment.  At
+    # 10^4 and 2 * 10^4 starts the walked cycles lie below (S + m) // 2;
+    # at 2 and 20 starts every node is in the prefix.
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
     sizes, zeros = [], census_mod.zeros
@@ -113,7 +114,7 @@ def test_prime_chains_cross_window_edges(table, monkeypatch):
             fast = run_census(a, start_limit)
             slow = run_census_naive(a, start_limit, table)
             assert _summary(fast) == _summary(slow), f"a={a}, start_limit={start_limit}"
-            # One state, a window smaller than the range only at `big`.
+            # One state, smaller than the range only at `big`.
             assert len(sizes) == 1 and (sizes[0] < limit) == (start_limit == big)
 
 
@@ -202,9 +203,9 @@ def test_sweep_reads_one_stream(monkeypatch):
     limits, spf_windows = [], tables_mod.spf_windows
     tables_seen, shifts_seen = set(), set()
 
-    def counted(limit):
+    def counted(limit, overlap=0):
         limits.append(limit)
-        return spf_windows(limit)
+        return spf_windows(limit, overlap)
 
     def checked(shift, length, members, spf):
         tables_seen.add(id(spf))
@@ -326,6 +327,32 @@ def test_climb_margin():
     assert climb_margin(6) == 36
 
 
+def test_successor_below_lemma(oracle_values, table):
+    # run_census's lemma by brute force for every a <= 2000, with P = 2 *
+    # climb_margin(a) + 4: no cycle member exceeds P (4, the one fixed
+    # point, does not either), and each prime p in (P, 3P] climbs p + a,
+    # p + 2a, ... to a first composite c <= p + climb_margin(a) with J(p) =
+    # B(c) < p.  The climbs run on the oracle's B and primes; for the
+    # least and the largest p of each a, the scalar shifted_B walks the
+    # climb again and must end at the same J(p).
+    b, _, prime = oracle_values
+    primes = np.flatnonzero(prime)
+    for a, cycles in reached_cycles(range(1, 2001), 10**6).items():
+        m = climb_margin(a)
+        top = 2 * m + 4
+        assert all(max(c.members) <= top for c in cycles), a
+        p = primes[np.searchsorted(primes, top, "right") : np.searchsorted(primes, 3 * top, "right")]
+        c = p + a
+        while (up := prime[c]).any():
+            c[up] += a
+        assert (c <= p + m).all() and (b[c] < p).all(), a
+        for q, want in ((p[0], b[c[0]]), (p[-1], b[c[-1]])):
+            x, y = int(q), shifted_B(int(q), a, table)
+            while y > x:
+                x, y = y, shifted_B(y, a, table)
+            assert y == want < q, (a, q)
+
+
 def test_table1_rows_match_catalog():
     # The 17 internally consistent catalog rows reproduce exactly at 10^6.
     for a, rows in CYCLE_TABLE.items():
@@ -418,17 +445,22 @@ def test_census_dtype_rules():
 
 
 def _widenings(monkeypatch):
-    # A list that gets, for each widening of a census state, the wide dtype,
-    # the function whose read widened and the window's shift then (0 below
-    # limit // 2).
+    # A list that gets, for each widening of a census state, the wide
+    # dtype, where the read that widened ran: "prefix" (the rounds over
+    # [2, 3m + 4]), "gather" (a window's first gather) or "rounds" (a
+    # window's rounds), and whether that window's nodes lie above the
+    # state, whose size is the largest node any node reads plus 2.
     widened, zeros = [], census_mod.zeros
 
     def recorded(size, wide, bound):
         if sys._getframe(1).f_code.co_name == "read":
-            caller = outer = sys._getframe(2)
-            while outer.f_code.co_name != "run_census":
-                outer = outer.f_back
-            widened.append((wide, caller.f_code.co_name, outer.f_locals["shift"]))
+            caller = sys._getframe(2)
+            window = caller if caller.f_code.co_name == "resolve" else caller.f_back
+            if window.f_code.co_name != "resolve":
+                widened.append((wide, "prefix", False))
+            else:
+                where = "gather" if caller is window else "rounds"
+                widened.append((wide, where, window.f_locals["end"] > size - 1))
         return zeros(size, wide, bound)
 
     monkeypatch.setattr(census_mod, "zeros", recorded)
@@ -458,16 +490,21 @@ def _never_narrowed(a, start_limit):
 @pytest.mark.parametrize(
     "a, dtype, top, chunk, where",
     [
-        # a = 39 at 10^4: the first read of a successor 2 steps from its
-        # cycle is in a resolve block, of one 3 steps away in a settle round.
-        (39, np.uint8, 2, None, ("resolve", False)),
-        (39, np.uint8, 3, None, ("_settle", False)),
-        # With 64-entry segments: a = 137 first reads a successor 14 steps
-        # away in a settle round above limit // 2, where the state is a
-        # window; a = 0, with 11 label bits in 2 B, reads 9314's successor,
-        # 9 steps away, in a resolve block there.
-        (137, np.uint8, 14, 2**6, ("_settle", True)),
-        (0, np.uint16, 9, 2**6, ("resolve", True)),
+        # a = 39 at 10^4: the first read that one step would carry past a
+        # dist of 2 or 3 is in the rounds over the prefix [2, 355].  Past 8
+        # it is in a window's first gather, and past 9 in a window's
+        # rounds, where a prime jumps 3 steps at once; both windows lie
+        # below 5,060, the last node the state holds.
+        (39, np.uint8, 2, None, ("prefix", False)),
+        (39, np.uint8, 3, None, ("prefix", False)),
+        # With 64-entry segments: a = 137 first reads a dist that a prime's
+        # jump of 3 steps would carry past 13 in the rounds of a window
+        # above the state; a = 0, with 11 label bits in 2 B, reads 9314's
+        # successor, 9 steps away, in a window's first gather there.
+        (137, np.uint8, 13, 2**6, ("rounds", True)),
+        (0, np.uint16, 9, 2**6, ("gather", True)),
+        (39, np.uint8, 8, None, ("gather", False)),
+        (39, np.uint8, 9, None, ("rounds", False)),
     ],
 )
 def test_widening_is_exact(monkeypatch, a, dtype, top, chunk, where):
@@ -477,9 +514,9 @@ def test_widening_is_exact(monkeypatch, a, dtype, top, chunk, where):
             monkeypatch.setattr(mod, "CHUNK", chunk)
     widened = _narrow_top(monkeypatch, dtype, top)
     assert _summary(run_census(a, 10**4)) == want
-    [(wide, caller, shift)] = widened
+    [(wide, *at)] = widened
     assert np.dtype(wide).itemsize > np.dtype(dtype).itemsize
-    assert (caller, shift > 0) == where
+    assert tuple(at) == where
 
 
 def test_one_byte_state_widens_where_a_dist_would_wrap(table, monkeypatch):
@@ -492,7 +529,7 @@ def test_one_byte_state_widens_where_a_dist_would_wrap(table, monkeypatch):
         widened.clear()
         fast = run_census(0, start_limit)
         assert _summary(fast) == _summary(run_census_naive(0, start_limit, table))
-        assert widened == [(np.uint16, "resolve", 0)], start_limit
+        assert widened == [(np.uint16, "gather", False)], start_limit
 
 
 def test_budget_error_after_widening_names_the_budget(monkeypatch):
@@ -542,17 +579,18 @@ def test_dist_past_budget_raises(monkeypatch):
 
 def test_dist_past_budget_raises_in_its_window(monkeypatch):
     # Under a = 0 only 9314 of the nodes up to 10^4 is more than 9 steps
-    # from its fixed point, and it lies above H = 5002, where the state is
-    # a window.  With 64-entry segments and a budget of 9 the census names
-    # it as the window passes it, while the stream is short of its top.
+    # from its fixed point, and it lies above 5002, the last node the state
+    # holds.  With 64-entry segments and a budget of 9 the census names it
+    # as its segment is counted and dropped, while the stream is short of
+    # its top.
     steps = [iterate_orbit(n, 0).total_stopping_time for n in range(2, 10**4 + 1)]
     assert [n for n, k in enumerate(steps, 2) if k > 9] == [9314]
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
     windows, spf_windows = [], tables_mod.spf_windows
 
-    def counted(limit):
-        for w in spf_windows(limit):
+    def counted(limit, overlap=0):
+        for w in spf_windows(limit, overlap):
             windows.append(w[0])
             yield w
 
@@ -586,8 +624,8 @@ def test_walks_read_one_short_stream(monkeypatch):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
     windows, spf_windows = [], tables_mod.spf_windows
 
-    def counted(limit):
-        for w in spf_windows(limit):
+    def counted(limit, overlap=0):
+        for w in spf_windows(limit, overlap):
             windows.append(limit)
             yield w
 
@@ -602,17 +640,33 @@ def test_walks_read_one_short_stream(monkeypatch):
 
 
 def test_unsettled_node_names_its_input(monkeypatch):
-    # Under a = 39, 14 -> 9 -> 6 with 9 and 14 in one segment [8, 16): 14
-    # is pending until a settle round after 9 resolves, and a budget of 0
-    # rounds allows none.  The error names 14, which that round would
-    # settle, and not 2, pending before it but waiting for 2 + 39 = 41.
-    # The budget is patched for the census's own range only, so the walks
-    # over [0, 238] keep theirs, and fold, which would name a node past a
-    # budget of 0 steps, starts only past 2 * 117 + 4 = 238.
-    steps, top = census_mod.default_max_steps, census_limit(39, 10**4)
-    monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 0 if n == top else steps(n, a))
+    # A start whose orbit meets no walked cycle stays unresolved, and the
+    # census names the smallest such start with its input: in the prefix,
+    # where under a = 39 without the cycle (43, 82) that is 43 itself, and
+    # above it, where no round resolves 5000 once the stream makes it its
+    # own successor.
+    cycles, stream = census_mod._cycles, census_mod.shifted_segments
+
+    def without_43(shifts, last, fixed=True):
+        found = cycles(shifts, last, fixed)
+        del found[39][43]
+        return found
+
+    def looped(a, top, *overlap):
+        for s, spf, f in stream(a, top, *overlap):
+            if s <= 5000 < s + f.size:
+                f[5000 - s] = 5000
+            yield s, spf, f
+
+    with monkeypatch.context() as mp:
+        mp.setattr(census_mod, "_cycles", without_43)
+        with pytest.raises(
+            ConsistencyError, match=r"^node 43 under a=39 with --limit 10000 reaches no cycle$"
+        ):
+            run_census(39, 10**4)
+    monkeypatch.setattr(census_mod, "shifted_segments", looped)
     with pytest.raises(
-        ConsistencyError, match=r"^node 14 under a=39 with --limit 10000 is unresolved after 0 rounds$"
+        ConsistencyError, match=r"^node 5000 under a=39 with --limit 10000 reaches no cycle$"
     ):
         run_census(39, 10**4)
 
@@ -620,15 +674,16 @@ def test_unsettled_node_names_its_input(monkeypatch):
 def test_census_peak_memory():
     # Bytes per table entry at the census's own peak, numpy buffers included.
     # Only the stream's B at the odd n up to limit // 2 (1 B per entry) and
-    # the one-byte state up to limit // 2 (0.5 B per entry) span the range;
-    # above that the state is a window of CHUNK + climb_margin(a) nodes.  The
-    # CHUNK-sized buffers of the window the census holds and of the one the
-    # stream builds next weigh most at 10^6.  At a = 0 the state takes 4 B
-    # per state, 2 B per entry, and the 78,499 cycles, one per prime and 4,
-    # peak as Python objects.  The stream runs in the caller's thread and
-    # frees each window before it builds the next, so the peaks are the
-    # same on every run: 3.88, 2.09 and 16.51 B, and 1.68 B for the stream
-    # alone, each bounded with 10% headroom.
+    # the one-byte state up to limit // 2 + 2 (0.5 B per entry), all that
+    # any start reads, span the range; the nodes above it are counted and
+    # dropped window by window.  The CHUNK-sized buffers of the window the
+    # census counts, and of the one the stream builds next, weigh most at
+    # 10^6.  At a = 0 the state takes 4 B per state, 2 B per entry, and the
+    # 78,499 cycles, one per prime and 4, peak as Python objects.  The
+    # stream runs in the caller's thread and frees each window before it
+    # builds the next, so the peaks are the same on every run: 3.75, 2.06
+    # and 16.25 B, and 1.68 B for the stream alone, bounded by the peaks of
+    # an earlier, window-state census (3.88, 2.09 and 16.51 B) plus 10%.
     for a, start_limit, per_entry in ((39, 10**6, 4.27), (39, 4 * 10**6, 2.31), (0, 10**6, 18.2)):
         tracemalloc.start()
         try:

@@ -269,6 +269,18 @@ def test_refused_allocation_names_the_input(capsys, monkeypatch):
     assert err.endswith("-byte table, more than is free\n")
 
 
+def test_bare_memory_error_names_the_command(capsys, monkeypatch):
+    # Python's own MemoryError, as from a dict too large to build, carries
+    # no message; the error line names the command and its flags instead.
+    def exhausted(a, q, x):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "residue_distribution", exhausted)
+    code, out, err = invoke(capsys, "stats", "residue", "--x", "1000", "--q", str(3 * 10**7))
+    assert (code, out) == (2, "")
+    assert err == "arithmetic/resource error: out of memory in stats residue --x 1000 --q 30000000\n"
+
+
 @pytest.mark.parametrize("argv, bound", [
     (["kappa", "--limit", str(10**14)], f"kappa with --limit {10**14}"),
     (["fibre", "--m", str(10**18), "--bound", str(10**18)],

@@ -46,6 +46,23 @@ def test_stream_edges_match_scalar(small_chunk, table):
                     assert (b[n], excess[n]) == (2 * k + p * (p > 1), 2 * k - 2), (limit, n)
 
 
+@pytest.mark.parametrize("overlap", [1, 2, 63, 117, 200])
+def test_overlapping_windows_repeat_the_entries_before(small_chunk, table, overlap):
+    # With an overlap each window past [0, 2) starts up to that many
+    # entries before the end of the one before, from 2 on and at an even
+    # n, and holds the same spf and values there.
+    want = {t: [0, 0] + [big_B(n, table) for n in range(2, 1002)] for t in (b_term, excess_term)}
+    want[excess_term][2:] = [b - small_beta(n, table) for n, b in enumerate(want[b_term][2:], 2)]
+    for term, values in want.items():
+        end = 0
+        for s, spf, v in segments(1001, term, overlap):
+            assert s == (max(2, (end - overlap) & -2) if end else 0), (overlap, end)
+            assert np.array_equal(spf, table.spf[s : s + spf.size])
+            assert v.tolist() == values[s : s + v.size], (overlap, s)
+            end = s + v.size
+        assert end == 1002
+
+
 def test_streams_start_no_thread(monkeypatch):
     # Every stream is one loop in the caller's thread.  A stream to 100 has
     # seven windows and one up to CHUNK - 1 has 17; then, with 64-entry
