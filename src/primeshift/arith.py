@@ -32,13 +32,12 @@ def check_prime_steps(top: int, a: int) -> None:
         prime_step(prime_below(top + 1), a)
 
 
-def _check_domain(n: int, a: int, extend_domain: bool) -> int | None:
-    """Handle the n in {0, 1} extension; return the extended value or None."""
-    if n >= 2:
-        return None
-    if extend_domain and n in (0, 1):
-        return n  # B(0) = 0 and B(1) = 1; both non-prime, the shift never applies
-    raise DomainError(f"--n must be >= 2 under a={a}, got {n}; pass --extend-domain for 0 and 1")
+def _check_domain(n: int, a: int, extend_domain: bool) -> None:
+    """DomainError unless n >= 2, or n >= 0 under extend_domain (B(0) = 0, B(1) = 1)."""
+    if extend_domain and n < 0:
+        raise DomainError(f"--n must be >= 0 under a={a} with --extend-domain, got {n}")
+    if not extend_domain and n < 2:
+        raise DomainError(f"--n must be >= 2 under a={a}, got {n}; pass --extend-domain for 0 and 1")
 
 
 def big_B(n: int, table: SieveTable) -> int:
@@ -46,12 +45,9 @@ def big_B(n: int, table: SieveTable) -> int:
     return sum(p * r for p, r in factorize(n, table))
 
 
-def shifted_B(n: int, a: int, table: SieveTable, extend_domain: bool = False) -> int:
-    """B_a(n): n + a when n is prime, otherwise B(n)."""
-    a = check_shift(a)
-    ext = _check_domain(n, a, extend_domain)
-    if ext is not None:
-        return ext
+def shifted_B(n: int, a: int, table: SieveTable) -> int:
+    """B_a(n) for n >= 2: n + a when n is prime, otherwise B(n).  The bare
+    map: callers check n and a once (see dynamics.iterate_orbit), not per step."""
     if is_prime(n, table):
         return prime_step(n, a)
     return big_B(n, table)

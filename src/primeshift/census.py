@@ -237,20 +237,21 @@ def check_cycles(shift, length, members, spf) -> list[Cycle]:
     return [Cycle(tuple(values[i:j]), signs[i:j]) for i, j in zip([0, *end], end)]
 
 
-def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
-    """{a: {minimum: Cycle}} of the cycles that orbits from 2..last(margin)
-    meet under B_a, for each a in shifts; fixed points only if fixed.
+def _cycles(shifts, start_limit: int) -> dict[int, dict[int, Cycle]]:
+    """{a: {minimum: Cycle}} of every cycle, fixed points included, that
+    orbits from 2..last meet under B_a, last = min(start_limit,
+    climb_margin(a) + 4), for each a in shifts.
 
     Lemma: for a >= 1 every cycle has its minimum x <= margin + 4, where
     margin = climb_margin(a).  If x is composite then x <= 4, because
     B(c) <= c/2 + 2 < c for composite c > 4.  If x is prime, it climbs to
     a composite c <= x + margin, and x <= B(c) <= c/2 + 2 <= (x + margin)/2
-    + 2.  So orbits from the starts 2..margin+4 meet every cycle.  For
-    a = 0 every cycle is a fixed point: n = 4, or a prime.  Nor does a
-    composite start c > 4 add a cycle: it descends (B(c) < c) to a prime
-    or to 4 below c, so orbits from 4 and the primes <= last meet every
-    cycle that orbits from 2..last meet, and on a cycle the minimum is a
-    prime or 4.
+    + 2.  So these are all the cycles that 2..start_limit meet.  For a = 0
+    every cycle is a fixed point, n = 4 or a prime, and last <= 4.  Nor
+    does a composite start c > 4 add a cycle: it descends (B(c) < c) to a
+    prime or to 4 below c, so orbits from 4 and the primes <= last meet
+    every cycle that orbits from 2..last meet, and on a cycle the minimum
+    is a prime or 4.
 
     So the cycles are found on the prime-successor map P_a: a prime p
     climbs p + a, p + 2a, ... to its first composite c (at a = 0 it stays
@@ -268,10 +269,15 @@ def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
     shifts is iterated twice, not stored, so a huge range holds nothing
     before its first batch; each pass computes each shift's margin once.
     """
+
+    def walks():
+        for a in shifts:
+            m = climb_margin(a)
+            last = min(start_limit, m + 4)
+            yield a, m, last, census_limit(a, last, m)
+
     top = 0
-    for a in shifts:
-        m = climb_margin(a)
-        t = census_limit(a, last(m), m)
+    for a, _, _, t in walks():
         check_prime_steps(t, a)  # as in shifted_segments, before the stream
         top = max(top, t)
     if not top:
@@ -286,19 +292,15 @@ def _cycles(shifts, last, fixed: bool = True) -> dict[int, dict[int, Cycle]]:
         shift, length, members = _batch(batch, B, table.spf, nodes, descent)
         found.update((a, {}) for a, *_ in batch)
         for a, c in zip(shift.tolist(), check_cycles(shift, length, members, table.spf)):
-            if fixed or len(c) > 1:
-                found[a][c.members[0]] = c
+            found[a][c.members[0]] = c
 
-    for a in shifts:
-        m = climb_margin(a)
-        end = last(m)
-        t = census_limit(a, end, m)
+    for a, m, last, t in walks():
         reach = t - m
         n = int(np.searchsorted(nodes, reach, "right"))
         if batch and size + n > CHUNK:
             flush()
             batch, size = [], 0
-        batch.append((a, end, reach, default_max_steps(t, a)))
+        batch.append((a, last, reach, default_max_steps(t, a)))
         size += n
     flush()
     return found
@@ -363,7 +365,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
     m = climb_margin(a)
-    walked = _cycles([a], lambda _: m + 4)[a]
+    walked = _cycles([a], start_limit)[a]
     minima = [np.array(sorted(walked))]
     bits = minima[0].size.bit_length()
     if a == 0:
@@ -404,7 +406,10 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     check_size(need, np.uint8, bound)
     state = zeros(top + 2, state_dtype(bits, 0), bound)
     cap, written = dist_top(state.dtype, bits), low + 1
-    tallies = [np.zeros(0, dtype=np.intp)] * (2 if a == 0 else 1)
+    tally = np.zeros(0, dtype=np.intp)
+    if a == 0:
+        # Labels and dists (none past the budget, see fold) apart: a grid would span every prime.
+        basins, counts = np.zeros(step, dtype=np.intp), np.zeros(budget + 1, dtype=np.intp)
 
     def read(pos, w):
         # The state at positions, the state widened first where a dist
@@ -424,15 +429,16 @@ def run_census(a: int, start_limit: int) -> CensusReport:
         # Check every dist of block, the states of the nodes from lo on, in
         # ascending order, so an error names the smallest node past the
         # budget, and count the starts among the nodes below end.
-        nonlocal tallies
+        nonlocal tally
         if block.max(initial=0) >= past:
             first = lo + int(np.argmax(block >= past))
             raise ConsistencyError(f"{name(first)} is more than {budget} steps from its cycle")
         starts = block[max(2 - lo, 0) : max(min(end, start_limit + 1) - lo, 0)]
-        # A (dist, label) grid over the labels of every prime of a = 0
-        # would be huge.
-        values = (starts & (step - 1), starts >> bits) if a == 0 else (starts,)
-        tallies = [_tally(t, v) for t, v in zip(tallies, values)]
+        if a == 0:
+            np.add.at(basins, starts & (step - 1), 1)
+            np.add.at(counts, starts >> bits, 1)
+        else:
+            tally = _tally(tally, starts)
 
     def settle(block, lo, pos, succ, w, last):
         # Resolve the nodes lo + pos of block from the states of their
@@ -494,7 +500,7 @@ def run_census(a: int, start_limit: int) -> CensusReport:
             w = j << bits
         return settle(block, lo, miss, succ, w, end - 1)
 
-    f = np.concatenate([f for _, _, f in shifted_segments(a, low)])
+    f = np.concatenate([f for _, f in shifted_segments(a, low)])
     state[minima[0]] = np.arange(1, minima[0].size + 1, dtype=state.dtype)
     for x, cycle in walked.items():
         state[list(cycle.members)] = state[x]
@@ -502,20 +508,18 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     w = np.full(pos.size, step, dtype=np.uint64)
     fold(settle(state[: low + 1], 0, pos, f[pos], w, min(start_limit, P)), 0, P + 1)
     ranked, done = minima[0].size, P + 1
-    for s, spf, f in shifted_segments(a, limit, m) if start_limit > P else ():
+    for s, f in shifted_segments(a, limit, m) if start_limit > P else ():
         end = min(s + f.size - m, start_limit + 1)
         for lo, hi in ((done, min(end, top + 1)), (max(done, top + 1), end)):
             if lo < hi:
                 fold(resolve(lo, hi, s, f), lo, hi)  # without resolve's temporaries
         done = max(done, end)
-        del spf, f  # so the stream frees it before it builds another
+        del f  # so the stream frees it before it builds another
 
-    tallies = [np.trim_zeros(t, "b") for t in tallies]
-    if a == 0:
-        basins, counts = tallies
-    else:
-        grid = np.pad(tallies[0], (0, -tallies[0].size % step)).reshape(-1, step)
+    if a:
+        grid = np.pad(tally, (0, -tally.size % step)).reshape(-1, step)
         basins, counts = grid.sum(axis=0), grid.sum(axis=1)
+    counts = np.trim_zeros(counts, "b")
     labels = np.flatnonzero(basins)
     cycles = tuple(
         walked[x] if x in walked else Cycle((x,), "+")
@@ -533,13 +537,9 @@ def run_census(a: int, start_limit: int) -> CensusReport:
 
 def reached_cycles(shifts, start_limit: int) -> dict[int, tuple[Cycle, ...]]:
     """{a: the nontrivial cycles reached from starts 2..start_limit under
-    B_a, by their minimum} for each a in shifts.
-
-    By the _cycles lemma, orbits from 2..min(start_limit, climb_margin(a)
-    + 4) meet every cycle that any larger range reaches.
-    """
-    found = _cycles(shifts, lambda m: min(start_limit, m + 4), fixed=False)
-    return {a: tuple(c.values()) for a, c in found.items()}
+    B_a, by their minimum} for each a in shifts: those of _cycles."""
+    found = _cycles(shifts, start_limit)
+    return {a: tuple(c for c in cycles.values() if len(c) > 1) for a, cycles in found.items()}
 
 
 def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set[int]]:

@@ -302,10 +302,11 @@ def _cmd_stats(args):
         payload = {"N": args.N, "x": args.x, "density": estimate_local_density(args.N, args.x)}
         return _emit(args, payload, list(payload), [payload.values()])
     if args.mode == "residue":
-        counts = residue_distribution(args.a, args.q, args.x)
-        payload = {"a": args.a, "q": args.q, "x": args.x,
-                   "counts": {str(h): c for h, c in sorted(counts.items())}}
-        return _emit(args, payload, ["h", "count"], sorted(counts.items()))
+        rows = enumerate(residue_distribution(args.a, args.q, args.x))
+        if args.format != "json":
+            return _emit(args, {}, ["h", "count"], rows)
+        payload = {"a": args.a, "q": args.q, "x": args.x, "counts": {str(h): c for h, c in rows}}
+        return _emit(args, payload, [], [])
     s = _SERIES[args.mode](args.a, _checkpoints(args.x))
     rows = list(zip(s.checkpoints, s.sums, s.reference, s.ratios))
     columns = ["x", "sum", "reference", "ratio"]

@@ -69,7 +69,9 @@ def default_max_steps(n: int, a: int) -> int:
 def iterate_orbit(
     n: int, a: int, *, max_steps: int | None = None, extend_domain: bool = False
 ) -> OrbitRecord:
-    """Follow n under the shifted map until the orbit closes, within max_steps >= 0 steps."""
+    """Follow n under the shifted map until the orbit closes, within max_steps >= 0 steps.
+
+    n, a and max_steps are checked once, here; a start 0 or 1 (extend_domain) maps to itself."""
     a = check_shift(a)
     _check_domain(n, a, extend_domain)
     if max_steps is None:
@@ -84,6 +86,6 @@ def iterate_orbit(
         seen[v] = len(traj) - 1
         if len(traj) - 1 >= max_steps:
             raise NonterminationError(n, a, max_steps)
-        v = shifted_B(v, a, table, extend_domain=extend_domain)
+        v = shifted_B(v, a, table) if v > 1 else v
         traj.append(v)
     return OrbitRecord(n, a, tuple(traj), seen[v])

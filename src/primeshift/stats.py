@@ -48,7 +48,7 @@ def _from_two(parts):
 
 def _shifted(a, x):
     """B_a over 2 <= n <= x as (lo, values) segments."""
-    return _from_two((s, f) for s, _, f in shifted_segments(a, x))
+    return _from_two(shifted_segments(a, x))
 
 
 def _excess(x):
@@ -146,8 +146,8 @@ def parity_sum(a: int, checkpoints) -> PartialSumSeries:
     return _series(cps, signs, lambda x: 2 * x / math.log(x))
 
 
-def residue_distribution(a: int, q: int, x: int) -> dict[int, int]:
-    """Counts of n <= x (n >= 2) with B_a(n) = h mod q, for each residue h."""
+def residue_distribution(a: int, q: int, x: int) -> list[int]:
+    """Counts of n <= x (n >= 2) with B_a(n) = h mod q, by residue h from 0 to q - 1."""
     a = check_shift(a)
     if q <= 2:
         raise DomainError(f"--q must be > 2, got {q}")
@@ -155,4 +155,4 @@ def residue_distribution(a: int, q: int, x: int) -> dict[int, int]:
     # f - f // q * q is f % q, and about 4x faster: numpy's // by a scalar
     # runs through libdivide, which its % lacks.
     counts = sum(np.bincount(f - f // q * q, minlength=q) for _, f in _shifted(a, x))
-    return {h: int(counts[h]) for h in range(q)}
+    return counts.tolist()

@@ -48,21 +48,20 @@ def _fill(s: int, spf, back, term: Term):
     the call, so none is alive while the stream builds the next window."""
     top = s + spf.size
     v = np.zeros_like(spf)  # V(0) = V(1) = 0; every n >= 2 is written below
-    odd = (s + 1) & 1  # the position of the first odd n
-    if s:
-        p = spf[odd::2]
-        m = np.arange(s + odd, top, 2, dtype=p.dtype)
+    if s:  # s is even, so the odd n sit at the odd offsets
+        p = spf[1::2]
+        m = np.arange(s + 1, top, 2, dtype=p.dtype)
         m //= p
         step = term.step(p, m)
         m >>= 1
-        np.add(back.take(m), step, out=v[odd::2])
+        np.add(back.take(m), step, out=v[1::2])
         for k in range(1, (top - 1).bit_length()):  # the k with 2^k < top
             n0 = s + (((1 << k) - s) & ((2 << k) - 1))  # first n >= s of the class
             i0 = n0 >> (k + 1)
             run = v[n0 - s :: 2 << k]
             np.add(back[i0 : i0 + run.size], term.pow2(k), out=run)
     i = s >> 1
-    kept = v[odd::2][: max(back.size - i, 0)]
+    kept = v[1::2][: max(back.size - i, 0)]
     back[i : i + kept.size] = kept
     return v
 
@@ -97,8 +96,8 @@ def segments(limit: int, term: Term, overlap: int = 0):
 
 
 def shifted_segments(a: int, top: int, overlap: int = 0):
-    """Yield (s, spf, f), f[n - s] = B_a(n), for the windows of [0, top]
-    (see segments for overlap).
+    """Yield (s, f), f[n - s] = B_a(n), for the windows of [0, top] (see
+    segments for overlap).
 
     f is B plus a where B == spf, at the primes, in index_dtype(top + a);
     it is the stream's v itself when that is v's dtype.  Entries at n = 0,
@@ -110,7 +109,7 @@ def shifted_segments(a: int, top: int, overlap: int = 0):
     for s, spf, v in segments(top, b_term, overlap):
         f = v.astype(index_dtype(top + a), copy=False)
         f += (f == spf) * f.dtype.type(a)
-        yield s, spf, f
+        yield s, f
         del spf, v, f  # so the stream frees it before it builds another
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import shifted_beta, small_beta
 from primeshift import DomainError, RangeOverflowError
 from primeshift.arith import big_B, check_shift, shifted_B
+from primeshift.dynamics import iterate_orbit
 from primeshift.sieve import WORD_MAX, is_prime
 from primeshift.sieve import CHUNK
 from primeshift.tables import b_term, excess_term, segments, shifted_segments
@@ -44,14 +45,14 @@ def test_domain_floor(table):
         shifted_B(1, 3, table)
 
 
-def test_extended_domain(table):
-    # B(0) = 0 and B(1) = 1; neither is prime so the shift never applies
-    assert shifted_B(0, 0, table, extend_domain=True) == 0
-    assert shifted_B(1, 0, table, extend_domain=True) == 1
-    assert shifted_B(1, 50, table, extend_domain=True) == 1
-    assert shifted_B(0, 50, table, extend_domain=True) == 0
-    with pytest.raises(DomainError):
-        shifted_B(-1, 0, table, extend_domain=True)
+def test_extended_domain():
+    # B(0) = 0 and B(1) = 1; neither is prime so the shift never applies.
+    # Only a start can be 0 or 1, so the orbit, not the map, extends them.
+    for a in (0, 50):
+        for n in (0, 1):
+            assert iterate_orbit(n, a, extend_domain=True).trajectory == (n, n)
+        with pytest.raises(DomainError):
+            iterate_orbit(-1, a, extend_domain=True)
 
 
 def test_shift_validation():
@@ -99,9 +100,9 @@ def test_power_rule(table):
 
 
 def _streamed(limit, stream):
-    """V over [0, limit] from a segment stream of (s, spf, v)."""
+    """V over [0, limit] from a segment stream of (s, spf, v) or (s, v)."""
     out = np.zeros(limit + 1, dtype=np.int64)
-    for s, _, v in stream:
+    for s, *_, v in stream:
         out[s : s + v.size] = v
     return out
 

@@ -134,16 +134,19 @@ def test_naive_agrees_on_reached_cycles(table):
 def test_prime_starts_meet_every_walked_cycle(oracle_values):
     # The _cycles lemma: orbits from 4 and the primes <= last meet the
     # cycles that orbits from every start 2..last meet, with the same members
-    # and signs.  a = 951 has the most cycles at a <= 1000 (5), and 1680
-    # and 1890 the largest climb margins at a <= 2000 (12a), so the largest
-    # prefix of B reaches census_limit(1890, climb_margin(1890) + 4) = 45,364.
+    # and signs, where _cycles walks to last = min(start_limit,
+    # climb_margin(a) + 4): at a = 0 to 4, as the census labels the primes
+    # from 5 on from its stream.  a = 951 has the most cycles at a <= 1000
+    # (5), and 1680 and 1890 the largest climb margins at a <= 2000 (12a),
+    # so the largest prefix of B reaches census_limit(1890,
+    # climb_margin(1890) + 4) = 45,364.
     b, _, prime = oracle_values
-    walks = [(a, last) for a in [*range(401), 951, 1680, 1890]
-             for last in (climb_margin(a) + 4, 20)]
-    top = max(census_limit(a, last) for a, last in walks)
+    walks = [(a, start_limit, min(start_limit, climb_margin(a) + 4))
+             for a in [*range(401), 951, 1680, 1890] for start_limit in (climb_margin(a) + 4, 20)]
+    top = max(census_limit(a, last) for a, _, last in walks)
     assert top == 45_364
-    for a, last in walks:
-        got = census_mod._cycles([a], lambda _: last)[a]
+    for a, start_limit, last in walks:
+        got = census_mod._cycles([a], start_limit)[a]
         top = census_limit(a, last)
         want = walked_cycles(shifted_map(b[: top + 1], prime[: top + 1], a).tolist(), prime, last)
         assert {m: (c.members, c.sign_pattern) for m, c in got.items()} == want, f"a={a}, last={last}"
@@ -647,16 +650,16 @@ def test_unsettled_node_names_its_input(monkeypatch):
     # own successor.
     cycles, stream = census_mod._cycles, census_mod.shifted_segments
 
-    def without_43(shifts, last, fixed=True):
-        found = cycles(shifts, last, fixed)
+    def without_43(shifts, start_limit):
+        found = cycles(shifts, start_limit)
         del found[39][43]
         return found
 
     def looped(a, top, *overlap):
-        for s, spf, f in stream(a, top, *overlap):
+        for s, f in stream(a, top, *overlap):
             if s <= 5000 < s + f.size:
                 f[5000 - s] = 5000
-            yield s, spf, f
+            yield s, f
 
     with monkeypatch.context() as mp:
         mp.setattr(census_mod, "_cycles", without_43)

@@ -336,6 +336,8 @@ def test_limit_below_two_is_domain_error(capsys, argv, a):
     (["amicable", "--p", "1"], "--p must be a prime > 3, got 1"),
     (["stats", "density", "--N", "-1"], "--N must be >= 0, got -1"),
     (["kappa", "--limit", "0"], "--limit must be >= 1, got 0"),
+    (["--extend-domain", "orbit", "--n", "-1", "--a", "2"],
+     "--n must be >= 0 under a=2 with --extend-domain, got -1"),
 ])
 def test_domain_errors_name_the_flag(capsys, argv, err):
     assert invoke(capsys, *argv) == (1, "", f"domain error: {err}\n")

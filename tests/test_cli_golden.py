@@ -31,6 +31,12 @@ GOLDEN = {
     'json census --a 39 --limit 10000': '045e267bf71a58e563b58b922d31f2812e35ed0545753748e7e06e5861361261',
     'csv census --a 0 --limit 10000': 'd73bc0b701a47d1bc8401cad8f943c9a196dc4f940649a13be32df551db9636f',
     'json census --a 0 --limit 10000': 'b5375e3284157e4b1a1cd1c96c2a8cfe31c19ff99d5b2afb51bd7d365158c70e',
+    'text census --a 39 --limit 20': 'a,cycle_id,length,members,sign_pattern,basin_count\n39,0,1,4,-,1\n39,1,5,5;44;15;8;6,+----,10\n39,2,4,7;46;25;10,+---,5\n39,3,4,13;52;17;56,+-+-,3\n',
+    'csv census --a 39 --limit 20': 'a,cycle_id,length,members,sign_pattern,basin_count\n39,0,1,4,-,1\n39,1,5,5;44;15;8;6,+----,10\n39,2,4,7;46;25;10,+---,5\n39,3,4,13;52;17;56,+-+-,3\n',
+    'json census --a 39 --limit 20': '4238e4aed4036176132fc1b4afe0fc3e198a783072d3d3d011aa0e7a7dbd9fab',
+    'text census --a 137 --limit 100': 'a,cycle_id,length,members,sign_pattern,basin_count\n137,0,1,4,-,1\n137,1,9,5;142;73;210;17;154;20;9;6,+-+-+----,98\n',
+    'csv census --a 137 --limit 100': 'a,cycle_id,length,members,sign_pattern,basin_count\n137,0,1,4,-,1\n137,1,9,5;142;73;210;17;154;20;9;6,+-+-+----,98\n',
+    'json census --a 137 --limit 100': '627e8f4e6d32881fcce9a5b692895d42ced2cec268862cd1c25b99789d57cf6e',
     'text sweep --a-max 20 --limit 10000': '5ed474a5cac557fdaec34193122ebe87b09561a7112a658d54fd162a7df379b1',
     'csv sweep --a-max 20 --limit 10000': '5ed474a5cac557fdaec34193122ebe87b09561a7112a658d54fd162a7df379b1',
     'json sweep --a-max 20 --limit 10000': '43fb671e6ecafae57952a31ee2949d3274ae43a9cc27ecb6d37efb3b3a0f7ac2',
