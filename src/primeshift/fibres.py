@@ -14,7 +14,7 @@ import numpy as np
 
 from .arith import check_shift
 from .errors import DomainError, RangeOverflowError
-from .sieve import WORD_MAX, covering, is_prime
+from .sieve import WORD_MAX, covering, is_prime, zeros
 
 
 @dataclass(frozen=True)
@@ -38,29 +38,60 @@ def build_kappa(limit: int) -> KappaTable:
 
     Adding the prime p sends k[j] to k[j] + k[j - p] for j ascending; the
     j in one block [j0, j0 + p) read only the block before it, which is
-    already final, so each block is one vectorized add of exact Python
-    integers.  A prime with p * p <= limit would make p or more such
-    calls; its full blocks, k[:rows * p] as (rows, p), take one running
-    sum down the columns instead, and the tail one block add.  kappa(0) is
-    stored as 0 (it is never consulted).
+    already final, so each block is one vectorized add.  A prime with
+    p * p <= limit would make p or more such calls; its full blocks,
+    k[:rows * p] as rows of p entries, take one running sum down the
+    columns instead, and the tail one block add.  kappa(0) is stored as 0
+    (it is never consulted).
+
+    The counts outgrow 64 bits, so k[j] holds one as int64 limbs, column i
+    weighing 2^(32 i).  The DP only adds, so every column takes the same
+    slices, and the weighted sum of the columns stays exact while no limb
+    passes 2^63 - 1.  After adding p an entry is the sum of at most
+    (limit + 1) // p + 1 entries from before, so bound, which no limb
+    exceeds, grows by that factor; where that could pass 2^63 - 1, bound
+    is first lowered to the largest limb.  If it still could, the limbs
+    carry before p: each keeps its low 32 bits and adds the high bits of
+    the one below it, the top limb's high bits becoming a new column when
+    any is set, so every limb is then below 2^32 + bound / 2^32.  Below
+    limit = 2^31 that times any factor (at most 2^30 + 1) stays within
+    2^63 - 1, so a larger limit is refused.  The limbs become Python
+    integers once, at the end.
     """
     if limit < 1:
         raise DomainError(f"--limit must be >= 1, got {limit}")
     # Sized before the DP array, so a limit past any array fails in check_size.
     primes = covering(limit, f"kappa with --limit {limit}").primes()
-    k = np.zeros(limit + 1, dtype=object)
-    k[0] = 1
+    if limit >= 2**31:
+        raise RangeOverflowError(f"kappa with --limit {limit} would pass 64-bit limbs")
+    k = zeros(limit + 1, np.int64, f"kappa with --limit {limit}").reshape(-1, 1)
+    k[0] = bound = 1
     for p in primes[: np.searchsorted(primes, limit, side="right")].tolist():
+        f = (limit + 1) // p + 1
+        if bound * f > WORD_MAX:
+            bound = int(k.max())
+        if bound * f > WORD_MAX:
+            high = k >> 32
+            k &= 2**32 - 1
+            k[:, 1:] += high[:, :-1]
+            if high[:, -1].any():
+                k = np.concatenate([k, high[:, -1:]], axis=1)
+            bound = 2**32 - 1 + (bound >> 32)
+        bound *= f
         if p * p <= limit:
             rows = (limit + 1) // p
-            v = k[: rows * p].reshape(rows, p)
+            v = k[: rows * p].reshape(rows, -1)
             np.add.accumulate(v, axis=0, out=v)
             k[rows * p :] += k[(rows - 1) * p : limit + 1 - p]
         else:
             for j in range(p, limit + 1, p):
                 k[j : j + p] += k[j - p : min(j, limit + 1 - p)]
     k[0] = 0
-    return KappaTable(limit, tuple(k.tolist()))
+    values = k[:, -1].astype(object)
+    for limb in k[:, -2::-1].T:
+        values <<= 32
+        values += limb
+    return KappaTable(limit, tuple(values.tolist()))
 
 
 def enumerate_fibre(m: int, a: int, x_bound: int) -> list[int]:

@@ -1,10 +1,12 @@
 """Empirical distribution checks: partial sums, local densities, residues,
 and the density of the n whose B(n) lies in a set.
 
-Each check streams B_a from tables.shifted_segments, or B or B - beta
-from tables.segments, over 2 <= n <= x and sums or counts segment by
-segment, so no table spans the range but the stream's B at the odd n
+Each check but one streams B_a from tables.shifted_segments, or B or B -
+beta from tables.segments, over 2 <= n <= x and sums or counts segment
+by segment, so no table spans the range but the stream's B at the odd n
 <= x // 2 (1 B per entry of the range) and the set's mask over [0, x].
+The partial sums of B - beta stream nothing: only the prime powers p^k
+<= x with k >= 2 add to them, so they need the primes up to isqrt(x).
 Partial sums are exact integers; the analytic reference terms (pi^2 x^2
 / (12 log x) and friends) are double precision, which is all the ratio
 diagnostics need.
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import check_shift
-from .errors import DomainError
-from .sieve import zeros
+from .errors import DomainError, RangeOverflowError
+from .sieve import WORD_MAX, covering, zeros
 from .tables import b_term, check_x, excess_term, segments, shifted_segments
 
 
@@ -51,11 +53,6 @@ def _shifted(a, x):
     return _from_two(shifted_segments(a, x))
 
 
-def _excess(x):
-    """B - beta (= B_a - beta_a for every a) over 2 <= n <= x as (lo, values) segments."""
-    return _from_two((s, v) for s, _, v in segments(x, excess_term))
-
-
 def _exact_sum(values):
     """Exact sum of values: each chunk's int64 sum stays within 2^61 by the
     choice of its length, and the chunk sums add up in Python integers."""
@@ -73,8 +70,8 @@ def _exact_partial_sums(parts, cps):
     return out
 
 
-def _series(cps, parts, ref_fn, ratio_fn=None):
-    sums = tuple(_exact_partial_sums(parts, cps))
+def _series(cps, sums, ref_fn, ratio_fn=None):
+    sums = tuple(sums)
     refs = tuple(float(ref_fn(c)) for c in cps)
     if ratio_fn is None:
         ratios = tuple(s / r if r else math.inf for s, r in zip(sums, refs))
@@ -87,20 +84,35 @@ def average_order_series(a: int, checkpoints) -> PartialSumSeries:
     """Partial sums of B_a against the main term pi^2 x^2 / (12 log x)."""
     a = check_shift(a)
     cps = _checked_cps(checkpoints, a)
-    return _series(cps, _shifted(a, cps[-1]), lambda x: math.pi**2 * x * x / (12 * math.log(x)))
+    sums = _exact_partial_sums(_shifted(a, cps[-1]), cps)
+    return _series(cps, sums, lambda x: math.pi**2 * x * x / (12 * math.log(x)))
 
 
 def b_minus_beta_series(a: int, checkpoints) -> PartialSumSeries:
     """Partial sums of B_a - beta_a (= B - beta, shift-independent).
 
-    Reference is x log log x; the ratio reported is (sum - ref) / x, the
-    bounded quantity in the expansion x log log x + O(x).
+    B(n) - beta(n) is the sum of p over the prime powers p^k | n with k >=
+    2, so the sum over 2 <= n <= c is that of p * (c // p^k) over the p^k
+    <= c with k >= 2, whose primes are at most isqrt(c); a power past c
+    adds 0.  Reference is x log log x; the ratio reported is (sum - ref) /
+    x, the bounded quantity in the expansion x log log x + O(x).
     """
     check_shift(a)  # validated; the difference does not depend on a
     cps = _checked_cps(checkpoints)
+    x, r = cps[-1], math.isqrt(cps[-1])
+    if x > WORD_MAX:
+        raise RangeOverflowError(f"--x {x} exceeds the 64-bit range")
+    primes = covering(r, f"stats bmb with --x {x}").primes()
+    p = primes[: np.searchsorted(primes, r, side="right")]
+    ps, qs = [p], [p * p]
+    while p.size:  # qs[-1] holds the p^k <= x, ascending; p^(k+1) <= x iff p^k <= x // p
+        p = p[: np.count_nonzero(qs[-1] <= x // p)]
+        ps.append(p)
+        qs.append(qs[-1][: p.size] * p)
+    p, q = np.concatenate(ps), np.concatenate(qs)
     return _series(
         cps,
-        _excess(cps[-1]),
+        (_exact_sum(p * (c // q)) for c in cps),
         lambda x: x * math.log(math.log(x)),
         ratio_fn=lambda x, s, r: (s - r) / x,
     )
@@ -111,7 +123,8 @@ def estimate_local_density(N: int, x: int) -> float:
     if N < 0:
         raise DomainError(f"--N must be >= 0, got {N}")
     check_x(x)
-    return sum(int(np.count_nonzero(v == N)) for _, v in _excess(x)) / x
+    excess = _from_two((s, v) for s, _, v in segments(x, excess_term))
+    return sum(int(np.count_nonzero(v == N)) for _, v in excess) / x
 
 
 def preimage_density(target, x: int) -> tuple[int, float]:
@@ -141,9 +154,10 @@ def parity_sum(a: int, checkpoints) -> PartialSumSeries:
     a = check_shift(a)
     cps = _checked_cps(checkpoints, a)
     signs = ((lo, 1 - 2 * (f & 1)) for lo, f in _shifted(a, cps[-1]))
+    sums = _exact_partial_sums(signs, cps)
     if a % 2 == 0:
-        return _series(cps, signs, lambda x: 0.0, ratio_fn=lambda x, s, r: abs(s) / x)
-    return _series(cps, signs, lambda x: 2 * x / math.log(x))
+        return _series(cps, sums, lambda x: 0.0, ratio_fn=lambda x, s, r: abs(s) / x)
+    return _series(cps, sums, lambda x: 2 * x / math.log(x))
 
 
 def residue_distribution(a: int, q: int, x: int) -> list[int]:

@@ -229,7 +229,7 @@ W = str(2**63 - 1)
 
 
 @pytest.mark.parametrize("argv", [
-    ["stats", "bmb", "--x", W],
+    ["stats", "avg", "--x", W],
     ["census", "--a", "1", "--limit", "9223372036854775000"],
     ["density", "--set", "primes", "--x", W],
     ["kappa", "--limit", W],
@@ -252,9 +252,8 @@ def test_table_past_any_array(capsys, argv):
         assert "a=1" in err and "--limit 9223372036854775000" in err
 
 
-def test_refused_allocation_names_the_input(capsys, monkeypatch):
-    # numpy's MemoryError, here for any array past 50,000 entries, is
-    # raised again naming the census's input.  Nothing large is allocated.
+def _refuse_large_zeros(monkeypatch):
+    # numpy's MemoryError, here for any array past 50,000 entries.
     np_zeros = np.zeros
 
     def refuse(size, dtype=float):
@@ -263,10 +262,26 @@ def test_refused_allocation_names_the_input(capsys, monkeypatch):
         return np_zeros(size, dtype=dtype)
 
     monkeypatch.setattr(np, "zeros", refuse)
+
+
+def test_refused_allocation_names_the_input(capsys, monkeypatch):
+    # numpy's MemoryError is raised again naming the census's input.
+    # Nothing large is allocated.
+    _refuse_large_zeros(monkeypatch)
     code, out, err = invoke(capsys, "census", "--a", "39", "--limit", str(10**5))
     assert (code, out) == (2, "")
     assert err.startswith("arithmetic/resource error: census of a=39 with --limit 100000 needs a ")
     assert err.endswith("-byte table, more than is free\n")
+
+
+def test_refused_bmb_sieve_names_x(capsys, monkeypatch):
+    # bmb sieves to isqrt(x): 24.3 GB at x = 2^63 - 1, within the largest
+    # array but more than most hosts have free.  The refusal names --x.
+    _refuse_large_zeros(monkeypatch)
+    code, out, err = invoke(capsys, "stats", "bmb", "--x", W)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"arithmetic/resource error: stats bmb with --x {W} needs a ")
+    assert err.endswith("-byte table, more than is free\n") and err.count("\n") == 1
 
 
 def test_bare_memory_error_names_the_command(capsys, monkeypatch):

@@ -14,11 +14,12 @@ from oracles import (
 )
 from primeshift import (
     DomainError,
+    RangeOverflowError,
     build_kappa,
     enumerate_fibre,
     preimage_density,
 )
-from primeshift import sieve as sieve_mod
+from primeshift import fibres as fibres_mod, sieve as sieve_mod
 from primeshift.arith import shifted_B
 from primeshift.sieve import build_sieve, is_prime
 
@@ -61,20 +62,27 @@ def test_kappa_vs_oracle_every_small_limit(table):
 
 
 def test_kappa_matches_recursion_oracle(table):
-    # the paper's beta-weighted recursion, with its exact-division check
-    assert list(build_kappa(1000).kappa) == kappa_recursion(1000, table)
+    # the paper's beta-weighted recursion, with its exact-division check;
+    # at 2500 the DP's 88-bit counts carry 4 times and end on 3 limbs
+    for limit in (1000, 2500):
+        assert list(build_kappa(limit).kappa) == kappa_recursion(limit, table), f"limit={limit}"
 
 
 def test_kappa_positive_from_two(kappa60):
     assert all(kappa60[m] >= 1 for m in range(2, 61))
 
 
-def test_kappa_domain():
+def test_kappa_domain(monkeypatch):
     with pytest.raises(DomainError):
         build_kappa(0)
     kt = build_kappa(5)
     with pytest.raises(DomainError):
         kt[6]
+    # Past 2^31 a limb could pass 2^63 - 1 between carries; the limit is
+    # refused once its sieve is built, here a small stand-in.
+    monkeypatch.setattr(fibres_mod, "covering", lambda top, bound: sieve_mod.covering(0))
+    with pytest.raises(RangeOverflowError, match=f"--limit {2**31} "):
+        build_kappa(2**31)
 
 
 def test_fibre_examples():

@@ -7,6 +7,7 @@ import pytest
 from oracles import excess_tail_count, prime_count, shifted_beta, shifted_map, small_beta
 from primeshift import (
     DomainError,
+    RangeOverflowError,
     average_order_series,
     b_minus_beta_series,
     estimate_local_density,
@@ -130,6 +131,9 @@ def test_checkpoint_validation():
     for cps in ([1], [0, 10], [10, -3]):
         with pytest.raises(DomainError, match=f"x={min(cps)}"):
             average_order_series(0, cps)
+    # bmb sums in int64, so it refuses an x past 2^63 - 1 before it sieves
+    with pytest.raises(RangeOverflowError, match=f"--x {2**63} exceeds"):
+        b_minus_beta_series(0, [10, 2**63])
 
 
 def test_stats_across_segments(monkeypatch, oracle_values):
@@ -140,7 +144,13 @@ def test_stats_across_segments(monkeypatch, oracle_values):
     cps = sorted({2, x, *(64 * k + d for k in range(1, 157) for d in (-1, 0, 1))})
     b, beta, prime = (v[: x + 1] for v in oracle_values)
     excess = b - beta
-    assert b_minus_beta_series(0, cps).sums == tuple(int(excess[2 : c + 1].sum()) for c in cps)
+    # bmb sums over the prime powers p^k <= c with k >= 2: a checkpoint on
+    # each, and on both sides of it, takes each term as it enters
+    roots = np.flatnonzero(prime[: math.isqrt(x) + 1]).tolist()
+    powers = [p**k for p in roots for k in range(2, x.bit_length()) if p**k <= x]
+    bmb_cps = sorted({*cps, *(q + d for q in powers for d in (-1, 0, 1))})
+    want = tuple(int(excess[2 : c + 1].sum()) for c in bmb_cps)
+    assert b_minus_beta_series(0, bmb_cps).sums == want
     for N in (0, 2, 6):
         assert estimate_local_density(N, x) == int(np.count_nonzero(excess[2:] == N)) / x
     for a in (0, 7):
@@ -153,19 +163,21 @@ def test_stats_across_segments(monkeypatch, oracle_values):
 
 
 def test_stats_peak_memory():
-    # Bytes per n at the peak, numpy buffers included: the stream's B or
-    # B - beta at the odd n <= x // 2 (int32, 1 B per n) and the buffers of
-    # the segment held and the one built next; no table spans the range.
-    # Measured: 1.77 and 1.75 B, bounded with 10% headroom.
+    # avg's bytes per n at the peak, numpy buffers included: the stream's B
+    # at the odd n <= x // 2 (int32, 1 B per n) and the buffers of the
+    # segment held and the one built next; no table spans the range.  bmb
+    # streams nothing: its peak is the shared 2^16 sieve that covering
+    # builds for the primes up to isqrt(x) = 2000.  Measured: 1.77 B per n
+    # and 466,099 B, bounded with 10% headroom.
     x = 4 * 10**6
-    for series, per_entry in ((average_order_series, 1.94), (b_minus_beta_series, 1.93)):
+    for series, bound in ((average_order_series, 1.94 * x), (b_minus_beta_series, 513_000)):
         tracemalloc.start()
         try:
             series(3, [x])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= per_entry * x, series.__name__
+        assert peak <= bound, series.__name__
 
 
 def test_preimage_density_peak_memory():
