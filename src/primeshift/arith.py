@@ -1,8 +1,9 @@
 """The additive function B and the shifted map B_a.
 
 B(n) sums the prime divisors of n with multiplicity, beta(n) the distinct
-ones; tables.py streams B and B - beta in bulk, never beta alone.  The
-shifted variant B_a agrees with B on composites but sends a prime p to p + a.
+ones; tables.py streams B in bulk, stats.py reads B - beta off the prime
+powers, and the package never builds beta.  The shifted variant B_a
+agrees with B on composites but sends a prime p to p + a.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .arith import check_prime_steps, check_shift
 from .dynamics import Cycle, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
 from .sieve import CHUNK, WORD_MAX, SieveTable, check_size, is_prime, zeros
-from .tables import b_term, back_size, segments, shifted_segments
+from .tables import back_size, segments, shifted_segments
 
 
 def climb_margin(a: int) -> int:
@@ -282,7 +282,7 @@ def _cycles(shifts, start_limit: int) -> dict[int, dict[int, Cycle]]:
         top = max(top, t)
     if not top:
         return {}
-    _, spf, b = zip(*segments(top, b_term))
+    _, spf, b = zip(*segments(top))
     B, table = np.concatenate(b), SieveTable(top, np.concatenate(spf))
     nodes = np.insert(table.primes(), 2, 4)  # the primes and 4, ascending
     descent = _descents(B, table.spf)

@@ -1,15 +1,15 @@
 """Empirical distribution checks: partial sums, local densities, residues,
 and the density of the n whose B(n) lies in a set.
 
-Each check but one streams B_a from tables.shifted_segments, or B or B -
-beta from tables.segments, over 2 <= n <= x and sums or counts segment
-by segment, so no table spans the range but the stream's B at the odd n
-<= x // 2 (1 B per entry of the range) and the set's mask over [0, x].
-The partial sums of B - beta stream nothing: only the prime powers p^k
-<= x with k >= 2 add to them, so they need the primes up to isqrt(x).
-Partial sums are exact integers; the analytic reference terms (pi^2 x^2
-/ (12 log x) and friends) are double precision, which is all the ratio
-diagnostics need.
+The checks of B and B_a stream them from tables.segments or
+tables.shifted_segments over 2 <= n <= x and sum or count segment by
+segment, so no table spans the range but the stream's B at the odd n <=
+x // 2 (1 B per entry of the range) and the set's mask over [0, x].  The
+checks of B - beta stream nothing: (B - beta)(n) is the sum of p over the
+prime powers p^k | n with k >= 2, so both read the p^k <= x from
+_prime_powers.  Partial sums are exact integers; the analytic reference
+terms (pi^2 x^2 / (12 log x) and friends) are double precision, which is
+all the ratio diagnostics need.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from .arith import check_shift
 from .errors import DomainError, RangeOverflowError
-from .sieve import WORD_MAX, covering, zeros
-from .tables import b_term, check_x, excess_term, segments, shifted_segments
+from .sieve import CHUNK, WORD_MAX, covering, zeros
+from .tables import check_x, segments, shifted_segments
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,10 @@ def _checked_cps(checkpoints, a=None):
     return cps
 
 
-def _from_two(parts):
-    """The (s, values) segments cut to n >= 2."""
-    for s, values in parts:
-        yield max(s, 2), values[max(2 - s, 0) :]
-
-
 def _shifted(a, x):
     """B_a over 2 <= n <= x as (lo, values) segments."""
-    return _from_two(shifted_segments(a, x))
+    for s, f in shifted_segments(a, x):
+        yield max(s, 2), f[max(2 - s, 0) :]
 
 
 def _exact_sum(values):
@@ -88,28 +83,33 @@ def average_order_series(a: int, checkpoints) -> PartialSumSeries:
     return _series(cps, sums, lambda x: math.pi**2 * x * x / (12 * math.log(x)))
 
 
-def b_minus_beta_series(a: int, checkpoints) -> PartialSumSeries:
-    """Partial sums of B_a - beta_a (= B - beta, shift-independent).
-
-    B(n) - beta(n) is the sum of p over the prime powers p^k | n with k >=
-    2, so the sum over 2 <= n <= c is that of p * (c // p^k) over the p^k
-    <= c with k >= 2, whose primes are at most isqrt(c); a power past c
-    adds 0.  Reference is x log log x; the ratio reported is (sum - ref) /
-    x, the bounded quantity in the expansion x log log x + O(x).
-    """
-    check_shift(a)  # validated; the difference does not depend on a
-    cps = _checked_cps(checkpoints)
-    x, r = cps[-1], math.isqrt(cps[-1])
+def _prime_powers(x: int, mode: str):
+    """(p, q) for every prime power q = p^k <= x with k >= 2, in int64, from
+    the primes up to isqrt(x); the refusals name --x and stats mode."""
     if x > WORD_MAX:
         raise RangeOverflowError(f"--x {x} exceeds the 64-bit range")
-    primes = covering(r, f"stats bmb with --x {x}").primes()
+    r = math.isqrt(x)
+    primes = covering(r, f"stats {mode} with --x {x}").primes()
     p = primes[: np.searchsorted(primes, r, side="right")]
     ps, qs = [p], [p * p]
     while p.size:  # qs[-1] holds the p^k <= x, ascending; p^(k+1) <= x iff p^k <= x // p
         p = p[: np.count_nonzero(qs[-1] <= x // p)]
         ps.append(p)
         qs.append(qs[-1][: p.size] * p)
-    p, q = np.concatenate(ps), np.concatenate(qs)
+    return np.concatenate(ps), np.concatenate(qs)
+
+
+def b_minus_beta_series(a: int, checkpoints) -> PartialSumSeries:
+    """Partial sums of B_a - beta_a (= B - beta, shift-independent).
+
+    The sum over 2 <= n <= c is that of p * (c // p^k) over the prime
+    powers p^k <= c with k >= 2; a power past c adds 0.  Reference is x
+    log log x; the ratio reported is (sum - ref) / x, the bounded quantity
+    in the expansion x log log x + O(x).
+    """
+    check_shift(a)  # validated; the difference does not depend on a
+    cps = _checked_cps(checkpoints)
+    p, q = _prime_powers(cps[-1], "bmb")
     return _series(
         cps,
         (_exact_sum(p * (c // q)) for c in cps),
@@ -119,12 +119,32 @@ def b_minus_beta_series(a: int, checkpoints) -> PartialSumSeries:
 
 
 def estimate_local_density(N: int, x: int) -> float:
-    """Fraction of n <= x with B(n) - beta(n) = N."""
+    """Fraction of n <= x with B(n) - beta(n) = N.
+
+    Each window of CHUNK entries of [2, x] starts at 0, and each prime
+    power p^k (k >= 2) adds p at its multiples there: a power shorter than
+    the window in one strided slice, and the longer ones, each with at most
+    one multiple in the window, in one np.add.at.  A fancy-index += would
+    drop the adds that share an n, as p^2 and p^3 do at multiples of p^3.
+    """
     if N < 0:
         raise DomainError(f"--N must be >= 0, got {N}")
     check_x(x)
-    excess = _from_two((s, v) for s, _, v in segments(x, excess_term))
-    return sum(int(np.count_nonzero(v == N)) for _, v in excess) / x
+    p, q = _prime_powers(x, "density")
+    short = q < CHUNK
+    steps = list(zip(p[short].tolist(), q[short].tolist()))
+    p, q = p[~short], q[~short]
+    count = 0
+    for lo in range(2, x + 1, CHUNK):
+        v = np.zeros(min(CHUNK, x + 1 - lo), dtype=np.int64)
+        for pk, qk in steps:
+            v[-lo % qk :: qk] += pk
+        first = -lo % q
+        hit = first < v.size
+        np.add.at(v, first[hit], p[hit])
+        count += int(np.count_nonzero(v == N))
+        del v  # so the next window is built without it
+    return count / x
 
 
 def preimage_density(target, x: int) -> tuple[int, float]:
@@ -138,7 +158,7 @@ def preimage_density(target, x: int) -> tuple[int, float]:
     check_x(x)
     mask = zeros(x + 1, bool, f"the target mask to x={x}")
     count = 0
-    for s, spf, v in segments(x, b_term):
+    for s, spf, v in segments(x):
         mask[s : s + spf.size] = target(s, spf)
         count += int(np.count_nonzero(mask.take(v[max(2 - s, 0) :])))
     return count, count / x

@@ -1,21 +1,18 @@
 """Bulk values of B, streamed window by window: the one source for every bulk command.
 
-B(n) = p + B(m) with p = spf(n) and m = n // p, and (B - beta)(n) =
-(B - beta)(m) + p exactly when p | m, since beta(n) = beta(m) + p unless
-p already divides m.  m <= n/2, and every window of sieve.spf_windows
-past [0, 2) lies below twice the start of the entries it adds, so
-segments() fills each window from the values below that start, and no
-whole-range table of B, beta or B_a exists.  Only the values at the odd n <= limit // 2 outlive a window, 1 B
-per entry of the range: an even n = 2^k o, o odd, takes its value from
-o's, as B(2^k o) = 2k + B(o).  B_a differs from B only at the primes,
-where B(n) = spf(n): shifted_segments adds a there, once
-arith.check_prime_steps, the one rule for p + a, has passed the largest
-prime.  The stream runs in its caller's thread.
+B(n) = p + B(m) with p = spf(n) and m = n // p.  m <= n/2, and every
+window of sieve.spf_windows past [0, 2) lies below twice the start of
+the entries it adds, so segments() fills each window from the values
+below that start, and no whole-range table of B or B_a exists.  Only the
+values at the odd n <= limit // 2 outlive a window, 1 B per entry of the
+range: an even n = 2^k o, o odd, takes its value from o's, as B(2^k o) =
+2k + B(o).  B_a differs from B only at the primes, where B(n) = spf(n):
+shifted_segments adds a there, once arith.check_prime_steps, the one
+rule for p + a, has passed the largest prime.  The stream runs in its
+caller's thread.
 """
 
 from __future__ import annotations
-
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,42 +21,23 @@ from .errors import DomainError
 from .sieve import index_dtype, spf_windows, zeros
 
 
-class Term(NamedTuple):
-    """How a quantity V with V(0) = V(1) = 0 grows along n = p * m, p = spf(n).
-
-    step(p, m) = V(n) - V(m), and pow2(k) = V(2^k o) - V(o) for odd o and
-    k >= 1.
-    """
-
-    step: Callable
-    pow2: Callable
-
-
-#: B: p at every prime factor, so 2k over 2^k.
-b_term = Term(lambda p, m: p, lambda k: 2 * k)
-
-#: B - beta: p when p | m, else 0, so 2k - 2 over 2^k, as beta(2^k o) = 2 + beta(o).
-excess_term = Term(lambda p, m: p * (m % p == 0), lambda k: 2 * k - 2)
-
-
-def _fill(s: int, spf, back, term: Term):
-    """V over the window [s, s + spf.size) from back, whose entries for the
+def _fill(s: int, spf, back):
+    """B over the window [s, s + spf.size) from back, whose entries for the
     window's odd n it then writes (see segments).  Its temporaries go with
     the call, so none is alive while the stream builds the next window."""
     top = s + spf.size
-    v = np.zeros_like(spf)  # V(0) = V(1) = 0; every n >= 2 is written below
+    v = np.zeros_like(spf)  # B(0) = B(1) = 0; every n >= 2 is written below
     if s:  # s is even, so the odd n sit at the odd offsets
         p = spf[1::2]
         m = np.arange(s + 1, top, 2, dtype=p.dtype)
         m //= p
-        step = term.step(p, m)
         m >>= 1
-        np.add(back.take(m), step, out=v[1::2])
+        np.add(back.take(m), p, out=v[1::2])
         for k in range(1, (top - 1).bit_length()):  # the k with 2^k < top
             n0 = s + (((1 << k) - s) & ((2 << k) - 1))  # first n >= s of the class
             i0 = n0 >> (k + 1)
             run = v[n0 - s :: 2 << k]
-            np.add(back[i0 : i0 + run.size], term.pow2(k), out=run)
+            np.add(back[i0 : i0 + run.size], 2 * k, out=run)
     i = s >> 1
     kept = v[1::2][: max(back.size - i, 0)]
     back[i : i + kept.size] = kept
@@ -67,22 +45,21 @@ def _fill(s: int, spf, back, term: Term):
 
 
 def back_size(limit: int) -> tuple[int, type]:
-    """(size, dtype) of the values a stream to limit keeps: V at the odd n <= limit // 2."""
+    """(size, dtype) of the values a stream to limit keeps: B at the odd n <= limit // 2."""
     half = limit // 2
     return (half + 1) // 2, index_dtype(half)
 
 
-def segments(limit: int, term: Term, overlap: int = 0):
+def segments(limit: int, overlap: int = 0):
     """Yield (s, spf, v) for the windows [s, s + spf.size) of
     spf_windows(limit, overlap).
 
-    v[n - s] = V(n) for a Term: B with b_term, B - beta with excess_term.
-    v has spf's dtype.  Only back outlives a window: back[i] = V(2i + 1)
-    for the odd 2i + 1 <= limit // 2.  [0, 2) is all 0.  Every later
-    window lies below twice the start w of the entries it adds, its
+    v[n - s] = B(n), in spf's dtype.  Only back outlives a window: back[i]
+    = B(2i + 1) for the odd 2i + 1 <= limit // 2.  [0, 2) is all 0.  Every
+    later window lies below twice the start w of the entries it adds, its
     overlap below w, so an odd n has an odd m = n // p below w, read from
-    back, and the even n = 2^k (2i + 1), one class per k, read V(2i + 1)
-    off a contiguous run of back and add term.pow2(k).
+    back, and the even n = 2^k (2i + 1), one class per k, read B(2i + 1)
+    off a contiguous run of back and add 2k.
 
     A window is copied into back before it is yielded, and the next one
     computes its overlap again, so the caller may change spf and v in
@@ -90,7 +67,7 @@ def segments(limit: int, term: Term, overlap: int = 0):
     """
     back = zeros(*back_size(limit), f"a stream to {limit}")
     for s, spf in spf_windows(limit, overlap):
-        v = _fill(s, spf, back, term)
+        v = _fill(s, spf, back)
         yield s, spf, v
         del spf, v  # so the next window is built without them
 
@@ -106,7 +83,7 @@ def shifted_segments(a: int, top: int, overlap: int = 0):
     any window is built.
     """
     check_prime_steps(top, a)
-    for s, spf, v in segments(top, b_term, overlap):
+    for s, spf, v in segments(top, overlap):
         f = v.astype(index_dtype(top + a), copy=False)
         f += (f == spf) * f.dtype.type(a)
         yield s, f

@@ -10,7 +10,7 @@ from primeshift.arith import big_B, check_shift, shifted_B
 from primeshift.dynamics import iterate_orbit
 from primeshift.sieve import WORD_MAX, is_prime
 from primeshift.sieve import CHUNK
-from primeshift.tables import b_term, excess_term, segments, shifted_segments
+from primeshift.tables import segments, shifted_segments
 
 
 def test_big_b_examples(table):
@@ -109,12 +109,10 @@ def _streamed(limit, stream):
 
 def test_beta_le_b_exhaustive(b_values, beta_values):
     # beta <= B with equality exactly on squarefree n, for all n <= 10^6,
-    # in the oracle's sums and in the stream's B - beta
+    # in the oracle's sums
     n = np.arange(2, 10**6 + 1)
     b = b_values[2 : 10**6 + 1]
     beta = beta_values[2 : 10**6 + 1]
-    excess = _streamed(10**6, segments(10**6, excess_term))[2:]
-    assert np.array_equal(excess, b - beta)
     assert np.all(beta <= b)
     spf_squarefree = np.ones(10**6 + 1, dtype=bool)
     for p in range(2, 1001):
@@ -126,18 +124,17 @@ def test_beta_le_b_exhaustive(b_values, beta_values):
 def test_value_table_matches_scalar(table, b_values, beta_values):
     # Fixed cases, every n <= 2*10^4, then seeded random n up to 10^6, and
     # every n within 50 of a multiple of CHUNK, where the stream changes
-    # segments: the oracle's sums and the stream's B, B - beta and B_a
-    # against the scalar functions.
+    # segments: the oracle's sums and the stream's B and B_a against the
+    # scalar functions.
     rng = np.random.default_rng(20240)
     ns = [97, 360, 999999, 6469693230 % 10**6, *range(2, 2 * 10**4 + 1)]
     ns += rng.integers(2, 10**6 + 1, 2000).tolist()
     ns += [n for c in range(CHUNK, 10**6 + 1, CHUNK) for n in range(c - 50, c + 51)]
-    b = _streamed(10**6, segments(10**6, b_term))
-    excess = _streamed(10**6, segments(10**6, excess_term))
+    b = _streamed(10**6, segments(10**6))
     for n in ns:
         big, beta = big_B(n, table), small_beta(n, table)
         assert (int(b_values[n]), int(beta_values[n])) == (big, beta), n
-        assert (int(b[n]), int(excess[n])) == (big, big - beta), n
+        assert int(b[n]) == big, n
     for a in (0, 1, 39):
         f = _streamed(10**6, shifted_segments(a, 10**6))
         for n in ns:

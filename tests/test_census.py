@@ -25,7 +25,7 @@ from primeshift.census import check_cycles
 from primeshift.dynamics import default_max_steps
 from primeshift.golden import CYCLE_TABLE, canonical_set
 from primeshift.sieve import build_sieve, index_dtype
-from primeshift.tables import b_term, segments
+from primeshift.tables import segments
 
 
 def _summary(rep):
@@ -242,8 +242,8 @@ def test_cycle_check_factors_through_the_sieve(monkeypatch):
     # the stream's B, so both the sweep and the census name the member.
     stream = census_mod.segments
 
-    def corrupted(limit, term):
-        for s, spf, v in stream(limit, term):
+    def corrupted(limit):
+        for s, spf, v in stream(limit):
             if s <= 9 < s + v.size:
                 v[9 - s] = 7
             yield s, spf, v
@@ -697,7 +697,7 @@ def test_census_peak_memory():
         assert peak <= per_entry * census_limit(a, start_limit), (a, start_limit)
     tracemalloc.start()
     try:
-        for _ in segments(4 * 10**6, b_term):
+        for _ in segments(4 * 10**6):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -274,13 +274,15 @@ def test_refused_allocation_names_the_input(capsys, monkeypatch):
     assert err.endswith("-byte table, more than is free\n")
 
 
-def test_refused_bmb_sieve_names_x(capsys, monkeypatch):
-    # bmb sieves to isqrt(x): 24.3 GB at x = 2^63 - 1, within the largest
-    # array but more than most hosts have free.  The refusal names --x.
+@pytest.mark.parametrize("mode", ["bmb", "density"])
+def test_refused_bmb_sieve_names_x(capsys, monkeypatch, mode):
+    # bmb and density sieve to isqrt(x): 24.3 GB at x = 2^63 - 1, within
+    # the largest array but more than most hosts have free.  The refusal
+    # names --x.
     _refuse_large_zeros(monkeypatch)
-    code, out, err = invoke(capsys, "stats", "bmb", "--x", W)
+    code, out, err = invoke(capsys, "stats", mode, "--x", W)
     assert (code, out) == (2, "")
-    assert err.startswith(f"arithmetic/resource error: stats bmb with --x {W} needs a ")
+    assert err.startswith(f"arithmetic/resource error: stats {mode} with --x {W} needs a ")
     assert err.endswith("-byte table, more than is free\n") and err.count("\n") == 1
 
 
@@ -311,7 +313,7 @@ def test_refused_sieve_names_its_flags(capsys, argv, bound):
     assert err.endswith("-byte table, more than is free\n")
 
 
-def _no_segments(limit, term):
+def _no_segments(limit, overlap=0):
     raise AssertionError(f"asked for segments up to {limit}")
 
 
@@ -649,8 +651,8 @@ def small_queries(draw):
     elif cmd == "density":
         argv = ["density", "--set", draw(st.sampled_from(["primes", "squares"])), "--x", num(-2, 5 * 10**4)]
     else:
-        argv = ["stats", draw(st.sampled_from(["avg", "residue"])),
-                "--a", num(0, 200), "--x", num(-2, 5 * 10**4), "--q", num(1, 12)]
+        argv = ["stats", draw(st.sampled_from(["avg", "bmb", "density", "parity", "residue"])),
+                "--a", num(0, 200), "--x", num(-2, 5 * 10**4), "--q", num(1, 12), "--N", num(-1, 12)]
     return ["--format", draw(st.sampled_from(["text", "csv", "json"])), *argv]
 
 
@@ -666,13 +668,17 @@ def _captured_run(argv):
 
 def _uses_shared_table(argv) -> bool:
     """Whether a small_queries command reads sieve.covering's shared table:
-    orbit, amicable and chain always, and fibre and kappa, whose tables
-    reach at most 2998 and 300 here, once their input passes its check."""
+    orbit, amicable and chain always, and fibre, kappa and stats bmb and
+    density, whose tables reach at most 2998, 300 and 223 here, once their
+    input passes its check."""
     cmd, flags = argv[2], dict(zip(argv[3::2], argv[4::2]))
     if cmd == "fibre":
         return int(flags["--m"]) >= 2
     if cmd == "kappa":
         return int(flags["--limit"]) >= 1
+    if cmd == "stats":
+        mode, flags = argv[3], dict(zip(argv[4::2], argv[5::2]))
+        return int(flags["--x"]) >= 2 and (mode == "bmb" or mode == "density" and int(flags["--N"]) >= 0)
     return cmd in ("orbit", "amicable", "chain")
 
 

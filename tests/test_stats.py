@@ -16,6 +16,7 @@ from primeshift import (
     residue_distribution,
 )
 from primeshift import sieve as sieve_mod
+from primeshift import stats as stats_mod
 from primeshift.arith import big_B, shifted_B
 
 
@@ -131,15 +132,21 @@ def test_checkpoint_validation():
     for cps in ([1], [0, 10], [10, -3]):
         with pytest.raises(DomainError, match=f"x={min(cps)}"):
             average_order_series(0, cps)
-    # bmb sums in int64, so it refuses an x past 2^63 - 1 before it sieves
+    # bmb sums in int64, so it refuses an x past 2^63 - 1 before it sieves,
+    # and so does the local density, from the same prime powers
     with pytest.raises(RangeOverflowError, match=f"--x {2**63} exceeds"):
         b_minus_beta_series(0, [10, 2**63])
+    with pytest.raises(RangeOverflowError, match=f"--x {2**63} exceeds the 64-bit range"):
+        estimate_local_density(0, 2**63)
 
 
 def test_stats_across_segments(monkeypatch, oracle_values):
     # With 64-entry segments, x = 10^4 streams 157 of them; checkpoints
-    # sit on both sides of every segment boundary.
-    monkeypatch.setattr(sieve_mod, "CHUNK", 2**6)
+    # sit on both sides of every segment boundary.  The local density walks
+    # [2, x] in 64-entry windows of its own, so the prime powers from 64 on
+    # take its np.add.at and the shorter ones its strided slices.
+    for mod in (sieve_mod, stats_mod):
+        monkeypatch.setattr(mod, "CHUNK", 2**6)
     x = 10**4
     cps = sorted({2, x, *(64 * k + d for k in range(1, 157) for d in (-1, 0, 1))})
     b, beta, prime = (v[: x + 1] for v in oracle_values)
@@ -151,8 +158,12 @@ def test_stats_across_segments(monkeypatch, oracle_values):
     bmb_cps = sorted({*cps, *(q + d for q in powers for d in (-1, 0, 1))})
     want = tuple(int(excess[2 : c + 1].sum()) for c in bmb_cps)
     assert b_minus_beta_series(0, bmb_cps).sums == want
-    for N in (0, 2, 6):
-        assert estimate_local_density(N, x) == int(np.count_nonzero(excess[2:] == N)) / x
+    # the whole histogram of B - beta, and one N past its largest value, at
+    # x on both sides of the first window edges
+    for top in (2, 3, 63, 64, 65, 66, 128, 129, 130, x):
+        values = excess[2 : top + 1]
+        for N in range(int(values.max()) + 2):
+            assert estimate_local_density(N, top) == int(np.count_nonzero(values == N)) / top, (N, top)
     for a in (0, 7):
         f = shifted_map(b, prime, a)
         signs = 1 - 2 * (f & 1)
@@ -167,17 +178,25 @@ def test_stats_peak_memory():
     # at the odd n <= x // 2 (int32, 1 B per n) and the buffers of the
     # segment held and the one built next; no table spans the range.  bmb
     # streams nothing: its peak is the shared 2^16 sieve that covering
-    # builds for the primes up to isqrt(x) = 2000.  Measured: 1.77 B per n
-    # and 466,099 B, bounded with 10% headroom.
+    # builds for the primes up to isqrt(x) = 2000.  The local density
+    # holds that sieve and one int64 window of 2^17 entries at a time.
+    # Measured: 1.77 B per n, 466,099 B and 1,509,792 B, bounded with 10%
+    # headroom.  Each query builds the shared sieve afresh, so none reads
+    # it from the one before.
     x = 4 * 10**6
-    for series, bound in ((average_order_series, 1.94 * x), (b_minus_beta_series, 513_000)):
+    for query, args, bound in (
+        (average_order_series, (3, [x]), 1.94 * x),
+        (b_minus_beta_series, (3, [x]), 513_000),
+        (estimate_local_density, (0, x), 1_661_000),
+    ):
+        sieve_mod._shared.cache_clear()
         tracemalloc.start()
         try:
-            series(3, [x])
+            query(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound, series.__name__
+        assert peak <= bound, query.__name__
 
 
 def test_preimage_density_peak_memory():

@@ -6,12 +6,11 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import small_beta
 from primeshift import average_order_series, cycle_count_sweep, preimage_density, run_census
 from primeshift import census as census_mod
 from primeshift import sieve as sieve_mod
 from primeshift.arith import big_B
-from primeshift.tables import b_term, excess_term, segments
+from primeshift.tables import segments
 
 
 @pytest.fixture
@@ -22,28 +21,22 @@ def small_chunk(monkeypatch):
 
 
 def test_stream_edges_match_scalar(small_chunk, table):
-    # Later segments read V(o) for odd o from back, which holds only the odd
-    # n <= limit // 2, and an even n = 2^k o takes V(o) plus 2k (B) or
-    # 2k - 2 (B - beta).  The limits make limit // 2 odd and even and put
-    # segment edges and powers of two at the top.
-    def streamed(limit, term):
-        out = {}
-        for s, _, v in segments(limit, term):
-            out.update(zip(range(s, s + v.size), v.tolist()))
-        return out
-
+    # Later segments read B(o) for odd o from back, which holds only the odd
+    # n <= limit // 2, and an even n = 2^k o takes B(o) plus 2k.  The
+    # limits make limit // 2 odd and even and put segment edges and powers
+    # of two at the top.
     for limit in (2, 3, 127, 128, 129, 255, 256, 1000, 1001, 4097):
-        b, excess = streamed(limit, b_term), streamed(limit, excess_term)
-        assert sorted(b) == sorted(excess) == list(range(limit + 1)), limit
-        assert b[0] == b[1] == excess[0] == excess[1] == 0
+        b = {}
+        for s, _, v in segments(limit):
+            b.update(zip(range(s, s + v.size), v.tolist()))
+        assert sorted(b) == list(range(limit + 1)), limit
+        assert b[0] == b[1] == 0
         for n in range(2, limit + 1):
-            big = big_B(n, table)
-            assert (b[n], excess[n]) == (big, big - small_beta(n, table)), (limit, n)
+            assert b[n] == big_B(n, table), (limit, n)
         for k in range(1, limit.bit_length()):
             for p in (1, 3, 5, 61, 127, 1021):
                 if p << k <= limit:
-                    n = p << k
-                    assert (b[n], excess[n]) == (2 * k + p * (p > 1), 2 * k - 2), (limit, n)
+                    assert b[p << k] == 2 * k + p * (p > 1), (limit, p << k)
 
 
 @pytest.mark.parametrize("overlap", [1, 2, 63, 117, 200])
@@ -51,16 +44,14 @@ def test_overlapping_windows_repeat_the_entries_before(small_chunk, table, overl
     # With an overlap each window past [0, 2) starts up to that many
     # entries before the end of the one before, from 2 on and at an even
     # n, and holds the same spf and values there.
-    want = {t: [0, 0] + [big_B(n, table) for n in range(2, 1002)] for t in (b_term, excess_term)}
-    want[excess_term][2:] = [b - small_beta(n, table) for n, b in enumerate(want[b_term][2:], 2)]
-    for term, values in want.items():
-        end = 0
-        for s, spf, v in segments(1001, term, overlap):
-            assert s == (max(2, (end - overlap) & -2) if end else 0), (overlap, end)
-            assert np.array_equal(spf, table.spf[s : s + spf.size])
-            assert v.tolist() == values[s : s + v.size], (overlap, s)
-            end = s + v.size
-        assert end == 1002
+    want = [0, 0] + [big_B(n, table) for n in range(2, 1002)]
+    end = 0
+    for s, spf, v in segments(1001, overlap):
+        assert s == (max(2, (end - overlap) & -2) if end else 0), (overlap, end)
+        assert np.array_equal(spf, table.spf[s : s + spf.size])
+        assert v.tolist() == want[s : s + v.size], (overlap, s)
+        end = s + v.size
+    assert end == 1002
 
 
 def test_streams_start_no_thread(monkeypatch):
@@ -72,8 +63,8 @@ def test_streams_start_no_thread(monkeypatch):
         raise AssertionError(f"a stream started {self!r}")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    assert [s for s, _, _ in segments(100, b_term)] == [0, 2, 4, 8, 16, 32, 64]
-    starts = [s for s, _, _ in segments(sieve_mod.CHUNK - 1, b_term)]
+    assert [s for s, _, _ in segments(100)] == [0, 2, 4, 8, 16, 32, 64]
+    starts = [s for s, _, _ in segments(sieve_mod.CHUNK - 1)]
     assert starts == [0, *(2**k for k in range(1, sieve_mod.CHUNK.bit_length() - 1))]
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
