@@ -9,8 +9,8 @@ prime-successor map takes a prime through its climb and B's descent to
 the next prime or 4.  A label is the 1-based index of a cycle's minimum
 among all minima.  Above a short prefix every node has a successor
 below it, a prime's the end of its climb and descent step (see
-run_census), so one ascending pass over the window stream of
-tables.shifted_segments gives every start its label and distance.  Both
+run_census), so one ascending pass over the window stream of B,
+tables.segments, gives every start its label and distance.  Both
 live in one packed state per node (see state_dtype), one byte at a <=
 200, widened only if a distance needs it, and a census holds 1.5 B per
 entry of the range.  A sweep over shifts runs no census:
@@ -29,8 +29,8 @@ import numpy as np
 from .arith import check_prime_steps, check_shift
 from .dynamics import Cycle, default_max_steps
 from .errors import ConsistencyError, DomainError, RangeOverflowError
-from .sieve import CHUNK, WORD_MAX, SieveTable, check_size, is_prime, zeros
-from .tables import back_size, segments, shifted_segments
+from .sieve import CHUNK, WORD_MAX, build_sieve, check_size, is_prime, zeros
+from .tables import back_size, prime_marks, segments, shifted_segments
 
 
 def climb_margin(a: int) -> int:
@@ -85,18 +85,18 @@ class CensusReport:
     max_total_stopping_time: int
 
 
-def _descents(B, spf):
-    """(R, S) over a prefix of B and its sieve: B's descent from n ends
-    after S[n] steps at the prime, or 4, whose rank among the primes and
-    4, ascending from 0, is R[n].
+def _descents(B):
+    """(R, S) over a prefix of B: B's descent from n ends after S[n] steps
+    at the prime, or 4, whose rank among the primes and 4, ascending from
+    0, is R[n].
 
     B(c) < c for composite c > 4, so every descent ends.  Pointer jumping
     (Wyllie 1979) halves what is left of every descent per round, so a
     few rounds over the prefix serve.
     """
     n = np.arange(B.size, dtype=B.dtype)
-    node = spf == n
-    node[[0, 4]] = False, True
+    node = prime_marks(0, B)
+    node[4] = True
     D = np.where(node, n, B)  # 0 and 1, which no descent reaches, go to 0
     S = (D != n).astype(B.dtype)
     while True:
@@ -258,14 +258,15 @@ def _cycles(shifts, start_limit: int) -> dict[int, dict[int, Cycle]]:
     at p), and P_a(p) is the prime or 4 that B's descent from c reaches;
     P_a(4) = 4.  The primes P_a visits from a start <= last lie <= reach =
     census_limit(a, last) - climb_margin(a), and their climbs stay within
-    census_limit(a, last).  Every shift reads one prefix of B and its
-    sieve, streamed once up to the largest census_limit, and the shifts
-    go in batches of at most CHUNK nodes (a shift with more is a batch
-    alone).  An orbit that does not come back to a prime or 4 of its cycle
-    and round it within default_max_steps raises ConsistencyError naming
-    the smallest such start.  check_cycles then checks all cycles of a
-    batch at once: each member's B_a, factored through the prefix's one
-    sieve table and never read from its B, must be the next member.
+    census_limit(a, last).  Every shift reads one prefix of B, streamed
+    once up to the largest census_limit, and one sieve table over it, and
+    the shifts go in batches of at most CHUNK nodes (a shift with more is
+    a batch alone).  An orbit that does not come back to a prime or 4 of
+    its cycle and round it within default_max_steps raises
+    ConsistencyError naming the smallest such start.  check_cycles then
+    checks all cycles of a batch at once: each member's B_a, factored
+    through that one sieve table and never read from the prefix of B,
+    must be the next member.
     shifts is iterated twice, not stored, so a huge range holds nothing
     before its first batch; each pass computes each shift's margin once.
     """
@@ -282,10 +283,9 @@ def _cycles(shifts, start_limit: int) -> dict[int, dict[int, Cycle]]:
         top = max(top, t)
     if not top:
         return {}
-    _, spf, b = zip(*segments(top))
-    B, table = np.concatenate(b), SieveTable(top, np.concatenate(spf))
+    B, table = np.concatenate([v for _, v in segments(top)]), build_sieve(top)
     nodes = np.insert(table.primes(), 2, 4)  # the primes and 4, ascending
-    descent = _descents(B, table.spf)
+    descent = _descents(B)
     found, batch, size = {}, [], 0
 
     def flush():
@@ -382,10 +382,10 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     # the nodes up to top, all that any start reads (see the lemma), and
     # one last slot, never written, that reads past it are clipped to.
     # Orbits from [2, P] resolve first, by rounds on B_a over [2, low];
-    # then one ascending pass over the stream, whose windows repeat the m
-    # entries before them so that each holds its primes' climbs, resolves
-    # the nodes from P + 1 to S.  The nodes above top are counted and
-    # dropped window by window.
+    # then one ascending pass over the stream of B, whose windows repeat
+    # the m entries before them so that each holds its primes' climbs,
+    # resolves the nodes from P + 1 to S, the primes being the n with B(n)
+    # = n.  The nodes above top are counted and dropped window by window.
     #
     # The state starts in the narrowest dtype that holds the labels: one
     # byte at a <= 200.  Its largest dist is 31 beside 3 label bits, and
@@ -462,23 +462,24 @@ def run_census(a: int, start_limit: int) -> CensusReport:
             raise ConsistencyError(f"{name(lo + int(stuck[0]))} reaches no cycle")
         return block
 
-    def resolve(lo, end, s, f):
-        # The nodes lo..end-1 of the window from s, all > P.  One gather
-        # resolves those whose successor B_a(n) is resolved.  The rest are
-        # the primes, the n with B_a(n) >= n, and the nodes whose successor
-        # lies in the window.  A prime p takes J(p), the first B_a(c) < c
-        # on its climb, or at a = 0 the next label, and settle does the rest.
+    def resolve(lo, end, s, v):
+        # The nodes lo..end-1 of the window from s, all > P > 4, given B
+        # over the window.  One gather resolves those whose successor B(n)
+        # is resolved.  The rest are the primes, the n with B(n) = n, whose
+        # own state the gather read, and the nodes whose successor lies in
+        # the window.  A prime p takes J(p), the first B(c) < c on its
+        # climb, or at a = 0 the next label, and settle does the rest.
         nonlocal ranked, written
-        fw = f[lo - s : end - s]
+        vw = v[lo - s : end - s]
         if end <= top + 1:
             written = max(written, end)
-        known = read(fw, step)
+        known = read(vw, step)
         block = state[lo:end] if end <= top + 1 else known
         miss = np.flatnonzero(known == 0)
         np.add(known, step, out=block)
         block[miss] = 0
-        node, succ = miss + lo, fw.take(miss)
-        prime = succ >= node
+        node, succ = miss + lo, vw.take(miss)
+        prime = succ == node
         if a == 0:
             p = np.flatnonzero(prime)
             block[miss[p]] = np.arange(ranked + 1, ranked + p.size + 1)
@@ -488,15 +489,15 @@ def run_census(a: int, start_limit: int) -> CensusReport:
             w = np.full(miss.size, step, dtype=np.uint64)
         else:
             # Each miss climbs from c, p + a at a prime and n itself at a
-            # composite, j steps in all, while B_a(c) > c.
-            c, j = np.where(prime, succ, node), prime + np.uint64(1)
-            succ = f.take(c - s)
-            up = np.flatnonzero(succ > c)
+            # composite, j steps in all, by a while c is prime.
+            c, j = node + prime * a, prime + np.uint64(1)
+            succ = v.take(c - s)
+            up = np.flatnonzero(succ == c)
             while up.size:
-                c[up] = succ[up]
+                c[up] += a
                 j[up] += 1
-                succ[up] = f.take(c[up] - s)
-                up = up[succ[up] > c[up]]
+                succ[up] = v.take(c[up] - s)
+                up = up[succ[up] == c[up]]
             w = j << bits
         return settle(block, lo, miss, succ, w, end - 1)
 
@@ -507,14 +508,16 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     pos = np.flatnonzero(state[2 : low + 1] == 0) + 2
     w = np.full(pos.size, step, dtype=np.uint64)
     fold(settle(state[: low + 1], 0, pos, f[pos], w, min(start_limit, P)), 0, P + 1)
+    state[P + 1 : low + 1] = 0  # the pass resolves these again, and reads 0 at its primes
     ranked, done = minima[0].size, P + 1
-    for s, f in shifted_segments(a, limit, m) if start_limit > P else ():
-        end = min(s + f.size - m, start_limit + 1)
+    for s, v in segments(limit, m) if start_limit > P else ():
+        end = min(s + v.size - m, start_limit + 1)
         for lo, hi in ((done, min(end, top + 1)), (max(done, top + 1), end)):
             if lo < hi:
-                fold(resolve(lo, hi, s, f), lo, hi)  # without resolve's temporaries
+                fold(resolve(lo, hi, s, v), lo, hi)  # without resolve's temporaries
         done = max(done, end)
-        del f  # so the stream frees it before it builds another
+        del v  # so the stream frees it before it builds another
+    state = None  # so the report's cycles, one per prime at a = 0, are built without it
 
     if a:
         grid = np.pad(tally, (0, -tally.size % step)).reshape(-1, step)

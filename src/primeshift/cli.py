@@ -37,6 +37,7 @@ from .stats import (
     preimage_density,
     residue_distribution,
 )
+from .tables import prime_marks
 
 DEFAULT_LIMIT = 10**6
 SCHEMA_VERSION = 1
@@ -257,12 +258,13 @@ def _cmd_fibre(args):
 
 
 def _target(spec: str, x: int):
-    """target(lo, spf) for preimage_density: the set's members among the k
-    in [lo, hi = lo + spf.size).  The primes are the k with spf(k) = k, the
-    squares those of the roots from ceil(sqrt(lo)) to sqrt(hi - 1); a
-    file's members <= x are read once and sliced per segment."""
+    """target(lo, v) for preimage_density: the set's members among the k
+    in [lo, hi = lo + v.size), given v = B over them.  The primes are
+    tables.prime_marks, the squares those of the roots from
+    ceil(sqrt(lo)) to sqrt(hi - 1); a file's members <= x are read once
+    and sliced per segment."""
     if spec == "primes":
-        return lambda lo, spf: spf == np.arange(lo, lo + spf.size, dtype=spf.dtype)
+        return prime_marks
     if spec == "squares":
         def members(lo, hi):
             return np.arange(math.isqrt(lo - 1) + 1 if lo else 0, math.isqrt(hi - 1) + 1) ** 2
@@ -279,9 +281,9 @@ def _target(spec: str, x: int):
     else:
         raise DomainError(f"unknown target set {spec!r}")
 
-    def target(lo, spf):
-        marks = np.zeros(spf.size, dtype=bool)
-        marks[members(lo, lo + spf.size) - lo] = True
+    def target(lo, v):
+        marks = np.zeros(v.size, dtype=bool)
+        marks[members(lo, lo + v.size) - lo] = True
         return marks
 
     return target

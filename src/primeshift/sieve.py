@@ -1,14 +1,15 @@
 """Smallest-prime-factor sieve, primality testing, and integer factorization.
 
-build_sieve holds the table over [0, limit] whole, covering sizes it for
-the commands that look up a few numbers, and spf_windows streams it
-window by window (Bays and Hudson's segmented sieve) for the bulk tables,
-so no bulk command holds it whole.  The windows double up to CHUNK
-entries, so the primes that sieve a window come from the windows before
-it, and so do the values that tables.segments fills it from.  A window
-(its start is even) takes 2 at its even entries in one slice, finds the
-first odd multiple of each odd sieving prime p in one numpy step and
-writes one slice per p, at stride 2p.  Above the limit, factorization
+build_sieve holds the table over [0, limit] whole, and covering sizes it
+for the commands that look up a few numbers.  windows is the one window
+schedule (Bays and Hudson's segmented sieve): the windows double up to
+CHUNK entries, so the primes that sieve a window come from the windows
+before it.  build_sieve sieves them one at a time with spf_windows, and
+tables.segments, which every bulk command reads, sieves B over them, so
+no bulk command holds a whole-range table.  An spf window (its start is
+even) takes 2 at its even entries in one slice, finds the first odd
+multiple of each odd sieving prime p in one numpy step and writes one
+slice per p, at stride 2p.  Above the limit, factorization
 uses trial division against the sieve primes, a deterministic
 Miller-Rabin test (complete witness set for the 64-bit range), and a
 Brent-variant rho splitter for the rare composites that survive both.
@@ -116,47 +117,52 @@ def covering(top: int, bound: str | None = None) -> SieveTable:
     return _shared() if top <= SHARED_LIMIT else build_sieve(top, bound)
 
 
-def spf_windows(limit: int, overlap: int = 0):
-    """Yield (lo, spf[lo : hi]) for the windows [w, hi) that tile [0, limit]:
-    [0, 2), then [w, min(2w, w + CHUNK)), so the windows start at 0, 2, 4,
-    ..., CHUNK, 2 * CHUNK, ...  Each is sieved on its own, so no
-    whole-range table exists, and every n in a window has n // spf(n) <=
-    n/2 below it.  A window past [0, 2) also covers the overlap entries
-    before it, from 2 on: lo = max(2, w - overlap), rounded down to even,
-    and lo = w without overlap.  An overlap past CHUNK takes its place in
-    the window sizes, so a window repeats about as many entries as it
-    adds at most.
-
-    The windows are fresh writable arrays in index_dtype(limit); n = 0, 1
-    get 0.  build_sieve joins them into the whole table.
+def windows(limit: int, overlap: int = 0):
+    """Yield (lo, w, hi) for the windows [w, hi) that tile [2, limit]:
+    [w, min(2w, w + CHUNK)), so they start at 2, 4, ..., CHUNK, 2 * CHUNK,
+    ...  Every n in a window has its largest proper divisor n // spf(n) <=
+    n/2 below it.  A window also covers the overlap entries before it, from
+    2 on: lo = max(2, w - overlap), rounded down to even, and lo = w
+    without overlap.  An overlap past CHUNK takes its place in the window
+    sizes, so a window repeats about as many entries as it adds at most.
     """
-    dtype, root = index_dtype(limit), math.isqrt(limit)
-    # The primes <= root in the windows yielded, ascending, in int64 so
-    # that p * p and lo + (p - lo) % (2 * p) below cannot wrap.
-    primes = np.empty(0, dtype=np.int64)
-    yield 0, np.zeros(2, dtype=dtype)
     w = 2
     while w <= limit:
         hi = min(2 * w, w + max(CHUNK, overlap), limit + 1)
-        lo = max(2, (w - overlap) & -2)
-        seg = np.arange(lo, hi, dtype=dtype)
+        yield max(2, (w - overlap) & -2), w, hi
+        w = hi
+
+
+def spf_windows(limit: int):
+    """Yield (w, spf[w : hi]) for [0, 2) and then the windows of windows(limit).
+
+    Each is sieved on its own, so no whole-range table exists.  The windows
+    are fresh writable arrays in index_dtype(limit); n = 0, 1 get 0.
+    build_sieve joins them into the whole table.
+    """
+    dtype, root = index_dtype(limit), math.isqrt(limit)
+    # The primes <= root in the windows yielded, ascending, in int64 so
+    # that p * p and w + (p - w) % (2 * p) below cannot wrap.
+    primes = np.empty(0, dtype=np.int64)
+    yield 0, np.zeros(2, dtype=dtype)
+    for _, w, hi in windows(limit):
+        seg = np.arange(w, hi, dtype=dtype)
         # A composite n with smallest prime factor p has n >= p * p, so the
-        # multiples of p from p * p on reach it.  lo is even: the even n take
+        # multiples of p from p * p on reach it.  w is even: the even n take
         # 2 in one slice, and the odd primes p <= sqrt(hi - 1), all below w,
         # write their odd multiples (p mod 2p) in descending order, leaving
         # the smallest last at every odd composite; entries never written
         # (primes) keep n.  first is each one's first odd multiple in the
         # window from p * p on, as an offset.
         p = primes[1 : np.searchsorted(primes, math.isqrt(hi - 1), "right")][::-1]
-        first = np.maximum(p * p, lo + (p - lo) % (2 * p)) - lo
+        first = np.maximum(p * p, w + (p - w) % (2 * p)) - w
         seg[0::2] = 2
         for q, o in zip(p.tolist(), first.tolist()):
             seg[o :: 2 * q] = q
         if w <= root:
-            small = seg[w - lo : root + 1 - lo]
+            small = seg[: root + 1 - w]
             primes = np.append(primes, np.flatnonzero(small == np.arange(w, w + small.size)) + w)
-        yield lo, seg
-        w = hi
+        yield w, seg
 
 
 def _miller_rabin(n: int) -> bool:

@@ -150,16 +150,16 @@ def estimate_local_density(N: int, x: int) -> float:
 def preimage_density(target, x: int) -> tuple[int, float]:
     """(count, density) of {2 <= n <= x : B(n) in a set}; density is count / x.
 
-    target(lo, spf) marks the set's members among the k in [lo, lo +
-    spf.size), given spf over them.  The segments pass in order and fill
+    target(lo, v) marks the set's members among the k in [lo, lo +
+    v.size), given v = B over them.  The segments pass in order and fill
     one mask over [0, x] with their marks; B(n) lies in [2, n] for n >= 2,
     so every lookup reads a mark already written.
     """
     check_x(x)
     mask = zeros(x + 1, bool, f"the target mask to x={x}")
     count = 0
-    for s, spf, v in segments(x):
-        mask[s : s + spf.size] = target(s, spf)
+    for s, v in segments(x):
+        mask[s : s + v.size] = target(s, v)
         count += int(np.count_nonzero(mask.take(v[max(2 - s, 0) :])))
     return count, count / x
 

@@ -237,7 +237,7 @@ def test_criterion_13_local_density(b_values, beta_values, capsys):
 
 def test_criterion_14_square_value_density(capsys):
     squares = np.arange(1001) ** 2  # every B-value here is <= 10^6 = 1000^2
-    sq = lambda lo, spf: np.isin(np.arange(lo, lo + spf.size), squares)
+    sq = lambda lo, v: np.isin(np.arange(lo, lo + v.size), squares)
     d = [preimage_density(sq, x)[1] for x in (10**4, 10**5, 10**6)]
     ok = d[0] > d[1] > d[2] > 0
     report(capsys, 14, "density of square B-values strictly decreasing", ok,

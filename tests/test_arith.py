@@ -100,9 +100,9 @@ def test_power_rule(table):
 
 
 def _streamed(limit, stream):
-    """V over [0, limit] from a segment stream of (s, spf, v) or (s, v)."""
+    """V over [0, limit] from a segment stream of (s, v)."""
     out = np.zeros(limit + 1, dtype=np.int64)
-    for s, *_, v in stream:
+    for s, v in stream:
         out[s : s + v.size] = v
     return out
 

@@ -37,6 +37,21 @@ def _summary(rep):
     )
 
 
+def _watch_streams(monkeypatch, seen):
+    """Route every stream of B that the census and the sweep read, directly
+    or under shifted_segments, through seen(limit, s), called at each
+    window [s, ...)."""
+    stream = tables_mod.segments
+
+    def watched(limit, overlap=0):
+        for s, v in stream(limit, overlap):
+            seen(limit, s)
+            yield s, v
+
+    monkeypatch.setattr(tables_mod, "segments", watched)
+    monkeypatch.setattr(census_mod, "segments", watched)
+
+
 def test_census_a1():
     rep = run_census(1, 10**6)
     assert {c.members for c in rep.cycles if len(c) > 1} == {(5, 6)}
@@ -202,24 +217,26 @@ def test_sweep_reads_one_stream(monkeypatch):
     # Every shift of a sweep walks over one prefix of B, up to the largest
     # census_limit(a, climb_margin(a) + 4) at a <= 200: 2,884 at a = 180.
     # check_cycles checks the cycles of every shift against that prefix's
-    # one sieve table.
-    limits, spf_windows = [], tables_mod.spf_windows
-    tables_seen, shifts_seen = set(), set()
-
-    def counted(limit, overlap=0):
-        limits.append(limit)
-        return spf_windows(limit, overlap)
+    # one sieve table, built to 2,884 and not the shared 2^16 one.
+    limits, built, tables_seen, shifts_seen = [], [], set(), set()
 
     def checked(shift, length, members, spf):
         tables_seen.add(id(spf))
         shifts_seen.update(shift.tolist())
         return check_cycles(shift, length, members, spf)
 
-    monkeypatch.setattr(tables_mod, "spf_windows", counted)
+    def sieved(limit, bound=None):
+        built.append(limit)
+        return build_sieve(limit, bound)
+
+    _watch_streams(monkeypatch, lambda limit, s: limits.append(limit))
     monkeypatch.setattr(census_mod, "check_cycles", checked)
+    monkeypatch.setattr(census_mod, "build_sieve", sieved)
     counts, _ = cycle_count_sweep(200, 10**6)
-    assert limits == [2884] == [census_limit(180, climb_margin(180) + 4)]
-    assert len(tables_seen) == 1 and shifts_seen == set(range(1, 201)) and counts[39] == 4
+    assert census_limit(180, climb_margin(180) + 4) == 2884
+    assert limits == [2884] * len(list(segments(2884)))  # one stream, each of its windows
+    assert built == [2884] and len(tables_seen) == 1 and not sieve_mod._shared.cache_info().currsize
+    assert shifts_seen == set(range(1, 201)) and counts[39] == 4
 
 
 def test_sweep_computes_each_margin_once_per_pass(monkeypatch):
@@ -243,10 +260,10 @@ def test_cycle_check_factors_through_the_sieve(monkeypatch):
     stream = census_mod.segments
 
     def corrupted(limit):
-        for s, spf, v in stream(limit):
+        for s, v in stream(limit):
             if s <= 9 < s + v.size:
                 v[9 - s] = 7
-            yield s, spf, v
+            yield s, v
 
     monkeypatch.setattr(census_mod, "segments", corrupted)
     message = re.escape("not a cycle under a=2: 9 -> 6, expected 7")
@@ -590,14 +607,8 @@ def test_dist_past_budget_raises_in_its_window(monkeypatch):
     assert [n for n, k in enumerate(steps, 2) if k > 9] == [9314]
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
-    windows, spf_windows = [], tables_mod.spf_windows
-
-    def counted(limit, overlap=0):
-        for w in spf_windows(limit, overlap):
-            windows.append(w[0])
-            yield w
-
-    monkeypatch.setattr(tables_mod, "spf_windows", counted)
+    windows = []
+    _watch_streams(monkeypatch, lambda limit, s: windows.append(s))
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 9)
     with pytest.raises(
         ConsistencyError,
@@ -625,14 +636,8 @@ def test_walks_read_one_short_stream(monkeypatch):
     expected = reached_cycles([39], 100)
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
-    windows, spf_windows = [], tables_mod.spf_windows
-
-    def counted(limit, overlap=0):
-        for w in spf_windows(limit, overlap):
-            windows.append(limit)
-            yield w
-
-    monkeypatch.setattr(tables_mod, "spf_windows", counted)
+    windows = []
+    _watch_streams(monkeypatch, lambda limit, s: windows.append(limit))
     assert reached_cycles([39], 100) == expected
     assert windows == [238] * 9
     windows.clear()
@@ -646,20 +651,20 @@ def test_unsettled_node_names_its_input(monkeypatch):
     # A start whose orbit meets no walked cycle stays unresolved, and the
     # census names the smallest such start with its input: in the prefix,
     # where under a = 39 without the cycle (43, 82) that is 43 itself, and
-    # above it, where no round resolves 5000 once the stream makes it its
-    # own successor.
-    cycles, stream = census_mod._cycles, census_mod.shifted_segments
+    # above it, where no round resolves 5000 once the stream makes 5000
+    # and 5002 each other's successor.
+    cycles, stream = census_mod._cycles, census_mod.segments
 
     def without_43(shifts, start_limit):
         found = cycles(shifts, start_limit)
         del found[39][43]
         return found
 
-    def looped(a, top, *overlap):
-        for s, f in stream(a, top, *overlap):
-            if s <= 5000 < s + f.size:
-                f[5000 - s] = 5000
-            yield s, f
+    def looped(top, *overlap):
+        for s, v in stream(top, *overlap):
+            if s <= 5000 and 5002 < s + v.size:
+                v[5000 - s], v[5002 - s] = 5002, 5000
+            yield s, v
 
     with monkeypatch.context() as mp:
         mp.setattr(census_mod, "_cycles", without_43)
@@ -667,7 +672,7 @@ def test_unsettled_node_names_its_input(monkeypatch):
             ConsistencyError, match=r"^node 43 under a=39 with --limit 10000 reaches no cycle$"
         ):
             run_census(39, 10**4)
-    monkeypatch.setattr(census_mod, "shifted_segments", looped)
+    monkeypatch.setattr(census_mod, "segments", looped)
     with pytest.raises(
         ConsistencyError, match=r"^node 5000 under a=39 with --limit 10000 reaches no cycle$"
     ):
@@ -682,12 +687,12 @@ def test_census_peak_memory():
     # dropped window by window.  The CHUNK-sized buffers of the window the
     # census counts, and of the one the stream builds next, weigh most at
     # 10^6.  At a = 0 the state takes 4 B per state, 2 B per entry, and the
-    # 78,499 cycles, one per prime and 4, peak as Python objects.  The
-    # stream runs in the caller's thread and frees each window before it
-    # builds the next, so the peaks are the same on every run: 3.75, 2.06
-    # and 16.25 B, and 1.68 B for the stream alone, bounded by the peaks of
-    # an earlier, window-state census (3.88, 2.09 and 16.51 B) plus 10%.
-    for a, start_limit, per_entry in ((39, 10**6, 4.27), (39, 4 * 10**6, 2.31), (0, 10**6, 18.2)):
+    # 78,499 cycles, one per prime and 4, peak as Python objects, built
+    # once the state is dropped.  The stream runs in the caller's thread
+    # and frees each window before it builds the next, so the peaks are the
+    # same on every run: 3.23, 1.93 and 14.25 B, and 1.39 B for the stream
+    # alone, bounded with 10% headroom.
+    for a, start_limit, per_entry in ((39, 10**6, 3.56), (39, 4 * 10**6, 2.13), (0, 10**6, 15.68)):
         tracemalloc.start()
         try:
             run_census(a, start_limit)
@@ -702,7 +707,7 @@ def test_census_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.84 * 4 * 10**6
+    assert peak <= 1.53 * 4 * 10**6
 
 
 def test_prime_fixed_points_skip_the_scalar_check(monkeypatch):

@@ -61,6 +61,20 @@ GOLDEN = {
     'text stats residue --x 10000': 'h,count\n0,3131\n1,3546\n2,3322\n',
     'csv stats residue --x 10000': 'h,count\n0,3131\n1,3546\n2,3322\n',
     'json stats residue --x 10000': 'ad2b292924eceec129954caa262e14018e3be7e5e6b13573defce29f24811e00',
+    # n = 4 is the one composite with B(n) = n: it is neither a prime of the
+    # density's target nor shifted by a.
+    'text density --set primes --x 4': 'set,x,count,density\nprimes,4,2,0.5\n',
+    'csv density --set primes --x 4': 'set,x,count,density\nprimes,4,2,0.5\n',
+    'json density --set primes --x 4': '{\n  "schema_version": 1,\n  "set": "primes",\n  "x": 4,\n  "count": 2,\n  "density": 0.5\n}\n',
+    'text density --set primes --x 5': 'set,x,count,density\nprimes,5,3,0.6\n',
+    'csv density --set primes --x 5': 'set,x,count,density\nprimes,5,3,0.6\n',
+    'json density --set primes --x 5': '{\n  "schema_version": 1,\n  "set": "primes",\n  "x": 5,\n  "count": 3,\n  "density": 0.6\n}\n',
+    'text census --a 1 --limit 5': 'a,cycle_id,length,members,sign_pattern,basin_count\n1,0,1,4,-,3\n1,1,2,5;6,+-,1\n',
+    'csv census --a 1 --limit 5': 'a,cycle_id,length,members,sign_pattern,basin_count\n1,0,1,4,-,3\n1,1,2,5;6,+-,1\n',
+    'json census --a 1 --limit 5': 'adb67a1b0bcc09d221c45b537633e0ceb9565c9600df88f6a0528ce5799c16a3',
+    'text stats residue --a 1 --x 5 --q 3': 'h,count\n0,2\n1,2\n2,0\n',
+    'csv stats residue --a 1 --x 5 --q 3': 'h,count\n0,2\n1,2\n2,0\n',
+    'json stats residue --a 1 --x 5 --q 3': '{\n  "schema_version": 1,\n  "a": 1,\n  "q": 3,\n  "x": 5,\n  "counts": {\n    "0": 2,\n    "1": 2,\n    "2": 0\n  }\n}\n',
 }
 
 

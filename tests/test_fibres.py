@@ -21,7 +21,7 @@ from primeshift import (
 )
 from primeshift import fibres as fibres_mod, sieve as sieve_mod
 from primeshift.arith import shifted_B
-from primeshift.sieve import build_sieve, is_prime
+from primeshift.sieve import is_prime
 
 
 def partition_count_oracle(limit, table):
@@ -170,29 +170,28 @@ def test_kappa_ratio_trend():
     assert kappa_asymptotic_ratio(3, kt) == 0.0
 
 
-def _ks(lo, spf):
-    return np.arange(lo, lo + spf.size)
+def _ks(lo, v):
+    return np.arange(lo, lo + v.size)
 
 
 def test_preimage_density():
-    count, density = preimage_density(lambda lo, spf: _ks(lo, spf) == 7, 10**3)
+    count, density = preimage_density(lambda lo, v: _ks(lo, v) == 7, 10**3)
     assert count == 3 and density == 3 / 10**3
-    count, density = preimage_density(lambda lo, spf: np.zeros(spf.size, dtype=bool), 10**3)
+    count, density = preimage_density(lambda lo, v: np.zeros(v.size, dtype=bool), 10**3)
     assert (count, density) == (0, 0.0)
 
 
 def test_preimage_density_calls_predicate_once(monkeypatch, b_values):
-    # The target is called once per segment, in order, with that segment's
-    # sieve: every k in [0, x] is offered once.  The segments double from
+    # The target is called once per segment, in order, with B over that
+    # segment: every k in [0, x] is offered once.  The segments double from
     # [2, 4) up to CHUNK entries.
     monkeypatch.setattr(sieve_mod, "CHUNK", 2**10)
     x = 5000
-    spf = build_sieve(x).spf
     seen = []
 
     def counted(lo, seg):
         seen.append(lo)
-        assert np.array_equal(seg, spf[lo : lo + seg.size])
+        assert np.array_equal(seg, b_values[lo : lo + seg.size])
         return _ks(lo, seg) % 2 == 0
 
     count, _ = preimage_density(counted, x)
@@ -203,4 +202,4 @@ def test_preimage_density_calls_predicate_once(monkeypatch, b_values):
 @pytest.mark.parametrize("x", [1, 0, -5])
 def test_preimage_density_rejects_x_below_two(x):
     with pytest.raises(DomainError, match=f"x={x}"):
-        preimage_density(lambda lo, spf: np.ones(spf.size, dtype=bool), x)
+        preimage_density(lambda lo, v: np.ones(v.size, dtype=bool), x)

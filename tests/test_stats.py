@@ -18,6 +18,7 @@ from primeshift import (
 from primeshift import sieve as sieve_mod
 from primeshift import stats as stats_mod
 from primeshift.arith import big_B, shifted_B
+from primeshift.tables import prime_marks
 
 
 def test_average_order_hand_sum():
@@ -180,12 +181,12 @@ def test_stats_peak_memory():
     # streams nothing: its peak is the shared 2^16 sieve that covering
     # builds for the primes up to isqrt(x) = 2000.  The local density
     # holds that sieve and one int64 window of 2^17 entries at a time.
-    # Measured: 1.77 B per n, 466,099 B and 1,509,792 B, bounded with 10%
+    # Measured: 1.44 B per n, 466,099 B and 1,509,792 B, bounded with 10%
     # headroom.  Each query builds the shared sieve afresh, so none reads
     # it from the one before.
     x = 4 * 10**6
     for query, args, bound in (
-        (average_order_series, (3, [x]), 1.94 * x),
+        (average_order_series, (3, [x]), 1.59 * x),
         (b_minus_beta_series, (3, [x]), 513_000),
         (estimate_local_density, (0, x), 1_661_000),
     ):
@@ -202,13 +203,13 @@ def test_stats_peak_memory():
 def test_preimage_density_peak_memory():
     # Bytes per n at the peak: the target mask (1 B per n), the stream's
     # B at the odd n <= x // 2 (1 B per n) and the segments' buffers; B
-    # itself is never gathered over the range.  Measured: 2.68 B, bounded
+    # itself is never gathered over the range.  Measured: 2.43 B, bounded
     # with 10% headroom.
     x = 4 * 10**6
     tracemalloc.start()
     try:
-        preimage_density(lambda lo, spf: spf == np.arange(lo, lo + spf.size, dtype=spf.dtype), x)
+        preimage_density(prime_marks, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.94 * x
+    assert peak <= 2.68 * x
