@@ -4,7 +4,8 @@ No B_a orbit is unbounded, and census_limit gives the bound: orbits from
 starts <= S never leave [2, census_limit(a, S)].  The census treats B_a
 on that range as a functional graph.  Its cycles, all but the prime
 fixed points of a = 0, are found over a short prefix of B (see _cycles):
-every cycle has its minimum among 4 and the primes, and the
+every cycle has its minimum among 4 and the primes, at most floor(a),
+about a or s a / 2 with s the least prime not dividing a, and the
 prime-successor map takes a prime through its climb and B's descent to
 the next prime or 4.  A label is the 1-based index of a cycle's minimum
 among all minima.  Above a short prefix every node has a successor
@@ -13,16 +14,19 @@ run_census), so one ascending pass over the window stream of B,
 tables.segments, gives every start its label and distance.  Both
 live in one packed state per node (see state_dtype), one byte at a <=
 200, widened only if a distance needs it, and a census holds 1.5 B per
-entry of the range.  A sweep over shifts runs no census:
-_cycles finds the cycles of all its shifts over one prefix of B, many
-shifts per numpy pass, and check_cycles checks every cycle of a batch in
-one pass by factorization through the prefix's sieve.
+entry of the range.  A sweep over shifts runs no census: _walks finds
+the cycles of all its shifts over one prefix of B, from arrays of the
+shifts' bounds, many shifts per numpy pass, and check_members checks
+every cycle of a batch in one pass by factorization through the
+prefix's sieve.  The sweep counts the checked cycles from those arrays;
+only _cycles, for the census and reached_cycles, builds Cycles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -33,21 +37,31 @@ from .sieve import CHUNK, WORD_MAX, build_sieve, check_size, is_prime, zeros
 from .tables import back_size, prime_marks, segments, shifted_segments
 
 
+def _bounds(a):
+    """(margin, floor), elementwise over an array of shifts a >= 0, int64
+    or Python ints, with s the least prime not dividing a: margin = (s + 1)
+    a, climb_margin's headroom, and floor(a), the parity floor of _cycles."""
+    s, p = np.full_like(a, 2), 2
+    live = np.flatnonzero((a % 2 == 0) & (a != 0))
+    while live.size:
+        p += 1
+        while not is_prime(p):
+            p += 1
+        s[live] = p
+        live = live[a[live] % p == 0]
+    floor = np.where(a % 2 == 1, a + 4, np.maximum(a // 2 + 3, (s * a + 10) // 2))
+    floor[a == 0] = 4
+    return (s + 1) * a, floor
+
+
 def climb_margin(a: int) -> int:
     """Headroom above the start range that iterates can reach.
 
     From a prime p the orbit climbs p, p+a, ... until a term is divisible
     by the smallest prime s not dividing a (s exists within 2a), so no
-    iterate exceeds start + (s+1)*a.
+    iterate exceeds start + (s+1)*a.  The rule is _bounds's.
     """
-    if a == 0:
-        return 0
-    s = 2
-    while a % s == 0:
-        s += 1
-        while not is_prime(s):
-            s += 1
-    return (s + 1) * a
+    return int(_bounds(np.array([a], dtype=object))[0][0])
 
 
 def census_limit(a: int, start_limit: int, m: int | None = None) -> int:
@@ -108,14 +122,14 @@ def _descents(B):
 
 
 def _batch(walks, B, spf, nodes, descent):
-    """(shift, length, members) of the cycles that orbits from 4 and the
-    primes <= last meet under B_a, for each (a, last, reach, budget) in
-    walks: each cycle's shift and length, and all their members in one
-    array, cycle after cycle, in walk order and by minimum within a walk,
-    each cycle from its minimum.
+    """(owner, length, members) of the cycles that orbits from 4 and the
+    primes <= last meet under B_a, for each row (a, last, size, budget) of
+    walks: each cycle's walk, as a row of walks, and length, and all their
+    members in one array, cycle after cycle, in walk order and by minimum
+    within a walk, each cycle from its minimum.
 
-    The nodes of a walk are those of nodes, the primes and 4 ascending, up
-    to reach, and its map is P_a (see _cycles), each jump weighted by its
+    The nodes of a walk are the first size of nodes, the primes and 4
+    ascending, and its map is P_a (see _cycles), each jump weighted by its
     B_a steps.  Every orbit of P_a ends in a cycle, so the images of the
     nodes under P_a, P_a^2, ... shrink until they hold just the cycles'
     nodes; they shrink fast, as a descent ends low.  From there back up,
@@ -123,11 +137,10 @@ def _batch(walks, B, spf, nodes, descent):
     its weight to that cycle; a start jumps into the first image.  Each
     cycle's members follow from its minimum by B_a on the prefix.
     """
-    a, last, reach, budget = (np.array(c, dtype=np.int64) for c in zip(*walks))
-    size = np.searchsorted(nodes, reach, "right")
+    a, last, size, budget = walks.T
     first = np.cumsum(size) - size
-    node = np.concatenate([nodes[:n] for n in size.tolist()])
     walk = np.repeat(np.arange(size.size), size)
+    node = nodes[np.arange(walk.size) - first[walk]]
     # Climb every prime by a to its first composite; at a = 0 a prime is
     # its own successor.  4, the third node of every walk, steps to itself.
     shift = a[walk]
@@ -172,7 +185,7 @@ def _batch(walks, B, spf, nodes, descent):
     # A node jumps into the first image, or is on a cycle.
     least = label[succ]
     tail = np.where(on, 0, tail[succ] + weight)
-    start = node <= np.repeat(last, size)
+    start = node <= last[walk]
     cycle = np.zeros(walk.size, dtype=bool)
     cycle[least[start]] = True
     cycles = np.flatnonzero(cycle)
@@ -188,12 +201,12 @@ def _batch(walks, B, spf, nodes, descent):
     length = np.bincount(ids, minlength=cycles.size)
     around = np.zeros(walk.size, dtype=np.int64)
     around[cycles] = length
-    late = np.flatnonzero(start & (tail + around[least] > np.repeat(budget, size) + 1))
+    late = np.flatnonzero(start & (tail + around[least] > budget[walk] + 1))
     if late.size:
         w, bad = walk[late[0]], node[late[0]]  # the first walk to fail, its smallest start
         raise ConsistencyError(f"no cycle within {budget[w]} steps from {bad} under a={a[w]}")
 
-    return a[owner], length, v[np.argsort(ids, kind="stable")]
+    return owner, length, v[np.argsort(ids, kind="stable")]
 
 
 def shifted_values(v, a, spf):
@@ -212,14 +225,11 @@ def shifted_values(v, a, spf):
     return np.where(spf[v] == v, v + a, b)
 
 
-def check_cycles(shift, length, members, spf) -> list[Cycle]:
-    """The Cycles of (shift, length, members) as _batch gives them, checked.
-
-    Each member's B_a, from shifted_values, must be the next member of its
-    cycle, the last wrapping round to the first; the first that is not, in
-    the order of members, raises ConsistencyError.  A member is signed
-    '+' where it is prime.
-    """
+def check_members(shift, length, members, spf) -> None:
+    """Check the cycles (shift, length, members) as _batch gives them, with
+    each cycle's shift: each member's B_a, from shifted_values, must be the
+    next member of its cycle, the last wrapping round to the first; the
+    first that is not, in the order of members, raises ConsistencyError."""
     shift, length, members = (np.asarray(x, dtype=np.int64) for x in (shift, length, members))
     end = np.cumsum(length)
     nxt = np.roll(members, -1)
@@ -232,77 +242,131 @@ def check_cycles(shift, length, members, spf) -> list[Cycle]:
         raise ConsistencyError(
             f"not a cycle under a={a[i]}: {members[i]} -> {got[i]}, expected {nxt[i]}"
         )
+
+
+def check_cycles(shift, length, members, spf) -> list[Cycle]:
+    """The Cycles of (shift, length, members), once check_members has passed
+    them.  A member is signed '+' where it is prime."""
+    check_members(shift, length, members, spf)
+    members = np.asarray(members, dtype=np.int64)
     signs = np.where(spf[members] == members, b"+", b"-").tobytes().decode()
-    values, end = members.tolist(), end.tolist()
+    values, end = members.tolist(), np.cumsum(length).tolist()
     return [Cycle(tuple(values[i:j]), signs[i:j]) for i, j in zip([0, *end], end)]
+
+
+def _walk_lists(shifts, start_limit: int):
+    """Yield (a, last, floor, top) for each chunk of at most CHUNK shifts,
+    in order: the walks of _cycles start at 2..last = min(start_limit,
+    floor(a)), over the nodes up to floor(a), and read B up to top =
+    floor(a) + climb_margin(a).  The arrays are int64 where every |a| <
+    2^56, so that s <= 47 and no value below passes 97 |a| + 4, and Python
+    ints otherwise.
+
+    Each shift is checked, in order, as a census of its walks would check
+    it: its range census_limit(a, last) = 2 climb_margin(a) + 4, which
+    holds top, and the steps of the primes up to it must stay within 2^63
+    - 1, as shifted_segments requires before a stream.
+    """
+    shifts = iter(shifts)
+    while chunk := list(islice(shifts, CHUNK)):
+        a = np.array(chunk, dtype=object)
+        if np.abs(a).max() < 2**56:
+            a = a.astype(np.int64)
+        m, floor = _bounds(a)
+        if start_limit < 2:
+            census_limit(int(a[0]), start_limit)  # raises, naming the first shift
+        last = np.minimum(floor, min(start_limit, WORD_MAX))
+        for i in np.flatnonzero((a < 0) | (2 * m + 4 + a > WORD_MAX)).tolist():
+            x = int(a[i])
+            check_prime_steps(census_limit(x, int(last[i]), int(m[i])), x)
+        yield a, last, floor, floor + m
+
+
+def _walks(shifts, start_limit: int):
+    """Yield (a, owner, length, members, spf) for each batch of the walks
+    of _cycles: its shifts, its cycles as _batch gives them, unchecked, and
+    the prefix's sieve table spf to check them by (see check_members).
+
+    The chunks of _walk_lists are read once to size the prefix and again
+    to walk them unless there is one, so no more than a chunk of shifts
+    is ever held.  Every shift reads one prefix of B, streamed once up
+    to the largest top, and one sieve table over it.  The walks go in
+    batches of at most CHUNK nodes (a shift with more is a batch alone),
+    cut from the running sum of their node counts, each with the step
+    budget default_max_steps(top, a).
+    """
+    lists = _walk_lists(shifts, start_limit)
+    first = next(lists, None)
+    if first is None:
+        return
+    top, again = int(first[3].max()), [first]
+    for *_, t in lists:  # more than one chunk: the walks read the shifts again
+        top, again = max(top, int(t.max())), None
+    B, table = np.concatenate([v for _, v in segments(top)]), build_sieve(top)
+    nodes = np.insert(table.primes(), 2, 4)  # the primes and 4, ascending
+    descent = _descents(B)
+    for a, last, floor, t in again or _walk_lists(shifts, start_limit):
+        size = np.searchsorted(nodes, floor, "right")
+        walks = np.column_stack(np.broadcast_arrays(a, last, size, default_max_steps(t, a)))
+        end, i = np.cumsum(size), 0
+        while i < a.size:
+            # As many shifts as fit CHUNK nodes, and at least one.
+            j = max(int(np.searchsorted(end, end[i] - size[i] + CHUNK, "right")), i + 1)
+            yield a[i:j], *_batch(walks[i:j], B, table.spf, nodes, descent), table.spf
+            i = j
 
 
 def _cycles(shifts, start_limit: int) -> dict[int, dict[int, Cycle]]:
     """{a: {minimum: Cycle}} of every cycle, fixed points included, that
-    orbits from 2..last meet under B_a, last = min(start_limit,
-    climb_margin(a) + 4), for each a in shifts.
+    orbits from 2..last meet under B_a, last = min(start_limit, floor(a)),
+    for each a in shifts, each checked by check_cycles (see _walks).
 
-    Lemma: for a >= 1 every cycle has its minimum x <= margin + 4, where
-    margin = climb_margin(a).  If x is composite then x <= 4, because
-    B(c) <= c/2 + 2 < c for composite c > 4.  If x is prime, it climbs to
-    a composite c <= x + margin, and x <= B(c) <= c/2 + 2 <= (x + margin)/2
-    + 2.  So these are all the cycles that 2..start_limit meet.  For a = 0
-    every cycle is a fixed point, n = 4 or a prime, and last <= 4.  Nor
-    does a composite start c > 4 add a cycle: it descends (B(c) < c) to a
-    prime or to 4 below c, so orbits from 4 and the primes <= last meet
-    every cycle that orbits from 2..last meet, and on a cycle the minimum
-    is a prime or 4.
+    Lemma (the parity floor): let s be the least prime not dividing a >= 1,
+    and floor(a) = a + 4 for odd a, max(a/2 + 3, (s a + 10) // 2) for even
+    a, and floor(0) = 4.  Then for every X >= floor(a) the orbits from
+    starts <= X stay <= X + s a, and the primes they visit <= X; and for a
+    >= 1 every cycle has its minimum <= floor(a).  Proof: a composite c >
+    4 has B(c) <= c/2 + 2 < c, and an odd one B(c) <= c/3 + 3, as its
+    least prime factor q >= 3 gives B(c) <= q + c/q; so B's descent from a
+    composite ends at a prime or 4 below it, and a cycle's minimum is a
+    prime or 4.  A prime p climbs p + a, p + 2a, ... to its first
+    composite c <= max(p, s) + s a: s consecutive terms cover every
+    residue mod s, the one divisible by s is composite unless it is s,
+    and a climb through s ends by s + s a.  For odd a an odd prime climbs
+    once, to the even c = p + a, with B(c) <= (p + a)/2 + 2, and 2 at most
+    twice, to the odd 2 + a or to 2 + 2a, with B(c) <= a + 3 either way
+    (B(2 + 2a) = 2 + B(1 + a)); both are <= X once X >= a + 4.  For even a
+    >= 2 an odd prime's climb stays odd, so B(c) <= (X + s a)/3 + 3 <= X
+    once X >= (s a + 9)/2 (s < floor(a) <= X), and 2 steps to the even 2 +
+    a, with B(2 + a) <= a/2 + 3.  At a = 0 every prime is a fixed point.
+    For a >= 1 a cycle's least member x, if prime, has x <= B(c) at the
+    end of its climb, and the same bounds with X = x give x <= floor(a).
+
+    So for a >= 1 and start_limit > floor(a) every cycle has its minimum,
+    4 or a prime, among the starts 2..last = floor(a), which thus meet
+    every cycle that 2..start_limit meet; at a = 0 the census labels the
+    primes past 4 itself.  A composite start c > 4 adds no cycle, as it
+    descends to a prime or 4 below c, so orbits from 4 and the primes <=
+    last meet every cycle that orbits from 2..last do.
 
     So the cycles are found on the prime-successor map P_a: a prime p
     climbs p + a, p + 2a, ... to its first composite c (at a = 0 it stays
     at p), and P_a(p) is the prime or 4 that B's descent from c reaches;
-    P_a(4) = 4.  The primes P_a visits from a start <= last lie <= reach =
-    census_limit(a, last) - climb_margin(a), and their climbs stay within
-    census_limit(a, last).  Every shift reads one prefix of B, streamed
-    once up to the largest census_limit, and one sieve table over it, and
-    the shifts go in batches of at most CHUNK nodes (a shift with more is
-    a batch alone).  An orbit that does not come back to a prime or 4 of
-    its cycle and round it within default_max_steps raises
-    ConsistencyError naming the smallest such start.  check_cycles then
+    P_a(4) = 4.  By the lemma, with X = floor(a), the walks from starts <=
+    last visit only the primes and 4 <= floor(a), and their climbs stay <=
+    floor(a) + s a < floor(a) + climb_margin(a).  An orbit that does not
+    come back to a prime or 4 of its cycle and round it within its budget
+    raises ConsistencyError naming the smallest such start.  check_cycles
     checks all cycles of a batch at once: each member's B_a, factored
-    through that one sieve table and never read from the prefix of B,
+    through the prefix's sieve table and never read from the prefix of B,
     must be the next member.
-    shifts is iterated twice, not stored, so a huge range holds nothing
-    before its first batch; each pass computes each shift's margin once.
     """
-
-    def walks():
-        for a in shifts:
-            m = climb_margin(a)
-            last = min(start_limit, m + 4)
-            yield a, m, last, census_limit(a, last, m)
-
-    top = 0
-    for a, _, _, t in walks():
-        check_prime_steps(t, a)  # as in shifted_segments, before the stream
-        top = max(top, t)
-    if not top:
-        return {}
-    B, table = np.concatenate([v for _, v in segments(top)]), build_sieve(top)
-    nodes = np.insert(table.primes(), 2, 4)  # the primes and 4, ascending
-    descent = _descents(B)
-    found, batch, size = {}, [], 0
-
-    def flush():
-        shift, length, members = _batch(batch, B, table.spf, nodes, descent)
-        found.update((a, {}) for a, *_ in batch)
-        for a, c in zip(shift.tolist(), check_cycles(shift, length, members, table.spf)):
-            found[a][c.members[0]] = c
-
-    for a, m, last, t in walks():
-        reach = t - m
-        n = int(np.searchsorted(nodes, reach, "right"))
-        if batch and size + n > CHUNK:
-            flush()
-            batch, size = [], 0
-        batch.append((a, last, reach, default_max_steps(t, a)))
-        size += n
-    flush()
+    found = {}
+    for a, owner, length, members, spf in _walks(shifts, start_limit):
+        shift = a[owner]
+        found.update((x, {}) for x in a.tolist())
+        for x, c in zip(shift.tolist(), check_cycles(shift, length, members, spf)):
+            found[x][c.members[0]] = c
     return found
 
 
@@ -352,15 +416,17 @@ def run_census(a: int, start_limit: int) -> CensusReport:
     Lemma: for a >= 1, with m = climb_margin(a) and P = 2m + 4, every
     cycle member is <= P, and above P each node n has a successor s(n) < n
     with dist(n) = dist(s(n)) + w(n) and label(n) = label(s(n)).  Proof:
-    a cycle's minimum is <= m + 4 (see _cycles), and orbits from there
-    stay <= census_limit(a, m + 4) = P.  A composite n > P has s(n) =
-    B(n) <= n/2 + 2 < n and w(n) = 1.  A prime p > P climbs j >= 1 steps
-    to its first composite c <= p + m, and s(p) = J(p) = B(c) <= (p +
-    m)/2 + 2 < p, as p > m + 4, with w(p) = j + 1: none of p + a, ..., c,
-    all > P, is on a cycle.  So a start n <= S = start_limit reads no
-    node above (S + m)/2 + 2, and orbits from [2, P] stay <=
-    census_limit(a, P) = 3m + 4.  At a = 0, m = 0: a composite n > 4 has
-    B(n) < n, and each prime is a fixed point, its own cycle.
+    a cycle's minimum is <= floor(a) <= m + 4 (the parity floor, see
+    _cycles: a + 4 <= 3a + 4, and a/2 + 3 and s a/2 + 5 <= (s + 1) a + 4
+    for even a), and orbits from there stay <= census_limit(a, m + 4) = P.
+    A composite n > P has s(n) = B(n) <= n/2 + 2 < n and w(n) = 1.  A
+    prime p > P climbs j >= 1 steps to its first composite c <= p + m,
+    and s(p) = J(p) = B(c) <= (p + m)/2 + 2 < p, as p > m + 4, with w(p)
+    = j + 1: none of p + a, ..., c, all > P, is on a cycle.  So a start n
+    <= S = start_limit reads no node above (S + m)/2 + 2, and orbits from
+    [2, P] stay <= census_limit(a, P) = 3m + 4.  At a = 0, m = 0: a
+    composite n > 4 has B(n) < n, and each prime is a fixed point, its
+    own cycle.
     """
     limit = census_limit(a, start_limit)
     budget = default_max_steps(limit, a)
@@ -546,9 +612,14 @@ def reached_cycles(shifts, start_limit: int) -> dict[int, tuple[Cycle, ...]]:
 
 
 def cycle_count_sweep(a_max: int, start_limit: int) -> tuple[dict[int, int], set[int]]:
-    """(counts, argmax_set): the distinct nontrivial cycles for each a in 1..a_max."""
+    """(counts, argmax_set): the distinct nontrivial cycles for each a in
+    1..a_max, those of _cycles, counted batch by batch once check_members
+    has passed them, with no Cycle built."""
     if a_max < 1:
         raise DomainError(f"--a-max must be >= 1, got {a_max}")
-    counts = {a: len(c) for a, c in reached_cycles(range(1, a_max + 1), start_limit).items()}
+    counts = {}
+    for a, owner, length, members, spf in _walks(range(1, a_max + 1), start_limit):
+        check_members(a[owner], length, members, spf)
+        counts.update(zip(a.tolist(), np.bincount(owner[length > 1], minlength=a.size).tolist()))
     best = max(counts.values())
     return counts, {a for a, c in counts.items() if c == best}

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import _check_domain, check_shift, shifted_B
 from .errors import DomainError, NonterminationError
 from .sieve import SHARED_LIMIT, covering
@@ -61,9 +63,14 @@ class Cycle:
         return len(self.members)
 
 
-def default_max_steps(n: int, a: int) -> int:
-    """Generous step budget; real orbits are far shorter."""
-    return 10 * (int(math.log2(max(n, 2))) + 1) + 4 * a + 100
+def default_max_steps(n, a):
+    """Generous step budget; real orbits are far shorter.  Elementwise
+    where n and a are int64 arrays, as a sweep's walks pass them."""
+    if isinstance(n, np.ndarray):
+        log = np.log2(np.maximum(n, 2)).astype(np.int64)
+    else:
+        log = int(math.log2(max(n, 2)))
+    return 10 * (log + 1) + 4 * a + 100
 
 
 def iterate_orbit(

@@ -67,6 +67,24 @@ def shifted_map(b, prime, a: int):
     return np.where(prime, np.arange(b.size) + a, b)
 
 
+def least_prime_not_dividing(a: int) -> int:
+    """s for a >= 1, by trial division: the least prime that does not divide a."""
+    s = 2
+    while a % s == 0:
+        s += 1
+        while any(s % d == 0 for d in range(2, math.isqrt(s) + 1)):
+            s += 1
+    return s
+
+
+def parity_floor(a: int) -> int:
+    """floor(a) of census._cycles' lemma, one shift at a time."""
+    if a == 0:
+        return 4
+    s = least_prime_not_dividing(a)
+    return a + 4 if a % 2 else max(a // 2 + 3, (s * a + 10) // 2)
+
+
 def walked_cycles(f, prime, last: int) -> dict:
     """{minimum: (members, sign_pattern)} of the cycles reached from every
     start 2..last under the map list f, with '+' where prime is True.

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -7,9 +8,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import A39_CYCLES, prime_power_sums, run_census_naive, shifted_map, walked_cycles
+from oracles import (
+    A39_CYCLES,
+    least_prime_not_dividing,
+    parity_floor,
+    prime_power_sums,
+    run_census_naive,
+    shifted_map,
+    walked_cycles,
+)
 from primeshift import (
     ConsistencyError,
+    RangeOverflowError,
     cycle_count_sweep,
     iterate_orbit,
     reached_cycles,
@@ -21,7 +31,7 @@ from primeshift import tables as tables_mod
 from primeshift.census import census_limit, climb_margin, dist_top, state_dtype
 from primeshift.cli import run
 from primeshift.arith import shifted_B
-from primeshift.census import check_cycles
+from primeshift.census import check_cycles, check_members
 from primeshift.dynamics import default_max_steps
 from primeshift.golden import CYCLE_TABLE, canonical_set
 from primeshift.sieve import build_sieve, index_dtype
@@ -147,14 +157,15 @@ def test_naive_agrees_on_reached_cycles(table):
 
 
 def test_prime_starts_meet_every_walked_cycle(oracle_values):
-    # The _cycles lemma: orbits from 4 and the primes <= last meet the
-    # cycles that orbits from every start 2..last meet, with the same members
-    # and signs, where _cycles walks to last = min(start_limit,
-    # climb_margin(a) + 4): at a = 0 to 4, as the census labels the primes
-    # from 5 on from its stream.  a = 951 has the most cycles at a <= 1000
-    # (5), and 1680 and 1890 the largest climb margins at a <= 2000 (12a),
-    # so the largest prefix of B reaches census_limit(1890,
-    # climb_margin(1890) + 4) = 45,364.
+    # The _cycles lemma: orbits from 4 and the primes <= min(start_limit,
+    # floor(a)), which _cycles walks (at a = 0 to 4, as the census labels
+    # the primes from 5 on from its stream), meet the cycles that orbits
+    # from every start 2..last meet, with the same members and signs, where
+    # the oracle walks to the wider last = min(start_limit, climb_margin(a)
+    # + 4).  a = 951 has the most cycles at a <= 1000 (5), and 1680 and
+    # 1890 the largest climb margins at a <= 2000 (12a), so the oracle's
+    # largest range reaches census_limit(1890, climb_margin(1890) + 4) =
+    # 45,364.
     b, _, prime = oracle_values
     walks = [(a, start_limit, min(start_limit, climb_margin(a) + 4))
              for a in [*range(401), 951, 1680, 1890] for start_limit in (climb_margin(a) + 4, 20)]
@@ -172,11 +183,12 @@ def _nontrivial(walked):
 
 
 def test_sweep_batches_match_walked_cycles(monkeypatch, oracle_values):
-    # With CHUNK = 2^6 a batch holds at most 64 nodes, so the 200 shifts
-    # of a sweep go in many batches: several small shifts share one, and a
-    # shift with more nodes than 64 is a batch alone.  Every shift still
-    # gets the cycles of walks from every start 2..climb_margin(a) + 4,
-    # with the same members and signs.
+    # With CHUNK = 2^6 a batch holds at most 64 nodes, and a chunk at most
+    # 64 shifts, so the 200 shifts of a sweep go in many batches
+    # (143): several small shifts share one, and a shift with more nodes
+    # than 64 is a batch alone.  The sweep walks from 2..floor(a) only;
+    # every shift still gets the cycles that the oracle's walks from every
+    # start 2..climb_margin(a) + 4 meet, with the same members and signs.
     b, _, prime = oracle_values
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
@@ -215,42 +227,51 @@ def test_reached_cycles_at_the_smallest_limits(oracle_values):
 
 def test_sweep_reads_one_stream(monkeypatch):
     # Every shift of a sweep walks over one prefix of B, up to the largest
-    # census_limit(a, climb_margin(a) + 4) at a <= 200: 2,884 at a = 180.
-    # check_cycles checks the cycles of every shift against that prefix's
-    # one sieve table, built to 2,884 and not the shared 2^16 one.
-    limits, built, tables_seen, shifts_seen = [], [], set(), set()
+    # floor(a) + climb_margin(a) at a <= 200: 2,075 at a = 180 (635 +
+    # 1,440).  check_members checks the cycles of every shift against that
+    # prefix's one sieve table, built to 2,075 and not the shared 2^16 one,
+    # and the sweep counts them without building a Cycle.
+    limits, built, tables_seen, shifts_seen, cycles = [], [], set(), set(), []
 
     def checked(shift, length, members, spf):
         tables_seen.add(id(spf))
         shifts_seen.update(shift.tolist())
-        return check_cycles(shift, length, members, spf)
+        return check_members(shift, length, members, spf)
 
     def sieved(limit, bound=None):
         built.append(limit)
         return build_sieve(limit, bound)
 
     _watch_streams(monkeypatch, lambda limit, s: limits.append(limit))
-    monkeypatch.setattr(census_mod, "check_cycles", checked)
+    monkeypatch.setattr(census_mod, "check_members", checked)
     monkeypatch.setattr(census_mod, "build_sieve", sieved)
+    monkeypatch.setattr(census_mod, "Cycle", lambda *args: cycles.append(args))
     counts, _ = cycle_count_sweep(200, 10**6)
-    assert census_limit(180, climb_margin(180) + 4) == 2884
-    assert limits == [2884] * len(list(segments(2884)))  # one stream, each of its windows
-    assert built == [2884] and len(tables_seen) == 1 and not sieve_mod._shared.cache_info().currsize
-    assert shifts_seen == set(range(1, 201)) and counts[39] == 4
+    tops = [parity_floor(a) + climb_margin(a) for a in range(1, 201)]
+    assert max(tops) == tops[179] == 635 + 1440
+    assert limits == [2075] * len(list(segments(2075)))  # one stream, each of its windows
+    assert built == [2075] and len(tables_seen) == 1 and not sieve_mod._shared.cache_info().currsize
+    assert shifts_seen == set(range(1, 201)) and counts[39] == 4 and not cycles
 
 
 def test_sweep_computes_each_margin_once_per_pass(monkeypatch):
-    # _cycles passes over its shifts twice, once to size the prefix and
-    # once to batch the walks; each pass needs climb_margin(a) once.
-    calls, margin = [], census_mod.climb_margin
+    # _walks reads its shifts in chunks of at most CHUNK and computes the
+    # margins and floors of a chunk in one array call: once in all when the
+    # shifts fit one chunk, else once per chunk in each of its two passes,
+    # one to size the prefix and one to batch the walks.
+    calls, bounds = [], census_mod._bounds
 
     def counted(a):
-        calls.append(a)
-        return margin(a)
+        calls.append(a.tolist())
+        return bounds(a)
 
-    monkeypatch.setattr(census_mod, "climb_margin", counted)
-    reached_cycles(range(1, 201), 10**6)
-    assert sorted(calls) == sorted([*range(1, 201)] * 2)
+    monkeypatch.setattr(census_mod, "_bounds", counted)
+    want = reached_cycles(range(1, 201), 10**6)
+    assert calls == [[*range(1, 201)]]
+    calls.clear()
+    monkeypatch.setattr(census_mod, "CHUNK", 2**6)
+    assert reached_cycles(range(1, 201), 10**6) == want
+    assert calls == [[*range(k, min(k + 2**6, 201))] for k in range(1, 201, 2**6)] * 2
 
 
 def test_cycle_check_factors_through_the_sieve(monkeypatch):
@@ -345,6 +366,95 @@ def test_climb_margin():
     assert climb_margin(1) == 3
     # a=6: 2 and 3 divide, 5 does not -> margin 36
     assert climb_margin(6) == 36
+
+
+def test_parity_floor_lemmas(oracle_values):
+    # The lemmas of _cycles by brute force, for every a <= 2000 on the
+    # oracle's B: with X = floor(a), orbits from every start n <= 3X stay
+    # <= max(n, X) + s a (closure of [2, Y] for each Y >= X), and every
+    # cycle they meet has its least member <= X (at a >= 1; at a = 0 each
+    # prime is a fixed point).  The map runs on [0, V], V = 3X + s a, and
+    # sends any value past V to V + 1, a fixed point above every bound.
+    # Pointer doubling: J = f^(2^k) and hi[n] the largest of n, f(n), ...,
+    # f^(2^k)(n); once a round leaves hi unchanged it never changes again,
+    # and once f maps the image of J onto itself that image is the cycles.
+    b, _, prime = oracle_values
+    for a in range(2001):
+        x = parity_floor(a)
+        s = least_prime_not_dividing(a) if a else 0
+        v = 3 * x + s * a
+        f = shifted_map(b[: v + 1], prime[: v + 1], a).astype(np.int32)
+        f = np.append(np.minimum(f, v + 1), v + 1)
+        J, hi = f, np.maximum(np.arange(v + 2, dtype=np.int32), f)
+        while not np.array_equal(top := np.maximum(hi, hi[J]), hi):
+            J, hi = J[J], top
+        while True:
+            ring = np.flatnonzero(np.bincount(J, minlength=v + 2))
+            if np.array_equal(ring, np.flatnonzero(np.bincount(f[ring], minlength=v + 2))):
+                break
+            J = J[J]
+        starts = np.arange(2, 3 * x + 1)
+        assert (hi[starts] <= np.maximum(starts, x) + s * a).all(), a
+        low, y = ring.copy(), f[ring]
+        while (live := y != ring).any():
+            low, y = np.where(live, np.minimum(low, y), low), np.where(live, f[y], y)
+        assert a == 0 or (low[ring <= v] <= x).all(), a
+
+
+def test_array_bounds_match_scalar_rule():
+    # _bounds, one array per chunk of shifts, against the scalar rule: the
+    # margin (s + 1) a and the parity floor, for every a <= 10^4 in int64
+    # and for shifts near and past 2^56 and 2^63 as Python ints.
+    big = [2**56 - 1, 2**56, 2**62, 2**63 - 1, 2**63, 30030 * 2**50, 223092870 * 10**20]
+    for shifts in ([*range(10**4 + 1)], big):
+        dtype = np.int64 if shifts[0] == 0 else object
+        margin, floor = census_mod._bounds(np.array(shifts, dtype=dtype))
+        s = [least_prime_not_dividing(x) if x else 2 for x in shifts]
+        assert margin.tolist() == [(k + 1) * x for k, x in zip(s, shifts)]
+        assert floor.tolist() == [parity_floor(x) for x in shifts]
+    assert [climb_margin(x) for x in big] == [(least_prime_not_dividing(x) + 1) * x for x in big]
+
+
+def test_sweep_chunk_seams(monkeypatch, capsys):
+    # With chunks of 2^4 or 2^6 shifts, and the batches cut at each chunk's
+    # end, a sweep reads its shifts twice, in 19 or 5 chunks per pass, and
+    # counts the same cycles as in one chunk; the errors keep their text.
+    want = cycle_count_sweep(300, 10**6)
+    errors = [(["sweep", "--a-max", "0"], 1, "domain error: --a-max must be >= 1, got 0\n"),
+              (["sweep", "--a-max", "300", "--limit", "1"], 1,
+               "domain error: --limit must be >= 2 under a=1, got 1\n"),
+              (["census", "--a", str(2**62)], 2, "arithmetic/resource error: census of "
+               f"a={2**62} with --limit 1000000 passes 2^63 - 1\n")]
+    for chunk in (2**4, 2**6):
+        monkeypatch.setattr(census_mod, "CHUNK", chunk)
+        assert cycle_count_sweep(300, 10**6) == want, chunk
+        for argv, code, err in errors:
+            assert run(argv) == code
+            assert capsys.readouterr() == ("", err)
+
+
+def test_walk_checks_fail_in_shift_order(monkeypatch):
+    # Each shift is checked as its census is, in shift order, before any
+    # stream: a walk range past 2^63 - 1, or a prime stepped past it, in a
+    # later chunk than the first.  Shifts from 2^56 on run on Python ints.
+    # A pass reads one chunk of shifts at a time, so 2 * 10^5 shifts in
+    # chunks of 2^10 peak far below one int64 per shift (0.17 MB measured).
+    monkeypatch.setattr(census_mod, "CHUNK", 2**10)
+    _watch_streams(monkeypatch, lambda limit, s: pytest.fail("streamed"))
+    huge, step = 2**61 + 1, 2**63 // 7 + 2  # 6 step + 4 fits, 7 step does not
+    with pytest.raises(RangeOverflowError,
+                       match=f"^census of a={huge} with --limit 10 passes 2\\^63 - 1$"):
+        reached_cycles([*range(1, 2000), huge, step], 10)
+    with pytest.raises(RangeOverflowError, match=f"^7905747460161236417 \\+ {step} exceeds"):
+        reached_cycles([*range(1, 2000), step, huge], 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeOverflowError, match=f"a={2**62} "):
+            reached_cycles(itertools.chain(range(1, 2 * 10**5), [2**62]), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 * 10**5, peak
 
 
 def test_successor_below_lemma(oracle_values, table):
@@ -628,23 +738,23 @@ def test_walk_past_budget_raises(monkeypatch):
 
 
 def test_walks_read_one_short_stream(monkeypatch):
-    # With segments of at most 64 entries the walks from 2..100 and from
-    # 2..121 under a = 39 read B_a over [0, 238] in nine segments: [0, 2),
-    # [2, 4), ..., [32, 64), then the three from 64 on.  The census reads
-    # them once more for its walks before its own stream, which a budget of
-    # 1 step stops at the walk from 2.
+    # With segments of at most 64 entries the walks from 2..43 under a =
+    # 39 (floor(39) = 43, climb_margin(39) = 117) read B over [0, 160] in
+    # eight segments: [0, 2), [2, 4), ..., [32, 64), then [64, 128) and
+    # [128, 161).  The census reads them once more for its walks before its
+    # own stream, which a budget of 1 step stops at the walk from 2.
     expected = reached_cycles([39], 100)
     for mod in (sieve_mod, census_mod):
         monkeypatch.setattr(mod, "CHUNK", 2**6)
     windows = []
     _watch_streams(monkeypatch, lambda limit, s: windows.append(limit))
     assert reached_cycles([39], 100) == expected
-    assert windows == [238] * 9
+    assert windows == [160] * 8
     windows.clear()
     monkeypatch.setattr(census_mod, "default_max_steps", lambda n, a: 1)
     with pytest.raises(ConsistencyError, match="^no cycle within 1 steps from 2 under a=39$"):
         run_census(39, 10**4)
-    assert windows == [238] * 9
+    assert windows == [160] * 8
 
 
 def test_unsettled_node_names_its_input(monkeypatch):
